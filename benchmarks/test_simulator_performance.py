@@ -66,10 +66,6 @@ _SCHEME_FLOORS = {"CBTB": 15.0}
 #: fall back to the event loop).
 _CYCLE_SIM_FLOOR = 10.0
 
-#: Minimum 1 -> 4 worker wall-clock scaling of the chunked engine on
-#: cccp; only asserted when the host actually has >= 4 CPUs.
-_CHUNKED_SCALING_FLOOR = 1.6
-
 #: Rates and stage timings the tests below record; flushed to
 #: BENCH_telemetry.json when the module finishes.
 _TELEMETRY_REPORT = {"rates": {}, "stages": {}}
@@ -315,62 +311,6 @@ def test_kernel_cycle_sim_speedup(all_runs):
     assert speedup >= _CYCLE_SIM_FLOOR, (
         "vector cycle sim only %.2fx faster than the event loop on %s "
         "(floor %.1fx)" % (speedup, name, _CYCLE_SIM_FLOOR))
-
-
-def test_kernel_chunked_scaling_gate(all_runs, tmp_path):
-    """Chunked multi-core gate: exactness always, scaling when able.
-
-    Runs the chunked engine over cccp with 1 and 4 supervised workers.
-    Bit-identity against the single-process vector engine is asserted
-    unconditionally (worker count must never change an answer); the
-    ``_CHUNKED_SCALING_FLOOR`` wall-clock ratio is asserted only on
-    hosts with at least 4 CPUs, but the measured ratio is always
-    recorded (bench-history tracks it across runs either way).
-    """
-    from repro.kernels.chunked import chunked_stats
-
-    name = "cccp" if "cccp" in all_runs else max(
-        all_runs, key=lambda key: len(all_runs[key].trace))
-    trace = all_runs[name].trace
-    reference = simulate(CounterBTB(), trace, engine="vector")
-
-    timings = {}
-    for workers in (1, 4):
-        scratch = tmp_path / ("workers%d" % workers)
-        stats = chunked_stats(CounterBTB(), trace, chunks=4,
-                              workers=workers, process=True,
-                              scratch=scratch)
-        assert stats == reference, (
-            "chunked run with %d workers diverged on %s\n"
-            "  chunked: %r\n  vector:  %r"
-            % (workers, name, stats.as_dict(), reference.as_dict()))
-        best = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            chunked_stats(CounterBTB(), trace, chunks=4,
-                          workers=workers, process=True,
-                          scratch=scratch)
-            best = min(best, time.perf_counter() - start)
-        timings[workers] = best
-
-    scaling = timings[1] / timings[4]
-    _KERNEL_REPORT["schemes"]["chunked"] = {
-        "workers1_seconds": timings[1],
-        "workers4_seconds": timings[4],
-        "scaling_1_to_4": scaling,
-        "cpus": os.cpu_count(),
-    }
-    print("\nchunked %s: %.3fs @1 worker vs %.3fs @4 workers (%.2fx, "
-          "%d cpus)" % (name, timings[1], timings[4], scaling,
-                        os.cpu_count() or 0))
-    if (os.cpu_count() or 1) >= 4:
-        assert scaling >= _CHUNKED_SCALING_FLOOR, (
-            "chunked engine scaled only %.2fx from 1 to 4 workers on "
-            "%s (floor %.1fx)" % (scaling, name,
-                                  _CHUNKED_SCALING_FLOOR))
-    else:
-        print("chunked scaling floor not asserted: host has %r cpus"
-              % os.cpu_count())
 
 
 def test_fs_compile_pipeline_latency(benchmark):

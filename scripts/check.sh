@@ -107,10 +107,8 @@ PYTHONPATH=src python scripts/chaos_gate.py
 echo "== kernel bench gate =="
 # Scalar-vs-vector engines on the headline workload: fails on any
 # stats mismatch, a headline speedup under 25x, CBTB under 15x, the
-# vector cycle sim under 10x, vector throughput regressing >25%
-# against the committed BENCH_kernels.json baseline, or a chunked
-# multi-worker run that is not bit-identical (the 1->4 worker scaling
-# floor additionally applies on hosts with >= 4 CPUs).
+# vector cycle sim under 10x, or vector throughput regressing >25%
+# against the committed BENCH_kernels.json baseline.
 PYTHONPATH=src python -m pytest -q \
     benchmarks/test_simulator_performance.py -k kernel
 

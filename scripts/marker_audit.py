@@ -20,7 +20,7 @@ marker expression — and enforces:
    (a collection discrepancy would mean the two runs disagree about
    what the suite even is);
 5. every file in ``REQUIRED_BATTERY_FILES`` — the differential
-   equivalence batteries that lock down the vector/chunked engines —
+   equivalence batteries that lock down the scalar/vector engines —
    contributes at least one slow-marked battery test (a renamed or
    deleted battery must fail loudly here, not silently stop gating).
 
@@ -35,7 +35,6 @@ import sys
 REQUIRED_BATTERY_FILES = (
     "tests/test_characterize.py",
     "tests/test_cycle_kernel_equivalence.py",
-    "tests/test_chunked_properties.py",
 )
 
 

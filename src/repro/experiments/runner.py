@@ -172,39 +172,6 @@ class BenchmarkRun:
             self._predictions = results
         return results
 
-    def chunked_predictions(self, entries=256, associativity=None,
-                            counter_bits=2, threshold=2, chunks=4,
-                            workers=None, process=False, scratch=None):
-        """:meth:`predictions`, computed by the segmented engine.
-
-        Drop-in replacement: the buffer schemes (SBTB/CBTB) run
-        through the two-phase chunked engine — optionally on a
-        supervised process pool — while FS, which the segmented
-        engine does not support, takes the ordinary path.  Results
-        are bit-identical to :meth:`predictions`; this exists so a
-        sweep can spread one huge trace across cores without anyone
-        downstream being able to tell.
-        """
-        from repro.kernels.chunked import chunked_stats
-
-        with TELEMETRY.span("runner.predict.chunked",
-                            benchmark=self.name, entries=entries,
-                            chunks=chunks):
-            return {
-                "SBTB": chunked_stats(
-                    SimpleBTB(entries, associativity), self.trace,
-                    chunks=chunks, workers=workers, process=process,
-                    scratch=scratch),
-                "CBTB": chunked_stats(
-                    CounterBTB(entries, associativity, counter_bits,
-                               threshold),
-                    self.trace, chunks=chunks, workers=workers,
-                    process=process, scratch=scratch),
-                "FS": simulate(
-                    ForwardSemanticPredictor(program=self.fs_program),
-                    self.trace, engine=self.engine),
-            }
-
     def expansions(self):
         """Table 5's code-size reports, one per slot count."""
         if self._expansions is None:
@@ -567,6 +534,7 @@ class SuiteRunner:
         profile = None
         trace = None
         manifest = None
+        layout = None
         if trace_path is not None:
             with _stage(stages, "cache_load", name):
                 profile, trace, manifest = self._load_cache_entry(
@@ -580,15 +548,18 @@ class SuiteRunner:
                             path=str(trace_path))
         elif trace_path is None:
             TELEMETRY.event("cache.miss", benchmark=name, path=None)
-            profile, trace = self._execute(spec, program, n_runs, stages)
+            profile, trace, layout = self._execute(spec, program, n_runs,
+                                                   stages)
         else:
             TELEMETRY.event("cache.miss", benchmark=name,
                             path=str(trace_path))
-            profile, trace, manifest = self._compute_locked(
+            profile, trace, manifest, layout = self._compute_locked(
                 spec, program, n_runs, trace_path, profile_path, stages)
 
-        with _stage(stages, "layout", name):
-            layout = build_fs_program(program, profile, verify=self.verify)
+        if layout is None:      # cache hit: the VM passes did not run
+            with _stage(stages, "layout", name):
+                layout = build_fs_program(program, profile,
+                                          verify=self.verify)
 
         if manifest is None:
             manifest = self._build_manifest(name, n_runs, trace_path,
@@ -611,6 +582,9 @@ class SuiteRunner:
         is written exactly once.  A lock that cannot be acquired
         within ``lock_timeout`` (a wedged peer) degrades to an
         uncached in-process compute instead of blocking the campaign.
+
+        Returns ``(profile, trace, manifest, layout)``; ``layout`` is
+        None when the entry was loaded after a lock wait.
         """
         name = spec.name
         lock = StemLock(self.cache_dir, trace_path.stem,
@@ -623,17 +597,17 @@ class SuiteRunner:
                     TELEMETRY.event("cache.hit", benchmark=name,
                                     path=str(trace_path),
                                     after_lock_wait=True)
-                    return profile, trace, manifest
-                profile, trace = self._execute(spec, program, n_runs,
-                                               stages)
+                    return profile, trace, manifest, None
+                profile, trace, layout = self._execute(spec, program,
+                                                       n_runs, stages)
                 manifest = self._store_cache_entry(
                     name, n_runs, trace_path, profile_path, profile,
                     trace, stages)
-                return profile, trace, manifest
+                return profile, trace, manifest, layout
         except LockTimeout:
-            profile, trace = self._execute(spec, program, n_runs,
-                                           stages)
-            return profile, trace, None
+            profile, trace, layout = self._execute(spec, program, n_runs,
+                                                   stages)
+            return profile, trace, None, layout
 
     def _build_manifest(self, name, n_runs, trace_path, profile_path,
                         stages, checksums=None):
@@ -666,6 +640,8 @@ class SuiteRunner:
         the profiler: the profile is estimated from the IR, and the
         baseline outputs come from plain (untraced, unprobed) runs of
         the base program.
+
+        Returns ``(profile, trace, layout)``.
         """
         if stages is None:
             stages = {}
@@ -705,7 +681,7 @@ class SuiteRunner:
                     merged = result.trace
                 else:
                     merged.extend(result.trace)
-        return profile, merged
+        return profile, merged, layout
 
     def run_all(self, names=None, workers=None):
         """Run every benchmark (or ``names``); returns name -> run.

@@ -15,26 +15,11 @@ the distinct-site table, filtered sub-encodings — because a sweep
 simulates several schemes over the same trace and the sort work is
 identical across them.
 
-For multi-process (chunked) execution an encoding can be persisted as
-**memory-mapped columnar storage**: one ``.npy`` file per column plus
-a small ``meta.json``, written once by the coordinator and opened with
-``mmap_mode="r"`` by every worker (:func:`save_columns` /
-:func:`load_columns`).  ``.npz`` members cannot be memmapped — the zip
-container forces a full read — which is why the layout is a directory
-of raw ``.npy`` files; a worker that loads ``[start:stop)`` faults in
-only its chunk's pages, so the encode cost is paid once no matter how
-many workers attach.
-
 This module deliberately imports nothing from ``repro`` outside the
 kernels package, so the trace layer can depend on it without cycles.
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
-
-_COLUMNS = ("sites", "classes", "takens", "targets", "gaps")
 
 
 class EncodedTrace:
@@ -130,50 +115,3 @@ class EncodedTrace:
             self._memo["unique_sites"] = cached
         return cached
 
-
-# -- memory-mapped columnar storage --------------------------------------
-
-
-def save_columns(enc, directory):
-    """Persist ``enc`` as a directory of per-column ``.npy`` files.
-
-    ``takens`` is stored as int8 (bool arrays round-trip through it);
-    record count and ``total_instructions`` live in ``meta.json``.
-    Returns the directory as a :class:`~pathlib.Path`.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in _COLUMNS:
-        column = getattr(enc, name)
-        if column.dtype == bool:
-            column = column.astype(np.int8)
-        np.save(directory / ("%s.npy" % name), column)
-    meta = {"records": len(enc),
-            "total_instructions": enc.total_instructions}
-    (directory / "meta.json").write_text(json.dumps(meta))
-    return directory
-
-
-def load_columns(directory, start=None, stop=None):
-    """Open columnar storage; returns an :class:`EncodedTrace`.
-
-    Columns are opened with ``mmap_mode="r"`` and sliced lazily:
-    ``[start:stop)`` selects a chunk without reading the rest of the
-    file.  The slices are copied into private arrays (a chunk is meant
-    to be scanned repeatedly; repeated page faults would defeat the
-    point), so the maps close with this call's locals.
-    """
-    directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
-    window = slice(start, stop)
-    columns = {}
-    for name in _COLUMNS:
-        mapped = np.load(directory / ("%s.npy" % name), mmap_mode="r")
-        column = np.array(mapped[window])
-        if name == "takens":
-            column = column.astype(bool)
-        columns[name] = column
-    return EncodedTrace(columns["sites"], columns["classes"],
-                        columns["takens"], columns["targets"],
-                        columns["gaps"],
-                        int(meta["total_instructions"]))

@@ -167,9 +167,9 @@ def _child_main(worker, payload, label, attempt, queue, trace=None):
         if trace is not None:
             with TELEMETRY.span("worker.attempt", task=str(label),
                                 attempt=attempt):
-                worker(payload)
+                result = worker(payload)
         else:
-            worker(payload)
+            result = worker(payload)
     except BaseException as error:
         try:
             queue.put(("error", "%s: %s" % (type(error).__name__,
@@ -184,11 +184,15 @@ def _child_main(worker, payload, label, attempt, queue, trace=None):
                 counters=TELEMETRY.snapshot()["counters"])
             TELEMETRY.disable()
             sink.close()
-    queue.put(("ok", label))
+    queue.put(("ok", result))
 
 
-class _Attempt:
-    """One in-flight supervised process."""
+class Attempt:
+    """One in-flight supervised process running ``worker(payload)``.
+
+    :func:`run_supervised` schedules these; the campaign dispatcher
+    drives them directly with its own scheduling on top.
+    """
 
     __slots__ = ("label", "payload", "attempt", "process", "queue",
                  "deadline", "started", "trace")
@@ -215,7 +219,14 @@ class _Attempt:
                 and time.monotonic() >= self.deadline)
 
     def finish(self):
-        """(status, detail) once the process has exited."""
+        """(status, detail) once the process has exited.
+
+        ``("ok", value)`` carries the worker's return value;
+        ``("error", message)`` an exception that escaped it;
+        ``("crash", message)`` a process that died without reporting.
+        The queue is read only after the child exits, so the value must
+        fit in the pipe buffer (a few KiB: a name or a stats dict).
+        """
         self.process.join()
         message = None
         if not self.queue.empty():
@@ -223,10 +234,8 @@ class _Attempt:
                 message = self.queue.get()
             except Exception:
                 message = None
-        if message is not None and message[0] == "ok":
-            return "ok", None
-        if message is not None and message[0] == "error":
-            return "error", message[1]
+        if message is not None and message[0] in ("ok", "error"):
+            return message
         code = self.process.exitcode
         return "crash", "worker exited with code %r" % (code,)
 
@@ -236,7 +245,7 @@ class _Attempt:
         self.process.join()
 
 
-def _backoff_seconds(backoff, attempt, rng):
+def backoff_seconds(backoff, attempt, rng):
     """Exponential backoff with +-50% seeded jitter."""
     return backoff * (2 ** (attempt - 1)) * (0.5 + rng.random())
 
@@ -298,8 +307,8 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
             TELEMETRY.event("worker.spawn", task=str(label),
                             attempt=attempt, shard=shard.name,
                             shard_span_id=trace["span_id"])
-        return _Attempt(context, worker, label, payload, attempt,
-                        timeout, trace=trace)
+        return Attempt(context, worker, label, payload, attempt,
+                       timeout, trace=trace)
 
     def _finish_shard(item, status, elapsed):
         if item.trace is not None:
@@ -344,8 +353,8 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
                     continue
                 TELEMETRY.count("supervisor.worker_failures")
                 if item.attempt <= retries:
-                    delay = _backoff_seconds(backoff, item.attempt,
-                                             rng)
+                    delay = backoff_seconds(backoff, item.attempt,
+                                            rng)
                     TELEMETRY.event("worker.retry", task=item.label,
                                     attempt=item.attempt,
                                     reason=status, detail=detail,

@@ -128,9 +128,9 @@ class CampaignSpec:
             raise SpecError("'flush_interval' must be >= 1 (got %r)"
                             % (flush_interval,))
         engine = payload.get("engine", "auto")
-        if engine not in ("auto", "scalar", "vector", "chunked"):
-            raise SpecError("'engine' must be auto, scalar, vector or "
-                            "chunked (got %r)" % (engine,))
+        if engine not in ("auto", "scalar", "vector"):
+            raise SpecError("'engine' must be auto, scalar or vector "
+                            "(got %r)" % (engine,))
         deadline_s = payload.get("deadline_s")
         if deadline_s is not None and (
                 not isinstance(deadline_s, (int, float))

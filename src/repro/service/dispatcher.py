@@ -42,7 +42,7 @@ import time
 import uuid
 
 from repro.resilience.faults import FAULTS
-from repro.resilience.supervisor import _backoff_seconds
+from repro.resilience.supervisor import Attempt, backoff_seconds
 from repro.service.admission import AdmissionQueue
 from repro.service.breaker import CircuitBreaker
 from repro.service.campaign import (
@@ -63,76 +63,16 @@ from repro.telemetry.core import TELEMETRY
 SHARD_DELAY_ENV = "REPRO_SERVICE_SHARD_DELAY"
 
 
-def _shard_child(spec_dict, cache_dir, key, attempt, queue):
-    """Worker-process entry point (module-level for picklability).
-
-    Mirrors the supervisor's ``_child_main`` protocol: activate the
-    fault plan from the environment, give the injector its shot at
-    this attempt, then run the shard and report ``("ok", result)`` or
-    ``("error", message)`` on the queue.  A crash (injected or real)
-    reports nothing — the dispatcher reaps the exit code.
-    """
-    FAULTS.activate_from_env()
-    FAULTS.on_worker_start(key, attempt)
+def _run_shard(payload):
+    """Shard-process body, run as the worker of a supervisor
+    :class:`~repro.resilience.supervisor.Attempt` (which arms the
+    fault plan and reports the result or error on its queue)."""
+    spec_dict, cache_dir, key, attempt = payload
     FAULTS.on_shard_start(key, attempt)
     delay = os.environ.get(SHARD_DELAY_ENV)
     if delay:
         time.sleep(float(delay))
-    try:
-        result = execute_shard(spec_dict, cache_dir=cache_dir)
-    except Exception as error:
-        queue.put(("error", "%s: %s" % (type(error).__name__, error)))
-        os._exit(11)
-    queue.put(("ok", result))
-
-
-class _ShardWorker:
-    """One in-flight shard process."""
-
-    __slots__ = ("key", "attempt", "queue", "process", "started",
-                 "deadline")
-
-    def __init__(self, context, spec, cache_dir, key, attempt,
-                 timeout):
-        self.key = key
-        self.attempt = attempt
-        self.queue = context.SimpleQueue()
-        self.process = context.Process(
-            target=_shard_child,
-            args=(spec.to_dict(),
-                  None if cache_dir is None else str(cache_dir),
-                  key, attempt, self.queue),
-            daemon=True)
-        self.started = time.monotonic()
-        self.process.start()
-        self.deadline = (self.started + timeout
-                         if timeout is not None else None)
-
-    @property
-    def timed_out(self):
-        return (self.deadline is not None
-                and time.monotonic() >= self.deadline)
-
-    def finish(self):
-        """(status, result_or_detail) once the process has exited."""
-        self.process.join()
-        message = None
-        if not self.queue.empty():
-            try:
-                message = self.queue.get()
-            except Exception:
-                message = None
-        if message is not None and message[0] == "ok":
-            return "ok", message[1]
-        if message is not None and message[0] == "error":
-            return "error", message[1]
-        return "crash", ("worker exited with code %r"
-                         % (self.process.exitcode,))
-
-    def kill(self):
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
+    return execute_shard(spec_dict, cache_dir=cache_dir)
 
 
 class CampaignService:
@@ -179,7 +119,7 @@ class CampaignService:
 
         self.queue = AdmissionQueue(capacity=queue_capacity)
         self.campaigns = {}     # id -> Campaign
-        self.inflight = {}      # key -> _ShardWorker
+        self.inflight = {}      # key -> Attempt
         self.waiters = {}       # key -> set of campaign ids
         self.specs = {}         # key -> ShardSpec
         self.results = {}       # key -> result dict (in-memory cache)
@@ -405,7 +345,7 @@ class CampaignService:
         else:
             tripped = False
         if attempt <= self.retries and not tripped:
-            delay = _backoff_seconds(self.backoff, attempt, self._rng)
+            delay = backoff_seconds(self.backoff, attempt, self._rng)
             self.queue.requeue(key, delay)
             TELEMETRY.count("service.shard.retried")
             TELEMETRY.event("service.shard.retry", key=key,
@@ -458,8 +398,11 @@ class CampaignService:
             else:
                 if FAULTS.enabled:
                     FAULTS.to_env()
-                self.inflight[key] = _ShardWorker(
-                    self._context, spec, self.cache_dir, key, attempt,
+                cache_dir = (None if self.cache_dir is None
+                             else str(self.cache_dir))
+                self.inflight[key] = Attempt(
+                    self._context, _run_shard, key,
+                    (spec.to_dict(), cache_dir, key, attempt), attempt,
                     self.shard_timeout)
                 TELEMETRY.event("service.shard.spawn", key=key,
                                 attempt=attempt)

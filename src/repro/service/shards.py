@@ -266,9 +266,7 @@ class ShardSpec:
         scale / runs / profile_source: runner parameters (sweep).
         flush_interval: optional flush cadence (probe).
         engine: simulation engine the shard runs with
-            (``auto``/``scalar``/``vector``, or ``chunked`` to route
-            chunkable predictors through the two-phase segmented
-            engine — bit-identical either way).
+            (``auto``/``scalar``/``vector`` — bit-identical either way).
     """
 
     __slots__ = ("kind", "benchmark", "probe", "config", "scale",
@@ -389,24 +387,6 @@ def stats_from_dict(data):
     return stats
 
 
-def _shard_stats(predictor, trace, chunked, engine):
-    """Simulate one shard's predictor, honouring the chunked request.
-
-    Chunked execution runs in-process here (the shard itself may
-    already be inside a supervised worker; nesting process pools
-    would fight the dispatcher for cores) and only for predictors the
-    segmented engine supports — the rest take the ordinary path.
-    """
-    from repro.predictors.base import simulate
-
-    if chunked:
-        from repro.kernels.chunked import chunked_stats, supports_chunked
-
-        if supports_chunked(predictor):
-            return chunked_stats(predictor, trace)
-    return simulate(predictor, trace, engine=engine)
-
-
 def execute_shard(spec, cache_dir=None):
     """Run one shard to completion; returns its JSON-safe result dict.
 
@@ -420,13 +400,6 @@ def execute_shard(spec, cache_dir=None):
 
     if isinstance(spec, dict):
         spec = ShardSpec.from_dict(spec)
-    # "chunked" routes chunkable predictors through the two-phase
-    # segmented engine; everything else (FS, static schemes, flushed
-    # probe runs) falls back to the vector/scalar path.  Either way
-    # the result is bit-identical, so the shard stays a pure function
-    # of its spec and the dedup/result-cache contract holds.
-    chunked = spec.engine == "chunked"
-    engine = "auto" if chunked else spec.engine
     with TELEMETRY.span("service.shard", kind=spec.kind, row=spec.row,
                         column=spec.column):
         if spec.kind == "sweep":
@@ -434,21 +407,18 @@ def execute_shard(spec, cache_dir=None):
 
             runner = SuiteRunner(scale=spec.scale, runs=spec.runs,
                                  cache_dir=cache_dir,
-                                 engine=engine,
+                                 engine=spec.engine,
                                  profile_source=spec.profile_source)
             run = runner.run(spec.benchmark)
             predictor = make_predictor(spec.config,
                                        program=run.fs_program)
-            stats = _shard_stats(predictor, run.trace, chunked, engine)
+            stats = simulate(predictor, run.trace, engine=spec.engine)
         else:
             trace = build_probe_trace(spec.probe)
             predictor = make_predictor(spec.config)
-            if chunked and spec.flush_interval is None:
-                stats = _shard_stats(predictor, trace, chunked, engine)
-            else:
-                stats = simulate(predictor, trace,
-                                 flush_interval=spec.flush_interval,
-                                 engine=engine)
+            stats = simulate(predictor, trace,
+                             flush_interval=spec.flush_interval,
+                             engine=spec.engine)
     return {
         "key": spec.key,
         "kind": spec.kind,

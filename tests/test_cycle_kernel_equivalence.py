@@ -182,10 +182,8 @@ def test_injected_scan_segment_off_by_one_detected(monkeypatch):
 
     genuine = scan.exclusive_states
 
-    def off_by_one(groups, deltas, lows, highs, init_state,
-                   inits=None):
-        before = genuine(groups, deltas, lows, highs, init_state,
-                         inits=inits)
+    def off_by_one(groups, deltas, lows, highs, init_state):
+        before = genuine(groups, deltas, lows, highs, init_state)
         after = np.minimum(
             np.maximum(before + np.asarray(deltas, dtype=np.int32),
                        np.asarray(lows, dtype=np.int32)),

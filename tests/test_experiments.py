@@ -40,18 +40,24 @@ def test_run_is_memoised(runner):
     assert runner.run("wc") is runner.run("wc")
 
 
-def test_chunked_predictions_match_plain_predictions(runner):
-    """The segmented engine is a drop-in for BenchmarkRun.predictions.
+def test_cold_run_builds_layout_once(tmp_path, monkeypatch):
+    """A cold run reuses the layout its VM passes traced; a warm run
+    (cache hit, no VM passes) builds it exactly once too."""
+    from repro.experiments import runner as runner_module
 
-    Same keys, bit-identical stats — nothing downstream of a sweep can
-    tell which engine produced its table cell.
-    """
-    run = runner.run("wc")
-    plain = run.predictions()
-    chunked = run.chunked_predictions(chunks=3)
-    assert set(chunked) == set(plain)
-    for scheme, stats in chunked.items():
-        assert stats == plain[scheme], scheme
+    calls = []
+    genuine = runner_module.build_fs_program
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return genuine(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "build_fs_program", counting)
+    cache = tmp_path / "cache"
+    SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
+    assert len(calls) == 1
+    SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
+    assert len(calls) == 2
 
 
 def test_disk_cache_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the supervised parallel runner."""
 
+import multiprocessing
 import os
 import random
 import time
@@ -10,9 +11,10 @@ import pytest
 from repro.resilience.errors import WorkerFailure
 from repro.resilience.faults import PLAN_ENV_VAR, FaultPlan
 from repro.resilience.supervisor import (
+    Attempt,
     RunReport,
     TaskOutcome,
-    _backoff_seconds,
+    backoff_seconds,
     run_supervised,
 )
 from repro.telemetry.core import TELEMETRY
@@ -161,13 +163,44 @@ def test_worker_fault_plan_hang_via_env(tmp_path, sink):
 
 def test_backoff_is_exponential_and_jittered():
     rng = random.Random(0)
-    first = _backoff_seconds(0.1, 1, rng)
-    second = _backoff_seconds(0.1, 2, rng)
+    first = backoff_seconds(0.1, 1, rng)
+    second = backoff_seconds(0.1, 2, rng)
     assert 0.05 <= first <= 0.15
     assert 0.1 <= second <= 0.3
     # Seeded: identical sequence for an identical seed.
     again = random.Random(0)
-    assert _backoff_seconds(0.1, 1, again) == first
+    assert backoff_seconds(0.1, 1, again) == first
+
+
+def _return_dict(payload):
+    return {"payload": payload, "squares": [n * n for n in range(4)]}
+
+
+def _exit_13(payload):
+    os._exit(13)
+
+
+def _finish(worker, payload):
+    attempt = Attempt(multiprocessing.get_context(), worker, "task",
+                      payload, 1, timeout=30.0)
+    return attempt.finish()
+
+
+def test_attempt_finish_returns_worker_value():
+    assert _finish(_return_dict, "p") == (
+        "ok", {"payload": "p", "squares": [0, 1, 4, 9]})
+
+
+def test_attempt_finish_reports_worker_exception():
+    status, detail = _finish(_always_raise, 7)
+    assert status == "error"
+    assert detail.startswith("ValueError: ")
+
+
+def test_attempt_finish_reports_crash():
+    status, detail = _finish(_exit_13, None)
+    assert status == "crash"
+    assert "13" in detail
 
 
 def test_report_render_and_dict():

@@ -75,6 +75,18 @@ def test_invalid_spec_is_400(served):
             {"family": "chain", "m": 2, "stride": 1, "laps": 2}]})
 
 
+def test_removed_engine_is_400(served):
+    server, _ = served
+    payload = dict(PAYLOAD, engine="chunk" + "ed")   # engine removed
+    request = urllib.request.Request(
+        server.address + "/campaigns", data=json.dumps(payload).encode(),
+        method="POST", headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=5.0)
+    assert excinfo.value.code == 400
+    assert "'engine'" in json.loads(excinfo.value.read())["error"]
+
+
 def test_unknown_campaign_is_404(served):
     _, client = served
     with pytest.raises(UnknownCampaign):

