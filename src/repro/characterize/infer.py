@@ -70,31 +70,20 @@ MAX_COUNTER_BITS = 5
 class _Probe:
     """Shared bookkeeping for one characterization run.
 
-    ``observe(trace, flush_interval=None) -> PredictionStats`` is the
-    single measurement channel — by default it instantiates a fresh
-    predictor from ``factory`` and simulates locally, but any callable
-    with that shape works, including one that ships the trace to a
-    campaign service and returns the shard's stats (see
-    :meth:`repro.service.client.ServiceClient.observer`).
+    :meth:`run` is the single measurement channel: a fresh predictor
+    from ``factory``, one trace, one :class:`PredictionStats`.
     """
 
-    def __init__(self, factory=None, observe=None):
-        if factory is None and observe is None:
-            raise ValueError("characterize needs a factory or an "
-                             "observe callable")
+    def __init__(self, factory):
         self.factory = factory
-        self._observe = observe
         self.simulations = 0
         self.records = 0
         self.evidence = []
 
     def run(self, trace, flush_interval=None):
         """One fresh predictor, one trace, one PredictionStats."""
-        if self._observe is not None:
-            stats = self._observe(trace, flush_interval=flush_interval)
-        else:
-            stats = simulate(self.factory(), trace,
-                             flush_interval=flush_interval)
+        stats = simulate(self.factory(), trace,
+                         flush_interval=flush_interval)
         self.simulations += 1
         self.records += stats.total
         if TELEMETRY.enabled:
@@ -287,9 +276,9 @@ def _infer_flush(probe):
     return sensitive
 
 
-def characterize(factory=None, declared=None, label=None,
+def characterize(factory, declared=None, label=None,
                  max_entries=MAX_ENTRIES, max_history=MAX_HISTORY,
-                 max_counter_bits=MAX_COUNTER_BITS, observe=None):
+                 max_counter_bits=MAX_COUNTER_BITS):
     """Recover a predictor's configuration through ``simulate()`` only.
 
     Args:
@@ -300,32 +289,23 @@ def characterize(factory=None, declared=None, label=None,
         declared: optional dict of claimed parameters to diff against
             the recovered ones (``None`` asks the factory's product
             for :meth:`~repro.predictors.base.Predictor.
-            declared_parameters`; with no factory it defaults empty).
+            declared_parameters`).
         label: display name for the report.
         max_entries: capacity-search ceiling; beyond it ``entries`` is
             reported as ``None``.
         max_history: tallest ladder rung probed.
         max_counter_bits: widest saturating counter the step probe is
             sized for.
-        observe: optional ``(trace, flush_interval=...) ->
-            PredictionStats`` measurement channel replacing the local
-            factory+simulate path — the probe battery itself is
-            oblivious to where the stats come from, so a predictor
-            reachable only through the campaign service characterizes
-            identically (it *is* black-box either way).  Required when
-            ``factory`` is omitted.
 
     Returns:
         :class:`~repro.characterize.report.CharacterizationReport`.
     """
     started = time.perf_counter()
-    probe = _Probe(factory, observe=observe)
+    probe = _Probe(factory)
     if declared is None:
-        declared = ({} if factory is None
-                    else factory().declared_parameters())
+        declared = factory().declared_parameters()
     if label is None:
-        label = ("predictor" if factory is None
-                 else getattr(factory(), "name", "predictor"))
+        label = getattr(factory(), "name", "predictor")
 
     recovered = {}
     with TELEMETRY.span("characterize.predictor", label=label):

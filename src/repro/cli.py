@@ -84,8 +84,7 @@ def build_parser():
                                                         "faults", "top",
                                                         "metrics",
                                                         "bench-history",
-                                                        "characterize",
-                                                        "serve"],
+                                                        "characterize"],
                         help="which table/figure to regenerate; 'report' "
                              "renders everything as markdown; 'trace' "
                              "dumps a benchmark's branch trace; 'stats' "
@@ -124,12 +123,7 @@ def build_parser():
                              "traces and exits non-zero if any "
                              "recovered parameter contradicts the "
                              "declared configuration (--self-test runs "
-                             "the known-configuration gate); 'serve' "
-                             "runs the sharded campaign service over "
-                             "HTTP/JSON (submit campaigns, poll "
-                             "status, stream shard results, fetch "
-                             "tables; see docs/SERVICE.md) until "
-                             "interrupted")
+                             "the known-configuration gate)")
     parser.add_argument("target", nargs="?", default=None,
                         help="benchmark name for 'stats', 'profile' "
                              "and 'trace' (default wc); "
@@ -234,17 +228,6 @@ def build_parser():
     parser.add_argument("--port", type=int, default=9464,
                         help="for 'metrics --serve': listen port "
                              "(default 9464)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="for 'serve': listen address "
-                             "(default 127.0.0.1)")
-    parser.add_argument("--queue-capacity", type=int, default=64,
-                        help="for 'serve': admission-queue bound; "
-                             "campaigns beyond it are rejected with "
-                             "a retry-after estimate (default 64)")
-    parser.add_argument("--shard-timeout", type=float, default=None,
-                        help="for 'serve': per-attempt wall-clock "
-                             "limit for one shard worker in seconds "
-                             "(default: unlimited)")
     parser.add_argument("--window", type=int, default=None,
                         help="for 'bench-history': rolling-baseline "
                              "window in records (default 8)")
@@ -524,37 +507,6 @@ def _bench_history(args):
     return text, 1 if regressions else 0
 
 
-def _serve(args):
-    """'serve': run the sharded campaign service until interrupted.
-
-    Telemetry is always live for the service — /stats and /metrics
-    are its whole observability story — either through the JSONL sink
-    (--telemetry) or an in-memory aggregator by default.
-    """
-    from repro.experiments.runner import default_cache_dir
-    from repro.service import CampaignService, ServiceServer
-    from repro.telemetry.core import TELEMETRY
-
-    if args.telemetry:
-        _enable_telemetry(args)
-    elif not TELEMETRY.enabled:
-        from repro.telemetry.sinks import InMemoryAggregator
-
-        TELEMETRY.enable(InMemoryAggregator())
-    cache_dir = default_cache_dir()
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    service = CampaignService(
-        cache_dir, workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        shard_timeout=args.shard_timeout)
-    server = ServiceServer(service, host=args.host, port=args.port)
-    print("serving on %s" % server.address, flush=True)
-    print("campaign journal: %s" % service.journal.directory,
-          file=sys.stderr)
-    server.serve_forever()
-    return "", 0
-
-
 def _usage_error(message):
     """One-line diagnostic on stderr; returns the bad-argument code."""
     print("repro-branches: error: %s" % message, file=sys.stderr)
@@ -574,20 +526,17 @@ def _validate_args(args):
     if args.workers < 1:
         return _usage_error("--workers must be >= 1 (got %d)"
                             % args.workers)
+    if args.workers > 1 and args.no_cache:
+        return _usage_error("--workers %d needs the trace cache; drop "
+                            "--no-cache or use --workers 1"
+                            % args.workers)
     if args.seeds is not None and args.seeds < 1:
         return _usage_error("--seeds must be >= 1 (got %d)" % args.seeds)
     if args.limit < 1:
         return _usage_error("--limit must be >= 1 (got %d)" % args.limit)
-    min_port = 0 if args.experiment == "serve" else 1
-    if args.port < min_port or args.port > 65535:
-        return _usage_error("--port must be in %d..65535 (got %d)"
-                            % (min_port, args.port))
-    if args.queue_capacity < 1:
-        return _usage_error("--queue-capacity must be >= 1 (got %d)"
-                            % args.queue_capacity)
-    if args.shard_timeout is not None and args.shard_timeout <= 0:
-        return _usage_error("--shard-timeout must be > 0 (got %g)"
-                            % args.shard_timeout)
+    if not 1 <= args.port <= 65535:
+        return _usage_error("--port must be in 1..65535 (got %d)"
+                            % args.port)
     if args.window is not None and args.window < 1:
         return _usage_error("--window must be >= 1 (got %d)"
                             % args.window)
@@ -710,10 +659,9 @@ def main(argv=None):
 
         _write_output(render_cache(as_json=args.json), args.output)
         return 0
-    if args.experiment in ("top", "metrics", "bench-history", "serve"):
+    if args.experiment in ("top", "metrics", "bench-history"):
         handler = {"top": _top, "metrics": _metrics,
-                   "bench-history": _bench_history,
-                   "serve": _serve}[args.experiment]
+                   "bench-history": _bench_history}[args.experiment]
         text, exit_code = handler(args)
         if text:
             _write_output(text, args.output)

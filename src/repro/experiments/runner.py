@@ -191,38 +191,6 @@ def default_cache_dir():
     return Path(__file__).resolve().parents[3] / ".repro_cache"
 
 
-def content_stem(name, scale=1.0, runs=None, profile_source="measured",
-                 source=None):
-    """The content-addressed cache stem of one benchmark's artifacts.
-
-    Everything that can change the cached trace is baked in: the
-    benchmark source hash, scale, effective run count, profile source,
-    and the cache format version.  The campaign service keys its
-    in-flight deduplication on this stem (plus the predictor config),
-    so two requests share one computation exactly when their inputs
-    are bit-identical — and a source edit or format bump changes the
-    stem, so nothing stale is ever deduplicated against.
-
-    ``source`` overrides the registry lookup (the runner passes the
-    program text it is actually about to trace); without it the
-    benchmark's registered source is hashed and ``runs`` is clamped to
-    the spec's run count.
-    """
-    if source is None:
-        from repro.benchmarksuite import get_benchmark
-
-        spec = get_benchmark(name)
-        n_runs = spec.runs if runs is None else min(runs, spec.runs)
-        source = spec.source
-    else:
-        n_runs = 1 if runs is None else runs
-    digest = hashlib.sha1(source.encode()).hexdigest()[:10]
-    marker = "" if profile_source == "measured" else "+static"
-    stem = "%s%s-s%s-r%d-v%d-%s" % (name, marker, repr(scale), n_runs,
-                                    CACHE_FORMAT_VERSION, digest)
-    return stem.replace(".", "_")
-
-
 def _parses_as_json_object(path):
     """True when ``path`` holds a JSON object (however unfamiliar).
 
@@ -364,28 +332,27 @@ class SuiteRunner:
     # -- cache plumbing ------------------------------------------------------
 
     def _cache_paths(self, name, n_runs, source):
+        """The (trace, profile) paths of one benchmark's cache entry.
+
+        The only owner of the content-addressed stem format: everything
+        that can change the cached trace is baked in — the source hash
+        (so an edit to the benchmark program invalidates it), scale,
+        run count, profile source, and the cache format version.
+        Static-profile entries carry a ``+static`` marker: the layout
+        they trace was driven by estimated counts, so they must never
+        collide with measured entries of the same benchmark.
+        """
         if self.cache_dir is None:
             return None, None
-        # The source hash invalidates cached traces whenever the
-        # benchmark program (or the compiler output feeding it)
-        # changes; the stem derivation is shared with the campaign
-        # service's dedup keys (see content_stem).
-        stem = content_stem(name, scale=self.scale, runs=n_runs,
-                            profile_source=self.profile_source,
-                            source=source)
+        digest = hashlib.sha1(source.encode()).hexdigest()[:10]
+        marker = "" if self.profile_source == "measured" else "+static"
+        stem = ("%s%s-s%s-r%d-v%d-%s"
+                % (name, marker, repr(self.scale), n_runs,
+                   CACHE_FORMAT_VERSION, digest)).replace(".", "_")
         return (self.cache_dir / (stem + ".npz"),
                 self.cache_dir / (stem + ".json"))
 
-    def _stem_marker(self):
-        """Cache-stem discriminator for non-default profile sources.
-
-        Static-profile entries carry different traces (the layout they
-        trace was driven by estimated counts), so they must never
-        collide with measured entries of the same benchmark.
-        """
-        return "" if self.profile_source == "measured" else "+static"
-
-    def _report_stale_versions(self, name, n_runs, source):
+    def _report_stale_versions(self, name, trace_path):
         """Detect cache entries written under another format version.
 
         The format version is baked into the cache file name, so a
@@ -393,13 +360,9 @@ class SuiteRunner:
         surfaces each one as a structured ``cache.invalidated`` event
         (and counter) instead of leaving the staleness invisible.
         """
-        if self.cache_dir is None or not self.cache_dir.is_dir():
+        if trace_path is None or not self.cache_dir.is_dir():
             return []
-        digest = hashlib.sha1(source.encode()).hexdigest()[:10]
-        stem = ("%s%s-s%s-r%d-v*-%s"
-                % (name, self._stem_marker(), repr(self.scale), n_runs,
-                   digest))
-        pattern = stem.replace(".", "_") + ".npz"
+        pattern = _VERSION_IN_STEM.sub("-v*-", trace_path.name)
         stale = []
         for path in sorted(self.cache_dir.glob(pattern)):
             match = _VERSION_IN_STEM.search(path.name)
@@ -528,9 +491,9 @@ class SuiteRunner:
         with _stage(stages, "compile", name):
             program = compile_source(spec.source, name=name)
 
-        self._report_stale_versions(name, n_runs, spec.source)
         trace_path, profile_path = self._cache_paths(name, n_runs,
                                                      spec.source)
+        self._report_stale_versions(name, trace_path)
         profile = None
         trace = None
         manifest = None

@@ -48,20 +48,6 @@ from repro.telemetry.core import TELEMETRY
 FAULT_KINDS = ("torn-write", "bit-flip", "enospc", "worker-crash",
                "worker-hang", "corrupt-manifest")
 
-#: Service-level fault kinds (see :mod:`repro.service`).  Only
-#: ``shard-crash`` fires through an injector hook
-#: (:meth:`FaultInjector.on_shard_start`, inside a dispatcher worker);
-#: the other three are *scenario* kinds the recovery harness drives
-#: directly against a live service — overwhelming its admission queue,
-#: submitting campaigns with tiny deadlines, or stalling mid-read as a
-#: slow HTTP client.  They live in the catalog so ``repro-branches
-#: faults`` can select, seed, and report them uniformly.
-SERVICE_FAULT_KINDS = ("shard-crash", "queue-overflow",
-                       "deadline-storm", "slow-client")
-
-#: Everything the fault matrix covers: store + worker + service kinds.
-ALL_FAULT_KINDS = FAULT_KINDS + SERVICE_FAULT_KINDS
-
 #: Environment variable carrying a serialised plan into worker
 #: processes (see :meth:`FaultInjector.activate_from_env`).
 PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
@@ -88,7 +74,7 @@ class Fault:
     __slots__ = ("kind", "at", "param", "fired")
 
     def __init__(self, kind, at=1, param=0.5, fired=False):
-        if kind not in ALL_FAULT_KINDS:
+        if kind not in FAULT_KINDS:
             raise ValueError("unknown fault kind %r" % kind)
         self.kind = kind
         self.at = int(at)
@@ -127,10 +113,8 @@ class FaultPlan:
         different byte than seed 4's.
         """
         rng = random.Random((seed, kind).__repr__())
-        if kind in ("worker-crash", "worker-hang", "shard-crash"):
+        if kind in ("worker-crash", "worker-hang"):
             at = 1          # fail the first attempt; retries recover
-        elif kind in SERVICE_FAULT_KINDS:
-            at = 1          # scenario kinds: harness-driven, not hooked
         elif kind == "corrupt-manifest":
             at = 1          # manifests are rare writes; hit the first
         else:
@@ -293,19 +277,6 @@ class FaultInjector:
             self._report(fault, "worker.start", task=str(task),
                          attempt=attempt)
             time.sleep(HANG_SECONDS)
-
-    def on_shard_start(self, key, attempt):
-        """In a service shard worker: may crash this attempt hard.
-
-        The service analogue of ``worker-crash``: the dispatcher child
-        dies with ``os._exit`` *before* producing a result, exercising
-        the reap -> breaker -> jittered-requeue path end to end.
-        """
-        fault = self._take(("shard-crash",), attempt)
-        if fault is not None:
-            self._report(fault, "shard.start", key=str(key),
-                         attempt=attempt)
-            os._exit(13)
 
 
 #: The process-wide injector.  Disabled by default: the store and the

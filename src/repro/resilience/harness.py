@@ -16,19 +16,7 @@ enospc             run completes uncached      ``cache.store_failed``
 worker-crash       retry succeeds              ``worker.retry``
 worker-hang        kill + retry succeeds       ``worker.retry``
 corrupt-manifest   quarantine + recompute      ``cache.quarantined``
-shard-crash        service retries to done     ``service.shard.retry``
-queue-overflow     explicit 429-style reject   ``service.admission.rejected``
-deadline-storm     cancel + degraded tables    ``service.campaign.expired``
-slow-client        other clients unaffected    (campaign completes)
 =================  ==========================  =====================
-
-The last four are *service-level* scenarios against a live
-:class:`~repro.service.dispatcher.CampaignService` (see
-:data:`~repro.resilience.faults.SERVICE_FAULT_KINDS`): only
-``shard-crash`` fires through an injector hook inside a worker; the
-others drive the service the way a hostile client would and assert it
-sheds load explicitly instead of hanging, OOMing, or fabricating
-table cells.
 
 A fault that fires but produces no recovery evidence is a **silent
 swallow** and fails the matrix — which is the whole point: the gate in
@@ -41,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 from repro.resilience.faults import (
-    ALL_FAULT_KINDS,
+    FAULT_KINDS,
     FAULTS,
     PLAN_ENV_VAR,
     FaultPlan,
@@ -245,159 +233,7 @@ def _worker_case(kind, seed, case_dir):
     return FaultCase(kind, seed, "retried", ok, detail, events)
 
 
-def _probe_campaign(index, schemes=None, deadline_s=None):
-    """A cheap, per-index-distinct probe campaign for service cases."""
-    spec = {"kind": "probe",
-            "probes": [{"family": "chain", "m": 4, "stride": 1,
-                        "laps": 5 + index}],
-            "schemes": schemes or [{"scheme": "SBTB", "entries": 32}]}
-    if deadline_s is not None:
-        spec["deadline_s"] = deadline_s
-    return spec
-
-
-def _shard_crash_case(seed, case_dir):
-    """shard-crash: a worker dies mid-shard; the service retries to
-    completion and the executions log shows exactly one execution."""
-    from repro.service import CampaignService
-
-    plan = FaultPlan.single("shard-crash", seed=seed)
-    os.environ[PLAN_ENV_VAR] = plan.to_json()
-    service = None
-    try:
-        with _captured_events() as sink:
-            service = CampaignService(
-                case_dir, mode="process", workers=1, retries=2,
-                backoff=0.05, seed=seed)
-            status = service.submit(_probe_campaign(seed))
-            drained = service.drain(timeout=30.0)
-            retried = bool(sink.named("service.shard.retry"))
-            events = _event_names(sink)
-            final = service.status(status["id"])["status"]
-    finally:
-        os.environ.pop(PLAN_ENV_VAR, None)
-        if service is not None:
-            service.stop()
-    executions = service.journal.executions()
-    ok = (retried and drained and final == "done"
-          and len(executions) == 1)
-    detail = ("retried=%s drained=%s status=%s executions=%d"
-              % (retried, drained, final, len(executions)))
-    return FaultCase("shard-crash", seed, "retried", ok, detail,
-                     events)
-
-
-def _queue_overflow_case(seed, case_dir):
-    """queue-overflow: admission rejects with retry-after; the queue
-    never grows past its bound and later work still completes."""
-    from repro.service import AdmissionError, CampaignService
-
-    capacity = 2
-    with _captured_events() as sink:
-        service = CampaignService(case_dir, mode="inline",
-                                  queue_capacity=capacity, seed=seed)
-        big = _probe_campaign(seed, schemes=[
-            {"scheme": "SBTB", "entries": 32},
-            {"scheme": "GShare"},
-            {"scheme": "Bimodal"}])
-        rejected = retry_after = None
-        try:
-            service.submit(big)
-        except AdmissionError as error:
-            rejected = True
-            retry_after = error.retry_after_s
-        overflowed = bool(sink.named("service.admission.rejected"))
-        bounded = service.queue.depth <= capacity
-        status = service.submit(_probe_campaign(seed + 1000))
-        drained = service.drain(timeout=30.0)
-        final = service.status(status["id"])["status"]
-        events = _event_names(sink)
-    ok = (rejected is True and overflowed and bounded
-          and retry_after is not None and retry_after > 0
-          and drained and final == "done")
-    detail = ("rejected=%s retry_after=%s bounded=%s later=%s"
-              % (rejected, retry_after, bounded, final))
-    return FaultCase("queue-overflow", seed, "rejected-with-retry",
-                     ok, detail, events)
-
-
-def _deadline_storm_case(seed, case_dir):
-    """deadline-storm: expired campaigns shed cleanly into degraded
-    tables (cells marked, nothing fabricated, nothing executed)."""
-    from repro.service import CampaignService
-    from repro.service.campaign import MISSING_CELL
-
-    storm = 4
-    with _captured_events() as sink:
-        executed_base = TELEMETRY.counter_value("service.shard.executed")
-        cancelled_base = TELEMETRY.counter_value(
-            "service.deadline.cancelled")
-        service = CampaignService(case_dir, mode="inline", seed=seed)
-        ids = [service.submit(_probe_campaign(seed * storm + index,
-                                              deadline_s=0))["id"]
-               for index in range(storm)]
-        service.step()
-        expired = [service.status(campaign_id)["status"]
-                   for campaign_id in ids]
-        tables = [service.tables(campaign_id) for campaign_id in ids]
-        executed = (TELEMETRY.counter_value("service.shard.executed")
-                    - executed_base)
-        cancelled = (TELEMETRY.counter_value(
-            "service.deadline.cancelled") - cancelled_base)
-        status = service.submit(_probe_campaign(seed + 2000))
-        drained = service.drain(timeout=30.0)
-        final = service.status(status["id"])["status"]
-        events = _event_names(sink)
-    degraded = all(
-        table["degraded"] and MISSING_CELL in table["text"]
-        and all(gap["reason"] == "deadline-expired"
-                for gap in table["missing"])
-        for table in tables)
-    ok = (all(state == "expired" for state in expired) and degraded
-          and executed == 0 and cancelled == storm
-          and drained and final == "done")
-    detail = ("expired=%d/%d degraded=%s executed=%d cancelled=%d "
-              "later=%s" % (sum(state == "expired" for state in expired),
-                            storm, degraded, executed, cancelled, final))
-    return FaultCase("deadline-storm", seed, "cancelled+degraded", ok,
-                     detail, events)
-
-
-def _slow_client_case(seed, case_dir):
-    """slow-client: a stalled connection must not block other clients
-    (the HTTP layer threads per connection; the dispatcher never
-    touches a socket)."""
-    import socket
-
-    from repro.service import CampaignService, ServiceClient, ServiceServer
-
-    with _captured_events() as sink:
-        service = CampaignService(case_dir, mode="inline", seed=seed)
-        server = ServiceServer(service, port=0).start()
-        stalled = None
-        try:
-            host, port = server.httpd.server_address[:2]
-            # Client A: opens a connection, sends half a request line,
-            # then stalls forever (until we close it).
-            stalled = socket.create_connection((host, port), timeout=5)
-            stalled.sendall(b"POST /campaigns HTTP/1.1\r\n")
-            # Client B: full submit/wait cycle during the stall.
-            client = ServiceClient(server.address, timeout=10.0)
-            healthy = client.healthz().get("ok") is True
-            status = client.submit(_probe_campaign(seed))
-            final = client.wait(status["id"], timeout=30.0)
-            events = _event_names(sink)
-        finally:
-            if stalled is not None:
-                stalled.close()
-            server.stop()
-    ok = healthy and final == "done"
-    detail = "healthy=%s status=%s" % (healthy, final)
-    return FaultCase("slow-client", seed, "unaffected", ok, detail,
-                     events)
-
-
-def run_fault_matrix(seeds=10, first_seed=0, kinds=ALL_FAULT_KINDS,
+def run_fault_matrix(seeds=10, first_seed=0, kinds=FAULT_KINDS,
                      base_dir=None):
     """Run the recovery matrix; returns a :class:`FaultMatrixReport`.
 
@@ -405,17 +241,10 @@ def run_fault_matrix(seeds=10, first_seed=0, kinds=ALL_FAULT_KINDS,
         seeds: seeds per fault kind (each varies the trigger point and
             damage parameters).
         first_seed: start of the seed range.
-        kinds: subset of :data:`ALL_FAULT_KINDS` to exercise (the
-            store/worker catalog plus the service-level scenarios).
+        kinds: subset of :data:`FAULT_KINDS` to exercise.
         base_dir: scratch directory (a fresh temp dir by default);
             each case gets its own isolated cache underneath.
     """
-    service_cases = {
-        "shard-crash": _shard_crash_case,
-        "queue-overflow": _queue_overflow_case,
-        "deadline-storm": _deadline_storm_case,
-        "slow-client": _slow_client_case,
-    }
     report = FaultMatrixReport(seeds, kinds)
     with contextlib.ExitStack() as stack:
         if base_dir is None:
@@ -431,8 +260,6 @@ def run_fault_matrix(seeds=10, first_seed=0, kinds=ALL_FAULT_KINDS,
                     case = _corruption_case(kind, seed, case_dir)
                 elif kind == "enospc":
                     case = _enospc_case(seed, case_dir)
-                elif kind in service_cases:
-                    case = service_cases[kind](seed, case_dir)
                 else:
                     case = _worker_case(kind, seed, case_dir)
                 report.cases.append(case)

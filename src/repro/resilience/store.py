@@ -189,8 +189,8 @@ class StemLock:
     Contended polling backs off exponentially with seeded +-50%
     jitter (the supervisor's retry policy), from ``poll`` up to
     ``max_poll`` — a fixed-cadence poll makes every contender hammer
-    the lock file in lockstep, which is exactly the thundering herd a
-    campaign of deduplicated shards would otherwise produce.  The
+    the lock file in lockstep, which is exactly the thundering herd
+    parallel warm workers racing on one stem would otherwise produce.  The
     jitter seed is derived from the stem, so two contenders on the
     same stem still decorrelate via their attempt phase while a test
     replaying one acquirer sees identical delays.

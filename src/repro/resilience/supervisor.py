@@ -190,8 +190,7 @@ def _child_main(worker, payload, label, attempt, queue, trace=None):
 class Attempt:
     """One in-flight supervised process running ``worker(payload)``.
 
-    :func:`run_supervised` schedules these; the campaign dispatcher
-    drives them directly with its own scheduling on top.
+    :func:`run_supervised` is the only scheduler of these.
     """
 
     __slots__ = ("label", "payload", "attempt", "process", "queue",

@@ -197,6 +197,16 @@ def test_main_rejects_nonpositive_workers(capsys):
     assert "--workers must be >= 1" in capsys.readouterr().err
 
 
+def test_main_rejects_parallel_workers_without_cache(capsys):
+    exit_code = main(["headline", "--workers", "4", "--no-cache",
+                      "--scale", "0.05", "--runs", "1",
+                      "--benchmarks", "wc"])
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert "--workers 4 needs the trace cache" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_main_rejects_nonpositive_seeds(capsys):
     exit_code = main(["conformance", "--seeds", "0"])
     assert exit_code == 2
@@ -345,24 +355,17 @@ def test_main_faults_failed_recovery_exits_1(capsys, monkeypatch):
     assert "RESULT: FAIL" in capsys.readouterr().out
 
 
-# -- serve argument validation ----------------------------------------------
+# -- removed subcommand and port validation ---------------------------------
 
 
-def test_main_serve_rejects_nonpositive_queue_capacity(capsys):
-    exit_code = main(["serve", "--queue-capacity", "0"])
-    assert exit_code == 2
-    assert "--queue-capacity must be >= 1" in capsys.readouterr().err
+def test_main_serve_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'serve'" in capsys.readouterr().err
 
 
-def test_main_serve_rejects_nonpositive_shard_timeout(capsys):
-    exit_code = main(["serve", "--shard-timeout", "0"])
-    assert exit_code == 2
-    assert "--shard-timeout must be > 0" in capsys.readouterr().err
-
-
-def test_main_serve_allows_ephemeral_port_others_do_not(capsys):
-    # Port 0 means "pick one" for serve, but stays invalid for the
-    # metrics server, whose address must be announceable up front.
+def test_main_metrics_rejects_port_zero(capsys):
     exit_code = main(["metrics", "--port", "0"])
     assert exit_code == 2
-    assert "--port" in capsys.readouterr().err
+    assert "--port must be in 1..65535" in capsys.readouterr().err

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.resilience.faults import (
-    ALL_FAULT_KINDS,
     FAULT_KINDS,
     FAULTS,
     PLAN_ENV_VAR,
-    SERVICE_FAULT_KINDS,
     Fault,
     FaultInjector,
     FaultPlan,
@@ -135,15 +133,15 @@ def test_bit_flip_changes_exactly_one_byte(tmp_path):
 @pytest.mark.slow
 def test_fault_matrix_one_seed_all_kinds(tmp_path):
     report = run_fault_matrix(seeds=1, base_dir=str(tmp_path))
-    assert len(report.cases) == len(ALL_FAULT_KINDS)
+    assert len(report.cases) == len(FAULT_KINDS)
     assert report.ok, report.render()
     text = report.render()
     assert "RESULT: PASS" in text
-    for kind in ALL_FAULT_KINDS:
+    for kind in FAULT_KINDS:
         assert kind in text
     data = report.to_dict()
     assert data["ok"] is True
-    assert len(data["cases"]) == len(ALL_FAULT_KINDS)
+    assert len(data["cases"]) == len(FAULT_KINDS)
 
 
 def test_fault_matrix_report_fails_on_swallow():
@@ -164,64 +162,7 @@ def test_empty_matrix_is_not_ok():
     assert not FaultMatrixReport(0, FAULT_KINDS).ok
 
 
-# -- service fault kinds -----------------------------------------------------
-
-
-def test_service_fault_catalog():
-    assert SERVICE_FAULT_KINDS == ("shard-crash", "queue-overflow",
-                                   "deadline-storm", "slow-client")
-    assert ALL_FAULT_KINDS == FAULT_KINDS + SERVICE_FAULT_KINDS
-    # The original catalog is unchanged: callers pinning FAULT_KINDS
-    # (e.g. FaultPlan.seeded's default) keep their six kinds.
+def test_fault_matrix_defaults_to_fault_kinds(tmp_path):
+    report = run_fault_matrix(seeds=0, base_dir=str(tmp_path))
+    assert report.kinds == FAULT_KINDS
     assert len(FAULT_KINDS) == 6
-    for kind in SERVICE_FAULT_KINDS:
-        assert Fault(kind).kind == kind
-
-
-def test_service_single_plans_hit_first_attempt():
-    for kind in SERVICE_FAULT_KINDS:
-        plan = FaultPlan.single(kind, seed=9)
-        assert len(plan.faults) == 1
-        assert plan.faults[0].at == 1
-
-
-def test_on_shard_start_crashes_the_armed_attempt(monkeypatch, sink):
-    import repro.resilience.faults as faults_module
-
-    exits = []
-    monkeypatch.setattr(faults_module.os, "_exit", exits.append)
-    injector = FaultInjector()
-    injector.arm(FaultPlan.single("shard-crash", seed=0))
-    injector.on_shard_start("k1", 1)
-    assert exits == [13]
-    events = sink.named("fault.injected")
-    assert len(events) == 1
-    assert events[0]["kind"] == "shard-crash"
-    assert events[0]["site"] == "shard.start"
-    # The fault fires at most once: the retry attempt survives.
-    injector.on_shard_start("k1", 2)
-    assert exits == [13]
-
-
-def test_on_shard_start_noop_when_disarmed(monkeypatch):
-    import repro.resilience.faults as faults_module
-
-    def forbidden(code):
-        raise AssertionError("os._exit called while disarmed")
-
-    monkeypatch.setattr(faults_module.os, "_exit", forbidden)
-    FaultInjector().on_shard_start("k1", 1)
-
-
-@pytest.mark.slow
-def test_fault_matrix_service_kinds_recover(tmp_path):
-    report = run_fault_matrix(seeds=1, base_dir=str(tmp_path),
-                              kinds=SERVICE_FAULT_KINDS)
-    assert report.ok, report.render()
-    assert len(report.cases) == len(SERVICE_FAULT_KINDS)
-    by_kind = {case.kind: case for case in report.cases}
-    assert all(case.ok for case in report.cases)
-    assert "retried=True" in by_kind["shard-crash"].detail
-    assert "rejected=True" in by_kind["queue-overflow"].detail
-    assert "executed=0" in by_kind["deadline-storm"].detail
-    assert "healthy=True" in by_kind["slow-client"].detail

@@ -358,18 +358,24 @@ def test_cache_hit_reloads_manifest(tmp_path):
     assert second.manifest == first.manifest
 
 
-def test_stale_version_emits_invalidation_event(tmp_path,
-                                                global_telemetry):
+@pytest.mark.parametrize("profile_source", ["measured", "static"])
+def test_stale_version_emits_invalidation_event(tmp_path, global_telemetry,
+                                                profile_source):
     from repro.experiments.runner import CACHE_FORMAT_VERSION, SuiteRunner
 
-    SuiteRunner(scale=0.05, runs=1, cache_dir=tmp_path).run("wc")
+    def runner():
+        return SuiteRunner(scale=0.05, runs=1, cache_dir=tmp_path,
+                           profile_source=profile_source)
+
+    runner().run("wc")
     trace_path = next(path for path in tmp_path.glob("*.npz")
                       if "-v%d-" % CACHE_FORMAT_VERSION in path.name)
+    assert ("+static" in trace_path.name) == (profile_source == "static")
     stale = tmp_path / trace_path.name.replace(
         "-v%d-" % CACHE_FORMAT_VERSION, "-v%d-" % (CACHE_FORMAT_VERSION - 1))
     stale.write_bytes(trace_path.read_bytes())
 
-    SuiteRunner(scale=0.05, runs=1, cache_dir=tmp_path).run("wc")
+    runner().run("wc")
     events = global_telemetry.named("cache.invalidated")
     assert len(events) == 1
     assert events[0]["found_version"] == CACHE_FORMAT_VERSION - 1
