@@ -1,20 +1,20 @@
 """Performance benchmarks of the simulation infrastructure itself.
 
 Not a paper experiment: these keep the reproduction usable by tracking
-the throughput of the VM interpreter, the predictor simulators (both
-engines), and the FS compiler passes — the costs that gate paper-scale
-runs.
+the throughput of the VM interpreter, the predictor simulators (the
+scalar loop and the vector kernels), and the FS compiler passes — the
+costs that gate paper-scale runs.
 
 Two trajectory files are written next to the repo root on teardown:
 
 * ``BENCH_telemetry.json`` — per-stage wall clock and throughput
   rates, comparable across PRs;
-* ``BENCH_kernels.json`` — the scalar-vs-vector engine measurements.
+* ``BENCH_kernels.json`` — the scalar-vs-vector measurements.
   The ``test_kernel_*`` tests are the **perf-regression gate**: they
-  fail when the vector engine loses bit identity with the scalar
-  loop, when the headline speedup drops below its floor, or when
-  vector throughput regresses more than 25% against the committed
-  baseline (read before it is rewritten).  ``scripts/check.sh`` runs
+  fail when the vector kernels lose bit identity with their
+  references, when the headline speedup drops below its floor, or
+  when vector throughput regresses more than 25% against the
+  committed baseline (read before it is rewritten).  ``scripts/check.sh`` runs
   them with ``-k kernel``; they use plain ``time.perf_counter`` so
   they work standalone, without the pytest-benchmark fixture.
 """
@@ -27,11 +27,12 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarksuite import compile_benchmark, get_benchmark
+from repro.kernels import simulate_vector
 from repro.predictors import (
     CounterBTB,
     ForwardSemanticPredictor,
     SimpleBTB,
-    simulate,
+    simulate_scalar,
 )
 from repro.telemetry.history import (
     append_record,
@@ -61,16 +62,11 @@ _SPEEDUP_FLOOR = 25.0
 #: so it gets its own floor; the others are covered by the headline.
 _SCHEME_FLOORS = {"CBTB": 15.0}
 
-#: Minimum vector-over-scalar speedup of the cycle-level simulator
-#: (the squash accounting rides the same kernels, so it must not
-#: fall back to the event loop).
-_CYCLE_SIM_FLOOR = 10.0
-
 #: Rates and stage timings the tests below record; flushed to
 #: BENCH_telemetry.json when the module finishes.
 _TELEMETRY_REPORT = {"rates": {}, "stages": {}}
 
-#: Engine measurements; flushed to BENCH_kernels.json on teardown.
+#: Kernel measurements; flushed to BENCH_kernels.json on teardown.
 _KERNEL_REPORT = {"workload": {}, "schemes": {}, "headline": {}}
 
 
@@ -139,15 +135,15 @@ def test_vm_tracing_overhead(benchmark):
 def test_predictor_throughput(benchmark, runner, all_runs):
     """Branch records per second through the SBTB + CBTB simulators.
 
-    Pinned to the scalar engine: the rate floor (and the trajectory in
+    Runs the scalar loop: the rate floor (and the trajectory in
     BENCH_telemetry.json) measures the per-record loop, not the
     kernels — those have their own gate below.
     """
     largest = max(all_runs.values(), key=lambda run: len(run.trace))
 
     def run():
-        simulate(SimpleBTB(), largest.trace, engine="scalar")
-        simulate(CounterBTB(), largest.trace, engine="scalar")
+        simulate_scalar(SimpleBTB(), largest.trace)
+        simulate_scalar(CounterBTB(), largest.trace)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     rate = 2 * len(largest.trace) / benchmark.stats.stats.mean
@@ -169,13 +165,14 @@ def _headline_schemes(run):
     ]
 
 
-def _time_engine(make_predictor, trace, engine, rounds):
-    """Best-of-``rounds`` wall clock plus the stats it produced."""
-    stats = simulate(make_predictor(), trace, engine=engine)
+def _time_engine(simulate_path, make_predictor, trace, rounds):
+    """Best-of-``rounds`` wall clock of ``simulate_path`` (the scalar
+    loop or the vector kernels) plus the stats it produced."""
+    stats = simulate_path(make_predictor(), trace)
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        simulate(make_predictor(), trace, engine=engine)
+        simulate_path(make_predictor(), trace)
         best = min(best, time.perf_counter() - start)
     return best, stats
 
@@ -184,8 +181,8 @@ def test_kernel_engines_match_and_speed_up(all_runs):
     """Scalar/vector mismatch gate plus the headline speedup floor.
 
     Measures every headline scheme on the largest cached trace with
-    both engines.  Fails if any scheme's stats differ between the
-    engines (bit identity is the kernels' contract) or if the
+    both paths.  Fails if any scheme's stats differ between the
+    paths (bit identity is the kernels' contract) or if the
     aggregate speedup falls below ``_SPEEDUP_FLOOR``.  The teardown
     fixture persists the numbers to ``BENCH_kernels.json``.
     """
@@ -199,11 +196,11 @@ def test_kernel_engines_match_and_speed_up(all_runs):
     scalar_total = vector_total = 0.0
     for scheme, make_predictor in _headline_schemes(run):
         scalar_time, scalar_stats = _time_engine(
-            make_predictor, trace, "scalar", rounds=2)
+            simulate_scalar, make_predictor, trace, rounds=2)
         vector_time, vector_stats = _time_engine(
-            make_predictor, trace, "vector", rounds=5)
+            simulate_vector, make_predictor, trace, rounds=5)
         assert scalar_stats == vector_stats, (
-            "%s: engines disagree on %s\n  scalar: %r\n  vector: %r"
+            "%s: paths disagree on %s\n  scalar: %r\n  vector: %r"
             % (scheme, name, scalar_stats.as_dict(),
                vector_stats.as_dict()))
         scalar_total += scalar_time
@@ -230,21 +227,16 @@ def test_kernel_engines_match_and_speed_up(all_runs):
           "(%.1fx)" % (records / scalar_total, records / vector_total,
                        speedup))
     assert speedup >= _SPEEDUP_FLOOR, (
-        "vector engine only %.2fx faster than scalar on %s "
+        "vector kernels only %.2fx faster than scalar on %s "
         "(floor %.1fx)" % (speedup, name, _SPEEDUP_FLOOR))
 
 
-def test_kernel_throughput_regression_gate(all_runs):
-    """Fail when vector throughput regresses >25% vs the baseline.
-
-    Compares against the committed ``BENCH_kernels.json`` (the
-    previous run's measurements, read before teardown rewrites it).
-    Skips when there is no baseline yet or the workload changed size
-    (different ``REPRO_BENCH_SCALE``), since rates are only comparable
-    on the same record count.
-    """
-    if not _KERNEL_REPORT["headline"]:
-        pytest.skip("speedup test did not run; nothing to compare")
+def _committed_kernels_baseline():
+    """The committed ``BENCH_kernels.json``, read before teardown
+    rewrites it; skips the calling gate when there is no baseline or
+    it was measured on another workload (rates are only comparable on
+    the same record count, so a different ``REPRO_BENCH_SCALE`` skips
+    too)."""
     baseline_path = _REPO_ROOT / "BENCH_kernels.json"
     if not baseline_path.exists():
         pytest.skip("no committed BENCH_kernels.json baseline yet")
@@ -253,64 +245,80 @@ def test_kernel_throughput_regression_gate(all_runs):
         pytest.skip("workload changed: %r vs %r — rates not comparable"
                     % (baseline.get("workload"),
                        _KERNEL_REPORT["workload"]))
+    return baseline
 
-    old = baseline["headline"]["vector_records_per_second"]
-    new = _KERNEL_REPORT["headline"]["vector_records_per_second"]
-    print("\nkernel regression gate: %.0f baseline vs %.0f current "
-          "vector records/s (%.2fx)" % (old, new, new / old))
+
+def _assert_no_regression(label, old, new):
+    print("\n%s regression gate: %.0f baseline vs %.0f current "
+          "records/s (%.2fx)" % (label, old, new, new / old))
     assert new >= _REGRESSION_FLOOR * old, (
-        "vector throughput regressed %.0f%% against the committed "
+        "%s throughput regressed %.0f%% against the committed "
         "baseline (%.0f -> %.0f records/s; floor is %d%%)"
-        % (100 * (1 - new / old), old, new,
+        % (label, 100 * (1 - new / old), old, new,
            100 * _REGRESSION_FLOOR))
 
 
-def test_kernel_cycle_sim_speedup(all_runs):
-    """Bit-identity and speedup floor for the vector cycle simulator.
+def test_kernel_throughput_regression_gate(all_runs):
+    """Fail when vector throughput regresses >25% vs the baseline.
 
-    Runs ``CycleSimulator`` with both engines on the largest cached
-    trace (CBTB — the heaviest kernel feeding it) and requires the
-    vector path to hold ``_CYCLE_SIM_FLOOR``; the measurement lands in
-    ``BENCH_kernels.json`` under ``schemes.cycle_sim``.
+    Compares against the committed ``BENCH_kernels.json`` (the
+    previous run's measurements, read before teardown rewrites it).
     """
+    if not _KERNEL_REPORT["headline"]:
+        pytest.skip("speedup test did not run; nothing to compare")
+    baseline = _committed_kernels_baseline()
+    _assert_no_regression(
+        "kernel", baseline["headline"]["vector_records_per_second"],
+        _KERNEL_REPORT["headline"]["vector_records_per_second"])
+
+
+def test_kernel_cycle_sim_speedup(all_runs):
+    """Bit-identity and throughput gate for the cycle simulator.
+
+    Runs ``CycleSimulator`` (always the batch cycle kernel) on the
+    largest cached trace with CBTB — the heaviest kernel feeding it —
+    and checks every field against ``OracleCycleInterpreter`` driving
+    the same predictor record by record.  Fails when its rate drops
+    below ``_REGRESSION_FLOOR`` of the committed
+    ``schemes.cycle_sim.vector_records_per_second``; the measurement
+    lands in ``BENCH_kernels.json`` under ``schemes.cycle_sim``.
+    """
+    from repro.conformance.oracles import OracleCycleInterpreter
     from repro.pipeline.config import PipelineConfig
     from repro.pipeline.cycle_sim import CycleSimulator
 
     name, run = max(all_runs.items(), key=lambda kv: len(kv[1].trace))
     trace = run.trace
+    _KERNEL_REPORT["workload"] = {
+        "benchmark": name,
+        "records": len(trace),
+    }
     config = PipelineConfig(k=1, l=1, m=2)
 
-    def run_engine(engine, rounds):
-        simulator = CycleSimulator(config, CounterBTB(), engine=engine)
-        stats = simulator.run(trace)
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            CycleSimulator(config, CounterBTB(), engine=engine).run(
-                trace)
-            best = min(best, time.perf_counter() - start)
-        return best, stats
+    stats = CycleSimulator(config, CounterBTB()).run(trace)
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        CycleSimulator(config, CounterBTB()).run(trace)
+        best = min(best, time.perf_counter() - start)
+    rate = len(trace) / best
 
-    scalar_time, scalar_stats = run_engine("scalar", rounds=2)
-    vector_time, vector_stats = run_engine("vector", rounds=5)
+    reference = OracleCycleInterpreter(config, CounterBTB()).run(trace)
     for field in ("cycles", "instructions", "branches",
                   "squashed_cycles", "mispredictions", "fill_cycles"):
-        assert getattr(scalar_stats, field) == getattr(vector_stats,
-                                                       field), field
-    assert dict(scalar_stats.squashed_by_class) == dict(
-        vector_stats.squashed_by_class)
+        assert getattr(stats, field) == getattr(reference, field), field
+    assert dict(stats.squashed_by_class) == reference.squashed_by_class
 
-    speedup = scalar_time / vector_time
     _KERNEL_REPORT["schemes"]["cycle_sim"] = {
-        "scalar_records_per_second": len(trace) / scalar_time,
-        "vector_records_per_second": len(trace) / vector_time,
-        "speedup": speedup,
+        "vector_records_per_second": rate,
     }
-    print("\ncycle sim: %.3fs scalar vs %.3fs vector (%.1fx) on %s"
-          % (scalar_time, vector_time, speedup, name))
-    assert speedup >= _CYCLE_SIM_FLOOR, (
-        "vector cycle sim only %.2fx faster than the event loop on %s "
-        "(floor %.1fx)" % (speedup, name, _CYCLE_SIM_FLOOR))
+    print("\ncycle sim: %.3fs (%.0f records/s) on %s"
+          % (best, rate, name))
+    baseline = _committed_kernels_baseline()
+    _assert_no_regression(
+        "cycle sim",
+        baseline["schemes"]["cycle_sim"]["vector_records_per_second"],
+        rate)
 
 
 def test_fs_compile_pipeline_latency(benchmark):

@@ -95,9 +95,10 @@ echo "== trace gate =="
 PYTHONPATH=src python scripts/trace_gate.py
 
 echo "== kernel bench gate =="
-# Scalar-vs-vector engines on the headline workload: fails on any
-# stats mismatch, a headline speedup under 25x, CBTB under 15x, the
-# vector cycle sim under 10x, or vector throughput regressing >25%
+# simulate_scalar vs simulate_vector on the headline workload: fails
+# on any stats mismatch, a headline speedup under 25x, or CBTB under
+# 15x; the cycle kernel must match OracleCycleInterpreter; and the
+# headline and cycle-sim vector throughput must not regress >25%
 # against the committed BENCH_kernels.json baseline.
 PYTHONPATH=src python -m pytest -q \
     benchmarks/test_simulator_performance.py -k kernel

@@ -20,7 +20,7 @@ marker expression — and enforces:
    (a collection discrepancy would mean the two runs disagree about
    what the suite even is);
 5. every file in ``REQUIRED_BATTERY_FILES`` — the differential
-   equivalence batteries that lock down the scalar/vector engines —
+   equivalence batteries that lock the kernels to their references —
    contributes at least one slow-marked battery test (a renamed or
    deleted battery must fail loudly here, not silently stop gating).
 
@@ -31,7 +31,7 @@ import subprocess
 import sys
 
 #: Test files that must each carry at least one slow-marked
-#: ``*_battery`` test: the engine-equivalence contract suites.
+#: ``*_battery`` test: the kernel-equivalence contract suites.
 REQUIRED_BATTERY_FILES = (
     "tests/test_characterize.py",
     "tests/test_cycle_kernel_equivalence.py",

@@ -149,13 +149,6 @@ def build_parser():
                              "estimates it from the IR alone — the "
                              "profiler is never invoked and manifests "
                              "record the source")
-    parser.add_argument("--engine", choices=("auto", "scalar", "vector"),
-                        default="auto",
-                        help="simulation engine: 'vector' runs the "
-                             "batch kernels, 'scalar' the per-record "
-                             "reference loop, 'auto' (default) picks "
-                             "vector for large traces; results are "
-                             "bit-identical either way")
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers for trace collection "
                              "(needs the cache enabled)")
@@ -574,8 +567,7 @@ def _sweep_checkpoint(runner, names, sections, label, resume):
     )
 
     fingerprint = sweep_fingerprint(sections, runner.scale, runner.runs,
-                                    names, CACHE_FORMAT_VERSION,
-                                    engine=runner.engine)
+                                    names, CACHE_FORMAT_VERSION)
     path = (runner.cache_dir / "checkpoints"
             / ("%s-%s.json" % (label, fingerprint)))
     return SweepCheckpoint(path, fingerprint)
@@ -667,13 +659,8 @@ def main(argv=None):
             _write_output(text, args.output)
         return exit_code
 
-    from repro.kernels import set_default_engine
-
     event_log = _enable_telemetry(args) if args.telemetry else None
     exit_code = 0
-    # The process-wide default makes library code that calls
-    # simulate() without an engine argument follow --engine too.
-    previous_engine = set_default_engine(args.engine)
     try:
         if args.experiment == "conformance":
             from repro.conformance import run_conformance, write_golden
@@ -726,7 +713,6 @@ def main(argv=None):
         runner = SuiteRunner(scale=args.scale, runs=args.runs,
                              cache_dir=False if args.no_cache else None,
                              verify=args.verify, event_log=event_log,
-                             engine=args.engine,
                              profile_source=args.profile_source)
         names = ([args.target] if args.target else None) or args.benchmarks
         if args.workers > 1:
@@ -757,7 +743,6 @@ def main(argv=None):
         else:
             text = _EXPERIMENTS[args.experiment](runner, names)
     finally:
-        set_default_engine(previous_engine)
         if event_log is not None:
             from repro.telemetry.core import TELEMETRY
 

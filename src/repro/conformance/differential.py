@@ -118,25 +118,27 @@ def replay_divergence(production, oracle, trace, ras_returns=True,
 
 def engine_divergence(make_predictor, trace, ras_returns=True,
                       conditional_only=False):
-    """Compare the scalar and vector simulation engines on one trace.
+    """Compare the scalar and vector simulation paths on one trace.
 
-    Simulates a fresh predictor from ``make_predictor`` once per
-    engine and compares the two ``PredictionStats`` field for field —
-    the bit-identity contract of :mod:`repro.kernels`.  Returns an
-    aggregate :class:`Divergence` or None; also None when the
-    predictor has no vector kernel (nothing to cross-check).
+    Simulates a fresh predictor from ``make_predictor`` once through
+    :func:`~repro.predictors.base.simulate_scalar` and once through
+    :func:`~repro.kernels.simulate_vector`, and compares the two
+    ``PredictionStats`` field for field — the bit-identity contract of
+    :mod:`repro.kernels`.  Returns an aggregate :class:`Divergence` or
+    None; also None when the predictor has no vector kernel (nothing to
+    cross-check).
     """
-    from repro.kernels import supports
-    from repro.predictors.base import simulate
+    from repro.kernels import simulate_vector, supports
+    from repro.predictors.base import simulate_scalar
 
     if not supports(make_predictor()):
         return None
-    scalar = simulate(make_predictor(), trace, engine="scalar",
-                      conditional_only=conditional_only,
-                      ras_returns=ras_returns)
-    vector = simulate(make_predictor(), trace, engine="vector",
-                      conditional_only=conditional_only,
-                      ras_returns=ras_returns)
+    scalar = simulate_scalar(make_predictor(), trace,
+                             conditional_only=conditional_only,
+                             ras_returns=ras_returns)
+    vector = simulate_vector(make_predictor(), trace,
+                             conditional_only=conditional_only,
+                             ras_returns=ras_returns)
     if scalar != vector:
         return Divergence("engine", None, None, scalar.as_dict(),
                           vector.as_dict())
@@ -144,7 +146,7 @@ def engine_divergence(make_predictor, trace, ras_returns=True,
 
 
 def cycle_divergence(config, make_production, make_oracle, trace,
-                     ras_returns=True, engine=None):
+                     ras_returns=True):
     """Compare the production cycle simulator against the interpreter.
 
     Args:
@@ -152,10 +154,6 @@ def cycle_divergence(config, make_production, make_oracle, trace,
         make_production / make_oracle: zero-argument factories producing
             *fresh* predictor instances (each side must start cold).
         trace: the branch trace to replay.
-        engine: forwarded to :class:`CycleSimulator` — the conformance
-            harness pins ``"vector"`` to drive the batch cycle kernel
-            against the oracle interpreter on every seed, regardless of
-            the auto threshold.
 
     Returns the first aggregate :class:`Divergence` or None.
     """
@@ -163,8 +161,7 @@ def cycle_divergence(config, make_production, make_oracle, trace,
     from repro.pipeline.cycle_sim import CycleSimulator
 
     fast = CycleSimulator(config, make_production(),
-                          ras_returns=ras_returns,
-                          engine=engine).run(trace)
+                          ras_returns=ras_returns).run(trace)
     slow = OracleCycleInterpreter(config, make_oracle(),
                                   ras_returns=ras_returns).run(trace)
     for field in ("fill_cycles", "mispredictions", "squashed_cycles",

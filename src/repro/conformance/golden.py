@@ -169,13 +169,12 @@ def _structural_violations(name, row):
     return violations
 
 
-def _golden_runner(cache, engine="auto"):
+def _golden_runner(cache):
     from repro.experiments.runner import SuiteRunner
 
     return SuiteRunner(scale=GOLDEN_CONFIG["scale"],
                        runs=GOLDEN_CONFIG["runs"],
-                       cache_dir=None if cache else False,
-                       engine=engine)
+                       cache_dir=None if cache else False)
 
 
 def write_golden(path=None, cache=True):
@@ -191,16 +190,16 @@ def write_golden(path=None, cache=True):
     return path
 
 
-def check_golden(path=None, cache=True, tolerance=1e-9, engine="auto"):
+def check_golden(path=None, cache=True, tolerance=1e-9):
     """Compare a fresh pinned-config measurement against the golden file.
 
     The golden file embeds the configuration it was measured at, so
-    this check is self-contained: it builds its own runner.  Passing
-    ``engine`` pins the simulation engine the fresh measurement uses —
-    the conformance harness runs this once per engine, so a vector
-    kernel that drifted from the committed trajectory fails golden
-    even if it agrees with the (equally drifted) scalar loop.  Returns
-    a list of violation strings (empty = pass).
+    this check is self-contained: it builds its own runner.  Each
+    trace takes the path ``simulate()`` picks (the kernels for the
+    long traces, the scalar loop for those under the size threshold),
+    so a kernel that drifted from the committed trajectory fails here
+    even if it agrees with an equally drifted scalar loop.  Returns a
+    list of violation strings (empty = pass).
     """
     path = Path(path) if path else GOLDEN_PATH
     if not path.exists():
@@ -214,8 +213,7 @@ def check_golden(path=None, cache=True, tolerance=1e-9, engine="auto"):
     from repro.experiments.runner import SuiteRunner
 
     runner = SuiteRunner(scale=config["scale"], runs=config["runs"],
-                         cache_dir=None if cache else False,
-                         engine=engine)
+                         cache_dir=None if cache else False)
     fresh = measure(runner, config["benchmarks"])
     violations = []
     for name, golden_row in payload["measured"].items():

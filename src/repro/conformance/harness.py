@@ -6,14 +6,12 @@ One call to :func:`run_conformance` drives, per seed:
    :class:`~repro.conformance.fuzz.TraceFuzzer`;
 2. lockstep differential replay of SBTB, CBTB, and FS against their
    oracles, including buffer-state comparison after every record, plus
-   a scalar-vs-vector engine cross-check of each scheme's
+   a scalar-vs-vector cross-check of each scheme's
    ``PredictionStats`` over the same trace;
 3. a cycle-level differential of the production
-   :class:`~repro.pipeline.cycle_sim.CycleSimulator` against the
-   straight-line oracle interpreter, on two pipeline shapes — twice
-   per shape, once on the default engine and once pinned to the
-   vector cycle kernel (fuzz traces sit under the auto threshold, so
-   the pin is what exercises :mod:`repro.kernels.cycle` here);
+   :class:`~repro.pipeline.cycle_sim.CycleSimulator` (always the batch
+   kernel, :mod:`repro.kernels.cycle`) against the straight-line
+   oracle interpreter, once per pipeline shape;
 
 and then, once, the golden-table layer (paper tolerance bands and the
 committed golden JSON).  Any divergence is shrunk to a minimal
@@ -169,7 +167,7 @@ def _run_probe_battery(report):
     by construction: they oversubscribe sets and maximise aliasing,
     regimes the program-skeleton fuzzer essentially never reaches.
     Each trace runs through (a) lockstep oracle replay for the schemes
-    that have reference oracles and (b) the scalar-vs-vector engine
+    that have reference oracles and (b) the scalar-vs-vector
     cross-check for every kernel-backed scheme; divergences are shrunk
     like any fuzz finding.
     """
@@ -225,7 +223,8 @@ def run_conformance(seeds=200, first_seed=0, golden=True, cache=True,
         cache: let the golden layer use the trace cache.
         schemes: subset of production schemes to check differentially.
         probes: also replay the characterization probe battery (fixed
-            adversarial traces) through the oracles and both engines.
+            adversarial traces) through the oracles and both
+            simulation paths.
     """
     report = ConformanceReport(seeds, schemes)
     if probes:
@@ -263,25 +262,15 @@ def run_conformance(seeds=200, first_seed=0, golden=True, cache=True,
                                      divergence, reproducer)
                     continue
                 for config in _CYCLE_CONFIGS:
+                    # Every cycle run is a kernel run, so this one
+                    # check counts toward both totals.
                     report.cycle_checks += 1
+                    report.vector_cycle_checks += 1
                     divergence = cycle_divergence(
                         config, make_production, make_oracle, trace)
                     if divergence is not None:
                         _note_divergence(report, "%s@%r" % (scheme, config),
                                          seed, divergence, None)
-                        continue
-                    # Same oracle, but the production side pinned to
-                    # the batch cycle kernel: fuzz traces sit under the
-                    # auto threshold, so without the pin the vector
-                    # cycle path would never face the interpreter.
-                    report.vector_cycle_checks += 1
-                    divergence = cycle_divergence(
-                        config, make_production, make_oracle, trace,
-                        engine="vector")
-                    if divergence is not None:
-                        _note_divergence(
-                            report, "%s@vector-cycle@%r" % (scheme, config),
-                            seed, divergence, None)
     if golden:
         with TELEMETRY.span("conformance.golden"):
             from repro.experiments.runner import SuiteRunner
@@ -291,15 +280,7 @@ def run_conformance(seeds=200, first_seed=0, golden=True, cache=True,
                                  runs=GOLDEN_CONFIG["runs"],
                                  cache_dir=None if cache else False)
             report.band_violations = check_paper_bands(runner)
-            # Once per engine: the vector kernels must reproduce the
-            # committed trajectory exactly, not merely agree with a
-            # scalar loop that drifted alongside them.
-            report.golden_violations = check_golden(cache=cache,
-                                                    engine="scalar")
-            report.golden_violations += [
-                "vector engine: " + violation
-                for violation in check_golden(cache=cache,
-                                              engine="vector")]
+            report.golden_violations = check_golden(cache=cache)
             report.golden_checked = True
             TELEMETRY.count("conformance.band_violations",
                             len(report.band_violations))

@@ -40,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.benchmarksuite import get_benchmark
-from repro.kernels.engine import ENGINES
 from repro.lang import compile_source
 from repro.profiling import Profile, profile_program
 from repro.resilience.errors import (
@@ -114,7 +113,7 @@ class BenchmarkRun:
     """All measured artifacts for one benchmark at one scale."""
 
     def __init__(self, name, spec, program, layout, profile, trace,
-                 scale, runs, manifest=None, engine="auto"):
+                 scale, runs, manifest=None):
         self.name = name
         self.spec = spec
         self.program = program          # base compiled program
@@ -124,7 +123,6 @@ class BenchmarkRun:
         self.scale = scale
         self.runs = runs
         self.manifest = manifest        # RunManifest (None when uncached)
-        self.engine = engine            # simulation engine for predictions
         self._stats = None
         self._predictions = None
         self._expansions = None
@@ -159,14 +157,14 @@ class BenchmarkRun:
                             entries=entries):
             results = {
                 "SBTB": simulate(SimpleBTB(entries, associativity),
-                                 self.trace, engine=self.engine),
+                                 self.trace),
                 "CBTB": simulate(
                     CounterBTB(entries, associativity, counter_bits,
                                threshold),
-                    self.trace, engine=self.engine),
+                    self.trace),
                 "FS": simulate(
                     ForwardSemanticPredictor(program=self.fs_program),
-                    self.trace, engine=self.engine),
+                    self.trace),
             }
         if default:
             self._predictions = results
@@ -215,12 +213,11 @@ def list_cache_entries(cache_dir=None):
     Damage never raises, and damage is distinguished from mere age: a
     torn or non-JSON manifest reports ``status: "corrupt"`` (manifest
     ``None``); a manifest that is valid JSON but from another era — a
-    future schema this code cannot parse, a ``format_version`` other
-    than the current one, or an unknown recorded engine — reports
-    ``status: "stale"`` (the entry is intact, just unusable by this
-    version); a missing manifest reports ``status: "no-manifest"`` —
-    so the listing works on a damaged cache directory instead of
-    crashing on it.
+    future schema this code cannot parse, or a ``format_version``
+    other than the current one — reports ``status: "stale"`` (the
+    entry is intact, just unusable by this version); a missing
+    manifest reports ``status: "no-manifest"`` — so the listing works
+    on a damaged cache directory instead of crashing on it.
     """
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     entries = []
@@ -245,9 +242,7 @@ def list_cache_entries(cache_dir=None):
                 status = ("stale" if _parses_as_json_object(manifest_path)
                           else "corrupt")
             else:
-                if (manifest.format_version != CACHE_FORMAT_VERSION
-                        or manifest.config.get("engine", "auto")
-                        not in ENGINES):
+                if manifest.format_version != CACHE_FORMAT_VERSION:
                     status = "stale"
         else:
             status = "no-manifest"
@@ -285,9 +280,6 @@ class SuiteRunner:
         warm_retries: extra attempts a warm worker gets after dying.
         lock_timeout: how long to wait on another process's stem lock
             before degrading to an uncached in-process compute.
-        engine: simulation engine (``auto``/``scalar``/``vector``) the
-            runs' predictions use; recorded in run manifests so cached
-            tables are traceable to the engine that produced them.
         profile_source: ``"measured"`` (default) profiles each
             benchmark on its input suite; ``"static"`` estimates the
             profile from the IR alone — the profiler is never invoked,
@@ -302,18 +294,13 @@ class SuiteRunner:
     def __init__(self, scale=1.0, runs=None, cache_dir=None,
                  max_instructions=500_000_000, verify=True,
                  event_log=None, warm_timeout=600.0, warm_retries=2,
-                 lock_timeout=600.0, engine="auto",
-                 profile_source="measured"):
-        if engine not in ENGINES:
-            raise ValueError("unknown engine %r (expected one of %s)"
-                             % (engine, ", ".join(ENGINES)))
+                 lock_timeout=600.0, profile_source="measured"):
         if profile_source not in PROFILE_SOURCES:
             raise ValueError(
                 "unknown profile source %r (expected one of %s)"
                 % (profile_source, ", ".join(PROFILE_SOURCES)))
         self.scale = scale
         self.runs = runs
-        self.engine = engine
         self.profile_source = profile_source
         if cache_dir is False:
             self.cache_dir = None
@@ -529,8 +516,7 @@ class SuiteRunner:
                                             profile_path, stages)
 
         run = BenchmarkRun(name, spec, program, layout, profile, trace,
-                           self.scale, n_runs, manifest=manifest,
-                           engine=self.engine)
+                           self.scale, n_runs, manifest=manifest)
         self._memo[name] = run
         return run
 
@@ -586,7 +572,7 @@ class SuiteRunner:
             format_version=CACHE_FORMAT_VERSION,
             config={"scale": self.scale, "runs": n_runs,
                     "max_instructions": self.max_instructions,
-                    "verify": self.verify, "engine": self.engine,
+                    "verify": self.verify,
                     "profile_source": self.profile_source},
             git_sha=self._repo_git_sha(),
             stages=stages,

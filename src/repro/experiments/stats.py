@@ -91,10 +91,9 @@ def render_cache(cache_dir=None, as_json=False):
         if manifest is not None:
             created = (manifest.created or "")[:10]
             sha = (manifest.git_sha or "")[:8] or "no-git"
-            run_summary = "scale %s, %s runs, %s, %.2fs, %s" % (
+            run_summary = "scale %s, %s runs, %.2fs, %s" % (
                 manifest.config.get("scale", "?"),
                 manifest.config.get("runs", "?"),
-                manifest.config.get("engine", "auto"),
                 manifest.total_stage_seconds, sha)
             if entry["status"] != "ok":
                 run_summary = "(%s) %s" % (entry["status"], run_summary)

@@ -1,4 +1,4 @@
-"""Vectorized simulation kernels (the ``--engine=vector`` path).
+"""Vectorized simulation kernels (the vector simulation path).
 
 The scalar simulator in :mod:`repro.predictors.base` walks a branch
 trace one record at a time through Python objects — honest, simple,
@@ -21,27 +21,22 @@ package re-expresses the same predictors as NumPy array programs:
   simulator produces.
 
 The contract is **bit identity**: for every supported predictor and
-every trace, the vector engine returns a ``PredictionStats`` equal
+every trace, the vector path returns a ``PredictionStats`` equal
 field-for-field to the scalar simulator's.  The differential
 equivalence tests, the conformance engine cross-check, and the golden
 tables all enforce it; a kernel that is fast but drifts is a bug.
 
-Engine selection lives in :mod:`~repro.kernels.engine`:
-``simulate(..., engine="auto")`` (the default) uses a kernel when one
-exists and the trace is large enough to amortise array setup, and the
-scalar loop otherwise.  The vector engine never mutates the predictor
-object it is handed — buffer-internal telemetry (occupancy, eviction
-counts) is a scalar-engine feature.
+Path selection lives in :func:`~repro.kernels.engine.resolve_engine`,
+and it is not an option: ``simulate()`` uses a kernel when one exists,
+the predictor is pristine, there is no flush and the trace is large
+enough to amortise array setup, and the scalar loop otherwise.  The
+vector path never mutates the predictor object it is handed, so
+buffer-internal telemetry (occupancy, eviction counts) appears only on
+scalar runs.
 """
 
 from repro.kernels.encode import EncodedTrace
-from repro.kernels.engine import (
-    AUTO_THRESHOLD,
-    ENGINES,
-    get_default_engine,
-    resolve_engine,
-    set_default_engine,
-)
+from repro.kernels.engine import AUTO_THRESHOLD, resolve_engine
 
 
 def kernel_for(predictor):
@@ -49,7 +44,7 @@ def kernel_for(predictor):
 
     Dispatch is by exact type, not isinstance: a subclass may override
     ``predict``/``update`` in ways the closed forms do not model, so it
-    falls back to the scalar engine until it registers its own kernel.
+    runs on the scalar loop until it registers its own kernel.
     """
     from repro.kernels import direction, static, tables
     from repro.predictors.bimodal import Bimodal
@@ -77,7 +72,7 @@ def kernel_for(predictor):
 
 
 def supports(predictor):
-    """True when the vector engine has a kernel for ``predictor``."""
+    """True when the vector path has a kernel for ``predictor``."""
     return kernel_for(predictor) is not None
 
 
@@ -88,7 +83,7 @@ def is_pristine(predictor):
     which is only valid when the simulation starts from empty buffers
     and initial counters — how every runner and sweep builds its
     predictors.  A warm predictor (reused across simulate calls
-    without ``reset()``) is routed to the scalar engine instead.
+    without ``reset()``) is routed to the scalar loop instead.
     """
     from repro.predictors.bimodal import Bimodal
     from repro.predictors.cbtb import CounterBTB
@@ -111,10 +106,9 @@ def simulate_vector(predictor, trace, conditional_only=False,
                     ras_returns=True):
     """Run ``predictor`` over ``trace`` with its batch kernel.
 
-    Mirrors :func:`repro.predictors.base.simulate` exactly (without
-    ``flush_interval``, which the engine resolver routes to the scalar
-    loop).  Raises ValueError for unsupported predictors — callers go
-    through :func:`resolve_engine` first.
+    Mirrors :func:`repro.predictors.base.simulate_scalar` exactly
+    (without ``flush_interval``, which :func:`resolve_engine` routes to
+    the scalar loop).  Raises ValueError for unsupported predictors.
     """
     from repro.kernels.aggregate import assemble_stats
 
@@ -128,13 +122,10 @@ def simulate_vector(predictor, trace, conditional_only=False,
 
 __all__ = [
     "AUTO_THRESHOLD",
-    "ENGINES",
     "EncodedTrace",
-    "get_default_engine",
     "is_pristine",
     "kernel_for",
     "resolve_engine",
-    "set_default_engine",
     "simulate_vector",
     "supports",
 ]

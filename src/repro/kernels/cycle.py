@@ -1,9 +1,11 @@
 """Vectorized cycle-level simulation.
 
-The scalar :class:`~repro.pipeline.cycle_sim.CycleSimulator` replays a
-trace record-at-a-time against a live predictor; because the modeled
-machine never stalls for anything but branch squashes, its entire
-event loop collapses into array passes:
+This is the only engine behind
+:class:`~repro.pipeline.cycle_sim.CycleSimulator`.  Because the modeled
+machine never stalls for anything but branch squashes, a
+record-at-a-time replay against a live predictor (the reference,
+:class:`~repro.conformance.oracles.OracleCycleInterpreter`) collapses
+into array passes:
 
 1. **Squash classes** — run the predictor's batch kernel
    (:func:`repro.kernels.kernel_for`) over the encoded trace: the
@@ -18,7 +20,7 @@ event loop collapses into array passes:
    is kept), and ``cycles = (depth - 1) + instructions + squashed`` in
    closed form.
 
-Bit-identity with the event loop is the contract: the
+Bit-identity with the oracle interpreter is the contract: the
 ``tests/test_cycle_kernel_equivalence.py`` battery and the conformance
 harness cross-check every field, including the key-presence semantics
 of ``squashed_by_class`` (a class appears exactly when at least one of
@@ -41,7 +43,7 @@ def cycle_kernel(config, predictor, trace, ras_returns=True):
     from repro.kernels import kernel_for
 
     enc = EncodedTrace.of(trace)
-    # With the return-address mechanism the scalar loop never shows
+    # With the return-address mechanism the reference never shows
     # return records to the predictor, so the kernel must evolve its
     # buffers over the same no-returns subsequence.
     sub = enc

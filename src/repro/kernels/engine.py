@@ -1,78 +1,38 @@
-"""Engine selection: scalar loop vs vectorized kernels.
+"""Simulation path selection: scalar reference loop vs batch kernels.
 
-Three engine names flow through ``simulate()``, the suite runner, and
-the CLI's ``--engine`` flag:
+:func:`repro.predictors.base.simulate` runs every simulation on one of
+two plain functions:
 
-* ``scalar`` — the record-at-a-time simulator (the reference).
-* ``vector`` — the batch kernels of this package, with a scalar
-  fallback only where no kernel exists or the run needs per-record
-  hooks (``flush_interval``).
-* ``auto`` — ``vector`` when a kernel exists and the trace has at
-  least :data:`AUTO_THRESHOLD` records (array setup has a fixed cost
-  that tiny traces never amortise), ``scalar`` otherwise.
+* :func:`~repro.predictors.base.simulate_scalar` — the record-at-a-time
+  loop, the reference;
+* :func:`~repro.kernels.simulate_vector` — the batch kernels of this
+  package.
 
-The resolved choice is what telemetry reports and what run manifests
-record; both engines are bit-identical in their results, so the choice
-is purely a throughput decision.
+The choice is the code's, not the user's: :func:`resolve_engine` picks
+the kernels whenever they can reproduce the run bit-for-bit and the
+trace is long enough to amortise array setup.  Both paths give
+identical results, so the choice is purely a throughput decision; the
+resolved name is what telemetry reports.
 """
 
-ENGINE_AUTO = "auto"
-ENGINE_SCALAR = "scalar"
-ENGINE_VECTOR = "vector"
-
-ENGINES = (ENGINE_AUTO, ENGINE_SCALAR, ENGINE_VECTOR)
-
-#: Records below which ``auto`` stays scalar: the crossover where
-#: whole-trace array passes beat the per-record loop sits well under
-#: this, but small traces are cheap either way and the scalar engine
-#: additionally leaves the predictor object warm for inspection.
+#: Records below which simulations stay scalar: the per-call fixed cost
+#: of the array passes (encoding, the eviction replay) is not amortised
+#: by short traces such as characterize probes and conformance fuzz.
 AUTO_THRESHOLD = 2048
 
-_default_engine = ENGINE_AUTO
 
+def resolve_engine(predictor, trace, flush_interval=None):
+    """The path a simulation runs on: ``"vector"`` or ``"scalar"``.
 
-def get_default_engine():
-    """The engine ``simulate()`` uses when none is passed."""
-    return _default_engine
-
-
-def set_default_engine(engine):
-    """Set the process-wide default engine; returns the previous one.
-
-    The CLI sets this from ``--engine`` so library code that calls
-    ``simulate()`` without an engine argument (sweeps, ablations)
-    follows the user's choice.
-    """
-    global _default_engine
-    if engine not in ENGINES:
-        raise ValueError("unknown engine %r (expected one of %s)"
-                         % (engine, ", ".join(ENGINES)))
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-def resolve_engine(engine, predictor, trace, flush_interval=None):
-    """The engine a simulation will actually run on.
-
-    Returns ``"scalar"`` or ``"vector"`` — never ``"auto"``.  The
-    scalar engine wins whenever the vector engine cannot reproduce the
-    run bit-for-bit or has nothing to accelerate: no kernel for the
-    predictor type, a ``flush_interval`` (context-switch ablation)
-    that needs a hook between records, or a predictor whose buffers
-    are already warm (the closed forms assume an initial state).
+    ``"vector"`` when a kernel exists for the predictor type, the
+    predictor is pristine (the closed forms assume an initial state),
+    there is no ``flush_interval`` (the context-switch ablation needs a
+    hook between records), and the trace has at least
+    :data:`AUTO_THRESHOLD` records; ``"scalar"`` otherwise.
     """
     from repro.kernels import is_pristine, supports
 
-    if engine is None:
-        engine = _default_engine
-    if engine not in ENGINES:
-        raise ValueError("unknown engine %r (expected one of %s)"
-                         % (engine, ", ".join(ENGINES)))
-    if (flush_interval is not None or not supports(predictor)
-            or not is_pristine(predictor)):
-        return ENGINE_SCALAR
-    if engine == ENGINE_AUTO:
-        return (ENGINE_VECTOR if len(trace) >= AUTO_THRESHOLD
-                else ENGINE_SCALAR)
-    return engine
+    if (flush_interval is None and len(trace) >= AUTO_THRESHOLD
+            and supports(predictor) and is_pristine(predictor)):
+        return "vector"
+    return "scalar"

@@ -8,7 +8,7 @@ every record, keeping them out of miss-ratio accounting exactly like
 the scalar ``hit=None``.
 
 Direction-only schemes score with an any-target sentinel in the
-scalar engine; here that is simply ``target_match = pred_taken``.
+scalar loop; here that is simply ``target_match = pred_taken``.
 """
 
 import numpy as np

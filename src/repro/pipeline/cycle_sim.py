@@ -16,13 +16,12 @@ whose handling scheme failed to cover the refill:
 
 Because the machine never stalls for any other reason, total cycles =
 pipeline fill + instructions retired + squash penalties, which this
-simulator accumulates while replaying a branch trace against a live
-predictor.  Comparing its cycles-per-branch against the analytic
+simulator computes from the predictor's per-record outcomes over a
+branch trace.  Comparing its cycles-per-branch against the analytic
 equation (which replaces the per-class penalties with the averaged
 k + l_bar + m_bar) is the model-validation ablation in DESIGN.md.
 """
 
-from repro.predictors.base import is_correct
 from repro.vm.tracing import BranchClass
 
 
@@ -89,86 +88,52 @@ class CycleSimulator:
         config: :class:`~repro.pipeline.config.PipelineConfig`; the
             simulator uses the integer stage counts k, l, m (not the
             averaged penalties — those belong to the analytic model).
-        predictor: any :class:`~repro.predictors.base.Predictor`.
+        predictor: a pristine predictor with a batch kernel
+            (:func:`repro.kernels.supports`).
         ras_returns: model the shared return-address mechanism (returns
             always covered); matches the accounting of
             :func:`repro.predictors.base.simulate`.
-        engine: ``auto`` / ``scalar`` / ``vector`` — the same surface
-            as :func:`repro.predictors.base.simulate`.  ``None`` uses
-            the process-wide default.  The vector path
-            (:mod:`repro.kernels.cycle`) is bit-identical and, like
-            ``simulate()``, leaves the predictor object untouched;
-            the scalar path advances it record by record.
+
+    Every run goes through the batch cycle kernel
+    (:mod:`repro.kernels.cycle`), which leaves the predictor object
+    untouched.  The record-at-a-time reference is
+    :class:`~repro.conformance.oracles.OracleCycleInterpreter`.
     """
 
-    def __init__(self, config, predictor, ras_returns=True,
-                 engine=None):
+    def __init__(self, config, predictor, ras_returns=True):
         self.config = config
         self.predictor = predictor
         self.ras_returns = ras_returns
-        self.engine = engine
 
     def run(self, trace):
-        """Simulate ``trace``; returns :class:`CycleStats`."""
-        from repro.kernels import resolve_engine
+        """Simulate ``trace``; returns :class:`CycleStats`.
 
-        resolved = resolve_engine(self.engine, self.predictor, trace)
-        if resolved == "vector":
-            from repro.kernels.cycle import cycle_kernel
+        Raises ValueError for a predictor with no kernel or with warm
+        state, which the kernel cannot reproduce.
+        """
+        from repro.kernels import is_pristine, supports
+        from repro.kernels.cycle import cycle_kernel
 
-            fields = cycle_kernel(self.config, self.predictor, trace,
-                                  self.ras_returns)
-            stats = CycleStats(**fields)
-            self._report(stats, resolved)
-            return stats
-
-        config = self.config
-        predictor = self.predictor
-        conditional_penalty = config.k + config.l + config.m
-        unconditional_penalty = config.k + config.l
-
-        squashed = 0
-        squashed_by_class = {}
-        mispredictions = 0
-        branches = 0
-
-        for site, branch_class, taken, target, _ in trace.records():
-            branches += 1
-            if branch_class == BranchClass.RETURN and self.ras_returns:
-                continue
-            prediction = predictor.predict(site, branch_class)
-            covered = is_correct(prediction, taken, target)
-            predictor.update(site, branch_class, taken, target)
-            if covered:
-                continue
-            mispredictions += 1
-            if branch_class == BranchClass.CONDITIONAL:
-                penalty = conditional_penalty
-            else:
-                # Unconditional branches resolve at the end of decode.
-                penalty = unconditional_penalty
-            squashed += penalty
-            squashed_by_class[branch_class] = (
-                squashed_by_class.get(branch_class, 0) + penalty)
-
-        fill = config.depth - 1
-        instructions = trace.total_instructions
-        cycles = fill + instructions + squashed
-        stats = CycleStats(cycles, instructions, branches, squashed,
-                           mispredictions, fill, squashed_by_class)
-        self._report(stats, resolved)
+        name = type(self.predictor).__name__
+        if not supports(self.predictor):
+            raise ValueError("no cycle kernel for %s" % name)
+        if not is_pristine(self.predictor):
+            raise ValueError("cycle simulation needs a pristine %s "
+                             "(reset() it first)" % name)
+        stats = CycleStats(**cycle_kernel(self.config, self.predictor,
+                                          trace, self.ras_returns))
+        self._report(stats)
         return stats
 
-    def _report(self, stats, engine):
+    def _report(self, stats):
         from repro.telemetry.core import TELEMETRY
         if TELEMETRY.enabled:
             TELEMETRY.count("cycle_sim.runs")
-            TELEMETRY.count("cycle_sim.runs.%s" % engine)
             TELEMETRY.count("cycle_sim.squashed_cycles",
                             stats.squashed_cycles)
             TELEMETRY.event(
                 "cycle_sim.run", predictor=self.predictor.name,
-                engine=engine, cycles=stats.cycles,
+                cycles=stats.cycles,
                 instructions=stats.instructions,
                 branches=stats.branches,
                 mispredictions=stats.mispredictions,

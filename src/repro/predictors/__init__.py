@@ -31,6 +31,7 @@ from repro.predictors.base import (
     PredictionStats,
     Predictor,
     simulate,
+    simulate_scalar,
     site_report,
     site_statistics,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "PredictionStats",
     "Predictor",
     "simulate",
+    "simulate_scalar",
     "site_report",
     "site_statistics",
     "AssociativeCache",

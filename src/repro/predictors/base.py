@@ -101,7 +101,7 @@ class PredictionStats:
         }
 
     def __eq__(self, other):
-        """Field-for-field equality — the engines' bit-identity bar."""
+        """Field-for-field equality — the bar both simulation paths meet."""
         if not isinstance(other, PredictionStats):
             return NotImplemented
         return (self.total == other.total
@@ -222,7 +222,7 @@ def site_report(predictor, trace, worst=10):
 
 
 def simulate(predictor, trace, flush_interval=None,
-             conditional_only=False, ras_returns=True, engine=None):
+             conditional_only=False, ras_returns=True):
     """Run ``predictor`` over a branch trace; returns PredictionStats.
 
     Args:
@@ -240,29 +240,43 @@ def simulate(predictor, trace, flush_interval=None,
             through the predictor like any branch (BTBs predict the
             *last* return target; the FS cannot predict them at all) —
             the ablation quantifying the RAS substitution.
-        engine: ``"scalar"``, ``"vector"``, or ``"auto"``; None uses
-            the process default (normally auto — see
-            :mod:`repro.kernels.engine`).  The engines are
-            bit-identical; only throughput and side effects differ
-            (the vector engine never mutates the predictor object).
 
     Returns:
         :class:`PredictionStats`.
 
     Returns still count toward ``total`` either way (the paper's cost
     model charges every branch) unless ``conditional_only`` is set.
+
+    The run goes to :func:`repro.kernels.simulate_vector` or to
+    :func:`simulate_scalar`, as :func:`repro.kernels.resolve_engine`
+    decides; the two are bit-identical, but only the scalar loop
+    advances the predictor object.
     """
     from repro.kernels import resolve_engine, simulate_vector
 
-    resolved = resolve_engine(engine, predictor, trace, flush_interval)
+    path = resolve_engine(predictor, trace=trace,
+                          flush_interval=flush_interval)
     started = time.perf_counter()
-    if resolved == "vector":
+    if path == "vector":
         stats = simulate_vector(predictor, trace,
                                 conditional_only=conditional_only,
                                 ras_returns=ras_returns)
-        _report_simulation(predictor, stats, resolved, started)
-        return stats
+    else:
+        stats = simulate_scalar(predictor, trace,
+                                flush_interval=flush_interval,
+                                conditional_only=conditional_only,
+                                ras_returns=ras_returns)
+    _report_simulation(predictor, stats, path, started)
+    return stats
 
+
+def simulate_scalar(predictor, trace, flush_interval=None,
+                    conditional_only=False, ras_returns=True):
+    """The record-at-a-time reference loop behind :func:`simulate`.
+
+    Same arguments and result as :func:`simulate`, for any predictor
+    in any state; every record goes through ``predict``/``update``.
+    """
     stats = PredictionStats()
     instructions_seen = 0
     next_flush = flush_interval
@@ -286,13 +300,19 @@ def simulate(predictor, trace, flush_interval=None,
         stats.record(branch_class, correct, prediction.hit)
         predictor.update(site, branch_class, taken, target)
 
-    _report_simulation(predictor, stats, resolved, started)
     return stats
 
 
-def _report_simulation(predictor, stats, engine, started):
-    """Telemetry for one simulation: per-engine record counters and a
-    ``predictor.simulate`` event carrying the resolved engine and its
+#: ``telemetry_stats()`` fields that describe buffer contents.  The
+#: vector path leaves the predictor object untouched, so they would
+#: read as an empty buffer; only scalar events carry them.
+_BUFFER_FIELDS = ("occupancy", "evictions", "conflict_evictions",
+                  "counter_distribution", "counter_transitions")
+
+
+def _report_simulation(predictor, stats, path, started):
+    """Telemetry for one simulation: per-path record counters and a
+    ``predictor.simulate`` event carrying the path that ran and its
     throughput (the observability half of the speedup story; the
     perf-regression gate in benchmarks/ does the enforcement)."""
     from repro.telemetry.core import TELEMETRY
@@ -300,13 +320,17 @@ def _report_simulation(predictor, stats, engine, started):
         return
     elapsed = time.perf_counter() - started
     TELEMETRY.count("predictor.records", stats.total)
-    TELEMETRY.count("predictor.records.%s" % engine, stats.total)
+    TELEMETRY.count("predictor.records.%s" % path, stats.total)
+    fields = predictor.telemetry_stats()
+    if path == "vector":
+        for key in _BUFFER_FIELDS:
+            fields.pop(key, None)
     TELEMETRY.event(
         "predictor.simulate", records=stats.total,
         correct=stats.correct, accuracy=stats.accuracy,
         buffer_misses=stats.buffer_misses,
         miss_ratio=stats.miss_ratio,
-        engine=engine,
+        engine=path,
         records_per_second=(stats.total / elapsed if elapsed > 0
                             else None),
-        **predictor.telemetry_stats())
+        **fields)

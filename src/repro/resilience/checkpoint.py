@@ -26,22 +26,14 @@ from repro.telemetry.core import TELEMETRY
 CHECKPOINT_VERSION = 1
 
 
-def sweep_fingerprint(sections, scale, runs, benchmarks,
-                      format_version, engine="auto"):
-    """A short stable digest of everything that shapes a sweep.
-
-    ``engine`` is part of the fingerprint even though the engines are
-    bit-identical: a checkpoint is a claim about *how* its sections
-    were produced, and resuming a ``--engine=scalar`` verification
-    sweep from vector-engine partials would defeat its purpose.
-    """
+def sweep_fingerprint(sections, scale, runs, benchmarks, format_version):
+    """A short stable digest of everything that shapes a sweep."""
     payload = json.dumps({
         "sections": list(sections),
         "scale": scale,
         "runs": runs,
         "benchmarks": sorted(benchmarks) if benchmarks else None,
         "format_version": format_version,
-        "engine": engine,
     }, sort_keys=True)
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 

@@ -16,7 +16,7 @@ The schema (``MANIFEST_VERSION`` 2)::
       "cache_key": "wc-s0_1-r2-v3-a1b2c3d4e5",
       "format_version": 3,
       "config": {"scale": 0.1, "runs": 2, "max_instructions": ...,
-                 "verify": true, "engine": "auto"},
+                 "verify": true, "profile_source": "measured"},
       "git_sha": "..." | null,
       "stages": {"compile": 0.012, "profile": 1.4, ...},
       "event_log": "path/to/telemetry.jsonl" | null,

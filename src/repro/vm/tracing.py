@@ -168,7 +168,7 @@ class BranchTrace:
     def from_arrays(cls, arrays):
         """Rebuild a trace saved by :meth:`to_arrays`.
 
-        The arrays are already the columnar form the vector engine
+        The arrays are already the columnar form the vector path
         wants, so the kernel encoding is stashed directly — a cached
         trace never pays the list-to-array conversion again.
         """

@@ -5,9 +5,10 @@ maximal aliasing, single-site counter hammering — regimes the
 program-skeleton fuzzer essentially never reaches, which makes them
 exactly the traces most likely to expose a drifting kernel.  Every
 probe family runs through both the conformance differential engine
-(:func:`engine_divergence`, which bypasses the auto-dispatch size
-threshold) and an explicit ``simulate(engine=...)`` pair, with any
-divergence ddmin-shrunk to a minimal reproducer before failing.
+(:func:`engine_divergence`) and an explicit ``simulate_scalar`` /
+``simulate_vector`` pair — both bypass the size threshold of
+``simulate()`` — with any divergence ddmin-shrunk to a minimal
+reproducer before failing.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.conformance.differential import (
     shrink_trace,
 )
 from repro.conformance.harness import run_conformance
+from repro.kernels import simulate_vector
 from repro.predictors import (
     AlwaysNotTaken,
     AlwaysTaken,
@@ -26,7 +28,7 @@ from repro.predictors import (
     ForwardSemanticPredictor,
     GShare,
     SimpleBTB,
-    simulate,
+    simulate_scalar,
 )
 
 #: Small geometry so the overflow/thrash probes genuinely evict.
@@ -54,15 +56,14 @@ def _battery():
 
 
 def _assert_engines_agree(label, make_predictor, trace, **kwargs):
-    scalar = simulate(make_predictor(), trace, engine="scalar", **kwargs)
-    vector = simulate(make_predictor(), trace, engine="vector", **kwargs)
+    scalar = simulate_scalar(make_predictor(), trace, **kwargs)
+    vector = simulate_vector(make_predictor(), trace, **kwargs)
     if scalar == vector:
         return
     shrunk = shrink_trace(
         trace,
-        lambda t: simulate(make_predictor(), t, engine="scalar",
-                           **kwargs)
-        != simulate(make_predictor(), t, engine="vector", **kwargs))
+        lambda t: simulate_scalar(make_predictor(), t, **kwargs)
+        != simulate_vector(make_predictor(), t, **kwargs))
     pytest.fail(
         "%s: engines diverged on probe trace (%s)\n"
         "  scalar: %r\n  vector: %r\n"
@@ -73,7 +74,7 @@ def _assert_engines_agree(label, make_predictor, trace, **kwargs):
 
 @pytest.mark.parametrize("family", PROBE_FAMILIES)
 def test_probe_family_explicit_engines(family):
-    """simulate(engine="scalar") == simulate(engine="vector"), probe by
+    """simulate_scalar == simulate_vector, probe by
     probe, for every scheme — including the non-buffered ones whose
     vector path is a pure closed form."""
     traces = [(name, trace) for fam, name, trace in _battery()

@@ -271,10 +271,10 @@ def test_main_cache_lists_stale_not_corrupt(capsys, tmp_path,
                                             monkeypatch):
     """Intact-but-unusable manifests are stale, not corrupt.
 
-    A manifest from a future schema, an old cache format, or an
-    unknown engine is a well-formed file this version cannot use —
-    "corrupt" is reserved for torn writes.  Regression: future-schema
-    manifests used to be reported corrupt.
+    A manifest from a future schema or another cache format version
+    is a well-formed file this version cannot use — "corrupt" is
+    reserved for torn writes.  Regression: future-schema manifests
+    used to be reported corrupt.
     """
     import json
 
@@ -301,11 +301,17 @@ def test_main_cache_lists_stale_not_corrupt(capsys, tmp_path,
     out = listing()
     assert "(stale)" in out and "(corrupt)" not in out
 
-    # Engine this version does not know.
-    config = dict(genuine["config"], engine="warp")
-    manifest.write_text(json.dumps(dict(genuine, config=config)))
+    # Newer cache format version.
+    manifest.write_text(json.dumps(
+        dict(genuine, format_version=genuine["format_version"] + 1)))
     out = listing()
     assert "(stale)" in out and "(corrupt)" not in out
+
+    # Older code recorded config.engine; the key no longer matters.
+    config = dict(genuine["config"], engine="scalar")
+    manifest.write_text(json.dumps(dict(genuine, config=config)))
+    out = listing()
+    assert "(stale)" not in out and "(corrupt)" not in out
 
     # The untouched manifest still lists clean.
     manifest.write_text(json.dumps(genuine))
@@ -363,6 +369,22 @@ def test_main_serve_is_not_a_subcommand(capsys):
         main(["serve"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'serve'" in capsys.readouterr().err
+
+
+def test_engine_is_not_an_option(tmp_path):
+    """The code picks the simulation path; ``--engine`` is gone."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "table3", "--engine", "vector"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    assert "unrecognized arguments: --engine" in result.stderr
 
 
 def test_main_metrics_rejects_port_zero(capsys):

@@ -183,17 +183,27 @@ def test_shrink_rejects_passing_trace():
         shrink_trace(trace, lambda t: False)
 
 
-def test_buggy_predictor_diverges_at_cycle_level():
-    """A mispredicting production predictor shows up in the aggregates
+def test_buggy_predictor_diverges_at_cycle_level(monkeypatch):
+    """A mispredicting production kernel shows up in the aggregates
     (mispredictions / squashed cycles) even when per-record prediction
-    comparison is bypassed."""
+    comparison is bypassed.  The cycle simulator runs only the batch
+    kernel, so the bug is injected there: taken predictions are lost."""
+    from repro.kernels import tables
+
+    genuine = tables.cbtb_kernel
+
+    def never_taken(predictor, enc):
+        pred_taken, target_match, hit = genuine(predictor, enc)
+        return pred_taken & False, target_match, hit
+
+    monkeypatch.setattr(tables, "cbtb_kernel", never_taken)
     config = PipelineConfig(2, 1, 1)
     divergence = None
     for seed in range(20):
         trace = TraceFuzzer(seed).trace()
         divergence = cycle_divergence(
             config,
-            lambda: _OffByOneThresholdCBTB(entries=8),
+            lambda: CounterBTB(entries=8),
             lambda: oracle_for("CBTB", entries=8),
             trace)
         if divergence is not None:
@@ -213,6 +223,39 @@ def test_run_conformance_differential_only():
     assert report.cycle_checks == 60
     assert "zero divergences" in report.render()
     assert "RESULT: PASS" in report.render()
+
+
+def test_run_conformance_checks_golden_and_each_cycle_shape_once(
+        monkeypatch):
+    """One golden pass, and one kernel-vs-interpreter cycle run per
+    (seed, scheme, shape) that counts as both a cycle check and a
+    vector cycle check."""
+    from repro.conformance import harness
+    from repro.kernels import cycle
+    from repro.pipeline.cycle_sim import CycleSimulator
+
+    calls = {"golden": 0, "run": 0, "kernel": 0}
+
+    def check_golden(**kwargs):
+        calls["golden"] += 1
+        return []
+
+    def counting(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "check_golden", check_golden)
+    monkeypatch.setattr(harness, "check_paper_bands", lambda runner: [])
+    monkeypatch.setattr(CycleSimulator, "run",
+                        counting("run", CycleSimulator.run))
+    monkeypatch.setattr(cycle, "cycle_kernel",
+                        counting("kernel", cycle.cycle_kernel))
+    report = run_conformance(seeds=2, probes=False)
+    assert report.ok
+    assert calls == {"golden": 1, "run": 12, "kernel": 12}
+    assert report.cycle_checks == report.vector_cycle_checks == 12
 
 
 def test_run_conformance_scheme_subset():

@@ -12,8 +12,10 @@ i.e. P = k + l + m + 1.
 import pytest
 
 from repro.conformance.differential import subtrace
+from repro.conformance.oracles import OracleCycleInterpreter
 from repro.pipeline import (
     CycleSimulator,
+    CycleStats,
     PipelineConfig,
     branch_cost,
 )
@@ -48,6 +50,18 @@ class ScheduledAccuracy(Predictor):
         self._index += 1
 
 
+def _scheduled_cycles(config, predictor, trace):
+    """Cycle stats for a :class:`ScheduledAccuracy` run.
+
+    It has no batch kernel, so :class:`CycleSimulator` rejects it; the
+    reference interpreter charges the same cycles record by record.
+    """
+    stats = OracleCycleInterpreter(config, predictor).run(trace)
+    return CycleStats(stats.cycles, stats.instructions, stats.branches,
+                      stats.squashed_cycles, stats.mispredictions,
+                      stats.fill_cycles, stats.squashed_by_class)
+
+
 def _conditional_trace(n_records, period=10):
     records = [(7, BranchClass.CONDITIONAL, index % 3 == 0,
                 40 + index % 2, 2)
@@ -69,7 +83,7 @@ def test_simulated_cost_equals_closed_form_for_known_accuracy(
     outcomes = [(taken, target)
                 for _, _, taken, target, _ in records]
     predictor = ScheduledAccuracy(outcomes, hits, period)
-    stats = CycleSimulator(config, predictor).run(trace)
+    stats = _scheduled_cycles(config, predictor, trace)
 
     accuracy = hits / period
     # The DESIGN.md §6.6 convention: P = k + l + m + 1 covers the
@@ -139,12 +153,12 @@ def test_perfect_and_worst_case_bounds():
     records, trace = _conditional_trace(200, period=10)
     outcomes = [(taken, target) for _, _, taken, target, _ in records]
 
-    perfect = CycleSimulator(
-        config, ScheduledAccuracy(outcomes, 10, 10)).run(trace)
+    perfect = _scheduled_cycles(
+        config, ScheduledAccuracy(outcomes, 10, 10), trace)
     assert perfect.cost_per_branch == 1.0
     assert perfect.squashed_cycles == 0
 
-    worst = CycleSimulator(
-        config, ScheduledAccuracy(outcomes, 0, 10)).run(trace)
+    worst = _scheduled_cycles(
+        config, ScheduledAccuracy(outcomes, 0, 10), trace)
     assert worst.cost_per_branch == pytest.approx(
         branch_cost(0.0, k=config.k, l_bar=config.l, m_bar=config.m + 1))

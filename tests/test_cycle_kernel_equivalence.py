@@ -1,15 +1,16 @@
-"""Differential equivalence: the vector cycle sim vs the event loop.
+"""Differential equivalence: the cycle kernel vs the oracle interpreter.
 
 Mirror of ``tests/test_kernels_equivalence.py`` for the cycle layer:
-:mod:`repro.kernels.cycle` must make
-``CycleSimulator(..., engine="vector")`` bit-identical — every field,
-including the key-presence semantics of ``squashed_by_class`` — to the
-scalar event loop, for every supported predictor and every trace.  The
-battery drives that claim with the conformance fuzz seeds, the
-characterization probe corpus (adversarial capacity/alias regimes the
-fuzzer never reaches), Hypothesis-generated traces, and two
-deliberately injected kernel bugs that the harness must detect and
-ddmin-shrink rather than bless.
+:class:`~repro.pipeline.cycle_sim.CycleSimulator`, which always runs
+:mod:`repro.kernels.cycle`, must be bit-identical — every field,
+including the key-presence semantics of ``squashed_by_class`` — to
+:class:`~repro.conformance.oracles.OracleCycleInterpreter` driving the
+same production predictor record by record, for every supported
+predictor and every trace.  The battery drives that claim with the
+conformance fuzz seeds, the characterization probe corpus (adversarial
+capacity/alias regimes the fuzzer never reaches), Hypothesis-generated
+traces, and two deliberately injected kernel bugs that the harness
+must detect and ddmin-shrink rather than bless.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 
 from repro.conformance.differential import shrink_trace
 from repro.conformance.fuzz import TraceFuzzer
+from repro.conformance.oracles import OracleCycleInterpreter
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.cycle_sim import CycleSimulator
 
@@ -35,36 +37,35 @@ def _cycle_key(stats):
             stats.fill_cycles, dict(stats.squashed_by_class))
 
 
-def _engines_disagree(make_predictor, trace, config, ras_returns):
-    scalar = CycleSimulator(config, make_predictor(),
-                            ras_returns=ras_returns,
-                            engine="scalar").run(trace)
-    vector = CycleSimulator(config, make_predictor(),
-                            ras_returns=ras_returns,
-                            engine="vector").run(trace)
-    if _cycle_key(scalar) == _cycle_key(vector):
+def _kernel_disagrees(make_predictor, trace, config, ras_returns):
+    oracle = OracleCycleInterpreter(config, make_predictor(),
+                                    ras_returns=ras_returns).run(trace)
+    kernel = CycleSimulator(config, make_predictor(),
+                            ras_returns=ras_returns).run(trace)
+    if _cycle_key(oracle) == _cycle_key(kernel):
         return None
-    return scalar, vector
+    return oracle, kernel
 
 
-def _assert_cycle_engines_agree(label, make_predictor, trace,
-                                ras_returns=True):
+def _assert_kernel_matches_oracle(label, make_predictor, trace,
+                                  ras_returns=True):
     for config in _CYCLE_CONFIGS:
-        disagreement = _engines_disagree(make_predictor, trace, config,
+        disagreement = _kernel_disagrees(make_predictor, trace, config,
                                          ras_returns)
         if disagreement is None:
             continue
-        scalar, vector = disagreement
+        oracle, kernel = disagreement
         shrunk = shrink_trace(
             trace,
-            lambda t: _engines_disagree(make_predictor, t, config,
+            lambda t: _kernel_disagrees(make_predictor, t, config,
                                         ras_returns) is not None)
         pytest.fail(
-            "%s @ %r: cycle engines diverged\n  scalar: %r %r\n"
-            "  vector: %r %r\n  minimal reproducer (%d records): %r"
-            % (label, config, _cycle_key(scalar),
-               scalar.squashed_by_class, _cycle_key(vector),
-               vector.squashed_by_class, len(shrunk),
+            "%s @ %r: cycle kernel diverged from the oracle\n"
+            "  oracle: %r %r\n  kernel: %r %r\n"
+            "  minimal reproducer (%d records): %r"
+            % (label, config, _cycle_key(oracle),
+               oracle.squashed_by_class, _cycle_key(kernel),
+               kernel.squashed_by_class, len(shrunk),
                list(shrunk.records())))
 
 
@@ -73,7 +74,7 @@ def _fuzz_case(seed, ras_returns=True):
     trace = fuzzer.trace()
     likely = fuzzer.likely_sites()
     for label, make_predictor in _configs(likely, trace):
-        _assert_cycle_engines_agree(label, make_predictor, trace,
+        _assert_kernel_matches_oracle(label, make_predictor, trace,
                                     ras_returns=ras_returns)
 
 
@@ -104,7 +105,7 @@ def test_cycle_probe_corpus_battery():
     for family, name, trace in probe_battery(entries=16):
         likely = {site: True for site in set(trace.sites)}
         for label, make_predictor in _configs(likely, trace):
-            _assert_cycle_engines_agree(
+            _assert_kernel_matches_oracle(
                 "%s/%s:%s" % (family, name, label), make_predictor,
                 trace)
             checked += 1
@@ -117,8 +118,8 @@ def test_cycle_hypothesis_traces(records):
     trace = _trace_from(records)
     likely = {site: site % 2 == 0 for site in range(41)}
     for label, make_predictor in _configs(likely, trace):
-        _assert_cycle_engines_agree(label, make_predictor, trace)
-        _assert_cycle_engines_agree(label, make_predictor, trace,
+        _assert_kernel_matches_oracle(label, make_predictor, trace)
+        _assert_kernel_matches_oracle(label, make_predictor, trace,
                                     ras_returns=False)
 
 
@@ -156,11 +157,11 @@ def test_injected_squash_class_boundary_bug_detected(monkeypatch):
     trace = TraceFuzzer(7).trace()
     make_predictor = lambda: SimpleBTB(entries=16)  # noqa: E731
     config = PipelineConfig(2, 4, 4)
-    assert _engines_disagree(make_predictor, trace, config,
+    assert _kernel_disagrees(make_predictor, trace, config,
                              True) is not None
 
     def still_fails(candidate):
-        return _engines_disagree(make_predictor, candidate, config,
+        return _kernel_disagrees(make_predictor, candidate, config,
                                  True) is not None
 
     shrunk = shrink_trace(trace, still_fails, seed=7)
@@ -195,14 +196,14 @@ def test_injected_scan_segment_off_by_one_detected(monkeypatch):
     config = PipelineConfig(2, 4, 4)
     trace = next(
         TraceFuzzer(seed).trace() for seed in range(50)
-        if _engines_disagree(
+        if _kernel_disagrees(
             lambda: Bimodal(table_bits=6, entries=16),
             TraceFuzzer(seed).trace(), config, True) is not None)
-    assert _engines_disagree(make_predictor, trace, config,
+    assert _kernel_disagrees(make_predictor, trace, config,
                              True) is not None
 
     def still_fails(candidate):
-        return _engines_disagree(make_predictor, candidate, config,
+        return _kernel_disagrees(make_predictor, candidate, config,
                                  True) is not None
 
     shrunk = shrink_trace(trace, still_fails, seed=3)

@@ -3,7 +3,7 @@
 The differential battery (test_kernels_equivalence.py) establishes the
 end-to-end bit-identity contract; these tests pin the pieces it is
 built from: the segmented scan primitives against straightforward
-dict-based references, engine resolution and every one of its scalar
+dict-based references, path resolution and every one of its scalar
 fallbacks, trace-encoding memoization, and the stats plumbing.
 """
 
@@ -13,11 +13,9 @@ import pytest
 from repro.kernels import (
     AUTO_THRESHOLD,
     EncodedTrace,
-    get_default_engine,
     is_pristine,
     kernel_for,
     resolve_engine,
-    set_default_engine,
     simulate_vector,
     supports,
 )
@@ -29,6 +27,7 @@ from repro.predictors import (
     SimpleBTB,
     Tournament,
     simulate,
+    simulate_scalar,
 )
 from repro.vm.tracing import BranchClass, BranchTrace
 
@@ -164,7 +163,7 @@ def test_encoded_trace_memoizes_derived_structures():
         is encoded.subset("conditional", mask)
 
 
-# -- engine resolution ---------------------------------------------------
+# -- path resolution -----------------------------------------------------
 
 
 def _big_trace():
@@ -176,38 +175,28 @@ def _big_trace():
     return trace
 
 
-def test_resolve_engine_explicit_choices():
-    trace = _big_trace()
-    assert resolve_engine("scalar", SimpleBTB(16), trace) == "scalar"
-    assert resolve_engine("vector", SimpleBTB(16), trace) == "vector"
-    # Explicit vector wins regardless of trace size.
-    assert resolve_engine("vector", SimpleBTB(16), _small_trace()) \
-        == "vector"
-
-
 def test_resolve_engine_auto_threshold():
-    assert resolve_engine("auto", SimpleBTB(16), _small_trace()) \
+    assert resolve_engine(SimpleBTB(16), trace=_small_trace()) \
         == "scalar"
-    assert resolve_engine("auto", SimpleBTB(16), _big_trace()) \
-        == "vector"
+    assert resolve_engine(SimpleBTB(16), trace=_big_trace()) == "vector"
 
 
 def test_resolve_engine_scalar_fallbacks():
     trace = _big_trace()
     # flush_interval needs a per-record hook.
-    assert resolve_engine("vector", SimpleBTB(16), trace,
+    assert resolve_engine(SimpleBTB(16), trace=trace,
                           flush_interval=100) == "scalar"
     # No kernel for the tournament meta-predictor.
     assert not supports(Tournament())
-    assert resolve_engine("vector", Tournament(), trace) == "scalar"
+    assert resolve_engine(Tournament(), trace=trace) == "scalar"
     # A warm predictor invalidates the closed forms.
     warm = SimpleBTB(16)
-    simulate(warm, _small_trace(), engine="scalar")
+    simulate_scalar(warm, _small_trace())
     assert not is_pristine(warm)
-    assert resolve_engine("vector", warm, trace) == "scalar"
+    assert resolve_engine(warm, trace=trace) == "scalar"
     warm.reset()
     assert is_pristine(warm)
-    assert resolve_engine("vector", warm, trace) == "vector"
+    assert resolve_engine(warm, trace=trace) == "vector"
 
 
 def test_pristine_covers_direction_tables():
@@ -216,28 +205,10 @@ def test_pristine_covers_direction_tables():
                  lambda: CounterBTB(entries=16)):
         predictor = make()
         assert is_pristine(predictor)
-        simulate(predictor, _small_trace(), engine="scalar")
+        simulate_scalar(predictor, _small_trace())
         assert not is_pristine(predictor)
         predictor.reset()
         assert is_pristine(predictor)
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        resolve_engine("warp", SimpleBTB(16), _small_trace())
-    with pytest.raises(ValueError):
-        set_default_engine("warp")
-
-
-def test_default_engine_round_trip():
-    previous = set_default_engine("scalar")
-    try:
-        assert get_default_engine() == "scalar"
-        assert resolve_engine(None, SimpleBTB(16), _big_trace()) \
-            == "scalar"
-    finally:
-        set_default_engine(previous)
-    assert get_default_engine() == previous
 
 
 def test_simulate_vector_rejects_unsupported():
@@ -248,7 +219,7 @@ def test_simulate_vector_rejects_unsupported():
 
 def test_vector_engine_never_mutates_predictor():
     predictor = SimpleBTB(entries=16)
-    stats = simulate(predictor, _big_trace(), engine="vector")
+    stats = simulate(predictor, _big_trace())
     assert stats.total == AUTO_THRESHOLD
     assert is_pristine(predictor)
 
@@ -266,7 +237,7 @@ def test_vector_stats_on_empty_and_returns_only_traces():
         returns.append(3, BranchClass.RETURN, True, 7, 1)
     returns.total_instructions = 10
     stats = simulate_vector(SimpleBTB(16), returns)
-    reference = simulate(SimpleBTB(16), returns, engine="scalar")
+    reference = simulate_scalar(SimpleBTB(16), returns)
     assert stats == reference
     assert stats.total == 5 and stats.correct == 5
     assert stats.by_class_total == {BranchClass.RETURN: 5}
@@ -275,8 +246,8 @@ def test_vector_stats_on_empty_and_returns_only_traces():
 
 def test_prediction_stats_equality_and_dict():
     trace = _small_trace()
-    scalar = simulate(SimpleBTB(16), trace, engine="scalar")
-    vector = simulate(SimpleBTB(16), trace, engine="vector")
+    scalar = simulate_scalar(SimpleBTB(16), trace)
+    vector = simulate_vector(SimpleBTB(16), trace)
     assert scalar == vector
     assert scalar.as_dict() == vector.as_dict()
     assert scalar != object()
@@ -315,13 +286,13 @@ def test_eviction_screen_exact_at_capacity(monkeypatch):
 
     full = _capacity_trace(n_sites=2)
     predictor = CounterBTB(entries=2)
-    assert simulate(predictor, full, engine="vector") \
-        == simulate(CounterBTB(entries=2), full, engine="scalar")
+    assert simulate_vector(predictor, full) \
+        == simulate_scalar(CounterBTB(entries=2), full)
     assert not calls, "exactly-full set must stay closed-form"
 
     over = _capacity_trace(n_sites=3)
-    assert simulate(CounterBTB(entries=2), over, engine="vector") \
-        == simulate(CounterBTB(entries=2), over, engine="scalar")
+    assert simulate_vector(CounterBTB(entries=2), over) \
+        == simulate_scalar(CounterBTB(entries=2), over)
     assert calls, "overflowing set must route to the eviction kernel"
 
 
@@ -338,10 +309,10 @@ def test_eviction_screen_exact_at_capacity_sbtb(monkeypatch):
     monkeypatch.setattr(evict, "sbtb_evict", spy)
 
     full = _capacity_trace(n_sites=4)
-    assert simulate(SimpleBTB(entries=4), full, engine="vector") \
-        == simulate(SimpleBTB(entries=4), full, engine="scalar")
+    assert simulate_vector(SimpleBTB(entries=4), full) \
+        == simulate_scalar(SimpleBTB(entries=4), full)
     assert not calls
     over = _capacity_trace(n_sites=5)
-    assert simulate(SimpleBTB(entries=4), over, engine="vector") \
-        == simulate(SimpleBTB(entries=4), over, engine="scalar")
+    assert simulate_vector(SimpleBTB(entries=4), over) \
+        == simulate_scalar(SimpleBTB(entries=4), over)
     assert calls

@@ -1,9 +1,8 @@
-"""Differential equivalence: the vector engine vs the scalar simulator.
+"""Differential equivalence: the vector kernels vs the scalar simulator.
 
 The contract of :mod:`repro.kernels` is bit identity — for every
-supported predictor and every trace, ``simulate(..., engine="vector")``
-returns a ``PredictionStats`` equal field for field to the scalar
-loop's.  This battery drives that claim three ways:
+supported predictor and every trace, ``simulate_vector`` returns a
+``PredictionStats`` equal field for field to ``simulate_scalar``'s.  This battery drives that claim three ways:
 
 * seeded :class:`~repro.conformance.fuzz.TraceFuzzer` traces (loopy,
   biased, phase-changing — what real programs look like), over every
@@ -23,6 +22,7 @@ from repro.conformance.differential import (
     shrink_trace,
 )
 from repro.conformance.fuzz import TraceFuzzer
+from repro.kernels import simulate_vector
 from repro.predictors import (
     AlwaysNotTaken,
     AlwaysTaken,
@@ -32,7 +32,7 @@ from repro.predictors import (
     ForwardSemanticPredictor,
     GShare,
     SimpleBTB,
-    simulate,
+    simulate_scalar,
 )
 from repro.vm.tracing import BranchClass, BranchTrace
 
@@ -92,16 +92,15 @@ def _configs(likely, trace):
 
 
 def _assert_engines_agree(label, make_predictor, trace, **kwargs):
-    scalar = simulate(make_predictor(), trace, engine="scalar", **kwargs)
-    vector = simulate(make_predictor(), trace, engine="vector", **kwargs)
+    scalar = simulate_scalar(make_predictor(), trace, **kwargs)
+    vector = simulate_vector(make_predictor(), trace, **kwargs)
     if scalar == vector:
         return
     # Shrink before failing: the report carries a minimal reproducer.
     shrunk = shrink_trace(
         trace,
-        lambda t: simulate(make_predictor(), t, engine="scalar",
-                           **kwargs)
-        != simulate(make_predictor(), t, engine="vector", **kwargs))
+        lambda t: simulate_scalar(make_predictor(), t, **kwargs)
+        != simulate_vector(make_predictor(), t, **kwargs))
     pytest.fail(
         "%s: engines diverged (%s)\n  scalar: %r\n  vector: %r\n"
         "  minimal reproducer (%d records): %r"

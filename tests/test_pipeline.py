@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.conformance.oracles import OracleCycleInterpreter
 from repro.lang import compile_source
 from repro.pipeline import (
     CycleSimulator,
@@ -12,7 +13,13 @@ from repro.pipeline import (
     cost_from_stats,
 )
 from repro.pipeline.cost_model import speedup_over
-from repro.predictors import AlwaysNotTaken, SimpleBTB, simulate
+from repro.predictors import (
+    AlwaysNotTaken,
+    SimpleBTB,
+    Tournament,
+    simulate,
+    simulate_scalar,
+)
 from repro.vm import run_program
 
 
@@ -159,9 +166,26 @@ def test_cycle_sim_perfect_prediction_is_one_cycle_per_branch():
 
     next_records = [record for record in trace.records()
                     if record[1] != 3]
-    stats = CycleSimulator(PipelineConfig(2, 2, 2), Oracle()).run(trace)
-    assert stats.squashed_cycles == 0
-    assert stats.cost_per_branch == 1.0
+    # A perfect predictor has no kernel: the oracle interpreter runs it.
+    stats = OracleCycleInterpreter(PipelineConfig(2, 2, 2),
+                                   Oracle()).run(trace)
+    assert stats.squashed_cycles == 0 and stats.mispredictions == 0
+    assert stats.cycles == stats.fill_cycles + stats.instructions
+
+
+def test_cycle_sim_rejects_predictors_the_kernel_cannot_run():
+    """No silent fallback: a predictor with no kernel, or one with warm
+    buffers, raises instead of running a record loop."""
+    trace = _trace()
+    config = PipelineConfig(1, 1, 1)
+    with pytest.raises(ValueError, match="no cycle kernel"):
+        CycleSimulator(config, Tournament()).run(trace)
+    warm = SimpleBTB()
+    simulate_scalar(warm, trace)
+    with pytest.raises(ValueError, match="pristine"):
+        CycleSimulator(config, warm).run(trace)
+    warm.reset()
+    assert CycleSimulator(config, warm).run(trace).branches == len(trace)
 
 
 def test_cycle_sim_matches_cost_model():

@@ -475,38 +475,49 @@ def test_assoc_cache_eviction_counters():
     assert 0 <= stats["conflict_evictions"] <= stats["evictions"]
 
 
-def test_vector_engine_emits_same_telemetry_shape(global_telemetry):
-    """Scalar and vector simulate() paths report identically-shaped
-    telemetry: the same counters (modulo the per-engine name) and the
-    same ``predictor.simulate`` event fields."""
-    from repro.predictors import CounterBTB, simulate
-
+def _loop_trace():
+    """A loop trace long enough for simulate() to pick the kernels."""
     program = compile_source("""
         int main() {
             int i;
-            for (i = 0; i < 200; i = i + 1)
+            for (i = 0; i < 2000; i = i + 1)
                 if (i % 7 < 3) puti(i);
             return 0;
         }
     """, "t")
-    trace = run_program(program, trace=True).trace
+    return run_program(program, trace=True).trace
 
-    per_engine = {}
-    for engine in ("scalar", "vector"):
-        TELEMETRY.reset()
-        sink = InMemoryAggregator()
-        TELEMETRY.enable(sink)
-        simulate(CounterBTB(), trace, engine=engine)
-        per_engine[engine] = (TELEMETRY.snapshot()["counters"],
-                              sink.named("predictor.simulate"))
 
-    scalar_counters, scalar_events = per_engine["scalar"]
-    vector_counters, vector_events = per_engine["vector"]
+def _simulate_events(trace, **kwargs):
+    """Counters and ``predictor.simulate`` events of one CBTB run."""
+    from repro.predictors import CounterBTB, simulate
+
+    TELEMETRY.reset()
+    sink = InMemoryAggregator()
+    TELEMETRY.enable(sink)
+    simulate(CounterBTB(), trace, **kwargs)
+    return (TELEMETRY.snapshot()["counters"],
+            sink.named("predictor.simulate"))
+
+
+def test_vector_engine_emits_same_telemetry_shape(global_telemetry):
+    """Scalar and vector simulate() paths report the same counters
+    (modulo the per-path name) and the same outcome fields."""
+    from repro.kernels import AUTO_THRESHOLD
+
+    trace = _loop_trace()
+    assert len(trace) >= AUTO_THRESHOLD
+    # A flush interval past the end of the trace keeps the run on the
+    # scalar loop without ever flushing.
+    scalar_counters, scalar_events = _simulate_events(
+        trace, flush_interval=trace.total_instructions + 1)
+    vector_counters, vector_events = _simulate_events(trace)
+
     assert scalar_counters["predictor.records"] == len(trace)
     assert vector_counters["predictor.records"] == len(trace)
     assert scalar_counters["predictor.records.scalar"] == len(trace)
     assert vector_counters["predictor.records.vector"] == len(trace)
-    # Counter names match once the engine suffix is normalised.
+    # Counter names match once the path suffix is normalised.
     normalise = {name.replace(".scalar", ".<engine>")
                  .replace(".vector", ".<engine>")
                  for name in scalar_counters}
@@ -516,13 +527,26 @@ def test_vector_engine_emits_same_telemetry_shape(global_telemetry):
     assert len(scalar_events) == len(vector_events) == 1
     assert scalar_events[0]["engine"] == "scalar"
     assert vector_events[0]["engine"] == "vector"
-    assert set(scalar_events[0]) == set(vector_events[0])
-    # The engines are bit-identical on the simulation outcome (the
-    # per-predictor occupancy fields may differ: the vector engine
-    # does not mutate the predictor object).
     for key in ("records", "correct", "accuracy", "buffer_misses",
-                "miss_ratio"):
+                "miss_ratio", "scheme", "entries", "associativity"):
         assert scalar_events[0][key] == vector_events[0][key]
+
+
+def test_vector_event_omits_untouched_buffer_fields(global_telemetry):
+    """The vector path never touches the predictor object, so its event
+    must not report the empty buffer as if it were the run's state."""
+    trace = _loop_trace()
+    _, scalar_events = _simulate_events(
+        trace, flush_interval=trace.total_instructions + 1)
+    _, vector_events = _simulate_events(trace)
+    scalar, vector = scalar_events[0], vector_events[0]
+    assert scalar["occupancy"] > 0
+    assert sum(scalar["counter_distribution"].values()) \
+        == scalar["occupancy"]
+    for key in ("occupancy", "evictions", "conflict_evictions",
+                "counter_distribution"):
+        assert key in scalar
+        assert key not in vector
 
 
 # --- mispredict attribution -------------------------------------------------
