@@ -10,7 +10,9 @@ Two properties this gate pins down:
    log and the per-attempt shards are merged.  The resulting tree must
    be complete (no orphan spans): every worker attempt parents under
    its ``supervisor.shard`` span, and spans from the killed attempt
-   are adopted by their shard instead of dangling.
+   are adopted by their shard instead of dangling.  Two
+   ``metrics --replay`` renders of the recorded shards must be
+   byte-identical and carry the workers' counters.
 2. **The disabled path stays free.**  With telemetry off, ``span()``
    must return the shared ``NULL_SPAN`` and hot counter/histogram
    calls must allocate nothing (measured with tracemalloc filtered to
@@ -18,6 +20,8 @@ Two properties this gate pins down:
    check, not garbage.
 """
 
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -27,9 +31,9 @@ from pathlib import Path
 sys.path.insert(
     0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.cli import main as cli_main  # noqa: E402
 from repro.resilience.supervisor import run_supervised  # noqa: E402
 from repro.telemetry.core import NULL_SPAN, TELEMETRY  # noqa: E402
-from repro.telemetry.live import EventTail, SweepMonitor  # noqa: E402
 from repro.telemetry.sinks import JsonlSink  # noqa: E402
 from repro.telemetry.tracing import merge_trace, start_trace  # noqa: E402
 
@@ -39,6 +43,7 @@ def _work(payload):
     label, crash_marker = payload
     with TELEMETRY.span("gate.compute", task=str(label)):
         total = sum(range(50_000))
+        TELEMETRY.count("gate.compute")
     if crash_marker is not None and not Path(crash_marker).exists():
         Path(crash_marker).write_text("crashed once")
         os._exit(13)    # killed inside the open worker.attempt span
@@ -83,15 +88,20 @@ def trace_gate(tmp):
                for node in root.walk()), \
         "killed attempt left no adopted spans (adoption path untested)"
 
-    # The live monitor must fold the same recording deterministically.
+    # The recorded-run reader must fold the shards deterministically,
+    # summing one counter per successful attempt (the killed attempt
+    # never wrote its snapshot).
     renders = set()
     for _ in range(2):
-        monitor = SweepMonitor()
-        monitor.observe_all(EventTail(paths=[log],
-                                      directory=traces).poll())
-        renders.add(monitor.render())
-    assert len(renders) == 1, "top --replay render is not deterministic"
-    assert "retried: flaky" in next(iter(renders))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exit_code = cli_main(["metrics", "--replay", str(traces)])
+        assert exit_code == 0, "metrics --replay exited %d" % exit_code
+        renders.add(out.getvalue())
+    assert len(renders) == 1, "metrics --replay render is not deterministic"
+    assert "repro_gate_compute_total 4\n" in next(iter(renders)), \
+        "worker counters missing from the replay:\n%s" \
+        % next(iter(renders))
 
     print("trace gate: %d spans, %d shards, %d attempts, tree complete"
           % (tree.span_count, len(shards), len(attempts)))

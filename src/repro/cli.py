@@ -13,8 +13,8 @@ Examples::
     repro-branches lint --file program.asm
     repro-branches staticpred
     repro-branches table3 --profile-source static
-    repro-branches top --replay .repro-cache/telemetry.jsonl
-    repro-branches metrics --replay .repro-cache/traces
+    repro-branches metrics --replay .repro_cache/telemetry.jsonl
+    repro-branches metrics --replay .repro_cache/traces
     repro-branches bench-history --window 8 --threshold 0.2
     repro-branches characterize SBTB-paper
     repro-branches characterize --self-test
@@ -62,8 +62,8 @@ _ORDER = ("table1", "table2", "table3", "table4", "table5", "figures",
 _TARGETED = ("stats", "profile", "trace", "characterize")
 
 #: Subcommands that never touch the trace cache directory.
-_CACHELESS = ("lint", "cache", "faults", "top", "metrics",
-              "bench-history", "characterize")
+_CACHELESS = ("lint", "cache", "faults", "metrics", "bench-history",
+              "characterize")
 
 #: Distinct exit codes (0 = success, 1 = the experiment itself
 #: reported failures, e.g. lint errors or conformance divergence).
@@ -81,8 +81,7 @@ def build_parser():
                                                         "lint", "stats",
                                                         "profile", "cache",
                                                         "conformance",
-                                                        "faults", "top",
-                                                        "metrics",
+                                                        "faults", "metrics",
                                                         "bench-history",
                                                         "characterize"],
                         help="which table/figure to regenerate; 'report' "
@@ -105,13 +104,10 @@ def build_parser():
                              "ENOSPC, worker crash/hang, corrupt "
                              "manifests) and exits non-zero if any "
                              "injected fault is silently swallowed; "
-                             "'top' monitors a sweep live from its "
-                             "event log and trace shards (--replay "
-                             "renders a recorded log once); 'metrics' "
-                             "prints a Prometheus text-format "
-                             "exposition of the registry (--replay "
-                             "rebuilds it from a recorded log, --serve "
-                             "exposes /metrics over HTTP); "
+                             "'metrics' prints a Prometheus "
+                             "text-format exposition of the counters "
+                             "and span histograms rebuilt from the "
+                             "recorded event log named by --replay; "
                              "'bench-history' reports the benchmark "
                              "gates' longitudinal BENCH_history.jsonl "
                              "against a rolling-median baseline and "
@@ -201,26 +197,15 @@ def build_parser():
                         action="store_true", default=False,
                         help="enable the telemetry registry (spans, "
                              "counters, JSONL event log; default off)")
-    parser.add_argument("--no-telemetry", dest="telemetry",
-                        action="store_false",
-                        help="force telemetry off (the default)")
     parser.add_argument("--telemetry-log", default=None, metavar="PATH",
                         help="JSONL event-log path when telemetry is on "
                              "(default: telemetry.jsonl under the trace "
                              "cache directory)")
     parser.add_argument("--replay", default=None, metavar="LOG",
-                        help="for 'top' and 'metrics': read this "
-                             "recorded event log (a JSONL file or a "
-                             "directory of shards) instead of tailing "
-                             "the live cache-dir stream; the render is "
+                        help="for 'metrics' (required): the "
+                             "recorded event log to read, a JSONL file "
+                             "or a directory of shards; the render is "
                              "deterministic")
-    parser.add_argument("--serve", action="store_true",
-                        help="for 'metrics': serve /metrics over a "
-                             "stdlib HTTP server instead of printing "
-                             "one exposition")
-    parser.add_argument("--port", type=int, default=9464,
-                        help="for 'metrics --serve': listen port "
-                             "(default 9464)")
     parser.add_argument("--window", type=int, default=None,
                         help="for 'bench-history': rolling-baseline "
                              "window in records (default 8)")
@@ -380,98 +365,31 @@ def _lint(names, file_path, show_warnings=True, strict=False,
     return "\n".join(lines) + "\n", 1 if failures else 0
 
 
-def _top(args):
-    """'top': monitor a sweep from its event log and trace shards.
-
-    With ``--replay`` the recorded log (file or shard directory) is
-    folded once and the snapshot rendered — byte-for-byte
-    deterministic, since every derived figure comes from recorded
-    timestamps.  Without it, the live cache-dir stream is tailed and
-    redrawn until the supervisor reports done (or Ctrl-C).
-    """
-    import time
-    from pathlib import Path
-
-    from repro.telemetry.live import EventTail, SweepMonitor
-
-    monitor = SweepMonitor()
-    if args.replay:
-        source = Path(args.replay)
-        if not source.exists():
-            print("repro-branches: error: no such event log: %s"
-                  % source, file=sys.stderr)
-            return "", EXIT_BAD_ARGUMENT
-        tail = (EventTail(directory=source) if source.is_dir()
-                else EventTail(paths=[source],
-                               directory=source.parent / "traces"))
-        monitor.observe_all(tail.poll())
-        return monitor.render(), 0
-
-    from repro.experiments.runner import default_cache_dir
-
-    cache_dir = default_cache_dir()
-    tail = EventTail(paths=[cache_dir / "telemetry.jsonl"],
-                     directory=cache_dir / "traces")
-    last = None
-    try:
-        while True:
-            monitor.observe_all(tail.poll())
-            frame = monitor.render()
-            if frame != last:
-                sys.stdout.write("\x1b[2J\x1b[H" + frame)
-                sys.stdout.flush()
-                last = frame
-            if monitor.done and not monitor.in_flight:
-                break
-            time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    return "", 0
-
-
 def _metrics(args):
-    """'metrics': Prometheus text exposition of telemetry aggregates.
+    """'metrics': Prometheus text exposition of a recorded run.
 
     ``--replay`` rebuilds a registry from a recorded event log (or a
     directory of shards): span events feed the duration histograms,
     the ``telemetry.snapshot`` counter dumps restore counters summed
-    across processes.  ``--serve`` exposes /metrics over a stdlib
-    HTTP server until interrupted.
+    across processes.
     """
     from pathlib import Path
 
-    from repro.telemetry.core import TELEMETRY, Telemetry
-    from repro.telemetry.exposition import (
-        prometheus_text,
-        replay_into,
-        serve_metrics,
-    )
+    from repro.telemetry.core import Telemetry
+    from repro.telemetry.exposition import prometheus_text, replay_into
     from repro.telemetry.sinks import read_jsonl_tolerant
+    from repro.telemetry.tracing import jsonl_files
 
-    registry = TELEMETRY
-    if args.replay:
-        source = Path(args.replay)
-        if not source.exists():
-            print("repro-branches: error: no such event log: %s"
-                  % source, file=sys.stderr)
-            return "", EXIT_BAD_ARGUMENT
-        paths = (sorted(source.glob("*.jsonl")) if source.is_dir()
-                 else [source])
-        registry = Telemetry(enabled=True)
-        for path in paths:
-            events, _torn = read_jsonl_tolerant(path)
-            replay_into(registry, events)
-    if args.serve:
-        server = serve_metrics(registry, port=args.port)
-        print("serving http://%s:%d/metrics" % server.server_address,
-              file=sys.stderr)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()
-        return "", 0
+    if not args.replay:
+        return "", _usage_error("metrics needs --replay LOG (a recorded "
+                                "event log or a directory of shards)")
+    source = Path(args.replay)
+    if not source.exists():
+        return "", _usage_error("no such event log: %s" % source)
+    registry = Telemetry(enabled=True)
+    for path in jsonl_files(source):
+        events, _torn = read_jsonl_tolerant(path)
+        replay_into(registry, events)
     return prometheus_text(registry.snapshot()), 0
 
 
@@ -527,9 +445,6 @@ def _validate_args(args):
         return _usage_error("--seeds must be >= 1 (got %d)" % args.seeds)
     if args.limit < 1:
         return _usage_error("--limit must be >= 1 (got %d)" % args.limit)
-    if not 1 <= args.port <= 65535:
-        return _usage_error("--port must be in 1..65535 (got %d)"
-                            % args.port)
     if args.window is not None and args.window < 1:
         return _usage_error("--window must be >= 1 (got %d)"
                             % args.window)
@@ -651,8 +566,8 @@ def main(argv=None):
 
         _write_output(render_cache(as_json=args.json), args.output)
         return 0
-    if args.experiment in ("top", "metrics", "bench-history"):
-        handler = {"top": _top, "metrics": _metrics,
+    if args.experiment in ("metrics", "bench-history"):
+        handler = {"metrics": _metrics,
                    "bench-history": _bench_history}[args.experiment]
         text, exit_code = handler(args)
         if text:
@@ -746,7 +661,7 @@ def main(argv=None):
         if event_log is not None:
             from repro.telemetry.core import TELEMETRY
 
-            # Dump the final counters so replay/`top` can rebuild them
+            # Dump the final counters so `metrics --replay` rebuilds them
             # from the log alone (workers do the same on exit).
             TELEMETRY.event("telemetry.snapshot",
                             counters=TELEMETRY.snapshot()["counters"])

@@ -665,8 +665,8 @@ class SuiteRunner:
         ]
         # Telemetry-enabled warms are traced across the process
         # boundary: each attempt writes a JSONL shard under
-        # <cache>/traces that the merger (and `repro-branches top`)
-        # stitches under this runner.warm span.
+        # <cache>/traces that the merger stitches under this
+        # runner.warm span.
         trace_dir = None
         if TELEMETRY.enabled:
             from repro.telemetry.tracing import ensure_trace

@@ -125,14 +125,21 @@ class FaultMatrixReport:
 
 @contextlib.contextmanager
 def _captured_events():
-    """Route telemetry into a private aggregator; restore after."""
+    """Route telemetry into a private aggregator; restore after.
+
+    The counters and histograms the matrix records go into private
+    tables too, so the process registry comes back as it was.
+    """
     sink = InMemoryAggregator()
-    prior_enabled, prior_sink = TELEMETRY.enabled, TELEMETRY.sink
+    prior = (TELEMETRY.enabled, TELEMETRY.sink,
+             TELEMETRY._counters, TELEMETRY._histograms)
+    TELEMETRY._counters, TELEMETRY._histograms = {}, {}
     TELEMETRY.enable(sink)
     try:
         yield sink
     finally:
-        TELEMETRY.enabled, TELEMETRY.sink = prior_enabled, prior_sink
+        (TELEMETRY.enabled, TELEMETRY.sink,
+         TELEMETRY._counters, TELEMETRY._histograms) = prior
 
 
 def _event_names(sink):

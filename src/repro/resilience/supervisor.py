@@ -30,7 +30,7 @@ and writes its spans/events to a per-attempt JSONL shard under
 ``trace_dir``; the supervisor emits one ``supervisor.shard`` span per
 attempt (retries and kills included) that the merger parents those
 shards under, plus ``supervisor.start``/``supervisor.done`` and
-``worker.spawn`` events the live ``top`` monitor feeds on.
+``worker.spawn`` events that annotate the merged tree.
 """
 
 import multiprocessing

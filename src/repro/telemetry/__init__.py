@@ -11,11 +11,8 @@ The pieces (see docs/OBSERVABILITY.md for the full guide):
 * :mod:`repro.telemetry.tracing` — cross-process trace propagation:
   trace contexts shipped into supervised workers, per-attempt JSONL
   shards, and the merger that stitches them into one trace tree;
-* :mod:`repro.telemetry.live` — the tailing event bus and sweep
-  monitor behind ``repro-branches top``;
 * :mod:`repro.telemetry.exposition` — Prometheus text-format
-  exposition (``repro-branches metrics``) and the stdlib HTTP
-  exporter;
+  exposition of a recorded run (``repro-branches metrics --replay``);
 * :mod:`repro.telemetry.history` — the append-only BENCH_history.jsonl
   perf trajectory and its regression report
   (``repro-branches bench-history``);
@@ -47,7 +44,6 @@ from repro.telemetry.sinks import (
     InMemoryAggregator,
     JsonlSink,
     Sink,
-    read_jsonl,
     read_jsonl_tolerant,
 )
 from repro.telemetry.tracing import (
@@ -72,7 +68,6 @@ __all__ = [
     "InMemoryAggregator",
     "JsonlSink",
     "Sink",
-    "read_jsonl",
     "read_jsonl_tolerant",
     "TraceContext",
     "TraceTree",

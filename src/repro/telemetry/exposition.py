@@ -6,16 +6,11 @@ counters, histograms become summaries with ``quantile`` labels from
 the reservoir percentiles plus ``_sum``/``_count``.  Metric names are
 sanitised (``runner.cache.hit`` -> ``repro_runner_cache_hit_total``).
 
-Two ways to consume it:
-
-* ``repro-branches metrics --replay <log>`` rebuilds a registry from
-  a recorded JSONL event log (span durations feed the histograms; the
-  final ``telemetry.snapshot`` event each run appends restores the
-  counters) and prints the exposition — scrape-by-cron over artifact
-  logs;
-* ``repro-branches metrics --serve`` (or :func:`serve_metrics` in
-  code) exposes ``/metrics`` over a stdlib ``http.server`` — no
-  third-party client library, by design.
+``repro-branches metrics --replay <log>`` rebuilds a registry from a
+recorded JSONL event log or a directory of shards (span durations
+feed the histograms; the final ``telemetry.snapshot`` event each run
+and worker attempt appends restores the counters) and prints the
+exposition — scrape-by-cron over artifact logs.
 """
 
 import re
@@ -77,31 +72,3 @@ def replay_into(registry, events):
                 registry.count(counter, value)
     return registry
 
-
-def serve_metrics(registry, host="127.0.0.1", port=9464):
-    """A stdlib HTTP server exposing ``/metrics`` for ``registry``.
-
-    Returns the prepared ``http.server.ThreadingHTTPServer`` —
-    call ``serve_forever()`` on it (the CLI does), or drive
-    ``handle_request()`` from a test.  No third-party dependency.
-    """
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    class MetricsHandler(BaseHTTPRequestHandler):
-        def do_GET(self):
-            if self.path.rstrip("/") not in ("", "/metrics"):
-                self.send_error(404)
-                return
-            body = prometheus_text(registry.snapshot()).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; "
-                             "charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, format, *args):    # noqa: A002 - stdlib API
-            pass                                 # keep scrapes silent
-
-    return ThreadingHTTPServer((host, port), MetricsHandler)

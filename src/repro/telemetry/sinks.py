@@ -124,17 +124,6 @@ class JsonlSink(Sink):
         return "JsonlSink(%r)" % str(self.path)
 
 
-def read_jsonl(path):
-    """Parse an event log written by :class:`JsonlSink`."""
-    events = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
-
-
 def read_jsonl_tolerant(path):
     """Parse an event log, skipping torn lines.
 

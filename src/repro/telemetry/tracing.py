@@ -22,8 +22,9 @@ together:
   was killed mid-flight) are *adopted* by their shard span rather
   than dropped, so a tree over a crashed sweep is still complete.
 
-The scripts/check.sh trace gate and ``repro-branches top --replay``
-are both clients of the merger; `docs/OBSERVABILITY.md
+The scripts/check.sh trace gate is a client of the merger, and
+``repro-branches metrics --replay`` reads the same files through
+:func:`jsonl_files`; `docs/OBSERVABILITY.md
 <../../../docs/OBSERVABILITY.md>`_ shows a worked example.
 """
 
@@ -243,6 +244,22 @@ class TraceTree:
             len(self.orphans))
 
 
+def jsonl_files(paths):
+    """The event-log files ``paths`` names, in read order.
+
+    ``paths`` is one path or a list/tuple of them; a directory expands
+    to its ``*.jsonl`` files sorted by name, a file stands for itself.
+    """
+    files = []
+    for path in (paths if isinstance(paths, (list, tuple)) else [paths]):
+        path = Path(path)
+        if path.is_dir():
+            files.extend(sorted(path.glob("*.jsonl")))
+        else:
+            files.append(path)
+    return files
+
+
 def merge_trace(paths, trace_id=None):
     """Stitch span shards into one :class:`TraceTree`.
 
@@ -261,18 +278,10 @@ def merge_trace(paths, trace_id=None):
     (the attempt was killed before its root span closed), and is an
     orphan otherwise.
     """
-    files = []
-    for path in (paths if isinstance(paths, (list, tuple)) else [paths]):
-        path = Path(path)
-        if path.is_dir():
-            files.extend(sorted(path.glob("*.jsonl")))
-        else:
-            files.append(path)
-
     torn_total = 0
     spans = []
     loose_events = []
-    for path in files:
+    for path in jsonl_files(paths):
         events, torn = read_jsonl_tolerant(path)
         torn_total += torn
         for event in events:

@@ -361,18 +361,25 @@ def test_main_faults_failed_recovery_exits_1(capsys, monkeypatch):
     assert "RESULT: FAIL" in capsys.readouterr().out
 
 
-# -- removed subcommand and port validation ---------------------------------
+# -- removed subcommands and options -----------------------------------------
 
 
-def test_main_serve_is_not_a_subcommand(capsys):
+@pytest.mark.parametrize("name", ["serve", "top"])
+def test_main_removed_subcommand_is_invalid_choice(capsys, name):
     with pytest.raises(SystemExit) as excinfo:
-        main(["serve"])
+        main([name])
     assert excinfo.value.code == 2
-    assert "invalid choice: 'serve'" in capsys.readouterr().err
+    assert "invalid choice: '%s'" % name in capsys.readouterr().err
 
 
-def test_engine_is_not_an_option(tmp_path):
-    """The code picks the simulation path; ``--engine`` is gone."""
+@pytest.mark.parametrize("argv", [
+    ["table3", "--engine", "vector"],
+    ["metrics", "--serve"],
+    ["metrics", "--port", "9464"],
+    ["table3", "--no-telemetry"],
+], ids=["engine", "serve", "port", "no-telemetry"])
+def test_removed_option_is_unrecognized(tmp_path, argv):
+    """Options with nothing left to choose are gone from the CLI."""
     import os
     import subprocess
     import sys
@@ -381,13 +388,15 @@ def test_engine_is_not_an_option(tmp_path):
     env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     result = subprocess.run(
-        [sys.executable, "-m", "repro", "table3", "--engine", "vector"],
+        [sys.executable, "-m", "repro"] + argv,
         capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 2
-    assert "unrecognized arguments: --engine" in result.stderr
+    assert "unrecognized arguments: %s" % argv[1] in result.stderr
 
 
-def test_main_metrics_rejects_port_zero(capsys):
-    exit_code = main(["metrics", "--port", "0"])
-    assert exit_code == 2
-    assert "--port must be in 1..65535" in capsys.readouterr().err
+def test_main_metrics_needs_replay(capsys):
+    assert main(["metrics"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "metrics needs --replay" in captured.err

@@ -144,6 +144,17 @@ def test_fault_matrix_one_seed_all_kinds(tmp_path):
     assert len(data["cases"]) == len(FAULT_KINDS)
 
 
+def test_fault_matrix_leaves_registry_aggregates_alone(tmp_path):
+    """The matrix records into private tables, not the process's."""
+    from repro.telemetry.core import TELEMETRY
+
+    before = TELEMETRY.counter_value("vm.runs")
+    report = run_fault_matrix(seeds=1, kinds=("enospc",),
+                              base_dir=str(tmp_path))
+    assert report.ok, report.render()
+    assert TELEMETRY.counter_value("vm.runs") == before
+
+
 def test_fault_matrix_report_fails_on_swallow():
     from repro.resilience.harness import FaultCase, FaultMatrixReport
 

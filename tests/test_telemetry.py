@@ -13,7 +13,7 @@ from repro.telemetry import (
     RunManifest,
     Telemetry,
     manifest_path_for,
-    read_jsonl,
+    read_jsonl_tolerant,
 )
 from repro.telemetry.core import TELEMETRY
 from repro.vm import run_program
@@ -256,7 +256,8 @@ def test_jsonl_sink_roundtrip(tmp_path):
     sink.emit({"type": "event", "name": "one", "value": 1})
     sink.emit({"type": "event", "name": "two", "value": 2})
     sink.close()
-    events = read_jsonl(path)
+    events, torn = read_jsonl_tolerant(path)
+    assert torn == 0
     assert [event["name"] for event in events] == ["one", "two"]
     assert all("ts" in event for event in events)
 
@@ -268,8 +269,9 @@ def test_jsonl_sink_append_after_close(tmp_path):
     sink.close()
     sink.emit({"name": "second"})  # reopens in append mode
     sink.close()
-    assert [event["name"] for event in read_jsonl(path)] == [
-        "first", "second"]
+    events, torn = read_jsonl_tolerant(path)
+    assert torn == 0
+    assert [event["name"] for event in events] == ["first", "second"]
 
 
 def test_jsonl_sink_context_manager_closes(tmp_path):
@@ -278,7 +280,9 @@ def test_jsonl_sink_context_manager_closes(tmp_path):
         sink.emit({"name": "inside"})
         assert sink._handle is not None
     assert sink._handle is None
-    assert [event["name"] for event in read_jsonl(path)] == ["inside"]
+    events, torn = read_jsonl_tolerant(path)
+    assert torn == 0
+    assert [event["name"] for event in events] == ["inside"]
 
 
 def test_jsonl_sink_span_events_flushed_immediately(tmp_path):
@@ -286,13 +290,13 @@ def test_jsonl_sink_span_events_flushed_immediately(tmp_path):
     sink = JsonlSink(path)
     sink.emit({"type": "span", "name": "work", "duration_s": 0.1})
     # Readable before close: the span line was flushed on emission.
-    assert read_jsonl(path)[0]["name"] == "work"
+    events, torn = read_jsonl_tolerant(path)
+    assert torn == 0
+    assert events[0]["name"] == "work"
     sink.close()
 
 
 def test_read_jsonl_tolerant_skips_torn_lines(tmp_path):
-    from repro.telemetry import read_jsonl_tolerant
-
     path = tmp_path / "events.jsonl"
     path.write_text('{"name": "ok", "type": "event"}\n'
                     '[1, 2, 3]\n'

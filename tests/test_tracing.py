@@ -1,5 +1,5 @@
 """Tests for cross-process tracing: contexts, shards, the merger,
-the live sweep monitor, and Prometheus exposition."""
+and Prometheus exposition of recorded runs."""
 
 import json
 import os
@@ -19,7 +19,6 @@ from repro.telemetry import (
     start_trace,
 )
 from repro.telemetry.core import TELEMETRY
-from repro.telemetry.live import EventTail, SweepMonitor
 from repro.telemetry.tracing import (
     ATTEMPT_SPAN,
     SHARD_SPAN,
@@ -244,102 +243,6 @@ def test_merge_trace_respects_trace_id_filter(tmp_path):
     assert [node.name for node in tree.roots] == ["root-bbbb"]
 
 
-# --- the live monitor -------------------------------------------------------
-
-
-def test_event_tail_reads_incrementally(tmp_path):
-    log = tmp_path / "stream.jsonl"
-    tail = EventTail(paths=[log])
-    assert tail.poll() == []                  # not yet written
-    with open(log, "w") as handle:
-        handle.write('{"name": "one", "ts": 1.0}\n')
-        handle.write('{"name": "two", "ts": 2.0')   # torn, no newline
-    first = tail.poll()
-    assert [event["name"] for event in first] == ["one"]
-    with open(log, "a") as handle:
-        handle.write('}\n')                   # the newline lands
-    second = tail.poll()
-    assert [event["name"] for event in second] == ["two"]
-    assert tail.poll() == []
-
-
-def test_event_tail_discovers_new_shards(tmp_path):
-    tail = EventTail(directory=tmp_path)
-    assert tail.poll() == []
-    (tmp_path / "shard-x-a-a1.jsonl").write_text(
-        '{"name": "late", "ts": 3.0}\n')
-    assert [event["name"] for event in tail.poll()] == ["late"]
-
-
-def test_sweep_monitor_replay_is_deterministic(tmp_path, traced):
-    log, _context = traced
-    marker = tmp_path / "crash-once.marker"
-    run_supervised([("ok", ("ok", None)),
-                    ("flaky", ("flaky", str(marker)))],
-                   _crash_once_worker, workers=2, timeout=30.0,
-                   retries=1, backoff=0.01,
-                   trace_dir=tmp_path / "traces")
-    TELEMETRY.sink.close()
-
-    def render_once():
-        monitor = SweepMonitor()
-        tail = EventTail(paths=[log], directory=tmp_path / "traces")
-        monitor.observe_all(tail.poll())
-        return monitor.render()
-
-    first, second = render_once(), render_once()
-    assert first == second
-    assert "2/2 tasks finished" in first
-    assert "DONE" in first
-    assert "retried: flaky" in first
-
-
-def test_top_replay_cli_renders_recorded_sweep(tmp_path, capsys):
-    from repro.cli import main
-
-    log = tmp_path / "telemetry.jsonl"
-    with open(log, "w") as handle:
-        handle.write(json.dumps({
-            "type": "event", "name": "supervisor.start", "tasks": 1,
-            "workers": 2, "ts": 1.0}) + "\n")
-        handle.write(json.dumps({
-            "type": "span", "name": SHARD_SPAN, "task": "wc",
-            "attempt": 1, "status": "ok", "duration_s": 0.5,
-            "ts": 2.0}) + "\n")
-        handle.write(json.dumps({
-            "type": "event", "name": "supervisor.done", "succeeded": 1,
-            "failed": 0, "degraded": False, "ts": 2.5}) + "\n")
-    assert main(["top", "--replay", str(log)]) == 0
-    out = capsys.readouterr().out
-    assert "sweep: 1/1 tasks finished, 2 workers, DONE" in out
-    assert "done     wc (attempt 1, 0.50s)" in out
-
-
-def test_top_replay_missing_log_is_bad_argument(tmp_path):
-    from repro.cli import EXIT_BAD_ARGUMENT, main
-
-    assert main(["top", "--replay",
-                 str(tmp_path / "nope.jsonl")]) == EXIT_BAD_ARGUMENT
-
-
-def test_sweep_monitor_eta_and_cache_rate():
-    monitor = SweepMonitor()
-    monitor.observe_all([
-        {"type": "event", "name": "supervisor.start", "tasks": 4,
-         "workers": 2, "ts": 0.0},
-        {"type": "span", "name": SHARD_SPAN, "task": "a", "attempt": 1,
-         "status": "ok", "duration_s": 1.0, "ts": 10.0},
-        {"type": "span", "name": SHARD_SPAN, "task": "b", "attempt": 1,
-         "status": "ok", "duration_s": 1.0, "ts": 10.0},
-        {"type": "event", "name": "telemetry.snapshot",
-         "counters": {"runner.cache.hit": 3, "runner.cache.miss": 1},
-         "ts": 10.0},
-    ])
-    assert monitor.eta_seconds == pytest.approx(10.0)
-    assert monitor.cache_hit_rate == pytest.approx(0.75)
-    assert not monitor.done
-
-
 # --- exposition -------------------------------------------------------------
 
 
@@ -381,37 +284,36 @@ def test_replay_rebuilds_registry_from_log():
 def test_metrics_cli_replay(tmp_path, capsys):
     from repro.cli import main
 
+    def snapshot(path, records):
+        with open(path, "w") as handle:
+            handle.write(json.dumps({
+                "type": "event", "name": "telemetry.snapshot",
+                "counters": {"predictor.records": records}}) + "\n")
+
     log = tmp_path / "telemetry.jsonl"
-    with open(log, "w") as handle:
-        handle.write(json.dumps({
-            "type": "event", "name": "telemetry.snapshot",
-            "counters": {"predictor.records": 1234}}) + "\n")
+    snapshot(log, 1234)
     assert main(["metrics", "--replay", str(log)]) == 0
     out = capsys.readouterr().out
     assert "repro_predictor_records_total 1234" in out
 
+    # A shard directory sums the counters of every shard in it.
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    snapshot(traces / "shard-t-a-a1.jsonl", 1000)
+    snapshot(traces / "shard-t-b-a1.jsonl", 234)
+    (traces / "notes.txt").write_text("not an event log\n")
+    assert main(["metrics", "--replay", str(traces)]) == 0
+    assert capsys.readouterr().out == out
 
-def test_serve_metrics_over_http():
-    import threading
-    import urllib.request
 
-    from repro.telemetry.exposition import serve_metrics
+def test_metrics_replay_missing_log_is_bad_argument(tmp_path, capsys):
+    from repro.cli import EXIT_BAD_ARGUMENT, main
 
-    registry = Telemetry(enabled=True)
-    registry.count("vm.runs", 2)
-    server = serve_metrics(registry, port=0)   # ephemeral port
-    thread = threading.Thread(target=server.handle_request)
-    thread.start()
-    try:
-        url = "http://127.0.0.1:%d/metrics" % server.server_address[1]
-        with urllib.request.urlopen(url, timeout=5) as response:
-            body = response.read().decode("utf-8")
-            assert response.headers["Content-Type"].startswith(
-                "text/plain; version=0.0.4")
-    finally:
-        thread.join(timeout=5)
-        server.server_close()
-    assert "repro_vm_runs_total 2" in body
+    assert main(["metrics", "--replay",
+                 str(tmp_path / "nope.jsonl")]) == EXIT_BAD_ARGUMENT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no such event log" in captured.err
 
 
 def test_attempt_span_name_constant():
