@@ -17,7 +17,7 @@ from repro.predictors import (
 )
 from repro.profiling import profile_program
 from repro.traceopt import build_fs_program
-from repro.vm import run_program
+from repro.vm import BranchTrace, run_program
 
 from conftest import bench_scale
 
@@ -27,12 +27,9 @@ NAMES = ("wc", "grep", "cccp", "make", "espresso")
 def _measure(program, suite):
     profile, _ = profile_program(program, suite)
     layout = build_fs_program(program, profile)
-    merged = None
-    for streams in suite:
-        trace = run_program(layout.program, inputs=streams,
-                            trace=True).trace
-        merged = trace if merged is None else (merged.extend(trace)
-                                               or merged)
+    merged = BranchTrace.concatenate([
+        run_program(layout.program, inputs=streams, trace=True).trace
+        for streams in suite])
     stats = merged.stats()
     return {
         "instructions": merged.total_instructions,

@@ -11,7 +11,7 @@ from repro.experiments.report import mean
 from repro.predictors import ForwardSemanticPredictor, simulate
 from repro.profiling import profile_program
 from repro.traceopt import build_fs_program
-from repro.vm import run_program
+from repro.vm import BranchTrace, run_program
 
 from conftest import bench_scale
 
@@ -28,12 +28,9 @@ def _measure(name, scale):
     for n_runs in PROFILE_RUNS:
         profile, _ = profile_program(program, full_suite[:n_runs])
         layout = build_fs_program(program, profile)
-        merged = None
-        for streams in full_suite:
-            trace = run_program(layout.program, inputs=streams,
-                                trace=True).trace
-            merged = (trace if merged is None
-                      else (merged.extend(trace) or merged))
+        merged = BranchTrace.concatenate([
+            run_program(layout.program, inputs=streams, trace=True).trace
+            for streams in full_suite])
         accuracies[n_runs] = simulate(
             ForwardSemanticPredictor(program=layout.program),
             merged).accuracy

@@ -19,7 +19,7 @@ from repro.traceopt import (
     lay_out_traces,
     select_traces,
 )
-from repro.vm import run_program
+from repro.vm import BranchTrace, run_program
 
 from conftest import bench_scale
 
@@ -38,13 +38,13 @@ def _measure(name, scale):
     for threshold in THRESHOLDS:
         traces = select_traces(cfg, profile, min_probability=threshold)
         layout = lay_out_traces(program, cfg, profile, traces)
-        merged = None
+        runs = []
         for streams, expected in zip(suite, outputs):
             result = run_program(layout.program, inputs=streams,
                                  trace=True)
             assert result.output == expected, (name, threshold)
-            merged = (result.trace if merged is None
-                      else (merged.extend(result.trace) or merged))
+            runs.append(result.trace)
+        merged = BranchTrace.concatenate(runs)
         accuracy = simulate(
             ForwardSemanticPredictor(program=layout.program),
             merged).accuracy

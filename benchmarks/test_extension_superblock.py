@@ -18,7 +18,7 @@ from repro.traceopt import (
     form_superblocks,
     reassign_likely_bits,
 )
-from repro.vm import run_program
+from repro.vm import BranchTrace, run_program
 
 from conftest import bench_scale
 
@@ -26,11 +26,9 @@ NAMES = ("wc", "grep", "make", "yacc", "compress", "cccp")
 
 
 def _fs_accuracy(program, suite):
-    merged = None
-    for streams in suite:
-        trace = run_program(program, inputs=streams, trace=True).trace
-        merged = trace if merged is None else (merged.extend(trace)
-                                               or merged)
+    merged = BranchTrace.concatenate([
+        run_program(program, inputs=streams, trace=True).trace
+        for streams in suite])
     return simulate(ForwardSemanticPredictor(program=program),
                     merged).accuracy
 

@@ -80,6 +80,28 @@ echo "== conformance smoke =="
 # battery is `repro-branches conformance --seeds 200`.
 PYTHONPATH=src python -m repro conformance --seeds 25
 
+echo "== paper-output identity =="
+# The rendered tables are the contract: `all --scale 0.02`, cold (VM
+# traces) then warm (cached traces), must print exactly the output
+# pinned in bench/expected.json.
+identity_cache=$(mktemp -d)
+for pass in cold warm; do
+    expected=$(python -c "import json, sys
+print(json.load(open('bench/expected.json'))['smoke']['paper-' + sys.argv[1]])
+" "$pass")
+    actual=$(REPRO_CACHE_DIR="$identity_cache" PYTHONPATH=src \
+        python -m repro all --scale 0.02 --workers 1 \
+        | sha256sum | cut -d' ' -f1)
+    if [ "$actual" != "$expected" ]; then
+        echo "paper-output identity ($pass): sha256 $actual," \
+             "expected $expected" >&2
+        rm -rf "$identity_cache"
+        exit 1
+    fi
+    echo "   $pass: $actual"
+done
+rm -rf "$identity_cache"
+
 echo "== fault-injection smoke =="
 # Seeded recovery matrix: every fault class (torn write, bit flip,
 # ENOSPC, worker crash, worker hang, corrupt manifest) is injected

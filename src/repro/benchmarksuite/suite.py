@@ -80,7 +80,7 @@ def get_benchmark(name):
     """Look up a benchmark by name; raises KeyError for unknown names."""
     if name not in _MODULES:
         raise KeyError("unknown benchmark %r (have: %s)"
-                       % (name, ", ".join(BENCHMARK_NAMES)))
+                       % (name, ", ".join(ALL_BENCHMARK_NAMES)))
     return BenchmarkSpec(name, _MODULES[name])
 
 

@@ -50,13 +50,15 @@ BASE_ADDRESS = 3
 TARGET_OFFSET = 1 << 20
 
 
-def _finish(trace):
-    trace.total_instructions = len(trace)
-    return trace
-
-
 def _target(site):
     return site + TARGET_OFFSET
+
+
+def _trace(outcomes):
+    """A gap-free conditional trace from ``(site, taken)`` pairs."""
+    return BranchTrace.from_records(
+        (site, BranchClass.CONDITIONAL, taken, _target(site), 0)
+        for site, taken in outcomes)
 
 
 def probe_sites(m, stride, base=BASE_ADDRESS):
@@ -72,13 +74,8 @@ def chain_trace(m, stride, laps, base=BASE_ADDRESS):
     is cyclic and LRU replacement makes residency an all-or-nothing
     step at the set's way count.
     """
-    trace = BranchTrace()
     sites = probe_sites(m, stride, base)
-    for _ in range(laps):
-        for site in sites:
-            trace.append(site, BranchClass.CONDITIONAL, True,
-                         _target(site), 0)
-    return _finish(trace)
+    return _trace((site, True) for _ in range(laps) for site in sites)
 
 
 def step_trace(takens, not_takens, takens_again, site=BASE_ADDRESS):
@@ -89,15 +86,8 @@ def step_trace(takens, not_takens, takens_again, site=BASE_ADDRESS):
     counter high and the second saturates it low; the per-segment
     wrong-prediction counts are then exactly the two flip latencies.
     """
-    trace = BranchTrace()
-    target = _target(site)
-    for _ in range(takens):
-        trace.append(site, BranchClass.CONDITIONAL, True, target, 0)
-    for _ in range(not_takens):
-        trace.append(site, BranchClass.CONDITIONAL, False, target, 0)
-    for _ in range(takens_again):
-        trace.append(site, BranchClass.CONDITIONAL, True, target, 0)
-    return _finish(trace)
+    outcomes = [True] * takens + [False] * not_takens + [True] * takens_again
+    return _trace((site, taken) for taken in outcomes)
 
 
 def ladder_trace(k, periods, site=BASE_ADDRESS):
@@ -111,13 +101,8 @@ def ladder_trace(k, periods, site=BASE_ADDRESS):
     positions with different outcomes share the all-taken history and
     at least one misprediction per period survives warm-up.
     """
-    trace = BranchTrace()
-    target = _target(site)
-    for _ in range(periods):
-        for _ in range(k):
-            trace.append(site, BranchClass.CONDITIONAL, True, target, 0)
-        trace.append(site, BranchClass.CONDITIONAL, False, target, 0)
-    return _finish(trace)
+    outcomes = ([True] * k + [False]) * periods
+    return _trace((site, taken) for taken in outcomes)
 
 
 def victim_trace(ways, stride, probe=False, base=BASE_ADDRESS):
@@ -133,21 +118,11 @@ def victim_trace(ways, stride, probe=False, base=BASE_ADDRESS):
     difference in total buffer misses between the ``probe=False`` and
     ``probe=True`` traces is therefore 0 for LRU and 1 for FIFO.
     """
-    trace = BranchTrace()
     sites = probe_sites(ways, stride, base)
-    for _ in range(3):
-        for site in sites:
-            trace.append(site, BranchClass.CONDITIONAL, True,
-                         _target(site), 0)
     first = sites[0]
-    trace.append(first, BranchClass.CONDITIONAL, True, _target(first), 0)
     intruder = base + ways * stride
-    trace.append(intruder, BranchClass.CONDITIONAL, True,
-                 _target(intruder), 0)
-    if probe:
-        trace.append(first, BranchClass.CONDITIONAL, True,
-                     _target(first), 0)
-    return _finish(trace)
+    visits = sites * 3 + [first, intruder] + ([first] if probe else [])
+    return _trace((site, True) for site in visits)
 
 
 def disagree_trace(periods, base=BASE_ADDRESS):
@@ -159,15 +134,11 @@ def disagree_trace(periods, base=BASE_ADDRESS):
     adversarial interleaving; it stresses chooser tables, history
     pollution, and counter hysteresis at once.
     """
-    trace = BranchTrace()
     site_a, site_b = base, base + 1
-    for period in range(periods):
-        taken_a = period % 2 == 0
-        trace.append(site_a, BranchClass.CONDITIONAL, taken_a,
-                     _target(site_a), 0)
-        trace.append(site_b, BranchClass.CONDITIONAL, not taken_a,
-                     _target(site_b), 0)
-    return _finish(trace)
+    return _trace(pair
+                  for period in range(periods)
+                  for pair in ((site_a, period % 2 == 0),
+                               (site_b, period % 2 == 1)))
 
 
 def probe_battery(entries=16, associativity=None, max_counter=8,

@@ -25,37 +25,12 @@ import argparse
 import os
 import sys
 
-from repro.experiments import (
-    figures,
-    headline,
-    staticpred,
-    storage,
-    summary,
-    sweeps,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-)
+from repro.experiments import staticpred, summary, sweeps
 from repro.experiments.runner import SuiteRunner
 
-_EXPERIMENTS = {
-    "table1": table1.render,
-    "table2": table2.render,
-    "table3": table3.render,
-    "table4": table4.render,
-    "table5": table5.render,
-    "figures": figures.render,
-    "headline": headline.render,
-    "storage": storage.render,
-    "staticpred": staticpred.render,
-    "sweeps": sweeps.render,
-    "report": summary.render,
-}
-
-_ORDER = ("table1", "table2", "table3", "table4", "table5", "figures",
-          "headline", "storage")
+_EXPERIMENTS = {key: module.render for key, _, module in summary.SECTIONS}
+_EXPERIMENTS.update(staticpred=staticpred.render, sweeps=sweeps.render,
+                    report=summary.render)
 
 #: Subcommands that accept an optional target name positionally (a
 #: benchmark, or for 'characterize' a roster predictor).
@@ -451,6 +426,14 @@ def _validate_args(args):
     if args.threshold is not None and not 0 < args.threshold < 1:
         return _usage_error("--threshold must be in (0, 1) (got %g)"
                             % args.threshold)
+    if args.experiment not in _CACHELESS + ("conformance",):
+        from repro.benchmarksuite import get_benchmark
+
+        for name in [args.target] if args.target else args.benchmarks or []:
+            try:
+                get_benchmark(name)
+            except KeyError as error:
+                return _usage_error(error.args[0])
     if not args.no_cache and args.experiment not in _CACHELESS:
         from repro.experiments.runner import default_cache_dir
 
@@ -486,32 +469,6 @@ def _sweep_checkpoint(runner, names, sections, label, resume):
     path = (runner.cache_dir / "checkpoints"
             / ("%s-%s.json" % (label, fingerprint)))
     return SweepCheckpoint(path, fingerprint)
-
-
-def _render_all(runner, names, resume):
-    """Render every table, resuming from the sweep checkpoint.
-
-    Each completed section's text is persisted (atomically) as soon as
-    it is rendered, so a killed campaign restarts at the first
-    incomplete table instead of from scratch.
-    """
-    checkpoint = _sweep_checkpoint(runner, names, _ORDER, "all", resume)
-    done = checkpoint.load() if checkpoint else {}
-    if done:
-        print("resuming sweep: %d/%d tables from checkpoint"
-              % (len(done), len(_ORDER)), file=sys.stderr)
-    parts = []
-    for key in _ORDER:
-        if key in done:
-            text = done[key]
-        else:
-            text = _EXPERIMENTS[key](runner, names)
-            if checkpoint is not None:
-                checkpoint.record(key, text)
-        parts.append(text)
-    if checkpoint is not None:
-        checkpoint.clear()
-    return "\n".join(parts)
 
 
 def _write_output(text, output):
@@ -638,14 +595,15 @@ def main(argv=None):
             if report is not None and not report.ok:
                 print("warm workers: %s" % report.render(),
                       file=sys.stderr)
-        if args.experiment == "all":
-            text = _render_all(runner, names, args.resume)
-        elif args.experiment == "report":
+        if args.experiment in ("all", "report"):
             checkpoint = _sweep_checkpoint(
-                runner, names, [title for title, _ in summary.SECTIONS],
-                "report", args.resume)
-            text = summary.generate(runner, names,
-                                    checkpoint=checkpoint)
+                runner, names, [key for key, _, _ in summary.SECTIONS],
+                args.experiment, args.resume)
+            if args.experiment == "all":
+                text = "\n".join(summary.render_sections(
+                    runner, names, checkpoint))
+            else:
+                text = summary.generate(runner, names, checkpoint)
         elif args.experiment == "trace":
             text = _dump_trace(runner, names, args.limit)
         elif args.experiment == "stats":

@@ -29,7 +29,6 @@ from repro.conformance.differential import (
     engine_divergence,
     replay_divergence,
     shrink_trace,
-    subtrace,
 )
 from repro.conformance.fuzz import TraceFuzzer
 from repro.conformance.golden import (
@@ -64,6 +63,5 @@ __all__ = [
     "replay_divergence",
     "run_conformance",
     "shrink_trace",
-    "subtrace",
     "write_golden",
 ]

@@ -177,23 +177,13 @@ def cycle_divergence(config, make_production, make_oracle, trace,
     return None
 
 
-def subtrace(records):
-    """Build a self-consistent BranchTrace from record tuples."""
-    trace = BranchTrace()
-    for site, branch_class, taken, target, gap in records:
-        trace.append(site, branch_class, taken, target, gap)
-    trace.total_instructions = (sum(record[4] for record in records)
-                                + len(records))
-    return trace
-
-
 def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
     """Delta-debug ``trace`` to a minimal failing reproducer.
 
     Args:
         trace: a trace for which ``still_fails(trace)`` is True.
         still_fails: predicate over a :class:`BranchTrace`; must be
-            pure (it is called on fresh subtraces, so it should build
+            pure (it is called on fresh sub-traces, so it should build
             fresh predictors internally).
         seed: chunk-order shuffle seed — shrinking is deterministic per
             seed (different seeds may find different, equally minimal,
@@ -204,8 +194,8 @@ def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
     single remaining record makes the failure disappear, budget
     permitting).
     """
-    records = [tuple(record) for record in trace.records()]
-    if not still_fails(subtrace(records)):
+    records = list(trace.records())
+    if not still_fails(BranchTrace.from_records(records)):
         raise ValueError("shrink_trace needs a failing trace to start from")
     rng = random.Random(seed)
     tests = 0
@@ -220,7 +210,7 @@ def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
             if not candidate:
                 continue
             tests += 1
-            if still_fails(subtrace(candidate)):
+            if still_fails(BranchTrace.from_records(candidate)):
                 records = candidate
                 granularity = max(granularity - 1, 2)
                 reduced = True
@@ -231,4 +221,4 @@ def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
             if chunk == 1:
                 break
             granularity = min(granularity * 2, len(records))
-    return subtrace(records)
+    return BranchTrace.from_records(records)

@@ -103,7 +103,7 @@ class TraceFuzzer:
         (phase changes), so buffers both warm up and get evicted.
         """
         rng = self._rng
-        trace = BranchTrace()
+        records = []
         position = rng.randrange(len(self._sites))
         for _ in range(self.n_records):
             site = self._sites[position]
@@ -117,12 +117,11 @@ class TraceFuzzer:
                 taken = True
                 target = site.target
             gap = rng.randint(0, 7)
-            trace.append(site.address, site.branch_class, taken, target,
-                         gap)
+            records.append((site.address, site.branch_class, taken,
+                            target, gap))
             # Loopy walk: usually a neighbour, sometimes a far jump.
             if rng.random() < 0.85:
                 position = (position + rng.randint(-2, 2)) % len(self._sites)
             else:
                 position = rng.randrange(len(self._sites))
-        trace.total_instructions = sum(trace.gaps) + len(trace)
-        return trace
+        return BranchTrace.from_records(records)

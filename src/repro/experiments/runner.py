@@ -616,7 +616,7 @@ class SuiteRunner:
             layout = build_fs_program(program, profile,
                                       verify=self.verify)
 
-        merged = None
+        traces = []
         with _stage(stages, "trace", spec.name):
             for index, streams in enumerate(suite):
                 result = run_program(layout.program, inputs=streams,
@@ -626,10 +626,8 @@ class SuiteRunner:
                     raise RuntimeError(
                         "layout changed the output of %s run %d"
                         % (spec.name, index))
-                if merged is None:
-                    merged = result.trace
-                else:
-                    merged.extend(result.trace)
+                traces.append(result.trace)
+            merged = BranchTrace.concatenate(traces)
         return profile, merged, layout
 
     def run_all(self, names=None, workers=None):

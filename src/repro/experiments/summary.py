@@ -1,5 +1,7 @@
 """Full-report generation: every table and figure in one document."""
 
+import sys
+
 from repro.experiments import (
     figures,
     headline,
@@ -11,26 +13,49 @@ from repro.experiments import (
     table5,
 )
 
+#: The paper's sections in order: (checkpoint key, report title,
+#: module).  ``all`` prints the bodies; ``report`` adds the markdown.
 SECTIONS = (
-    ("Table 1 — benchmark characteristics", table1),
-    ("Table 2 — branch statistics", table2),
-    ("Table 3 — branch prediction performance", table3),
-    ("Table 4 — branch cost at k+l_bar = 2 and 3", table4),
-    ("Table 5 — forward-slot code expansion", table5),
-    ("Figures 3 and 4 — cost vs pipeline depth", figures),
-    ("Headline — the abstract's comparison", headline),
-    ("Storage — the silicon argument", storage),
+    ("table1", "Table 1 — benchmark characteristics", table1),
+    ("table2", "Table 2 — branch statistics", table2),
+    ("table3", "Table 3 — branch prediction performance", table3),
+    ("table4", "Table 4 — branch cost at k+l_bar = 2 and 3", table4),
+    ("table5", "Table 5 — forward-slot code expansion", table5),
+    ("figures", "Figures 3 and 4 — cost vs pipeline depth", figures),
+    ("headline", "Headline — the abstract's comparison", headline),
+    ("storage", "Storage — the silicon argument", storage),
 )
 
 
-def generate(runner, names=None, checkpoint=None):
-    """Render the complete reproduction report as markdown text.
+def render_sections(runner, names=None, checkpoint=None):
+    """Every section's rendered text, in :data:`SECTIONS` order.
 
     With a :class:`~repro.resilience.checkpoint.SweepCheckpoint`, each
-    section's rendered body is persisted as soon as it is computed and
-    replayed from disk on the next attempt, so a killed campaign
-    resumes at the first incomplete section.
+    section's text is persisted as soon as it is rendered and replayed
+    from disk on the next attempt, so a killed campaign resumes at the
+    first incomplete section.
     """
+    done = checkpoint.load() if checkpoint is not None else {}
+    if done:
+        print("resuming sweep: %d/%d tables from checkpoint"
+              % (len(done), len(SECTIONS)), file=sys.stderr)
+    texts = []
+    for key, _, module in SECTIONS:
+        if key in done:
+            text = done[key]
+        else:
+            # Through the module, so a rebound ``render`` sees the call.
+            text = module.render(runner, names)
+            if checkpoint is not None:
+                checkpoint.record(key, text)
+        texts.append(text)
+    if checkpoint is not None:
+        checkpoint.clear()
+    return texts
+
+
+def generate(runner, names=None, checkpoint=None):
+    """Render the complete reproduction report as markdown text."""
     parts = [
         "# Reproduction report",
         "",
@@ -42,22 +67,9 @@ def generate(runner, names=None, checkpoint=None):
             "default" if runner.runs is None else runner.runs),
         "",
     ]
-    done = checkpoint.load() if checkpoint is not None else {}
-    for title, module in SECTIONS:
-        if title in done:
-            body = done[title]
-        else:
-            body = module.render(runner, names).rstrip()
-            if checkpoint is not None:
-                checkpoint.record(title, body)
-        parts.append("## %s" % title)
-        parts.append("")
-        parts.append("```")
-        parts.append(body)
-        parts.append("```")
-        parts.append("")
-    if checkpoint is not None:
-        checkpoint.clear()
+    texts = render_sections(runner, names, checkpoint)
+    for (_, title, _), text in zip(SECTIONS, texts):
+        parts += ["## %s" % title, "", "```", text.rstrip(), "```", ""]
     return "\n".join(parts)
 
 

@@ -5,9 +5,9 @@ trace one record at a time through Python objects — honest, simple,
 and the throughput ceiling of every sweep and fuzz campaign.  This
 package re-expresses the same predictors as NumPy array programs:
 
-* traces are encoded once into column arrays
-  (:class:`~repro.kernels.encode.EncodedTrace`), reusing the arrays
-  the ``.npz`` trace cache already stores;
+* a trace already is column arrays; the kernels wrap them without
+  copying (:class:`~repro.kernels.encode.EncodedTrace`) and memoize
+  the groupings they derive from them;
 * per-predictor kernels compute every record's prediction outcome in
   a handful of whole-trace array passes (:mod:`~repro.kernels.tables`
   for the SBTB/CBTB associative buffers,

@@ -8,6 +8,6 @@ the CFG leaders, and per-branch direction/target statistics come from
 the branch trace of the profiling runs.
 """
 
-from repro.profiling.profiler import Profile, profile_program, profile_trace
+from repro.profiling.profiler import Profile, profile_program
 
-__all__ = ["Profile", "profile_program", "profile_trace"]
+__all__ = ["Profile", "profile_program"]

@@ -1,8 +1,17 @@
 """Block and branch profiles accumulated over one or more runs."""
 
+import numpy as np
+
 from repro.cfg import ControlFlowGraph
 from repro.vm.machine import Machine
 from repro.vm.tracing import BranchClass
+
+
+def _fold(counts, keys):
+    """Add the occurrence count of each value of ``keys`` to ``counts``."""
+    values, tallies = np.unique(keys, return_counts=True)
+    for key, tally in zip(values.tolist(), tallies.tolist()):
+        counts[key] = counts.get(key, 0) + tally
 
 
 class Profile:
@@ -36,33 +45,34 @@ class Profile:
         self.runs += 1
 
     def add_trace(self, trace):
-        """Fold a branch trace's per-site statistics in."""
-        execs = self.branch_execs
-        taken_counts = self.branch_taken
-        edges = self.edge_counts
-        for site, branch_class, taken, target, _ in trace.records():
-            if branch_class == BranchClass.CONDITIONAL:
-                execs[site] = execs.get(site, 0) + 1
-                if taken:
-                    taken_counts[site] = taken_counts.get(site, 0) + 1
-                    edges[(site, target)] = edges.get((site, target), 0) + 1
-            elif branch_class != BranchClass.RETURN:
-                edges[(site, target)] = edges.get((site, target), 0) + 1
-        self.total_instructions += trace.total_instructions
+        """Fold a branch trace's per-site statistics in.
 
-    def merge(self, other):
-        """Fold another profile in (e.g. from a different input)."""
-        for leader, count in other.block_counts.items():
-            self.block_counts[leader] = self.block_counts.get(leader, 0) + count
-        for site, count in other.branch_execs.items():
-            self.branch_execs[site] = self.branch_execs.get(site, 0) + count
-        for site, count in other.branch_taken.items():
-            self.branch_taken[site] = self.branch_taken.get(site, 0) + count
-        for edge, count in other.edge_counts.items():
-            self.edge_counts[edge] = self.edge_counts.get(edge, 0) + count
-        self.runs += other.runs
-        self.total_instructions += other.total_instructions
-        return self
+        Columnar: each statistic is one ``np.unique`` count over the
+        records it covers, folded into the dicts as Python ints.
+        """
+        sites = trace.sites
+        conditional = trace.classes == BranchClass.CONDITIONAL
+        taken = conditional & trace.takens
+        _fold(self.branch_execs, sites[conditional])
+        _fold(self.branch_taken, sites[taken])
+        # Taken conditionals plus every unconditional transfer except
+        # returns (their targets follow from the call stack).
+        edge = taken | ~(conditional
+                         | (trace.classes == BranchClass.RETURN))
+        targets = trace.targets[edge]
+        if len(targets):
+            # Pack (site, target) into one int64 key: site * span +
+            # target offset sorts exactly like the pair.
+            low = int(targets.min())
+            span = int(targets.max()) - low + 1
+            keys = sites[edge] * span + (targets - low)
+            keys, counts = np.unique(keys, return_counts=True)
+            edges = self.edge_counts
+            for key, count in zip(keys.tolist(), counts.tolist()):
+                site, offset = divmod(key, span)
+                edge_key = (site, low + offset)
+                edges[edge_key] = edges.get(edge_key, 0) + count
+        self.total_instructions += trace.total_instructions
 
     # -- queries -------------------------------------------------------------
 
@@ -147,14 +157,3 @@ def profile_program(program, input_suite, cfg=None,
         outputs.append(result.output)
     return profile, outputs
 
-
-def profile_trace(trace):
-    """Build a branch-only profile from an existing trace.
-
-    Block counts are absent; usable by consumers that only need branch
-    direction statistics (e.g. likely-bit assignment checks).
-    """
-    profile = Profile()
-    profile.add_trace(trace)
-    profile.runs = 1
-    return profile

@@ -192,14 +192,13 @@ class Machine:
         output = bytearray()
         output_append = output.append
 
-        trace = BranchTrace() if self.trace_enabled else None
-        tracing = trace is not None
+        # The hot loop appends to plain lists; the trace's arrays are
+        # built once, when the run ends.
+        tracing = self.trace_enabled
         if tracing:
-            t_sites = trace.sites.append
-            t_classes = trace.classes.append
-            t_takens = trace.takens.append
-            t_targets = trace.targets.append
-            t_gaps = trace.gaps.append
+            columns = ([], [], [], [], [])
+            t_sites, t_classes, t_takens, t_targets, t_gaps = (
+                column.append for column in columns)
 
         execute_slots = self.slot_mode == "execute"
 
@@ -439,8 +438,8 @@ class Machine:
                     if pending_count == 0:
                         pc = pending_target
 
-        if tracing:
-            trace.total_instructions = executed
+        trace = (BranchTrace(*columns, total_instructions=executed)
+                 if tracing else None)
         return MachineResult(bytes(output), executed, trace, exit_value,
                              probe_counts, addresses)
 

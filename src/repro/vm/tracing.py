@@ -4,9 +4,9 @@ A *branch record* captures one dynamic execution of a branch
 instruction; the sequence of records plus the total dynamic instruction
 count is everything the predictors, the cost model, and Tables 1-3 need.
 
-Records are stored column-wise in plain lists for speed (the VM appends
-tens of thousands of records per second) and can be converted to numpy
-arrays for on-disk caching.
+Records are stored column-wise as NumPy arrays, the one form a trace
+takes from the VM's last instruction to the simulation kernels; the
+``.npz`` trace cache stores the same arrays.
 """
 
 import numpy as np
@@ -27,6 +27,10 @@ class BranchClass:
         UNCONDITIONAL_UNKNOWN: "unconditional-unknown",
         RETURN: "return",
     }
+
+
+#: The trace columns, in record-tuple order.
+_COLUMNS = ("sites", "classes", "takens", "targets", "gaps")
 
 
 class BranchRecord:
@@ -74,43 +78,49 @@ class BranchRecord:
 class BranchTrace:
     """The dynamic branch stream of one (or several merged) program runs.
 
-    Column-wise storage:
-        sites: branch instruction address per record,
-        classes: :class:`BranchClass` code per record,
-        takens: 1 when the branch transferred control, else 0,
+    Column-wise storage, one NumPy array per field:
+        sites: branch instruction address per record (int64),
+        classes: :class:`BranchClass` code per record (int8),
+        takens: True when the branch transferred control (bool),
         targets: actual target address (meaningful when taken; for
-            not-taken conditionals it is the would-be taken target),
-        gaps: non-branch instructions executed since the previous branch.
+            not-taken conditionals it is the would-be taken target)
+            (int64),
+        gaps: non-branch instructions executed since the previous
+            branch (int64).
 
     ``total_instructions`` counts every executed instruction including
-    the branches themselves.
+    the branches themselves; it defaults to ``sum(gaps) + len``, the
+    count of a trace whose last record ends the run.  A trace is never
+    grown after it is built: merge runs with :meth:`concatenate`.
     """
 
-    def __init__(self):
-        self.sites = []
-        self.classes = []
-        self.takens = []
-        self.targets = []
-        self.gaps = []
-        self.total_instructions = 0
+    def __init__(self, sites=(), classes=(), takens=(), targets=(),
+                 gaps=(), total_instructions=None):
+        self.sites = np.asarray(sites, dtype=np.int64)
+        self.classes = np.asarray(classes, dtype=np.int8)
+        self.takens = np.asarray(takens, dtype=bool)
+        self.targets = np.asarray(targets, dtype=np.int64)
+        self.gaps = np.asarray(gaps, dtype=np.int64)
+        if total_instructions is None:
+            total_instructions = int(self.gaps.sum()) + len(self.sites)
+        self.total_instructions = int(total_instructions)
 
     # -- construction -----------------------------------------------------
 
-    def append(self, site, branch_class, taken, target, gap):
-        self.sites.append(site)
-        self.classes.append(branch_class)
-        self.takens.append(1 if taken else 0)
-        self.targets.append(target)
-        self.gaps.append(gap)
+    @classmethod
+    def from_records(cls, records, total_instructions=None):
+        """Build from ``(site, branch_class, taken, target, gap)`` rows."""
+        columns = tuple(zip(*records)) or ((),) * 5
+        return cls(*columns, total_instructions=total_instructions)
 
-    def extend(self, other):
-        """Concatenate ``other``'s records (merging multiple runs)."""
-        self.sites.extend(other.sites)
-        self.classes.extend(other.classes)
-        self.takens.extend(other.takens)
-        self.targets.extend(other.targets)
-        self.gaps.extend(other.gaps)
-        self.total_instructions += other.total_instructions
+    @classmethod
+    def concatenate(cls, traces):
+        """One trace of ``traces``' records in order (merging runs)."""
+        return cls(*(np.concatenate([getattr(trace, column)
+                                     for trace in traces])
+                     for column in _COLUMNS),
+                   total_instructions=sum(trace.total_instructions
+                                          for trace in traces))
 
     # -- access -------------------------------------------------------------
 
@@ -118,74 +128,48 @@ class BranchTrace:
         return len(self.sites)
 
     def __getitem__(self, index):
-        return BranchRecord(
-            self.sites[index], self.classes[index],
-            bool(self.takens[index]), self.targets[index], self.gaps[index],
-        )
+        return BranchRecord(*(getattr(self, column)[index].item()
+                              for column in _COLUMNS))
 
     def records(self):
-        """Iterate over (site, branch_class, taken, target, gap) tuples."""
-        return zip(self.sites, self.classes, self.takens,
-                   self.targets, self.gaps)
+        """Iterate over (site, branch_class, taken, target, gap) tuples
+        of plain Python ints and bools."""
+        return zip(*(getattr(self, column).tolist()
+                     for column in _COLUMNS))
 
     # -- statistics -----------------------------------------------------------
 
     def stats(self):
         """Compute :class:`TraceStats` over all records."""
-        from repro.kernels.encode import EncodedTrace
-
-        encoded = EncodedTrace.of(self)
         stats = TraceStats()
         stats.total_instructions = self.total_instructions
-        conditional = encoded.classes == BranchClass.CONDITIONAL
+        conditional = self.classes == BranchClass.CONDITIONAL
         taken_conditional = int(
-            np.count_nonzero(encoded.takens & conditional))
+            np.count_nonzero(self.takens & conditional))
         stats.conditional_taken = taken_conditional
         stats.conditional_not_taken = (
             int(np.count_nonzero(conditional)) - taken_conditional)
         stats.unconditional_unknown = int(np.count_nonzero(
-            encoded.classes == BranchClass.UNCONDITIONAL_UNKNOWN))
+            self.classes == BranchClass.UNCONDITIONAL_UNKNOWN))
         # Direct jumps, calls, and returns all have known targets.
         stats.unconditional_known = (
-            len(encoded) - stats.conditional
-            - stats.unconditional_unknown)
+            len(self) - stats.conditional - stats.unconditional_unknown)
         return stats
 
     # -- serialisation -----------------------------------------------------------
 
     def to_arrays(self):
-        """Pack the trace into numpy arrays for on-disk caching."""
-        return {
-            "sites": np.asarray(self.sites, dtype=np.int64),
-            "classes": np.asarray(self.classes, dtype=np.int8),
-            "takens": np.asarray(self.takens, dtype=np.int8),
-            "targets": np.asarray(self.targets, dtype=np.int64),
-            "gaps": np.asarray(self.gaps, dtype=np.int64),
-            "total_instructions": np.int64(self.total_instructions),
-        }
+        """The arrays of the on-disk cache layout (``takens`` as int8)."""
+        arrays = {column: getattr(self, column) for column in _COLUMNS}
+        arrays["takens"] = self.takens.astype(np.int8)
+        arrays["total_instructions"] = np.int64(self.total_instructions)
+        return arrays
 
     @classmethod
     def from_arrays(cls, arrays):
-        """Rebuild a trace saved by :meth:`to_arrays`.
-
-        The arrays are already the columnar form the vector path
-        wants, so the kernel encoding is stashed directly — a cached
-        trace never pays the list-to-array conversion again.
-        """
-        from repro.kernels.encode import EncodedTrace
-
-        trace = cls()
-        trace.sites = arrays["sites"].tolist()
-        trace.classes = arrays["classes"].tolist()
-        trace.takens = arrays["takens"].tolist()
-        trace.targets = arrays["targets"].tolist()
-        trace.gaps = arrays["gaps"].tolist()
-        trace.total_instructions = int(arrays["total_instructions"])
-        trace._encoded = EncodedTrace.from_columns(
-            arrays["sites"], arrays["classes"], arrays["takens"],
-            arrays["targets"], arrays["gaps"],
-            trace.total_instructions)
-        return trace
+        """Rebuild a trace saved by :meth:`to_arrays`."""
+        return cls(*(arrays[column] for column in _COLUMNS),
+                   total_instructions=int(arrays["total_instructions"]))
 
 
 class TraceStats:
@@ -230,14 +214,6 @@ class TraceStats:
         if self.unconditional == 0:
             return 0.0
         return self.unconditional_known / self.unconditional
-
-    def merge(self, other):
-        self.total_instructions += other.total_instructions
-        self.conditional_taken += other.conditional_taken
-        self.conditional_not_taken += other.conditional_not_taken
-        self.unconditional_known += other.unconditional_known
-        self.unconditional_unknown += other.unconditional_unknown
-        return self
 
     def __repr__(self):
         return ("TraceStats(instructions=%d, cond=%d (%.1f%% taken), "

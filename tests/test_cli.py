@@ -219,6 +219,25 @@ def test_main_rejects_nonpositive_limit(capsys):
     assert "--limit must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--benchmarks", "nosuch"],
+    ["all", "--benchmarks", "wc", "nosuch"],
+    ["trace", "nosuch"],
+    ["stats", "nosuch"],
+    ["profile", "nosuch"],
+], ids=["table1", "all", "trace", "stats", "profile"])
+def test_main_rejects_unknown_benchmark(capsys, tmp_path, monkeypatch,
+                                        argv):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(argv + ["--scale", "0.05", "--runs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "repro-branches: error: unknown benchmark 'nosuch' (have: cccp, "
+        "cmp, compress, eqn, espresso, grep, lex, make, tar, tee, wc, "
+        "yacc)"]
+
+
 def test_main_uncreatable_cache_dir_exits_3(capsys, tmp_path,
                                             monkeypatch):
     blocker = tmp_path / "not-a-dir"

@@ -19,7 +19,7 @@ from repro.conformance import (
 )
 from repro.pipeline.config import PipelineConfig
 from repro.predictors import CounterBTB, ForwardSemanticPredictor, SimpleBTB
-from repro.vm.tracing import BranchClass
+from repro.vm.tracing import BranchClass, BranchTrace
 
 SEEDS = range(40)
 
@@ -286,9 +286,7 @@ def test_divergence_describe_mentions_record():
 def test_returns_skip_the_predictors_under_ras():
     trace_records = [(1, BranchClass.RETURN, True, 5, 0),
                      (2, BranchClass.CONDITIONAL, True, 9, 1)]
-    from repro.conformance import subtrace
-
-    trace = subtrace(trace_records)
+    trace = BranchTrace.from_records(trace_records)
     divergence = replay_divergence(SimpleBTB(entries=4),
                                    oracle_for("SBTB", entries=4), trace)
     assert divergence is None

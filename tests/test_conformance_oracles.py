@@ -5,7 +5,6 @@ sentence of Section 2.2/2.3, so a bug here and an identical bug in
 production cannot cancel out silently.
 """
 
-from repro.conformance.differential import subtrace
 from repro.conformance.oracles import (
     OracleCBTB,
     OracleCycleInterpreter,
@@ -14,7 +13,7 @@ from repro.conformance.oracles import (
     oracle_for,
 )
 from repro.pipeline.config import PipelineConfig
-from repro.vm.tracing import BranchClass
+from repro.vm.tracing import BranchClass, BranchTrace
 
 COND = BranchClass.CONDITIONAL
 
@@ -97,7 +96,7 @@ def test_cycle_interpreter_charges_the_prose_penalties():
         (2, BranchClass.UNCONDITIONAL_UNKNOWN, True, 9, 0),  # k+l
         (3, BranchClass.RETURN, True, 9, 2),            # covered by the RAS
     ]
-    trace = subtrace(records)
+    trace = BranchTrace.from_records(records)
     stats = OracleCycleInterpreter(config, _Never()).run(trace)
     assert stats.fill_cycles == config.depth - 1
     assert stats.instructions == trace.total_instructions
@@ -111,7 +110,7 @@ def test_cycle_interpreter_charges_the_prose_penalties():
 
 
 def test_cycle_interpreter_counts_trace_tail_instructions():
-    trace = subtrace([(1, COND, True, 9, 1)])
+    trace = BranchTrace.from_records([(1, COND, True, 9, 1)])
     trace.total_instructions += 5                       # non-branch tail
     stats = OracleCycleInterpreter(PipelineConfig(1, 1, 1),
                                    _Never()).run(trace)

@@ -9,10 +9,10 @@ bit-for-bit reproducible across runs.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.conformance.differential import production_state, subtrace
+from repro.conformance.differential import production_state
 from repro.conformance.fuzz import TraceFuzzer
 from repro.predictors import AssociativeCache, CounterBTB, SimpleBTB
-from repro.vm.tracing import BranchClass
+from repro.vm.tracing import BranchClass, BranchTrace
 
 _COND_RECORDS = st.lists(
     st.tuples(
@@ -196,7 +196,9 @@ def test_replay_is_bit_for_bit_reproducible():
 
 
 def test_subtrace_roundtrip():
+    """A trace rebuilt from its records, as the shrinker's sub-traces
+    are, is the same trace."""
     trace = TraceFuzzer(3, n_records=40).trace()
-    rebuilt = subtrace(list(trace.records()))
+    rebuilt = BranchTrace.from_records(trace.records())
     assert list(rebuilt.records()) == list(trace.records())
     assert rebuilt.total_instructions == trace.total_instructions

@@ -11,7 +11,6 @@ i.e. P = k + l + m + 1.
 
 import pytest
 
-from repro.conformance.differential import subtrace
 from repro.conformance.oracles import OracleCycleInterpreter
 from repro.pipeline import (
     CycleSimulator,
@@ -21,7 +20,7 @@ from repro.pipeline import (
 )
 from repro.predictors import CounterBTB, simulate
 from repro.predictors.base import Prediction, Predictor
-from repro.vm.tracing import BranchClass
+from repro.vm.tracing import BranchClass, BranchTrace
 
 
 class ScheduledAccuracy(Predictor):
@@ -66,7 +65,7 @@ def _conditional_trace(n_records, period=10):
     records = [(7, BranchClass.CONDITIONAL, index % 3 == 0,
                 40 + index % 2, 2)
                for index in range(n_records)]
-    return records, subtrace(records)
+    return records, BranchTrace.from_records(records)
 
 
 @pytest.mark.parametrize("config", [
@@ -133,7 +132,7 @@ def test_mixed_class_trace_uses_per_class_penalties():
         else:
             records.append((4, BranchClass.CONDITIONAL, index % 4 != 0,
                             55, 1))
-    trace = subtrace(records)
+    trace = BranchTrace.from_records(records)
     stats = simulate(CounterBTB(entries=8), trace)
     cycles = CycleSimulator(config, CounterBTB(entries=8)).run(trace)
 

@@ -70,10 +70,11 @@ def test_segments_cover_instruction_count():
 
 def test_validation_catches_corrupt_trace():
     program, result = traced(SMALL)
-    trace = result.trace
-    corrupted = BranchTrace()
-    corrupted.extend(trace)
-    corrupted.sites[3] += 1   # break the site/gap chain
+    records = list(result.trace.records())
+    site, *rest = records[3]
+    records[3] = (site + 1, *rest)   # break the site/gap chain
+    corrupted = BranchTrace.from_records(
+        records, result.trace.total_instructions)
     with pytest.raises(TraceInconsistency):
         fetch_segments(corrupted, program.entry)
 
@@ -87,9 +88,8 @@ def test_validation_catches_bad_total():
 
 
 def test_validation_can_be_disabled():
-    trace = BranchTrace()
-    trace.append(5, BranchClass.CONDITIONAL, True, 0, 2)
-    trace.total_instructions = 3
+    trace = BranchTrace.from_records(
+        [(5, BranchClass.CONDITIONAL, True, 0, 2)])
     # entry 0: first record at site 5 with gap 2 is inconsistent...
     with pytest.raises(TraceInconsistency):
         fetch_segments(trace, 0)

@@ -121,35 +121,27 @@ def test_scan_primitives_empty():
 
 
 def _small_trace(n=10):
-    trace = BranchTrace()
-    for index in range(n):
-        trace.append(index % 3, BranchClass.CONDITIONAL, index % 2 == 0,
-                     50 + index % 3, 1)
-    trace.total_instructions = 2 * n
-    return trace
+    return BranchTrace.from_records(
+        (index % 3, BranchClass.CONDITIONAL, index % 2 == 0,
+         50 + index % 3, 1) for index in range(n))
 
 
 def test_encoded_trace_memoized_on_trace():
     trace = _small_trace()
     first = EncodedTrace.of(trace)
     assert EncodedTrace.of(trace) is first
-    # Appending invalidates the cached encoding (keyed on length).
-    trace.append(9, BranchClass.RETURN, True, 1, 0)
-    second = EncodedTrace.of(trace)
-    assert second is not first
-    assert len(second) == len(trace)
 
 
 def test_encoded_trace_roundtrip_from_arrays():
     trace = _small_trace()
     rebuilt = BranchTrace.from_arrays(trace.to_arrays())
     encoded = EncodedTrace.of(rebuilt)
-    # from_arrays stashes the encoding: no re-encoding on first use.
-    assert rebuilt._encoded is encoded
-    assert np.array_equal(encoded.sites, np.asarray(trace.sites))
-    assert np.array_equal(encoded.takens,
-                          np.asarray(trace.takens, dtype=bool))
-    assert encoded.total_instructions == trace.total_instructions
+    # The encoding wraps the trace's own arrays: nothing is copied.
+    for column in ("sites", "classes", "takens", "targets", "gaps"):
+        assert getattr(encoded, column) is getattr(rebuilt, column)
+    assert np.array_equal(encoded.sites, trace.sites)
+    assert np.array_equal(encoded.takens, trace.takens)
+    assert encoded.takens.dtype == bool
 
 
 def test_encoded_trace_memoizes_derived_structures():
@@ -167,12 +159,9 @@ def test_encoded_trace_memoizes_derived_structures():
 
 
 def _big_trace():
-    trace = BranchTrace()
-    for index in range(AUTO_THRESHOLD):
-        trace.append(index % 5, BranchClass.CONDITIONAL, index % 3 == 0,
-                     9, 1)
-    trace.total_instructions = 2 * AUTO_THRESHOLD
-    return trace
+    return BranchTrace.from_records(
+        (index % 5, BranchClass.CONDITIONAL, index % 3 == 0, 9, 1)
+        for index in range(AUTO_THRESHOLD))
 
 
 def test_resolve_engine_auto_threshold():
@@ -232,10 +221,8 @@ def test_vector_stats_on_empty_and_returns_only_traces():
     stats = simulate_vector(SimpleBTB(16), empty)
     assert stats.total == 0 and stats.correct == 0
 
-    returns = BranchTrace()
-    for _ in range(5):
-        returns.append(3, BranchClass.RETURN, True, 7, 1)
-    returns.total_instructions = 10
+    returns = BranchTrace.from_records(
+        [(3, BranchClass.RETURN, True, 7, 1)] * 5)
     stats = simulate_vector(SimpleBTB(16), returns)
     reference = simulate_scalar(SimpleBTB(16), returns)
     assert stats == reference
@@ -260,13 +247,10 @@ def test_prediction_stats_equality_and_dict():
 
 def _capacity_trace(n_sites, repeats=6):
     """Round-robin taken conditionals over ``n_sites`` distinct sites."""
-    trace = BranchTrace()
-    for _ in range(repeats):
-        for site in range(n_sites):
-            trace.append(site, BranchClass.CONDITIONAL, True,
-                         100 + site, 1)
-    trace.total_instructions = 3 * n_sites * repeats
-    return trace
+    return BranchTrace.from_records(
+        [(site, BranchClass.CONDITIONAL, True, 100 + site, 1)
+         for site in range(n_sites)] * repeats,
+        total_instructions=3 * n_sites * repeats)
 
 
 def test_eviction_screen_exact_at_capacity(monkeypatch):

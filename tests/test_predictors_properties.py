@@ -40,13 +40,11 @@ _RECORDS = st.lists(
 
 
 def _trace_from(records):
-    trace = BranchTrace()
-    for site, branch_class, taken, target, gap in records:
-        if branch_class != BranchClass.CONDITIONAL:
-            taken = True  # unconditional branches always transfer
-        trace.append(site, branch_class, taken, target, gap)
-    trace.total_instructions = sum(r[4] for r in records) + len(records)
-    return trace
+    # Unconditional branches always transfer.
+    return BranchTrace.from_records(
+        (site, branch_class,
+         taken or branch_class != BranchClass.CONDITIONAL, target, gap)
+        for site, branch_class, taken, target, gap in records)
 
 
 def _fresh_predictors():

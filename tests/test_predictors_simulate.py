@@ -19,20 +19,18 @@ from repro.vm.tracing import BranchClass, BranchTrace
 
 
 def synthetic_trace():
-    trace = BranchTrace()
-    # Conditional at site 10: T N T T
-    for taken in (True, False, True, True):
-        trace.append(10, BranchClass.CONDITIONAL, taken, 50, 2)
-    # Direct jump at 20, twice.
-    trace.append(20, BranchClass.UNCONDITIONAL_KNOWN, True, 60, 1)
-    trace.append(20, BranchClass.UNCONDITIONAL_KNOWN, True, 60, 1)
-    # Return at 30.
-    trace.append(30, BranchClass.RETURN, True, 21, 0)
-    # Indirect jump at 40 with changing targets.
-    trace.append(40, BranchClass.UNCONDITIONAL_UNKNOWN, True, 70, 0)
-    trace.append(40, BranchClass.UNCONDITIONAL_UNKNOWN, True, 80, 0)
-    trace.total_instructions = 30
-    return trace
+    return BranchTrace.from_records(
+        # Conditional at site 10: T N T T
+        [(10, BranchClass.CONDITIONAL, taken, 50, 2)
+         for taken in (True, False, True, True)]
+        # Direct jump at 20, twice.
+        + [(20, BranchClass.UNCONDITIONAL_KNOWN, True, 60, 1)] * 2
+        # Return at 30.
+        + [(30, BranchClass.RETURN, True, 21, 0)]
+        # Indirect jump at 40 with changing targets.
+        + [(40, BranchClass.UNCONDITIONAL_UNKNOWN, True, 70, 0),
+           (40, BranchClass.UNCONDITIONAL_UNKNOWN, True, 80, 0)],
+        total_instructions=30)
 
 
 def test_returns_always_correct_and_no_buffer_access():
@@ -212,9 +210,9 @@ def test_site_report_finds_the_hard_branch():
 def test_site_report_skips_returns():
     from repro.predictors import site_report
     from repro.vm.tracing import BranchClass, BranchTrace
-    trace = BranchTrace()
-    trace.append(1, BranchClass.RETURN, True, 9, 0)
-    trace.append(2, BranchClass.CONDITIONAL, True, 9, 0)
-    trace.total_instructions = 2
+    trace = BranchTrace.from_records([
+        (1, BranchClass.RETURN, True, 9, 0),
+        (2, BranchClass.CONDITIONAL, True, 9, 0),
+    ])
     rows = site_report(SimpleBTB(), trace)
     assert [row[0] for row in rows] == [2]

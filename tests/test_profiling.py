@@ -1,9 +1,20 @@
 """Tests for the probe-based profiler."""
 
+import json
+
+import pytest
+
+from repro.benchmarksuite import (
+    BENCHMARK_NAMES,
+    compile_benchmark,
+    get_benchmark,
+)
 from repro.cfg import ControlFlowGraph
+from repro.conformance.fuzz import TraceFuzzer
 from repro.lang import compile_source
-from repro.profiling import Profile, profile_program, profile_trace
+from repro.profiling import Profile, profile_program
 from repro.vm import run_program
+from repro.vm.tracing import BranchClass
 
 COUNTER = """
 int main() {
@@ -61,18 +72,6 @@ def test_taken_fraction_unprofiled_site_is_none():
     assert profile.taken_fraction(123) is None
 
 
-def test_profile_merge():
-    program = compile_source(COUNTER, "t")
-    a, _ = profile_program(program, [[]])
-    b, _ = profile_program(program, [[]])
-    merged_instructions = a.total_instructions + b.total_instructions
-    a.merge(b)
-    assert a.runs == 2
-    assert a.total_instructions == merged_instructions
-    for site, count in b.branch_execs.items():
-        assert a.branch_execs[site] >= count
-
-
 def test_profile_serialisation_roundtrip():
     program = compile_source(COUNTER, "t")
     profile, _ = profile_program(program, [[]])
@@ -97,7 +96,8 @@ def test_serialised_profile_is_jsonable():
 def test_profile_trace_branch_only():
     program = compile_source(COUNTER, "t")
     result = run_program(program, trace=True)
-    profile = profile_trace(result.trace)
+    profile = Profile()
+    profile.add_trace(result.trace)
     assert profile.block_counts == {}
     assert profile.branch_execs
     assert profile.total_instructions == result.instructions
@@ -119,3 +119,50 @@ def test_block_counts_only_at_leaders():
     cfg = ControlFlowGraph.from_program(program)
     profile, _ = profile_program(program, [[]], cfg=cfg)
     assert set(profile.block_counts) <= set(cfg.leaders)
+
+
+# -- the columnar fold against a per-record reference ----------------------
+
+
+def _naive_fold(traces):
+    """``Profile.add_trace`` written one record at a time."""
+    execs, taken_counts, edges = {}, {}, {}
+    for trace in traces:
+        for site, branch_class, taken, target, _ in trace.records():
+            if branch_class == BranchClass.CONDITIONAL:
+                execs[site] = execs.get(site, 0) + 1
+                if taken:
+                    taken_counts[site] = taken_counts.get(site, 0) + 1
+                    edges[(site, target)] = edges.get((site, target), 0) + 1
+            elif branch_class != BranchClass.RETURN:
+                edges[(site, target)] = edges.get((site, target), 0) + 1
+    return execs, taken_counts, edges
+
+
+def _assert_fold_matches(traces):
+    profile = Profile()
+    for trace in traces:
+        profile.add_trace(trace)
+    assert (profile.branch_execs, profile.branch_taken,
+            profile.edge_counts) == _naive_fold(traces)
+    assert profile.total_instructions == sum(
+        trace.total_instructions for trace in traces)
+    # Python ints throughout: NumPy scalars would not serialise.
+    json.dumps(profile.to_dict())
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_add_trace_matches_per_record_fold(name):
+    program = compile_benchmark(name)
+    suite = get_benchmark(name).input_suite(scale=0.02, runs=2)
+    _assert_fold_matches([
+        run_program(program, inputs=streams, trace=True).trace
+        for streams in suite])
+
+
+def test_add_trace_matches_per_record_fold_on_fuzz_traces():
+    traces = [TraceFuzzer(seed).trace() for seed in range(20)]
+    classes = {int(c) for trace in traces for c in trace.classes}
+    assert {BranchClass.RETURN,
+            BranchClass.UNCONDITIONAL_UNKNOWN} <= classes
+    _assert_fold_matches(traces)

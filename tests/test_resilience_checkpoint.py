@@ -132,7 +132,8 @@ def test_generate_resumes_from_checkpoint(tmp_path, monkeypatch):
     first = _CountingSection("first body")
     second = _CountingSection("second body")
     monkeypatch.setattr(summary, "SECTIONS",
-                        (("Section A", first), ("Section B", second)))
+                        (("a", "Section A", first),
+                         ("b", "Section B", second)))
 
     class _FakeRunner:
         scale = SCALE
@@ -141,7 +142,7 @@ def test_generate_resumes_from_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "sweep.json"
     # Simulate a campaign killed after Section A.
     prior = SweepCheckpoint(path, "fp")
-    prior.record("Section A", "first body (from checkpoint)")
+    prior.record("a", "first body (from checkpoint)")
 
     text = summary.generate(_FakeRunner(), ["wc"],
                             checkpoint=SweepCheckpoint(path, "fp"))
@@ -156,7 +157,7 @@ def test_generate_without_checkpoint_renders_everything(monkeypatch):
     from repro.experiments import summary
 
     section = _CountingSection("body")
-    monkeypatch.setattr(summary, "SECTIONS", (("Only", section),))
+    monkeypatch.setattr(summary, "SECTIONS", (("only", "Only", section),))
 
     class _FakeRunner:
         scale = SCALE

@@ -1,19 +1,62 @@
 """Tests for branch traces: records, stats, merging, serialisation."""
 
+import functools
+import io
+
+import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.vm.tracing import BranchClass, BranchRecord, BranchTrace, TraceStats
+from repro.lang import compile_source
+from repro.vm import run_program
+from repro.vm.tracing import BranchClass, BranchRecord, BranchTrace
+
+#: The one dtype convention of every trace, in record-tuple order.
+COLUMNS = (("sites", np.int64), ("classes", np.int8), ("takens", bool),
+           ("targets", np.int64), ("gaps", np.int64))
 
 
 def _sample_trace():
-    trace = BranchTrace()
-    trace.append(10, BranchClass.CONDITIONAL, True, 20, 3)
-    trace.append(10, BranchClass.CONDITIONAL, False, 20, 1)
-    trace.append(30, BranchClass.UNCONDITIONAL_KNOWN, True, 5, 0)
-    trace.append(40, BranchClass.UNCONDITIONAL_UNKNOWN, True, 77, 2)
-    trace.append(50, BranchClass.RETURN, True, 31, 4)
-    trace.total_instructions = 15
-    return trace
+    return BranchTrace.from_records([
+        (10, BranchClass.CONDITIONAL, True, 20, 3),
+        (10, BranchClass.CONDITIONAL, False, 20, 1),
+        (30, BranchClass.UNCONDITIONAL_KNOWN, True, 5, 0),
+        (40, BranchClass.UNCONDITIONAL_UNKNOWN, True, 77, 2),
+        (50, BranchClass.RETURN, True, 31, 4),
+    ], total_instructions=15)
+
+
+@functools.lru_cache(maxsize=None)
+def _vm_trace():
+    program = compile_source("""
+        int twice(int x) { return x + x; }
+        int main() {
+            int i; int t = 0;
+            for (i = 0; i < 20; i = i + 1) {
+                if (i % 3 == 0) t = t + twice(i);
+            }
+            puti(t);
+            return 0;
+        }
+    """, "vm-trace")
+    return run_program(program, trace=True).trace
+
+
+def _npz_roundtrip(trace):
+    buffer = io.BytesIO()
+    np.savez(buffer, **trace.to_arrays())
+    buffer.seek(0)
+    with np.load(buffer) as arrays:
+        return BranchTrace.from_arrays(arrays)
+
+
+def _assert_same_trace(trace, other):
+    assert len(trace) == len(other)
+    assert trace.total_instructions == other.total_instructions
+    for column, dtype in COLUMNS:
+        assert getattr(trace, column).dtype == dtype
+        assert getattr(other, column).dtype == dtype
+        assert np.array_equal(getattr(trace, column),
+                              getattr(other, column))
 
 
 def test_len_and_indexing():
@@ -61,21 +104,28 @@ def test_stats_empty():
     assert stats.control_fraction == 0.0
 
 
-def test_stats_merge():
-    a = _sample_trace().stats()
-    b = _sample_trace().stats()
-    a.merge(b)
-    assert a.branches == 10
-    assert a.total_instructions == 30
-
-
-def test_extend():
+def test_concatenate():
     a = _sample_trace()
     b = _sample_trace()
-    a.extend(b)
-    assert len(a) == 10
-    assert a.total_instructions == 30
-    assert a[5] == b[0]
+    merged = BranchTrace.concatenate([a, b])
+    assert len(merged) == 10
+    assert merged.total_instructions == 30
+    assert merged[5] == b[0]
+    assert len(a) == 5
+
+
+def test_records_are_python_scalars():
+    """The scalar loop, the oracles and every JSON writer get plain
+    ints and bools, never NumPy scalars."""
+    trace = _sample_trace()
+    for record in trace.records():
+        assert [type(value) for value in record] == \
+            [int, int, bool, int, int]
+    record = trace[1]
+    assert [type(value) for value in (record.site, record.branch_class,
+                                      record.taken, record.target,
+                                      record.gap)] == \
+        [int, int, bool, int, int]
 
 
 def test_roundtrip_arrays():
@@ -95,13 +145,16 @@ def test_roundtrip_arrays():
     st.integers(min_value=0, max_value=100),
 ), max_size=50))
 def test_roundtrip_property(records):
-    trace = BranchTrace()
-    for site, branch_class, taken, target, gap in records:
-        trace.append(site, branch_class, taken, target, gap)
-    trace.total_instructions = sum(gap for *_, gap in records) + len(records)
-    rebuilt = BranchTrace.from_arrays(trace.to_arrays())
-    assert list(rebuilt.records()) == list(trace.records())
-    assert rebuilt.total_instructions == trace.total_instructions
+    """A VM-built trace, a ``from_records`` trace and a trace back from
+    the ``.npz`` layout hold identical dtypes and equal columns."""
+    trace = BranchTrace.from_records(records)
+    assert list(trace.records()) == records
+    assert trace.total_instructions == \
+        sum(gap for *_, gap in records) + len(records)
+    for source in (trace, _vm_trace()):
+        _assert_same_trace(source, BranchTrace.from_records(
+            source.records(), source.total_instructions))
+        _assert_same_trace(source, _npz_roundtrip(source))
 
 
 @given(st.lists(st.tuples(
@@ -110,9 +163,8 @@ def test_roundtrip_property(records):
 ), max_size=200))
 def test_stats_totals_property(events):
     """Class counts always partition the record count."""
-    trace = BranchTrace()
-    for branch_class, taken in events:
-        trace.append(0, branch_class, taken, 0, 0)
+    trace = BranchTrace.from_records(
+        (0, branch_class, taken, 0, 0) for branch_class, taken in events)
     stats = trace.stats()
     assert stats.branches == len(events)
     assert (stats.conditional_taken + stats.conditional_not_taken
