@@ -52,9 +52,9 @@ _REGRESSION_FLOOR = 0.75
 
 #: Minimum aggregate vector-over-scalar speedup on the headline
 #: workload (all three paper schemes over the largest cached trace).
-#: Raised from 5x when the blocked eviction kernels removed the
-#: scalar-replay fallback: nothing on the headline path loops in the
-#: interpreter anymore.
+#: Raised from 5x once nothing on the headline path looped in the
+#: interpreter: the paper's 256-entry buffers never reach the
+#: per-record eviction replay.
 _SPEEDUP_FLOOR = 25.0
 
 #: Per-scheme speedup floors on the same workload.  CBTB is the

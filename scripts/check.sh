@@ -100,7 +100,22 @@ print(json.load(open('bench/expected.json'))['smoke']['paper-' + sys.argv[1]])
     fi
     echo "   $pass: $actual"
 done
+
+echo "== sweeps output identity =="
+# The capacity and associativity sweeps overflow the small and
+# set-associative buffers, so this end-to-end gate covers the
+# eviction replay.  It reuses the warm scale-0.02 cache above.
+expected=$(python -c "import json
+print(json.load(open('bench/expected.json'))['smoke']['sweeps-small'])")
+actual=$(REPRO_CACHE_DIR="$identity_cache" PYTHONPATH=src \
+    python -m repro sweeps --scale 0.02 --workers 1 \
+    | sha256sum | cut -d' ' -f1)
 rm -rf "$identity_cache"
+if [ "$actual" != "$expected" ]; then
+    echo "sweeps output identity: sha256 $actual, expected $expected" >&2
+    exit 1
+fi
+echo "   sweeps: $actual"
 
 echo "== fault-injection smoke =="
 # Seeded recovery matrix: every fault class (torn write, bit flip,

@@ -35,6 +35,7 @@ import sys
 REQUIRED_BATTERY_FILES = (
     "tests/test_characterize.py",
     "tests/test_cycle_kernel_equivalence.py",
+    "tests/test_sweep_equivalence.py",
 )
 
 

@@ -13,9 +13,10 @@ package re-expresses the same predictors as NumPy array programs:
   for the SBTB/CBTB associative buffers,
   :mod:`~repro.kernels.direction` for gshare/bimodal,
   :mod:`~repro.kernels.static` for the FS and static baselines);
-* the associative-table kernels partition work by cache set and drop
-  to a tight per-set scalar replay only for sets under real capacity
-  pressure (see docs/PERFORMANCE.md for the closed forms);
+* the associative-table kernels partition work by cache set and
+  replay record by record only the sets under real capacity pressure
+  (:mod:`~repro.kernels.evict`; see docs/PERFORMANCE.md for the
+  closed forms);
 * :mod:`~repro.kernels.aggregate` folds per-record outcomes into the
   same :class:`~repro.predictors.base.PredictionStats` the scalar
   simulator produces.
@@ -28,11 +29,11 @@ tables all enforce it; a kernel that is fast but drifts is a bug.
 
 Path selection lives in :func:`~repro.kernels.engine.resolve_engine`,
 and it is not an option: ``simulate()`` uses a kernel when one exists,
-the predictor is pristine, there is no flush and the trace is large
-enough to amortise array setup, and the scalar loop otherwise.  The
-vector path never mutates the predictor object it is handed, so
-buffer-internal telemetry (occupancy, eviction counts) appears only on
-scalar runs.
+there is no flush and the trace is large enough to amortise array
+setup, and the scalar loop otherwise.  Both paths start every run from
+the predictor's initial state.  The vector path never mutates the
+predictor object it is handed, so buffer-internal telemetry
+(occupancy, eviction counts) appears only on scalar runs.
 """
 
 from repro.kernels.encode import EncodedTrace
@@ -76,32 +77,6 @@ def supports(predictor):
     return kernel_for(predictor) is not None
 
 
-def is_pristine(predictor):
-    """True when ``predictor`` is in its freshly-constructed state.
-
-    The closed forms reconstruct buffer contents from the trace alone,
-    which is only valid when the simulation starts from empty buffers
-    and initial counters — how every runner and sweep builds its
-    predictors.  A warm predictor (reused across simulate calls
-    without ``reset()``) is routed to the scalar loop instead.
-    """
-    from repro.predictors.bimodal import Bimodal
-    from repro.predictors.cbtb import CounterBTB
-    from repro.predictors.sbtb import SimpleBTB
-    from repro.predictors.twolevel import GShare
-
-    if isinstance(predictor, (SimpleBTB, CounterBTB)):
-        return len(predictor._cache) == 0
-    if isinstance(predictor, GShare):
-        return (predictor.history == 0
-                and len(predictor._targets) == 0
-                and predictor.counters.count(1) == len(predictor.counters))
-    if isinstance(predictor, Bimodal):
-        return (len(predictor._targets) == 0
-                and predictor.counters.count(1) == len(predictor.counters))
-    return True     # the software schemes carry no run-time state
-
-
 def simulate_vector(predictor, trace, conditional_only=False,
                     ras_returns=True):
     """Run ``predictor`` over ``trace`` with its batch kernel.
@@ -123,7 +98,6 @@ def simulate_vector(predictor, trace, conditional_only=False,
 __all__ = [
     "AUTO_THRESHOLD",
     "EncodedTrace",
-    "is_pristine",
     "kernel_for",
     "resolve_engine",
     "simulate_vector",

@@ -13,7 +13,7 @@ Both schemes split cleanly into two independent machines:
   Taken executions insert, nothing deletes, so while a set has not
   evicted, presence is "some earlier taken execution" and the stored
   target is the latest such execution's.  The eviction screen and the
-  blocked replay (:mod:`repro.kernels.evict`) mirror
+  LRU replay (:mod:`repro.kernels.evict`) mirror
   :mod:`repro.kernels.tables`; the replay needs one extra input, the
   direction bit, because only predicted-taken conditionals touch (and
   therefore refresh) the store on the predict path.

@@ -24,15 +24,14 @@ AUTO_THRESHOLD = 2048
 def resolve_engine(predictor, trace, flush_interval=None):
     """The path a simulation runs on: ``"vector"`` or ``"scalar"``.
 
-    ``"vector"`` when a kernel exists for the predictor type, the
-    predictor is pristine (the closed forms assume an initial state),
-    there is no ``flush_interval`` (the context-switch ablation needs a
-    hook between records), and the trace has at least
+    ``"vector"`` when a kernel exists for the predictor type, there is
+    no ``flush_interval`` (the context-switch ablation needs a hook
+    between records), and the trace has at least
     :data:`AUTO_THRESHOLD` records; ``"scalar"`` otherwise.
     """
-    from repro.kernels import is_pristine, supports
+    from repro.kernels import supports
 
     if (flush_interval is None and len(trace) >= AUTO_THRESHOLD
-            and supports(predictor) and is_pristine(predictor)):
+            and supports(predictor)):
         return "vector"
     return "scalar"

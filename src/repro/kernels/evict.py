@@ -1,54 +1,34 @@
-"""Blocked LRU eviction kernel for overflowing BTB sets.
+"""LRU replay of the overflowing BTB sets.
 
 The closed-form kernels in :mod:`repro.kernels.tables` and
 :mod:`repro.kernels.direction` are exact until a cache set evicts.
-This module replaces the old per-set scalar dict replay with a blocked
-iteration that stays in NumPy: the records of *all* overflowing sets
-are regrouped into rounds — round ``r`` holds the ``r``-th record of
-every overflowing set — and each round is one batch of vectorized
-cache transitions, applied to every set at once.
+The records of the sets that do evict are replayed here in trace
+order, one record at a time, through one ``OrderedDict`` LRU per set
+(least recently used first).  Each scheme is a table of ops on a hit
+or a miss — *move* (to MRU), *delete*, *insert* (at MRU, evicting the
+LRU entry when the set is full) or *no-op* — stated in the docstrings
+of :func:`sbtb_evict`, :func:`cbtb_evict` and :func:`store_evict`.
+The replay follows the AssociativeCache recency contract without
+calling it, so the equivalence tests still compare two separate
+implementations: a predict-path lookup or a new allocation refreshes
+an entry, an in-place update does not.
 
-The inter-round state is a closed-form summary of each set: a dense
-``(sets, ways)`` key/value (and, for the CBTB, counter) matrix kept in
-recency order — empty slots packed at the low end, LRU at the first
-occupied column, MRU at the last column.  Every LRU transition is then
-a single gather per round through an *augmented* column space::
-
-    index 0          a synthesized empty slot
-    index 1 .. W     the set's current ways (LRU .. MRU)
-    index W + 1      the record's would-be new entry
-
-with one gather row per op:
-
-* ``noop``          ``[1, 2, .., W]`` — identity
-* ``move(way)``     drop ``way``, shift the ways above it down, put
-  ``way`` at the MRU column
-* ``delete(way)``   drop ``way``, shift the ways below it up, pull an
-  empty slot into the low end
-* ``insert``        shift everything down one and put the new entry at
-  the MRU column — column 0's old content (an empty slot, or the LRU
-  entry when the set is full) falls off the end, which *is* the
-  eviction; no occupancy bookkeeping is needed
-
-Throughput is proportional to the number of *concurrently* overflowing
-sets: a trace that hammers one set degenerates to one record per round
-and runs at interpreter speed, while spread pressure (the realistic
-case — small direct-mapped or 2-way ablations) keeps whole rounds
-dense.  Either way there is no scalar per-record replay and results
-are bit-identical to the event-loop predictors.
+Only the overflowing sets pay the per-record cost; every other set
+keeps its closed-form answers.  The paper's 256-entry buffers never
+overflow, so the replay runs for the small and set-associative
+buffers of the sweeps, the conformance fuzz and the characterize
+probes.
 
 The eviction *screen* lives here too (:func:`overflow_rows`) so every
-kernel shares the same exact boundary rule: a set routes to this
-kernel only when its no-eviction occupancy trajectory strictly exceeds
-the way count — ``occupancy == ways`` fills the set without evicting
-and stays on the closed-form path.
+kernel shares the same exact boundary rule: a set routes to the
+replay only when its no-eviction occupancy trajectory strictly
+exceeds the way count — ``occupancy == ways`` fills the set without
+evicting and stays on the closed-form path.
 """
 
+from collections import OrderedDict, defaultdict
+
 import numpy as np
-
-from repro.kernels import scan
-
-_EMPTY = np.int64(-1)
 
 
 def overflow_rows(set_ids, occupancy, ways):
@@ -111,104 +91,43 @@ def store_evict(rows, set_ids, sites, takens, targets, refreshes, ways,
 def _replay(mode, rows, set_ids, sites, takens, targets, ways, *,
             present, stored, pred_taken=None, refreshes=None,
             threshold=0, counter_max=0):
-    """Run the round-blocked LRU replay and scatter per-record results."""
-    n = rows.shape[0]
-    if n == 0:
-        return
-    r_sites = sites[rows]
-    r_takens = takens[rows]
-    r_targets = targets[rows]
-    r_refresh = refreshes[rows] if refreshes is not None else None
-    dense = np.unique(set_ids[rows], return_inverse=True)[1]
-    n_sets = int(dense.max()) + 1
+    """Replay ``rows`` in trace order and scatter per-record results.
 
-    # Round r = the r-th record of each overflowing set: position
-    # within the set, then a stable sort by position (ties keep trace
-    # order, though rows within a round are independent by
-    # construction — one record per set).
-    pos = scan.running_total(scan.Groups(dense),
-                             np.ones(n, dtype=np.int32)) - 1
-    round_order = np.argsort(pos, kind="stable")
-    n_rounds = int(pos[round_order[-1]]) + 1
-    bounds = np.searchsorted(pos[round_order],
-                             np.arange(n_rounds + 1))
-
-    w = int(ways)
-    ar_w = np.arange(w, dtype=np.int64)
-    g_noop = 1 + ar_w
-    g_ins = 2 + ar_w
-    g_ins[-1] = w + 1
-    keys = np.full((n_sets, w), _EMPTY, dtype=np.int64)
-    vals = np.zeros((n_sets, w), dtype=np.int64)
-    cnts = (np.zeros((n_sets, w), dtype=np.int64)
-            if mode == "cbtb" else None)
-
-    for r in range(n_rounds):
-        idx = round_order[bounds[r]:bounds[r + 1]]
-        sel = dense[idx]
-        s = r_sites[idx]
-        tk = r_takens[idx]
-        tg = r_targets[idx]
-        m = idx.shape[0]
-        rr = np.arange(m)
-
-        board = keys[sel]
-        match = board == s[:, None]
-        hit = match.any(axis=1)
-        way = np.argmax(match, axis=1)
-        old_val = vals[sel][rr, way]
-
-        out = rows[idx]
-        present[out] = hit
-        stored[out] = np.where(hit, old_val, 0)
-
-        if mode == "sbtb":
-            op_move = hit & tk
-            op_del = hit & ~tk
-            op_ins = ~hit & tk
-        elif mode == "cbtb":
-            old_cnt = cnts[sel][rr, way]
-            pred_taken[out] = hit & (old_cnt >= threshold)
-            op_move = hit
-            op_del = np.zeros(m, dtype=bool)
-            op_ins = ~hit
-        else:
-            op_move = hit & (tk | r_refresh[idx])
-            op_del = np.zeros(m, dtype=bool)
-            op_ins = ~hit & tk
-
-        wcol = way[:, None]
-        g_move = 1 + ar_w + (ar_w >= wcol)
-        g_move[:, -1] = 1 + way
-        g_del = np.where(ar_w <= wcol, ar_w, 1 + ar_w)
-        gather = np.where(
-            op_move[:, None], g_move,
-            np.where(op_del[:, None], g_del,
-                     np.where(op_ins[:, None], g_ins, g_noop)))
-
-        aug = np.empty((m, w + 2), dtype=np.int64)
-        aug[:, 0] = _EMPTY
-        aug[:, 1:w + 1] = board
-        aug[:, w + 1] = s
-        keys[sel] = np.take_along_axis(aug, gather, axis=1)
-        aug[:, 0] = 0
-        aug[:, 1:w + 1] = vals[sel]
-        aug[:, w + 1] = tg
-        vals[sel] = np.take_along_axis(aug, gather, axis=1)
-
+    Each LRU maps a site to ``[target, counter]``; only the CBTB uses
+    the counter.
+    """
+    lrus = defaultdict(OrderedDict)
+    hits, olds, predicted = [], [], []
+    refresh = (refreshes[rows].tolist() if refreshes is not None
+               else [False] * len(rows))
+    for set_id, site, taken, target, refreshed in zip(
+            set_ids[rows].tolist(), sites[rows].tolist(),
+            takens[rows].tolist(), targets[rows].tolist(), refresh):
+        lru = lrus[set_id]
+        entry = lru.get(site)
+        hits.append(entry is not None)
+        if entry is None:
+            olds.append(0)
+            predicted.append(False)
+            if taken or mode == "cbtb":
+                if len(lru) == ways:
+                    lru.popitem(last=False)
+                lru[site] = [target,
+                             threshold if taken else threshold - 1]
+            continue
+        olds.append(entry[0])
+        predicted.append(entry[1] >= threshold)
+        if mode == "sbtb" and not taken:
+            del lru[site]
+            continue
+        if mode != "store" or taken or refreshed:
+            lru.move_to_end(site)
+        if taken:
+            entry[0] = target
         if mode == "cbtb":
-            aug[:, 1:w + 1] = cnts[sel]
-            aug[:, w + 1] = np.where(tk, threshold, threshold - 1)
-            cnts[sel] = np.take_along_axis(aug, gather, axis=1)
-            # In-place counter walk of the touched (now MRU) entry.
-            bumped = np.where(tk,
-                              np.minimum(old_cnt + 1, counter_max),
-                              np.maximum(old_cnt - 1, 0))
-            cnts[sel[hit], -1] = bumped[hit]
-            write = hit & tk
-            vals[sel[write], -1] = tg[write]
-        elif mode == "sbtb":
-            vals[sel[op_move], -1] = tg[op_move]
-        else:
-            write = hit & tk
-            vals[sel[write], -1] = tg[write]
+            entry[1] = (min(entry[1] + 1, counter_max) if taken
+                        else max(entry[1] - 1, 0))
+    present[rows] = hits
+    stored[rows] = olds
+    if pred_taken is not None:
+        pred_taken[rows] = predicted

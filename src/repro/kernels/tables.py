@@ -17,10 +17,10 @@ Eviction is detected exactly, per set, from the same closed forms: the
 no-eviction occupancy trajectory coincides with the real one up to the
 first eviction, and that first eviction is precisely the first record
 where the trajectory would exceed the set's way count.  Sets that
-never cross the line keep the closed-form answers; sets that do are
-re-simulated together by the blocked LRU replay in
-:mod:`repro.kernels.evict` — vectorized across all overflowing sets,
-bit-identical to the AssociativeCache recency contract.  The paper's
+never cross the line keep the closed-form answers; the records of sets
+that do are replayed in trace order through one LRU per set by
+:mod:`repro.kernels.evict`, bit-identical to the AssociativeCache
+recency contract.  The paper's
 configuration — 256 entries, fully associative, against benchmarks
 with at most a couple hundred static branch sites — never overflows,
 so the eviction path is exercised by the small-buffer ablations and

@@ -88,7 +88,7 @@ class CycleSimulator:
         config: :class:`~repro.pipeline.config.PipelineConfig`; the
             simulator uses the integer stage counts k, l, m (not the
             averaged penalties — those belong to the analytic model).
-        predictor: a pristine predictor with a batch kernel
+        predictor: a predictor with a batch kernel
             (:func:`repro.kernels.supports`).
         ras_returns: model the shared return-address mechanism (returns
             always covered); matches the accounting of
@@ -108,18 +108,16 @@ class CycleSimulator:
     def run(self, trace):
         """Simulate ``trace``; returns :class:`CycleStats`.
 
-        Raises ValueError for a predictor with no kernel or with warm
-        state, which the kernel cannot reproduce.
+        Raises ValueError for a predictor with no kernel.  The run
+        starts from the predictor's initial state, whatever state the
+        object is in.
         """
-        from repro.kernels import is_pristine, supports
+        from repro.kernels import supports
         from repro.kernels.cycle import cycle_kernel
 
-        name = type(self.predictor).__name__
         if not supports(self.predictor):
-            raise ValueError("no cycle kernel for %s" % name)
-        if not is_pristine(self.predictor):
-            raise ValueError("cycle simulation needs a pristine %s "
-                             "(reset() it first)" % name)
+            raise ValueError("no cycle kernel for %s"
+                             % type(self.predictor).__name__)
         stats = CycleStats(**cycle_kernel(self.config, self.predictor,
                                           trace, self.ras_returns))
         self._report(stats)

@@ -249,8 +249,9 @@ def simulate(predictor, trace, flush_interval=None,
 
     The run goes to :func:`repro.kernels.simulate_vector` or to
     :func:`simulate_scalar`, as :func:`repro.kernels.resolve_engine`
-    decides; the two are bit-identical, but only the scalar loop
-    advances the predictor object.
+    decides; the two are bit-identical and both start from the
+    predictor's initial state, but only the scalar loop advances the
+    predictor object.
     """
     from repro.kernels import resolve_engine, simulate_vector
 
@@ -274,9 +275,12 @@ def simulate_scalar(predictor, trace, flush_interval=None,
                     conditional_only=False, ras_returns=True):
     """The record-at-a-time reference loop behind :func:`simulate`.
 
-    Same arguments and result as :func:`simulate`, for any predictor
-    in any state; every record goes through ``predict``/``update``.
+    Same arguments and result as :func:`simulate`; every record goes
+    through ``predict``/``update``.  The run starts with
+    ``predictor.reset()``, so a reused predictor scores exactly like a
+    fresh one, as on the vector path.
     """
+    predictor.reset()
     stats = PredictionStats()
     instructions_seen = 0
     next_flush = flush_interval

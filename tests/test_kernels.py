@@ -4,22 +4,25 @@ The differential battery (test_kernels_equivalence.py) establishes the
 end-to-end bit-identity contract; these tests pin the pieces it is
 built from: the segmented scan primitives against straightforward
 dict-based references, path resolution and every one of its scalar
-fallbacks, trace-encoding memoization, and the stats plumbing.
+fallbacks, run-to-run independence of a reused predictor,
+trace-encoding memoization, and the stats plumbing.
 """
 
 import numpy as np
 import pytest
 
+from repro.conformance.fuzz import TraceFuzzer
 from repro.kernels import (
     AUTO_THRESHOLD,
     EncodedTrace,
-    is_pristine,
     kernel_for,
     resolve_engine,
     simulate_vector,
     supports,
 )
 from repro.kernels import scan
+from repro.pipeline import CycleSimulator, PipelineConfig
+from repro.pipeline.cycle_sim import CycleStats
 from repro.predictors import (
     Bimodal,
     CounterBTB,
@@ -178,26 +181,48 @@ def test_resolve_engine_scalar_fallbacks():
     # No kernel for the tournament meta-predictor.
     assert not supports(Tournament())
     assert resolve_engine(Tournament(), trace=trace) == "scalar"
-    # A warm predictor invalidates the closed forms.
-    warm = SimpleBTB(16)
-    simulate_scalar(warm, _small_trace())
-    assert not is_pristine(warm)
-    assert resolve_engine(warm, trace=trace) == "scalar"
-    warm.reset()
-    assert is_pristine(warm)
-    assert resolve_engine(warm, trace=trace) == "vector"
+    # A used predictor still takes the kernels: every run starts from
+    # the initial state on either path.
+    used = SimpleBTB(16)
+    simulate_scalar(used, _small_trace())
+    assert resolve_engine(used, trace=trace) == "vector"
 
 
 def test_pristine_covers_direction_tables():
+    """Every scalar run starts pristine: the direction tables' counters
+    and history, not only the target store, are reset first."""
     for make in (lambda: GShare(history_bits=4, table_bits=6),
                  lambda: Bimodal(table_bits=6, entries=16),
                  lambda: CounterBTB(entries=16)):
         predictor = make()
-        assert is_pristine(predictor)
-        simulate_scalar(predictor, _small_trace())
-        assert not is_pristine(predictor)
-        predictor.reset()
-        assert is_pristine(predictor)
+        first = simulate_scalar(predictor, _small_trace())
+        assert simulate_scalar(predictor, _small_trace()) == first
+        assert first == simulate_vector(make(), _small_trace())
+
+
+def test_reused_predictor_scores_like_a_fresh_one():
+    """A run's result does not depend on the object's earlier calls:
+    after a short scalar call and a long vector call, a reused
+    predictor gives the same PredictionStats and CycleStats as a
+    fresh one, on both paths."""
+    short = TraceFuzzer(3).trace()
+    big = TraceFuzzer(4, n_records=AUTO_THRESHOLD + 32).trace()
+    config = PipelineConfig(1, 1, 1)
+    for make in (lambda: GShare(4, 6, 16),
+                 lambda: Bimodal(table_bits=6, entries=16),
+                 lambda: SimpleBTB(entries=16),
+                 lambda: CounterBTB(entries=16)):
+        reused = make()
+        for trace in (short, big, short, big):
+            assert simulate(reused, trace) == simulate(make(), trace)
+            assert (_cycle_fields(CycleSimulator(config, reused), trace)
+                    == _cycle_fields(CycleSimulator(config, make()),
+                                     trace))
+
+
+def _cycle_fields(simulator, trace):
+    stats = simulator.run(trace)
+    return [getattr(stats, name) for name in CycleStats.__slots__]
 
 
 def test_simulate_vector_rejects_unsupported():
@@ -210,7 +235,7 @@ def test_vector_engine_never_mutates_predictor():
     predictor = SimpleBTB(entries=16)
     stats = simulate(predictor, _big_trace())
     assert stats.total == AUTO_THRESHOLD
-    assert is_pristine(predictor)
+    assert predictor.occupancy == 0
 
 
 # -- stats plumbing ------------------------------------------------------

@@ -174,18 +174,20 @@ def test_cycle_sim_perfect_prediction_is_one_cycle_per_branch():
 
 
 def test_cycle_sim_rejects_predictors_the_kernel_cannot_run():
-    """No silent fallback: a predictor with no kernel, or one with warm
-    buffers, raises instead of running a record loop."""
+    """No silent fallback: a predictor with no kernel raises instead of
+    running a record loop; a used predictor runs from its initial
+    state like a fresh one."""
     trace = _trace()
     config = PipelineConfig(1, 1, 1)
     with pytest.raises(ValueError, match="no cycle kernel"):
         CycleSimulator(config, Tournament()).run(trace)
-    warm = SimpleBTB()
-    simulate_scalar(warm, trace)
-    with pytest.raises(ValueError, match="pristine"):
-        CycleSimulator(config, warm).run(trace)
-    warm.reset()
-    assert CycleSimulator(config, warm).run(trace).branches == len(trace)
+    used = SimpleBTB()
+    simulate_scalar(used, trace)
+    warm = CycleSimulator(config, used).run(trace)
+    fresh = CycleSimulator(config, SimpleBTB()).run(trace)
+    assert warm.branches == len(trace)
+    assert warm.cycles == fresh.cycles
+    assert warm.squashed_by_class == fresh.squashed_by_class
 
 
 def test_cycle_sim_matches_cost_model():
