@@ -14,9 +14,12 @@ Two trajectory files are written next to the repo root on teardown:
   fail when the vector kernels lose bit identity with their
   references, when the headline speedup drops below its floor, or
   when vector throughput regresses more than 25% against the
-  committed baseline (read before it is rewritten).  ``scripts/check.sh`` runs
-  them with ``-k kernel``; they use plain ``time.perf_counter`` so
-  they work standalone, without the pytest-benchmark fixture.
+  committed baseline (read before it is rewritten).
+  ``test_vm_compiled_speedup`` gates the compiled-block VM against
+  the reference interpreter the same way.  ``scripts/check.sh`` runs
+  them with ``-k "kernel or compiled_speedup"``; they use plain
+  ``time.perf_counter`` so they work standalone, without the
+  pytest-benchmark fixture.
 """
 
 import json
@@ -27,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarksuite import compile_benchmark, get_benchmark
+from repro.cfg import ControlFlowGraph
 from repro.kernels import simulate_vector
 from repro.predictors import (
     CounterBTB,
@@ -109,6 +113,42 @@ def test_vm_throughput(benchmark):
     print("\nVM throughput: %.0f instructions/second "
           "(%d instructions per run)" % (rate, result.instructions))
     assert rate > 100_000  # the floor that keeps paper-scale runs sane
+
+
+#: Minimum speed of the compiled-block VM over the reference
+#: interpreter on the two VM passes (compress, scale 0.1).  Both paths
+#: are timed alternately in one process, so host load moves both.
+_VM_COMPILED_FLOOR = 1.8
+
+
+def test_vm_compiled_speedup():
+    """Paired gate: ``Machine.run`` (compiled blocks) against
+    ``Machine._run`` (the reference) on the profile pass (base program,
+    leader probes) and the trace pass (FS layout) of compress."""
+    program = compile_benchmark("compress")
+    suite = get_benchmark("compress").input_suite(scale=0.1)
+    cfg = ControlFlowGraph.from_program(program)
+    profile, _ = profile_program(program, suite, cfg=cfg)
+    layout = build_fs_program(program, profile)
+    machines = [Machine(program, inputs=streams, trace=True,
+                        probe_addresses=cfg.leaders) for streams in suite]
+    machines += [Machine(layout.program, inputs=streams, trace=True)
+                 for streams in suite]
+
+    def timed(run):
+        start = time.perf_counter()
+        for machine in machines:
+            run(machine)
+        return time.perf_counter() - start
+
+    compiled = reference = float("inf")
+    for _ in range(3):
+        compiled = min(compiled, timed(Machine.run))
+        reference = min(reference, timed(Machine._run))
+    ratio = reference / compiled
+    print("\nVM passes: reference %.3fs, compiled %.3fs (%.2fx)"
+          % (reference, compiled, ratio))
+    assert ratio >= _VM_COMPILED_FLOOR
 
 
 def test_vm_tracing_overhead(benchmark):

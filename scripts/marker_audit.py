@@ -20,7 +20,8 @@ marker expression — and enforces:
    (a collection discrepancy would mean the two runs disagree about
    what the suite even is);
 5. every file in ``REQUIRED_BATTERY_FILES`` — the differential
-   equivalence batteries that lock the kernels to their references —
+   equivalence batteries that lock the kernels and the compiled VM to
+   their references —
    contributes at least one slow-marked battery test (a renamed or
    deleted battery must fail loudly here, not silently stop gating).
 
@@ -31,11 +32,13 @@ import subprocess
 import sys
 
 #: Test files that must each carry at least one slow-marked
-#: ``*_battery`` test: the kernel-equivalence contract suites.
+#: ``*_battery`` test: the kernel and compiled-VM equivalence contract
+#: suites.
 REQUIRED_BATTERY_FILES = (
     "tests/test_characterize.py",
     "tests/test_cycle_kernel_equivalence.py",
     "tests/test_sweep_equivalence.py",
+    "tests/test_vm_compiled.py",
 )
 
 

@@ -10,7 +10,9 @@ end-to-end:
 * ``slot_mode="direct"`` — a taken likely branch transfers straight to
   its original target.  Because forward slots are faithful copies of the
   target path, this is functionally identical to executing the slots and
-  is the fast mode used for trace collection.
+  is the fast mode used for trace collection: it runs as compiled basic
+  blocks (:mod:`repro.vm.compiled`), checked against the reference
+  interpreter ``Machine._run``.
 * ``slot_mode="execute"`` — a taken likely branch falls through into its
   forward slots with an alternate-PC countdown, exactly as the fetch
   hardware would behave.  Used by the semantic-preservation tests.

@@ -1,9 +1,11 @@
 """The functional simulator.
 
-The interpreter pre-decodes the program into flat tuples with integer
-opcodes and runs a single dispatch loop; this keeps the cost per
-simulated instruction low enough to execute the multi-million
-instruction benchmark suite in seconds.
+The program is pre-decoded into flat tuples with integer opcodes.
+:meth:`Machine.run` executes direct-mode runs as compiled basic blocks
+(:mod:`repro.vm.compiled`) and derives the trace from the executed
+block sequence.  :meth:`Machine._run`, one if/elif opcode chain, is the
+reference interpreter: it runs forward-slot execution and address
+traces, and every compiled run must match it exactly.
 
 Forward-slot ("execute") semantics follow the hardware description in
 the paper: when a likely-taken branch with ``n_slots`` forward slots is
@@ -154,18 +156,27 @@ class Machine:
     def run(self):
         """Execute the program until HALT; returns :class:`MachineResult`.
 
+        Direct-mode runs without an address trace execute compiled
+        blocks (:mod:`repro.vm.compiled`); everything else runs the
+        reference interpreter :meth:`_run`.  Both give identical results.
+
         Telemetry is deliberately run-level, never per-instruction: the
-        dispatch loop is the hottest code in the repository, so the
         disabled path costs one attribute check per *run* and the
         enabled path times the whole execution and derives the dispatch
         rate from the result's instruction count.
         """
+        from repro.vm.compiled import run_compiled  # imports this module
+
+        compiled = (self.slot_mode == "direct"
+                    and not self.address_trace_enabled)
         if not TELEMETRY.enabled:
-            return self._run()
+            return run_compiled(self) if compiled else self._run()
         start = time.perf_counter()
-        result = self._run()
+        result = run_compiled(self) if compiled else self._run()
         duration = time.perf_counter() - start
         TELEMETRY.count("vm.runs")
+        if compiled:
+            TELEMETRY.count("vm.compiled_runs")
         TELEMETRY.count("vm.instructions", result.instructions)
         TELEMETRY.record("vm.run_seconds", duration)
         TELEMETRY.event(
@@ -173,7 +184,8 @@ class Machine:
             instructions=result.instructions, duration_s=duration,
             instructions_per_second=(result.instructions / duration
                                      if duration > 0 else None),
-            traced=self.trace_enabled)
+            traced=self.trace_enabled,
+            path="compiled" if compiled else "reference")
         return result
 
     def _run(self):

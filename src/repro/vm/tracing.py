@@ -90,8 +90,10 @@ class BranchTrace:
 
     ``total_instructions`` counts every executed instruction including
     the branches themselves; it defaults to ``sum(gaps) + len``, the
-    count of a trace whose last record ends the run.  A trace is never
-    grown after it is built: merge runs with :meth:`concatenate`.
+    count of a trace whose last record ends the run.  The constructor
+    raises ``ValueError`` unless the five columns are 1-D and of equal
+    length.  A trace is never grown after it is built: merge runs with
+    :meth:`concatenate`.
     """
 
     def __init__(self, sites=(), classes=(), takens=(), targets=(),
@@ -101,6 +103,12 @@ class BranchTrace:
         self.takens = np.asarray(takens, dtype=bool)
         self.targets = np.asarray(targets, dtype=np.int64)
         self.gaps = np.asarray(gaps, dtype=np.int64)
+        shapes = {getattr(self, column).shape for column in _COLUMNS}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(
+                "trace columns must be 1-D and of equal length, got "
+                + ", ".join("%s %s" % (column, getattr(self, column).shape)
+                            for column in _COLUMNS))
         if total_instructions is None:
             total_instructions = int(self.gaps.sum()) + len(self.sites)
         self.total_instructions = int(total_instructions)

@@ -297,6 +297,33 @@ def test_corrupt_cache_falls_back_to_execution(tmp_path):
             == list(fresh.trace.records()))
 
 
+def test_tampered_trace_columns_are_quarantined(tmp_path):
+    # A content-tampered entry with a recomputed checksum: the checksum
+    # passes, so the trace's own shape check must catch it.
+    import numpy as np
+
+    from repro.resilience.store import file_checksum, list_quarantined
+    from repro.telemetry.manifest import RunManifest, manifest_path_for
+
+    cache = tmp_path / "tampered"
+    fresh = SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
+    (trace_path,) = cache.glob("*.npz")
+    with np.load(trace_path) as stored:
+        arrays = dict(stored)
+    arrays["takens"] = arrays["takens"][:1]
+    with open(trace_path, "wb") as handle:
+        np.savez(handle, **arrays)
+    manifest_path = manifest_path_for(trace_path)
+    manifest = RunManifest.load(manifest_path)
+    manifest.checksums["trace"] = file_checksum(trace_path)
+    manifest.write(manifest_path)
+
+    recovered = SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
+    assert list_quarantined(cache)
+    assert (list(recovered.trace.records())
+            == list(fresh.trace.records()))
+
+
 def test_cache_key_includes_source_hash(tmp_path):
     runner = SuiteRunner(scale=TINY, runs=1, cache_dir=tmp_path)
     spec_source = "int main() { return 0; }"

@@ -419,12 +419,16 @@ def test_vm_emits_run_event(global_telemetry):
         }
     """, "t")
     result = run_program(program)
-    assert TELEMETRY.counter_value("vm.runs") == 1
+    run_program(program, slot_mode="execute")
+    assert TELEMETRY.counter_value("vm.runs") == 2
+    assert TELEMETRY.counter_value("vm.compiled_runs") == 1
     assert (TELEMETRY.counter_value("vm.instructions")
-            == result.instructions)
-    event = global_telemetry.named("vm.run")[0]
-    assert event["instructions"] == result.instructions
-    assert event["instructions_per_second"] > 0
+            == 2 * result.instructions)
+    compiled, reference = global_telemetry.named("vm.run")
+    assert compiled["instructions"] == result.instructions
+    assert compiled["instructions_per_second"] > 0
+    assert (compiled["path"], reference["path"]) == ("compiled",
+                                                     "reference")
 
 
 def test_predictor_simulate_emits_stats(global_telemetry):
