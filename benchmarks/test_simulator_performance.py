@@ -16,10 +16,12 @@ Two trajectory files are written next to the repo root on teardown:
   when vector throughput regresses more than 25% against the
   committed baseline (read before it is rewritten).
   ``test_vm_compiled_speedup`` gates the compiled-block VM against
-  the reference interpreter the same way.  ``scripts/check.sh`` runs
-  them with ``-k "kernel or compiled_speedup"``; they use plain
-  ``time.perf_counter`` so they work standalone, without the
-  pytest-benchmark fixture.
+  the reference interpreter the same way, and
+  ``test_flush_tournament_speedup`` the flush-epoch and tournament
+  kernels against the scalar loop.  ``scripts/check.sh`` runs them
+  with ``-k "kernel or compiled_speedup or flush_tournament_speedup"``;
+  they use plain ``time.perf_counter`` so they work standalone,
+  without the pytest-benchmark fixture.
 """
 
 import json
@@ -36,6 +38,7 @@ from repro.predictors import (
     CounterBTB,
     ForwardSemanticPredictor,
     SimpleBTB,
+    Tournament,
     simulate_scalar,
 )
 from repro.telemetry.history import (
@@ -269,6 +272,40 @@ def test_kernel_engines_match_and_speed_up(all_runs):
     assert speedup >= _SPEEDUP_FLOOR, (
         "vector kernels only %.2fx faster than scalar on %s "
         "(floor %.1fx)" % (speedup, name, _SPEEDUP_FLOOR))
+
+
+#: Minimum speed of the kernels over the scalar loop on the runs that
+#: need flush epochs or the tournament kernel (compress, scale 0.1).
+#: Both paths are timed alternately in one process.
+_FLUSH_TOURNAMENT_FLOOR = 4.0
+
+
+def test_flush_tournament_speedup(all_runs):
+    """Paired gate: ``simulate_vector`` against ``simulate_scalar`` on
+    SBTB and CBTB with ``flush_interval=5000`` and on the default
+    Tournament; fails on any stats mismatch or under the floor."""
+    trace = all_runs["compress"].trace
+    runs = ((SimpleBTB, {"flush_interval": 5_000}),
+            (CounterBTB, {"flush_interval": 5_000}),
+            (Tournament, {}))
+
+    def timed(simulate_path):
+        start = time.perf_counter()
+        stats = [simulate_path(make(), trace, **kwargs)
+                 for make, kwargs in runs]
+        return time.perf_counter() - start, stats
+
+    scalar = vector = float("inf")
+    for _ in range(3):
+        elapsed, scalar_stats = timed(simulate_scalar)
+        scalar = min(scalar, elapsed)
+        elapsed, vector_stats = timed(simulate_vector)
+        vector = min(vector, elapsed)
+        assert scalar_stats == vector_stats
+    ratio = scalar / vector
+    print("\nflush + tournament: scalar %.3fs, vector %.3fs (%.1fx)"
+          % (scalar, vector, ratio))
+    assert ratio >= _FLUSH_TOURNAMENT_FLOOR
 
 
 def _committed_kernels_baseline():

@@ -140,8 +140,11 @@ echo "== kernel bench gate =="
 # headline and cycle-sim vector throughput must not regress >25%
 # against the committed BENCH_kernels.json baseline.  The paired VM
 # gate times Machine.run against the reference Machine._run on the two
-# VM passes of compress and fails under a 1.8x speedup.
+# VM passes of compress and fails under a 1.8x speedup; the paired
+# flush/tournament gate times simulate_vector against simulate_scalar
+# on SBTB and CBTB with flushes and on Tournament, and fails under 4x.
 PYTHONPATH=src python -m pytest -q \
-    benchmarks/test_simulator_performance.py -k "kernel or compiled_speedup"
+    benchmarks/test_simulator_performance.py \
+    -k "kernel or compiled_speedup or flush_tournament_speedup"
 
 echo "== all checks passed =="

@@ -2,8 +2,9 @@
 
 The scalar simulator in :mod:`repro.predictors.base` walks a branch
 trace one record at a time through Python objects — honest, simple,
-and the throughput ceiling of every sweep and fuzz campaign.  This
-package re-expresses the same predictors as NumPy array programs:
+and the reference every kernel is checked against.  This package
+re-expresses every predictor type of :mod:`repro.predictors` as NumPy
+array programs:
 
 * a trace already is column arrays; the kernels wrap them without
   copying (:class:`~repro.kernels.encode.EncodedTrace`) and memoize
@@ -11,15 +12,17 @@ package re-expresses the same predictors as NumPy array programs:
 * per-predictor kernels compute every record's prediction outcome in
   a handful of whole-trace array passes (:mod:`~repro.kernels.tables`
   for the SBTB/CBTB associative buffers,
-  :mod:`~repro.kernels.direction` for gshare/bimodal,
+  :mod:`~repro.kernels.direction` for gshare/bimodal/tournament,
   :mod:`~repro.kernels.static` for the FS and static baselines);
 * the associative-table kernels partition work by cache set and
   replay record by record only the sets under real capacity pressure
   (:mod:`~repro.kernels.evict`; see docs/PERFORMANCE.md for the
   closed forms);
-* :mod:`~repro.kernels.aggregate` folds per-record outcomes into the
-  same :class:`~repro.predictors.base.PredictionStats` the scalar
-  simulator produces.
+* a context switch is a key, not a hook: stateful kernels group by
+  ``(flush epoch, key)``, so each epoch starts pristine;
+* :mod:`~repro.kernels.aggregate` filters and scores the records and
+  folds the outcomes into ``PredictionStats``, per-site counts or
+  cycle accounting (:mod:`~repro.kernels.cycle`).
 
 The contract is **bit identity**: for every supported predictor and
 every trace, the vector path returns a ``PredictionStats`` equal
@@ -28,16 +31,14 @@ equivalence tests, the conformance engine cross-check, and the golden
 tables all enforce it; a kernel that is fast but drifts is a bug.
 
 Path selection lives in :func:`~repro.kernels.engine.resolve_engine`,
-and it is not an option: ``simulate()`` uses a kernel when one exists,
-there is no flush and the trace is large enough to amortise array
-setup, and the scalar loop otherwise.  Both paths start every run from
-the predictor's initial state.  The vector path never mutates the
-predictor object it is handed, so buffer-internal telemetry
-(occupancy, eviction counts) appears only on scalar runs.
+and it is not an option: ``simulate()`` uses a kernel whenever one
+exists for the predictor's type, and the scalar loop otherwise.  Both
+paths start every run from the predictor's initial state; the vector
+path never mutates the predictor object it is handed.
 """
 
 from repro.kernels.encode import EncodedTrace
-from repro.kernels.engine import AUTO_THRESHOLD, resolve_engine
+from repro.kernels.engine import resolve_engine
 
 
 def kernel_for(predictor):
@@ -45,10 +46,12 @@ def kernel_for(predictor):
 
     Dispatch is by exact type, not isinstance: a subclass may override
     ``predict``/``update`` in ways the closed forms do not model, so it
-    runs on the scalar loop until it registers its own kernel.
+    runs on the scalar loop until it registers its own kernel.  A
+    tournament qualifies when its components are two distinct Bimodal
+    or GShare objects.
     """
     from repro.kernels import direction, static, tables
-    from repro.predictors.bimodal import Bimodal
+    from repro.predictors.bimodal import Bimodal, Tournament
     from repro.predictors.cbtb import CounterBTB
     from repro.predictors.fs import ForwardSemanticPredictor
     from repro.predictors.sbtb import SimpleBTB
@@ -64,11 +67,17 @@ def kernel_for(predictor):
         CounterBTB: tables.cbtb_kernel,
         GShare: direction.gshare_kernel,
         Bimodal: direction.bimodal_kernel,
+        Tournament: direction.tournament_kernel,
         ForwardSemanticPredictor: static.fs_kernel,
         AlwaysTaken: static.always_taken_kernel,
         AlwaysNotTaken: static.always_not_taken_kernel,
         BackwardTakenForwardNotTaken: static.btfnt_kernel,
     }
+    if type(predictor) is Tournament and not (
+            predictor.first is not predictor.second
+            and type(predictor.first) in (Bimodal, GShare)
+            and type(predictor.second) in (Bimodal, GShare)):
+        return None
     return registry.get(type(predictor))
 
 
@@ -77,26 +86,25 @@ def supports(predictor):
     return kernel_for(predictor) is not None
 
 
-def simulate_vector(predictor, trace, conditional_only=False,
-                    ras_returns=True):
+def simulate_vector(predictor, trace, flush_interval=None,
+                    conditional_only=False, ras_returns=True):
     """Run ``predictor`` over ``trace`` with its batch kernel.
 
-    Mirrors :func:`repro.predictors.base.simulate_scalar` exactly
-    (without ``flush_interval``, which :func:`resolve_engine` routes to
-    the scalar loop).  Raises ValueError for unsupported predictors.
+    Same arguments and result as
+    :func:`repro.predictors.base.simulate_scalar`.  Raises ValueError
+    for unsupported predictors and for a ``flush_interval`` below 1.
     """
     from repro.kernels.aggregate import assemble_stats
 
-    kernel = kernel_for(predictor)
-    if kernel is None:
+    if not supports(predictor):
         raise ValueError("no vector kernel for %r" % type(predictor).__name__)
-    return assemble_stats(kernel, predictor, EncodedTrace.of(trace),
+    return assemble_stats(predictor, EncodedTrace.of(trace),
                           conditional_only=conditional_only,
-                          ras_returns=ras_returns)
+                          ras_returns=ras_returns,
+                          flush_interval=flush_interval)
 
 
 __all__ = [
-    "AUTO_THRESHOLD",
     "EncodedTrace",
     "kernel_for",
     "resolve_engine",

@@ -1,14 +1,16 @@
-"""Fold per-record kernel outcomes into ``PredictionStats``.
+"""Score the records a simulation shows a predictor, in array form.
 
 A kernel answers three per-record questions — predicted direction,
-predicted-target match, buffer hit (-1 none / 0 miss / 1 hit) — and
-this module reproduces, in array form, exactly what the scalar
-simulator's per-record loop does with them: the filtering rules
-(``conditional_only``, the return-address substitution), the scoring
-rule of :func:`repro.predictors.base.is_correct`, and the per-class
-dictionary bookkeeping including its key-presence semantics (a class
-appears in ``by_class_correct`` only once a record of that class was
-predicted correctly).
+predicted-target match, buffer hit (-1 none / 0 miss / 1 hit).
+:func:`outcomes` turns them into what the scalar simulator's loop
+computes, in one place: the flush epochs, the record filters
+(``conditional_only``, the return-address substitution) and the
+scoring rule of :func:`repro.predictors.base.is_correct`.
+:func:`assemble_stats`, :func:`site_counts` and
+:func:`repro.kernels.cycle.cycle_kernel` fold its result.  Stats keep
+the per-class key-presence semantics: a class appears in
+``by_class_correct`` only once a record of that class was predicted
+correctly.
 """
 
 import numpy as np
@@ -16,56 +18,73 @@ import numpy as np
 from repro.vm.tracing import BranchClass
 
 
-def assemble_stats(kernel, predictor, enc, conditional_only=False,
-                   ras_returns=True):
-    """Run ``kernel`` over the encoded trace; returns PredictionStats.
+def outcomes(predictor, enc, conditional_only=False, ras_returns=True,
+             flush_interval=None):
+    """Run ``predictor``'s kernel over the records it sees.
 
-    Mirrors the scalar simulator's record filtering: with
-    ``conditional_only`` every non-conditional record is skipped
-    outright; otherwise with ``ras_returns`` return records bypass the
-    predictor and score as correct non-buffer predictions.
+    Returns ``(sub, correct, hit, credited)``: the encoding of the
+    records that reach the predictor, their correctness and hit flags,
+    and the count of return records the return-address mechanism
+    scores instead.  Flush epochs count every record, as the loop does.
     """
-    from repro.predictors.base import PredictionStats
+    from repro.kernels import kernel_for
 
-    stats = PredictionStats()
-    returns_credited = 0
+    if flush_interval is not None:
+        enc = enc.flushed(flush_interval)
+    credited = 0
     if conditional_only:
         sub = enc.subset("conditional",
                          enc.classes == BranchClass.CONDITIONAL)
     elif ras_returns:
         is_return = enc.classes == BranchClass.RETURN
-        returns_credited = int(np.count_nonzero(is_return))
-        sub = (enc.subset("no-returns", ~is_return)
-               if returns_credited else enc)
+        credited = int(np.count_nonzero(is_return))
+        sub = enc.subset("no-returns", ~is_return) if credited else enc
     else:
         sub = enc
+    if not len(sub):
+        return sub, np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int8), \
+            credited
+    pred_taken, target_match, hit = kernel_for(predictor)(predictor, sub)
+    correct = np.where(sub.takens, pred_taken & target_match, ~pred_taken)
+    return sub, correct, hit, credited
 
-    if len(sub):
-        pred_taken, target_match, hit = kernel(predictor, sub)
-        correct = np.where(sub.takens, pred_taken & target_match,
-                           ~pred_taken)
-        stats.total = len(sub)
-        stats.correct = int(np.count_nonzero(correct))
-        stats.buffer_accesses = int(np.count_nonzero(hit >= 0))
-        stats.buffer_misses = int(np.count_nonzero(hit == 0))
-        classes = sub.classes.astype(np.int64)
-        totals = np.bincount(classes, minlength=4)
-        corrects = np.bincount(classes[correct], minlength=4)
-        for branch_class in range(4):
-            if totals[branch_class]:
-                stats.by_class_total[branch_class] = (
-                    int(totals[branch_class]))
-            if corrects[branch_class]:
-                stats.by_class_correct[branch_class] = (
-                    int(corrects[branch_class]))
 
-    if returns_credited:
-        stats.total += returns_credited
-        stats.correct += returns_credited
-        stats.by_class_total[BranchClass.RETURN] = (
-            stats.by_class_total.get(BranchClass.RETURN, 0)
-            + returns_credited)
-        stats.by_class_correct[BranchClass.RETURN] = (
-            stats.by_class_correct.get(BranchClass.RETURN, 0)
-            + returns_credited)
+def assemble_stats(predictor, enc, conditional_only=False,
+                   ras_returns=True, flush_interval=None):
+    """One simulation's ``PredictionStats`` from :func:`outcomes`."""
+    from repro.predictors.base import PredictionStats
+
+    sub, correct, hit, credited = outcomes(
+        predictor, enc, conditional_only=conditional_only,
+        ras_returns=ras_returns, flush_interval=flush_interval)
+    stats = PredictionStats()
+    stats.total = len(sub) + credited
+    stats.correct = int(np.count_nonzero(correct)) + credited
+    stats.buffer_accesses = int(np.count_nonzero(hit >= 0))
+    stats.buffer_misses = int(np.count_nonzero(hit == 0))
+    classes = sub.classes.astype(np.int64)
+    totals = np.bincount(classes, minlength=4)
+    corrects = np.bincount(classes[correct], minlength=4)
+    totals[BranchClass.RETURN] += credited
+    corrects[BranchClass.RETURN] += credited
+    for branch_class in range(4):
+        if totals[branch_class]:
+            stats.by_class_total[branch_class] = int(totals[branch_class])
+        if corrects[branch_class]:
+            stats.by_class_correct[branch_class] = (
+                int(corrects[branch_class]))
     return stats
+
+
+def site_counts(predictor, enc, ras_returns=True):
+    """``{site: [executions, correct]}`` in first-execution order."""
+    sub, correct, _hit, _credited = outcomes(predictor, enc,
+                                             ras_returns=ras_returns)
+    sites, first, inverse = np.unique(sub.sites, return_index=True,
+                                      return_inverse=True)
+    executions = np.bincount(inverse, minlength=sites.shape[0])
+    rights = np.bincount(inverse[correct], minlength=sites.shape[0])
+    order = np.argsort(first)
+    return {site: [execs, right] for site, execs, right in zip(
+        sites[order].tolist(), executions[order].tolist(),
+        rights[order].tolist())}

@@ -7,11 +7,10 @@ record-at-a-time replay against a live predictor (the reference,
 :class:`~repro.conformance.oracles.OracleCycleInterpreter`) collapses
 into array passes:
 
-1. **Squash classes** — run the predictor's batch kernel
-   (:func:`repro.kernels.kernel_for`) over the encoded trace: the
-   per-record ``(pred_taken, target_match)`` pair decides coverage
-   exactly as ``is_correct`` does, so ``uncovered`` records are known
-   without stepping the machine.
+1. **Squash classes** — :func:`repro.kernels.aggregate.outcomes`
+   scores the predictor's batch kernel exactly as ``is_correct``
+   does, so ``uncovered`` records are known without stepping the
+   machine.
 2. **Cycle accounting** — each uncovered record pays a fixed,
    class-determined penalty (``k + l + m`` for conditionals resolved
    at execute, ``k + l`` for the rest resolved at decode), so the
@@ -40,27 +39,15 @@ def cycle_kernel(config, predictor, trace, ras_returns=True):
     wraps the result in :class:`~repro.pipeline.cycle_sim.CycleStats`;
     keeping this module free of pipeline imports avoids a cycle.
     """
-    from repro.kernels import kernel_for
+    from repro.kernels.aggregate import outcomes
 
     enc = EncodedTrace.of(trace)
     # With the return-address mechanism the reference never shows
-    # return records to the predictor, so the kernel must evolve its
-    # buffers over the same no-returns subsequence.
-    sub = enc
-    if ras_returns:
-        is_return = enc.classes == BranchClass.RETURN
-        if is_return.any():
-            sub = enc.subset("no-returns", ~is_return)
-    if len(sub):
-        pred_taken, target_match, _hit = kernel_for(predictor)(
-            predictor, sub)
-        covered = np.where(sub.takens, pred_taken & target_match,
-                           ~pred_taken)
-        uncovered = ~covered
-        counts = np.bincount(sub.classes[uncovered], minlength=4)
-    else:
-        uncovered = np.zeros(0, dtype=bool)
-        counts = np.zeros(4, dtype=np.int64)
+    # return records to the predictor, and they are always covered.
+    sub, correct, _hit, _credited = outcomes(predictor, enc,
+                                             ras_returns=ras_returns)
+    uncovered = ~correct
+    counts = np.bincount(sub.classes[uncovered], minlength=4)
     conditional_penalty = config.k + config.l + config.m
     unconditional_penalty = config.k + config.l
     squashed_by_class = {}

@@ -1,4 +1,5 @@
-"""Batch kernels for the direction-table schemes (gshare, bimodal).
+"""Batch kernels for the direction-table schemes (gshare, bimodal,
+tournament).
 
 Both schemes split cleanly into two independent machines:
 
@@ -21,6 +22,10 @@ Both schemes split cleanly into two independent machines:
 Hit/miss accounting collapses nicely: in every predict case the hit
 flag equals target-store presence (a confirmed lookup, a
 predicted-taken lookup miss, or the not-taken path's ``contains``).
+
+The tournament adds one more 2-bit counter walk, its chooser, to the
+two component kernels.  With flush epochs every table, target-store
+set and global history restarts per epoch.
 """
 
 import numpy as np
@@ -31,10 +36,15 @@ from repro.vm.tracing import BranchClass
 
 def gshare_kernel(predictor, enc):
     conditional = enc.classes == BranchClass.CONDITIONAL
+    sites = enc.sites[conditional]
+    takens = enc.takens[conditional]
+    epochs = None if enc.epochs is None else enc.epochs[conditional]
+    history = _global_history(takens, predictor.history_bits, epochs)
+    index = (sites ^ history) & predictor.table_mask
+    counter = _counter_scan(enc.qualify(index, conditional),
+                            np.where(takens, 1, -1))
     direction = np.ones(len(enc), dtype=bool)
-    direction[conditional] = _gshare_direction(predictor,
-                                               enc.sites[conditional],
-                                               enc.takens[conditional])
+    direction[conditional] = counter >= 2
     return _with_target_store(predictor._targets, enc, conditional,
                               direction)
 
@@ -42,32 +52,62 @@ def gshare_kernel(predictor, enc):
 def bimodal_kernel(predictor, enc):
     conditional = enc.classes == BranchClass.CONDITIONAL
     index = enc.sites[conditional] & predictor.table_mask
-    counter = _counter_scan(index, enc.takens[conditional])
+    counter = _counter_scan(enc.qualify(index, conditional),
+                            np.where(enc.takens[conditional], 1, -1))
     direction = np.ones(len(enc), dtype=bool)
     direction[conditional] = counter >= 2
     return _with_target_store(predictor._targets, enc, conditional,
                               direction)
 
 
-def _gshare_direction(predictor, sites, takens):
-    """Predicted direction of each conditional record."""
-    n = sites.shape[0]
-    # history before record k = the previous history_bits outcomes,
-    # bit b holding outcome k-1-b.
+def tournament_kernel(predictor, enc):
+    """Both component kernels, then the chooser walk over conditionals.
+
+    The chooser steps up when only the second component was right and
+    down when only the first was; conditionals take the second's
+    outcome when it reads at least 2, other records the first's.  Each
+    component evolves as alone: non-conditional records are always
+    taken, so their insert refreshes the entry the scalar tournament
+    does not look up in the second component.
+    """
+    from repro.kernels import kernel_for
+
+    first = kernel_for(predictor.first)(predictor.first, enc)
+    second = kernel_for(predictor.second)(predictor.second, enc)
+    conditional = enc.classes == BranchClass.CONDITIONAL
+    takens = enc.takens[conditional]
+    first_right = first[0][conditional] == takens
+    second_right = second[0][conditional] == takens
+    index = enc.sites[conditional] & predictor.chooser_mask
+    chooser = _counter_scan(enc.qualify(index, conditional),
+                            second_right.astype(np.int32) - first_right)
+    use_second = np.zeros(len(enc), dtype=bool)
+    use_second[conditional] = chooser >= 2
+    return tuple(np.where(use_second, b, a)
+                 for a, b in zip(first, second))
+
+
+def _global_history(takens, history_bits, epochs):
+    """History before each conditional record: bit b holds outcome
+    k-1-b when that record is in the same flush epoch."""
+    n = takens.shape[0]
     history = np.zeros(n, dtype=np.int64)
     outcomes = takens.astype(np.int64)
     # Bits beyond the record count never contribute (and a negative
     # slice bound would wrap), so stop at n - 1 shifts.
-    for bit in range(min(predictor.history_bits, max(n - 1, 0))):
-        history[bit + 1:] += outcomes[:n - (bit + 1)] << bit
-    index = (sites ^ history) & predictor.table_mask
-    return _counter_scan(index, takens) >= 2
+    for bit in range(min(history_bits, max(n - 1, 0))):
+        lag = bit + 1
+        shifted = outcomes[:n - lag] << bit
+        if epochs is not None:
+            shifted[epochs[lag:] != epochs[:n - lag]] = 0
+        history[lag:] += shifted
+    return history
 
 
-def _counter_scan(index, takens):
-    """Pre-record 2-bit counter values, per table index, init 1."""
+def _counter_scan(index, delta):
+    """Pre-record 2-bit counter values, per table index, init 1;
+    ``delta`` is each record's step."""
     n = index.shape[0]
-    delta = np.where(takens, np.int32(1), np.int32(-1))
     low = np.zeros(n, dtype=np.int32)
     high = np.full(n, 3, dtype=np.int32)
     return scan.exclusive_states(scan.Groups(index), delta, low, high,
@@ -92,7 +132,7 @@ def _with_target_store(cache, enc, conditional, direction):
 
     # Eviction screen: only a first taken execution allocates, nothing
     # deletes, so occupancy is the running count of those events.
-    set_ids = sites % cache.n_sets
+    set_ids = enc.set_ids(cache.n_sets)
     allocates = takens & ~present
     occupancy = scan.running_total(enc.set_groups(cache.n_sets),
                                    allocates)

@@ -9,6 +9,10 @@ simulates several schemes over the same trace and the sort work is
 identical across them.  The encoding is memoized on the trace object,
 which is sound because a trace is never grown after it is built.
 
+A context-switch run adds a sixth column, each record's flush epoch
+(:meth:`EncodedTrace.flushed`); that encoding keys its groupings by
+``(epoch, key)`` in its own memo, never under the plain keys.
+
 This module deliberately imports nothing from ``repro`` outside the
 kernels package, so the trace layer can depend on it without cycles.
 """
@@ -16,17 +20,35 @@ kernels package, so the trace layer can depend on it without cycles.
 import numpy as np
 
 
+def flush_epochs(gaps, interval):
+    """Flushes before each record, as the reference loop counts them.
+
+    The loop flushes at most once per record, so with
+    ``q = cumsum(gaps + 1) // interval`` the count is
+    ``F_i = min(q_i, F_(i-1) + 1)``, ``F_(-1) = 0``: in closed form
+    ``i + min(1, min over j <= i of (q_j - j))``.
+    """
+    if interval < 1:
+        raise ValueError("flush_interval must be at least 1")
+    index = np.arange(gaps.shape[0], dtype=np.int64)
+    due = np.cumsum(gaps.astype(np.int64) + 1) // interval
+    return index + np.minimum(1, np.minimum.accumulate(due - index))
+
+
 class EncodedTrace:
-    """The five trace columns as NumPy arrays, in record order."""
+    """The trace columns as NumPy arrays, in record order; ``epochs``
+    is None or each record's flush epoch."""
 
-    __slots__ = ("sites", "classes", "takens", "targets", "gaps", "_memo")
+    __slots__ = ("sites", "classes", "takens", "targets", "gaps", "epochs",
+                 "_memo")
 
-    def __init__(self, sites, classes, takens, targets, gaps):
+    def __init__(self, sites, classes, takens, targets, gaps, epochs=None):
         self.sites = sites
         self.classes = classes
         self.takens = takens
         self.targets = targets
         self.gaps = gaps
+        self.epochs = epochs
         self._memo = {}
 
     def __len__(self):
@@ -42,19 +64,34 @@ class EncodedTrace:
                 trace.gaps)
         return encoded
 
-    def select(self, mask):
-        """A new encoding holding only the records where ``mask``."""
-        return EncodedTrace(
-            self.sites[mask], self.classes[mask], self.takens[mask],
-            self.targets[mask], self.gaps[mask])
+    def flushed(self, interval):
+        """This encoding with flush epochs; call it before filtering."""
+        return EncodedTrace(self.sites, self.classes, self.takens,
+                            self.targets, self.gaps,
+                            flush_epochs(self.gaps, interval))
+
+    def qualify(self, keys, rows=None):
+        """``keys`` (of the records ``rows``, default all) made distinct
+        per flush epoch; unchanged without epochs."""
+        if self.epochs is None or not keys.shape[0]:
+            return keys
+        epochs = self.epochs if rows is None else self.epochs[rows]
+        return epochs * (int(keys.max()) + 1) + keys
+
+    def set_ids(self, n_sets):
+        """Each record's cache set out of ``n_sets``."""
+        return self.qualify(self.sites % n_sets)
 
     # -- memoized derived structures --------------------------------------
 
     def subset(self, key, mask):
-        """Memoized :meth:`select` — ``key`` names the filter rule."""
+        """The records where ``mask`` (memoized; ``key`` names the rule)."""
         cached = self._memo.get(("subset", key))
         if cached is None:
-            cached = self._memo[("subset", key)] = self.select(mask)
+            cached = self._memo[("subset", key)] = EncodedTrace(
+                self.sites[mask], self.classes[mask], self.takens[mask],
+                self.targets[mask], self.gaps[mask],
+                None if self.epochs is None else self.epochs[mask])
         return cached
 
     def site_groups(self):
@@ -63,7 +100,8 @@ class EncodedTrace:
 
         cached = self._memo.get("site_groups")
         if cached is None:
-            cached = self._memo["site_groups"] = Groups(self.sites)
+            cached = self._memo["site_groups"] = Groups(
+                self.qualify(self.sites))
         return cached
 
     def set_groups(self, n_sets):
@@ -72,7 +110,7 @@ class EncodedTrace:
 
         cached = self._memo.get(("set_groups", n_sets))
         if cached is None:
-            cached = Groups(self.sites % n_sets)
+            cached = Groups(self.set_ids(n_sets))
             self._memo[("set_groups", n_sets)] = cached
         return cached
 
@@ -83,4 +121,3 @@ class EncodedTrace:
             cached = np.unique(self.sites, return_inverse=True)
             self._memo["unique_sites"] = cached
         return cached
-

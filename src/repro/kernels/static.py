@@ -9,6 +9,8 @@ the scalar ``hit=None``.
 
 Direction-only schemes score with an any-target sentinel in the
 scalar loop; here that is simply ``target_match = pred_taken``.
+A flush cannot touch state that lives in the program text, so these
+kernels ignore flush epochs.
 """
 
 import numpy as np

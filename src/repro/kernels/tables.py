@@ -51,7 +51,7 @@ def sbtb_kernel(predictor, enc):
     stored[has_prev] = targets[prev[has_prev]]
 
     # Eviction screen: +1 on allocation, -1 on deletion, per set.
-    set_ids = sites % cache.n_sets
+    set_ids = enc.set_ids(cache.n_sets)
     delta = np.zeros(n, dtype=np.int64)
     delta[takens & ~present] = 1
     delta[~takens & present] = -1
@@ -103,7 +103,7 @@ def cbtb_kernel(predictor, enc):
     # Eviction screen: occupancy only grows (allocation per distinct
     # site, no deletion), so a set overflows iff its distinct-site
     # count ever exceeds the way count.
-    set_ids = sites % cache.n_sets
+    set_ids = enc.set_ids(cache.n_sets)
     occupancy = scan.running_total(enc.set_groups(cache.n_sets),
                                    is_first)
     mask = evict.overflow_rows(set_ids, occupancy, cache.associativity)

@@ -42,12 +42,6 @@ class AssociativeCache:
         self.n_sets = entries // associativity
         self._sets = [OrderedDict() for _ in range(self.n_sets)]
         self._size = 0
-        # Replacement telemetry, maintained on the (rare) eviction path
-        # only: an eviction while the cache as a whole still has free
-        # entries is a set conflict — aliasing the paper's
-        # fully-associative configuration never suffers.
-        self.evictions = 0
-        self.conflict_evictions = 0
 
     def _set_for(self, key):
         return self._sets[key % self.n_sets]
@@ -106,9 +100,6 @@ class AssociativeCache:
         evicted = None
         if len(bucket) >= self.associativity:
             evicted = bucket.popitem(last=False)
-            self.evictions += 1
-            if self._size < self.entries:
-                self.conflict_evictions += 1
         else:
             self._size += 1
         bucket[key] = value
@@ -130,16 +121,6 @@ class AssociativeCache:
 
     def __len__(self):
         return self._size
-
-    def telemetry_stats(self):
-        """Occupancy/replacement facts for the telemetry report."""
-        return {
-            "entries": self.entries,
-            "associativity": self.associativity,
-            "occupancy": self._size,
-            "evictions": self.evictions,
-            "conflict_evictions": self.conflict_evictions,
-        }
 
     def items(self):
         for bucket in self._sets:

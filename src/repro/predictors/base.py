@@ -1,4 +1,6 @@
-"""Predictor interface, statistics, and the trace-driven simulator."""
+"""Predictor interface, statistics, and the trace-driven simulator:
+:func:`simulate` runs on the batch kernels (:mod:`repro.kernels`),
+:func:`simulate_scalar` is the reference loop."""
 
 import time
 
@@ -149,10 +151,11 @@ class Predictor:
         self.reset()
 
     def telemetry_stats(self):
-        """Scheme-internal facts for the telemetry event stream.
+        """Configuration facts for the ``predictor.simulate`` event.
 
-        Buffered schemes report occupancy/eviction/aliasing counts;
-        the base implementation only names the scheme.
+        They describe the predictor, not a run, so the event has the
+        same shape on both simulation paths.  The base implementation
+        only names the scheme; the BTBs add their geometry.
         """
         return {"scheme": self.name}
 
@@ -186,24 +189,20 @@ def is_correct(prediction, taken, target):
 def site_statistics(predictor, trace, ras_returns=True):
     """Per-static-site accuracy counts for one scheme over a trace.
 
-    Simulates ``predictor`` over ``trace`` and returns a dict mapping
-    each branch site to ``[executions, correct_predictions]``.  With
+    Scores ``predictor`` over ``trace`` on its batch kernel and returns
+    a dict mapping each branch site to ``[executions,
+    correct_predictions]``, in order of first execution.  With
     ``ras_returns`` (the default) return records are skipped, matching
-    the shared return-address mechanism of :func:`simulate`.
+    the shared return-address mechanism of :func:`simulate`.  Raises
+    ValueError for a predictor with no kernel.
     """
-    counts = {}
-    for site, branch_class, taken, target, _ in trace.records():
-        if ras_returns and branch_class == BranchClass.RETURN:
-            continue
-        prediction = predictor.predict(site, branch_class)
-        entry = counts.get(site)
-        if entry is None:
-            entry = counts[site] = [0, 0]
-        entry[0] += 1
-        if is_correct(prediction, taken, target):
-            entry[1] += 1
-        predictor.update(site, branch_class, taken, target)
-    return counts
+    from repro.kernels import EncodedTrace, supports
+    from repro.kernels.aggregate import site_counts
+
+    if not supports(predictor):
+        raise ValueError("no kernel for %s" % type(predictor).__name__)
+    return site_counts(predictor, EncodedTrace.of(trace),
+                       ras_returns=ras_returns)
 
 
 def site_report(predictor, trace, worst=10):
@@ -230,7 +229,7 @@ def simulate(predictor, trace, flush_interval=None,
         trace: :class:`~repro.vm.tracing.BranchTrace`.
         flush_interval: if set, call ``predictor.flush()`` every this
             many dynamic instructions — the paper's context-switch
-            discussion made concrete.
+            discussion made concrete.  Must be at least 1.
         conditional_only: restrict scoring to conditional branches
             (used for the static-baseline comparisons, which the cited
             studies report over conditional branches).
@@ -247,26 +246,20 @@ def simulate(predictor, trace, flush_interval=None,
     Returns still count toward ``total`` either way (the paper's cost
     model charges every branch) unless ``conditional_only`` is set.
 
-    The run goes to :func:`repro.kernels.simulate_vector` or to
-    :func:`simulate_scalar`, as :func:`repro.kernels.resolve_engine`
-    decides; the two are bit-identical and both start from the
-    predictor's initial state, but only the scalar loop advances the
-    predictor object.
+    The run goes to :func:`repro.kernels.simulate_vector` when the
+    predictor's type has a kernel, and to :func:`simulate_scalar`
+    otherwise (:func:`repro.kernels.resolve_engine`); the two are
+    bit-identical and both start from the predictor's initial state,
+    but only the scalar loop advances the predictor object.
     """
     from repro.kernels import resolve_engine, simulate_vector
 
-    path = resolve_engine(predictor, trace=trace,
-                          flush_interval=flush_interval)
+    path = resolve_engine(predictor, trace=trace)
     started = time.perf_counter()
-    if path == "vector":
-        stats = simulate_vector(predictor, trace,
-                                conditional_only=conditional_only,
-                                ras_returns=ras_returns)
-    else:
-        stats = simulate_scalar(predictor, trace,
-                                flush_interval=flush_interval,
-                                conditional_only=conditional_only,
-                                ras_returns=ras_returns)
+    simulate_path = simulate_vector if path == "vector" else simulate_scalar
+    stats = simulate_path(predictor, trace, flush_interval=flush_interval,
+                          conditional_only=conditional_only,
+                          ras_returns=ras_returns)
     _report_simulation(predictor, stats, path, started)
     return stats
 
@@ -280,6 +273,8 @@ def simulate_scalar(predictor, trace, flush_interval=None,
     ``predictor.reset()``, so a reused predictor scores exactly like a
     fresh one, as on the vector path.
     """
+    if flush_interval is not None and flush_interval < 1:
+        raise ValueError("flush_interval must be at least 1")
     predictor.reset()
     stats = PredictionStats()
     instructions_seen = 0
@@ -307,13 +302,6 @@ def simulate_scalar(predictor, trace, flush_interval=None,
     return stats
 
 
-#: ``telemetry_stats()`` fields that describe buffer contents.  The
-#: vector path leaves the predictor object untouched, so they would
-#: read as an empty buffer; only scalar events carry them.
-_BUFFER_FIELDS = ("occupancy", "evictions", "conflict_evictions",
-                  "counter_distribution", "counter_transitions")
-
-
 def _report_simulation(predictor, stats, path, started):
     """Telemetry for one simulation: per-path record counters and a
     ``predictor.simulate`` event carrying the path that ran and its
@@ -325,10 +313,6 @@ def _report_simulation(predictor, stats, path, started):
     elapsed = time.perf_counter() - started
     TELEMETRY.count("predictor.records", stats.total)
     TELEMETRY.count("predictor.records.%s" % path, stats.total)
-    fields = predictor.telemetry_stats()
-    if path == "vector":
-        for key in _BUFFER_FIELDS:
-            fields.pop(key, None)
     TELEMETRY.event(
         "predictor.simulate", records=stats.total,
         correct=stats.correct, accuracy=stats.accuracy,
@@ -337,4 +321,4 @@ def _report_simulation(predictor, stats, path, started):
         engine=path,
         records_per_second=(stats.total / elapsed if elapsed > 0
                             else None),
-        **fields)
+        **predictor.telemetry_stats())

@@ -35,14 +35,6 @@ class CounterBTB(Predictor):
         self.threshold = threshold
         self.counter_bits = counter_bits
         self._cache = AssociativeCache(entries, associativity)
-        # Counter-transition telemetry is per-record work, so it is
-        # captured once at construction time: predictors are built per
-        # simulation run, and the disabled path stays a single
-        # attribute test in update().
-        from repro.telemetry.core import TELEMETRY
-        self._track_transitions = TELEMETRY.enabled
-        self.transitions = {"up": 0, "down": 0,
-                            "saturated_high": 0, "saturated_low": 0}
 
     def predict(self, site, branch_class):
         entry = self._cache.lookup(site)
@@ -64,18 +56,9 @@ class CounterBTB(Predictor):
         if taken:
             if entry.counter < self.counter_max:
                 entry.counter += 1
-                if self._track_transitions:
-                    self.transitions["up"] += 1
-            elif self._track_transitions:
-                self.transitions["saturated_high"] += 1
             entry.target = target
-        else:
-            if entry.counter > 0:
-                entry.counter -= 1
-                if self._track_transitions:
-                    self.transitions["down"] += 1
-            elif self._track_transitions:
-                self.transitions["saturated_low"] += 1
+        elif entry.counter > 0:
+            entry.counter -= 1
 
     def reset(self):
         self._cache.clear()
@@ -84,22 +67,9 @@ class CounterBTB(Predictor):
     def occupancy(self):
         return len(self._cache)
 
-    def counter_distribution(self):
-        """Histogram of resident counter values (state of the buffer)."""
-        distribution = dict.fromkeys(range(self.counter_max + 1), 0)
-        for _, entry in self._cache.items():
-            distribution[entry.counter] += 1
-        return distribution
-
     def telemetry_stats(self):
-        stats = self._cache.telemetry_stats()
-        stats["scheme"] = self.name
-        stats["counter_distribution"] = {
-            str(value): count
-            for value, count in self.counter_distribution().items()}
-        if self._track_transitions:
-            stats["counter_transitions"] = dict(self.transitions)
-        return stats
+        return {"scheme": self.name, "entries": self._cache.entries,
+                "associativity": self._cache.associativity}
 
     def declared_parameters(self):
         return {

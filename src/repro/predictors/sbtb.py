@@ -45,9 +45,8 @@ class SimpleBTB(Predictor):
         return len(self._cache)
 
     def telemetry_stats(self):
-        stats = self._cache.telemetry_stats()
-        stats["scheme"] = self.name
-        return stats
+        return {"scheme": self.name, "entries": self._cache.entries,
+                "associativity": self._cache.associativity}
 
     def declared_parameters(self):
         return {

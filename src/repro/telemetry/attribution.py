@@ -3,10 +3,10 @@
 Table 3 reports one accuracy number per scheme per benchmark; this
 module breaks that number apart.  For every static branch site in the
 laid-out (Forward Semantic) program it simulates all three schemes over
-the evaluation trace and reports per-site accuracy, ranked worst-first
-by total mispredictions — the view that explains *why* one scheme beats
-another on a benchmark (a handful of unstable conditionals usually
-carry the whole gap).
+the evaluation trace (on their batch kernels) and reports per-site
+accuracy, ranked worst-first by total mispredictions — the view that
+explains *why* one scheme beats another on a benchmark (a handful of
+unstable conditionals usually carry the whole gap).
 
 Sites map back to Minic source lines through the line table the code
 generator records on the program and the layout pass carries through
@@ -17,6 +17,9 @@ Exposed on the CLI as ``repro-branches stats <benchmark>`` (text) and
 ``--json`` (machine-readable).
 """
 
+import numpy as np
+
+from repro.predictors import CounterBTB, ForwardSemanticPredictor, SimpleBTB
 from repro.predictors.base import site_statistics
 from repro.vm.tracing import BranchClass
 
@@ -24,24 +27,8 @@ from repro.vm.tracing import BranchClass
 SCHEMES = ("SBTB", "CBTB", "FS")
 
 
-def _paper_predictors(fs_program, entries=256, associativity=None,
-                      counter_bits=2, threshold=2):
-    """Fresh predictor instances in the paper's configuration."""
-    from repro.predictors import (
-        CounterBTB,
-        ForwardSemanticPredictor,
-        SimpleBTB,
-    )
-
-    return {
-        "SBTB": SimpleBTB(entries, associativity),
-        "CBTB": CounterBTB(entries, associativity, counter_bits, threshold),
-        "FS": ForwardSemanticPredictor(program=fs_program),
-    }
-
-
-def attribute_trace(trace, fs_program, predictors=None,
-                    old_address_of=None, base_program=None):
+def attribute_trace(trace, fs_program, old_address_of=None,
+                    base_program=None):
     """Per-site, per-scheme accuracy over ``trace``.
 
     Args:
@@ -49,8 +36,6 @@ def attribute_trace(trace, fs_program, predictors=None,
         fs_program: the laid-out program the trace was collected on
             (sites index into it; its line table supplies source
             lines).
-        predictors: optional mapping scheme name -> fresh predictor;
-            defaults to the paper's configuration.
         old_address_of: the layout pass's new-address -> old-address
             table.  Function names are resolved on ``base_program``
             through it when both are given: trace layout interleaves
@@ -69,23 +54,22 @@ def attribute_trace(trace, fs_program, predictors=None,
              "accuracy": {scheme: float}, "mispredictions": {scheme: int},
              "worst_scheme": str}
     """
-    if predictors is None:
-        predictors = _paper_predictors(fs_program)
-
+    predictors = {
+        "SBTB": SimpleBTB(),
+        "CBTB": CounterBTB(),
+        "FS": ForwardSemanticPredictor(program=fs_program),
+    }
     per_scheme = {name: site_statistics(predictor, trace)
                   for name, predictor in predictors.items()}
 
-    # One pass over the trace for site metadata (class, taken mix).
-    classes = {}
-    taken_counts = {}
-    executions = {}
-    for site, branch_class, taken, _, _ in trace.records():
-        if branch_class == BranchClass.RETURN:
-            continue
-        classes.setdefault(site, branch_class)
-        executions[site] = executions.get(site, 0) + 1
-        if taken:
-            taken_counts[site] = taken_counts.get(site, 0) + 1
+    # Site metadata (class, taken mix) over the same non-return records.
+    kept = trace.classes != BranchClass.RETURN
+    sites, first, inverse = np.unique(trace.sites[kept], return_index=True,
+                                      return_inverse=True)
+    executions = np.bincount(inverse, minlength=sites.shape[0])
+    taken_counts = np.bincount(inverse[trace.takens[kept]],
+                               minlength=sites.shape[0])
+    classes = trace.classes[kept][first]
 
     def function_of(site):
         if old_address_of is not None and base_program is not None:
@@ -98,25 +82,21 @@ def attribute_trace(trace, fs_program, predictors=None,
 
     lines = getattr(fs_program, "lines", {})
     rows = []
-    for site, execs in executions.items():
-        accuracy = {}
-        mispredictions = {}
-        for name in predictors:
-            entry = per_scheme[name].get(site)
-            if entry is None:
-                accuracy[name] = None
-                mispredictions[name] = 0
-            else:
-                accuracy[name] = entry[1] / entry[0]
-                mispredictions[name] = entry[0] - entry[1]
+    for site, execs, taken, branch_class in zip(
+            sites.tolist(), executions.tolist(), taken_counts.tolist(),
+            classes.tolist()):
+        # Every scheme saw the same records, so each has this site.
+        correct = {name: per_scheme[name][site][1] for name in SCHEMES}
+        accuracy = {name: correct[name] / execs for name in SCHEMES}
+        mispredictions = {name: execs - correct[name] for name in SCHEMES}
         worst = max(mispredictions, key=lambda name: mispredictions[name])
         rows.append({
             "site": site,
             "function": function_of(site),
             "line": lines.get(site),
-            "class": BranchClass.NAMES[classes[site]],
+            "class": BranchClass.NAMES[branch_class],
             "executions": execs,
-            "taken_fraction": taken_counts.get(site, 0) / execs,
+            "taken_fraction": taken / execs,
             "accuracy": accuracy,
             "mispredictions": mispredictions,
             "worst_scheme": worst,
@@ -126,30 +106,25 @@ def attribute_trace(trace, fs_program, predictors=None,
     return rows
 
 
-def attribution_report(run, predictors=None):
+def attribution_report(run):
     """The full attribution payload for one benchmark run.
 
     ``run`` is a :class:`repro.experiments.runner.BenchmarkRun`; the
     returned dict is the machine-readable (``--json``) form.
     """
     sites = attribute_trace(run.trace, run.fs_program,
-                            predictors=predictors,
                             old_address_of=run.layout.old_address_of,
                             base_program=run.program)
-    totals = {
-        scheme: {
-            "mispredictions": sum(row["mispredictions"].get(scheme, 0)
-                                  for row in sites),
-            "executions": sum(row["executions"] for row in sites
-                              if row["accuracy"].get(scheme) is not None),
+    executions = sum(row["executions"] for row in sites)
+    totals = {}
+    for scheme in SCHEMES:
+        missed = sum(row["mispredictions"][scheme] for row in sites)
+        totals[scheme] = {
+            "mispredictions": missed,
+            "executions": executions,
+            "accuracy": ((executions - missed) / executions
+                         if executions else 0.0),
         }
-        for scheme in SCHEMES
-    }
-    for scheme, entry in totals.items():
-        executions = entry["executions"]
-        entry["accuracy"] = (
-            (executions - entry["mispredictions"]) / executions
-            if executions else 0.0)
     return {
         "benchmark": run.name,
         "scale": run.scale,

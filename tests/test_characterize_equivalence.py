@@ -6,9 +6,8 @@ program-skeleton fuzzer essentially never reaches, which makes them
 exactly the traces most likely to expose a drifting kernel.  Every
 probe family runs through both the conformance differential engine
 (:func:`engine_divergence`) and an explicit ``simulate_scalar`` /
-``simulate_vector`` pair — both bypass the size threshold of
-``simulate()`` — with any divergence ddmin-shrunk to a minimal
-reproducer before failing.
+``simulate_vector`` pair, with any divergence ddmin-shrunk to a
+minimal reproducer before failing.
 """
 
 import pytest

@@ -3,17 +3,20 @@
 The differential battery (test_kernels_equivalence.py) establishes the
 end-to-end bit-identity contract; these tests pin the pieces it is
 built from: the segmented scan primitives against straightforward
-dict-based references, path resolution and every one of its scalar
-fallbacks, run-to-run independence of a reused predictor,
-trace-encoding memoization, and the stats plumbing.
+dict-based references, the flush-epoch closed form against the
+reference loop's counting, path resolution (one rule: a kernel exists),
+run-to-run independence of a reused predictor, trace-encoding
+memoization, and the stats plumbing.
 """
 
 import numpy as np
 import pytest
 
+import repro.predictors
+from repro.characterize.roster import _roster
 from repro.conformance.fuzz import TraceFuzzer
+from repro.isa import assemble
 from repro.kernels import (
-    AUTO_THRESHOLD,
     EncodedTrace,
     kernel_for,
     resolve_engine,
@@ -21,12 +24,18 @@ from repro.kernels import (
     supports,
 )
 from repro.kernels import scan
+from repro.kernels.encode import flush_epochs
 from repro.pipeline import CycleSimulator, PipelineConfig
 from repro.pipeline.cycle_sim import CycleStats
 from repro.predictors import (
+    AlwaysNotTaken,
+    AlwaysTaken,
+    BackwardTakenForwardNotTaken,
     Bimodal,
     CounterBTB,
+    ForwardSemanticPredictor,
     GShare,
+    Predictor,
     SimpleBTB,
     Tournament,
     simulate,
@@ -158,29 +167,114 @@ def test_encoded_trace_memoizes_derived_structures():
         is encoded.subset("conditional", mask)
 
 
+def test_flush_epochs_match_the_reference_count():
+    """The closed form counts flushes exactly as simulate_scalar's loop
+    does: at most one per record, lagging behind on long gaps."""
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n = int(rng.integers(0, 60))
+        gaps = rng.integers(0, 12 if trial % 2 else 2, size=n)
+        interval = int(rng.integers(1, 20))
+        flushes, seen, next_flush, expected = 0, 0, interval, []
+        for gap in gaps.tolist():
+            seen += gap + 1
+            if seen >= next_flush:
+                flushes += 1
+                next_flush += interval
+            expected.append(flushes)
+        assert flush_epochs(gaps, interval).tolist() == expected
+
+
+def test_flushed_encoding_keeps_plain_memo_apart():
+    """Epoch-qualified groupings live on their own encoding; the plain
+    encoding's memoized groupings stay unqualified."""
+    encoded = EncodedTrace.of(_small_trace())
+    plain_sites = encoded.site_groups()
+    plain_sets = encoded.set_groups(2)
+    flushed = encoded.flushed(2)
+    assert flushed is not encoded.flushed(2)
+    assert flushed.epochs.tolist() == list(range(1, 11))
+    assert flushed.site_groups() is not plain_sites
+    assert encoded.site_groups() is plain_sites
+    assert encoded.set_groups(2) is plain_sets
+    assert encoded.epochs is None
+    # Every record is its own epoch: no site or set group spans two.
+    assert flushed.site_groups().starts.all()
+    assert flushed.set_groups(2).starts.all()
+    assert flushed.subset("conditional", flushed.classes
+                          == BranchClass.CONDITIONAL).epochs is not None
+
+
 # -- path resolution -----------------------------------------------------
 
 
-def _big_trace():
+def _big_trace(n=3000):
     return BranchTrace.from_records(
         (index % 5, BranchClass.CONDITIONAL, index % 3 == 0, 9, 1)
-        for index in range(AUTO_THRESHOLD))
+        for index in range(n))
 
 
-def test_resolve_engine_auto_threshold():
-    assert resolve_engine(SimpleBTB(16), trace=_small_trace()) \
-        == "scalar"
-    assert resolve_engine(SimpleBTB(16), trace=_big_trace()) == "vector"
+class _KernelLess(SimpleBTB):
+    """A subclass: same behaviour, but no kernel of its own."""
+
+
+def _every_package_predictor():
+    """One instance of every predictor type repro.predictors exports:
+    the characterize roster, the FS, the static schemes, Tournament."""
+    program = assemble("func main:\nloop:\n    bgt r1, r2, loop\n"
+                       "    halt\n")
+    predictors = [factory() for _, factory in _roster()]
+    predictors += [
+        ForwardSemanticPredictor(program=program),
+        AlwaysTaken(), AlwaysNotTaken(),
+        BackwardTakenForwardNotTaken(program),
+        Tournament(), Tournament(first=GShare(), second=Bimodal()),
+    ]
+    exported = {getattr(repro.predictors, name)
+                for name in repro.predictors.__all__}
+    predictor_types = {cls for cls in exported if isinstance(cls, type)
+                       and issubclass(cls, Predictor)
+                       and cls is not Predictor}
+    assert predictor_types <= {type(p) for p in predictors}
+    return predictors
+
+
+def test_every_package_predictor_runs_on_the_kernels(monkeypatch):
+    """One path: every predictor type in repro.predictors resolves to
+    the kernels, on a one-record trace and with a flush interval."""
+    import repro.predictors.base as base
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulate() took the scalar loop")
+
+    monkeypatch.setattr(base, "simulate_scalar", forbidden)
+    one = BranchTrace.from_records(
+        [(1, BranchClass.CONDITIONAL, True, 0, 3)])
+    for predictor in _every_package_predictor():
+        assert resolve_engine(predictor, trace=one) == "vector", predictor
+        simulate(predictor, one)
+        simulate(predictor, _small_trace(), flush_interval=3)
+
+
+def test_resolve_engine_ignores_trace_length():
+    for trace in (BranchTrace(), _small_trace(1), _small_trace(),
+                  _big_trace()):
+        assert resolve_engine(SimpleBTB(16), trace=trace) == "vector"
+        assert resolve_engine(_KernelLess(16), trace=trace) == "scalar"
 
 
 def test_resolve_engine_scalar_fallbacks():
     trace = _big_trace()
-    # flush_interval needs a per-record hook.
-    assert resolve_engine(SimpleBTB(16), trace=trace,
-                          flush_interval=100) == "scalar"
-    # No kernel for the tournament meta-predictor.
-    assert not supports(Tournament())
-    assert resolve_engine(Tournament(), trace=trace) == "scalar"
+    # Subclasses have no kernel: they may override predict/update.
+    assert not supports(_KernelLess(16))
+    assert resolve_engine(_KernelLess(16), trace=trace) == "scalar"
+    # A tournament needs two distinct Bimodal/GShare components.
+    assert supports(Tournament())
+    assert not supports(Tournament(first=SimpleBTB(16)))
+    shared = GShare()
+    assert not supports(Tournament(first=shared, second=shared))
+    assert resolve_engine(Tournament(second=_KernelLess()),
+                          trace=trace) == "scalar"
     # A used predictor still takes the kernels: every run starts from
     # the initial state on either path.
     used = SimpleBTB(16)
@@ -206,12 +300,13 @@ def test_reused_predictor_scores_like_a_fresh_one():
     predictor gives the same PredictionStats and CycleStats as a
     fresh one, on both paths."""
     short = TraceFuzzer(3).trace()
-    big = TraceFuzzer(4, n_records=AUTO_THRESHOLD + 32).trace()
+    big = TraceFuzzer(4, n_records=2080).trace()
     config = PipelineConfig(1, 1, 1)
     for make in (lambda: GShare(4, 6, 16),
                  lambda: Bimodal(table_bits=6, entries=16),
                  lambda: SimpleBTB(entries=16),
-                 lambda: CounterBTB(entries=16)):
+                 lambda: CounterBTB(entries=16),
+                 lambda: Tournament(Bimodal(6, 16), GShare(4, 6, 16), 4)):
         reused = make()
         for trace in (short, big, short, big):
             assert simulate(reused, trace) == simulate(make(), trace)
@@ -226,15 +321,18 @@ def _cycle_fields(simulator, trace):
 
 
 def test_simulate_vector_rejects_unsupported():
-    assert kernel_for(Tournament()) is None
+    assert kernel_for(_KernelLess(16)) is None
     with pytest.raises(ValueError):
-        simulate_vector(Tournament(), _small_trace())
+        simulate_vector(_KernelLess(16), _small_trace())
+    # The scalar loop still runs it, matching the kernel it inherits.
+    assert simulate(_KernelLess(16), _small_trace()) \
+        == simulate(SimpleBTB(16), _small_trace())
 
 
 def test_vector_engine_never_mutates_predictor():
     predictor = SimpleBTB(entries=16)
-    stats = simulate(predictor, _big_trace())
-    assert stats.total == AUTO_THRESHOLD
+    stats = simulate(predictor, _big_trace(), flush_interval=40)
+    assert stats.total == 3000
     assert predictor.occupancy == 0
 
 

@@ -218,7 +218,8 @@ def test_broken_kernel_is_detected_and_shrinks(monkeypatch):
 
 
 def test_engine_divergence_none_for_unsupported():
-    from repro.predictors import Tournament
+    class KernelLess(SimpleBTB):
+        pass
 
     trace = TraceFuzzer(3).trace()
-    assert engine_divergence(Tournament, trace) is None
+    assert engine_divergence(lambda: KernelLess(16), trace) is None

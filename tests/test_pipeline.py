@@ -180,7 +180,7 @@ def test_cycle_sim_rejects_predictors_the_kernel_cannot_run():
     trace = _trace()
     config = PipelineConfig(1, 1, 1)
     with pytest.raises(ValueError, match="no cycle kernel"):
-        CycleSimulator(config, Tournament()).run(trace)
+        CycleSimulator(config, Tournament(first=SimpleBTB())).run(trace)
     used = SimpleBTB()
     simulate_scalar(used, trace)
     warm = CycleSimulator(config, used).run(trace)

@@ -147,6 +147,21 @@ def test_flush_interval_degrades_btbs():
     assert cflushed.accuracy <= cbase.accuracy
 
 
+@pytest.mark.parametrize("interval", [0, -5])
+def test_non_positive_flush_interval_is_rejected(interval):
+    """A flush interval below one instruction used to run silently as
+    a flush before every record."""
+    from repro.predictors import simulate_scalar
+
+    trace = synthetic_trace()
+    for predictor in (SimpleBTB(16),
+                      ForwardSemanticPredictor(likely_sites={10: True})):
+        with pytest.raises(ValueError, match="flush_interval"):
+            simulate(predictor, trace, flush_interval=interval)
+        with pytest.raises(ValueError, match="flush_interval"):
+            simulate_scalar(predictor, trace, flush_interval=interval)
+
+
 def test_fs_end_to_end_accuracy_reasonable():
     source = """
     int main() {

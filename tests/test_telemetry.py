@@ -450,41 +450,11 @@ def test_predictor_simulate_emits_stats(global_telemetry):
     for event in events:
         assert 0.0 <= event["accuracy"] <= 1.0
         assert event["records"] > 0
-        assert event["occupancy"] >= 0
-    # CBTB tracks counter transitions when built with telemetry on.
-    cbtb_event = events[1]
-    assert "counter_transitions" in cbtb_event
-    assert sum(cbtb_event["counter_transitions"].values()) > 0
-
-
-def test_cbtb_transition_tracking_gated_at_construction():
-    from repro.predictors import CounterBTB
-    from repro.vm.tracing import BranchClass
-
-    assert TELEMETRY.enabled is False
-    predictor = CounterBTB()
-    for _ in range(8):
-        predictor.predict(4, BranchClass.CONDITIONAL)
-        predictor.update(4, BranchClass.CONDITIONAL, True, 12)
-    assert all(count == 0 for count in predictor.transitions.values())
-    assert "counter_transitions" not in predictor.telemetry_stats()
-
-
-def test_assoc_cache_eviction_counters():
-    from repro.predictors import SimpleBTB
-    from repro.vm.tracing import BranchClass
-
-    predictor = SimpleBTB(entries=4, associativity=2)
-    for site in range(16):
-        predictor.update(site, BranchClass.CONDITIONAL, True, site + 100)
-    stats = predictor.telemetry_stats()
-    assert stats["evictions"] > 0
-    assert stats["occupancy"] <= 4
-    assert 0 <= stats["conflict_evictions"] <= stats["evictions"]
+        assert event["engine"] == "vector"
+        assert (event["entries"], event["associativity"]) == (256, 256)
 
 
 def _loop_trace():
-    """A loop trace long enough for simulate() to pick the kernels."""
     program = compile_source("""
         int main() {
             int i;
@@ -496,30 +466,35 @@ def _loop_trace():
     return run_program(program, trace=True).trace
 
 
-def _simulate_events(trace, **kwargs):
-    """Counters and ``predictor.simulate`` events of one CBTB run."""
-    from repro.predictors import CounterBTB, simulate
+def _simulate_events(trace, predictor):
+    """Counters and ``predictor.simulate`` events of one run."""
+    from repro.predictors import simulate
 
     TELEMETRY.reset()
     sink = InMemoryAggregator()
     TELEMETRY.enable(sink)
-    simulate(CounterBTB(), trace, **kwargs)
+    simulate(predictor, trace)
     return (TELEMETRY.snapshot()["counters"],
             sink.named("predictor.simulate"))
+
+
+def _scalar_and_vector_events(trace):
+    """One CBTB run per path: a kernel-less subclass takes the loop."""
+    from repro.predictors import CounterBTB
+
+    class KernelLessCBTB(CounterBTB):
+        pass
+
+    return (_simulate_events(trace, KernelLessCBTB()),
+            _simulate_events(trace, CounterBTB()))
 
 
 def test_vector_engine_emits_same_telemetry_shape(global_telemetry):
     """Scalar and vector simulate() paths report the same counters
     (modulo the per-path name) and the same outcome fields."""
-    from repro.kernels import AUTO_THRESHOLD
-
     trace = _loop_trace()
-    assert len(trace) >= AUTO_THRESHOLD
-    # A flush interval past the end of the trace keeps the run on the
-    # scalar loop without ever flushing.
-    scalar_counters, scalar_events = _simulate_events(
-        trace, flush_interval=trace.total_instructions + 1)
-    vector_counters, vector_events = _simulate_events(trace)
+    (scalar_counters, scalar_events), (vector_counters, vector_events) \
+        = _scalar_and_vector_events(trace)
 
     assert scalar_counters["predictor.records"] == len(trace)
     assert vector_counters["predictor.records"] == len(trace)
@@ -541,20 +516,16 @@ def test_vector_engine_emits_same_telemetry_shape(global_telemetry):
 
 
 def test_vector_event_omits_untouched_buffer_fields(global_telemetry):
-    """The vector path never touches the predictor object, so its event
-    must not report the empty buffer as if it were the run's state."""
+    """Events describe the predictor's configuration, never its buffer
+    contents: both paths emit exactly the same fields."""
     trace = _loop_trace()
-    _, scalar_events = _simulate_events(
-        trace, flush_interval=trace.total_instructions + 1)
-    _, vector_events = _simulate_events(trace)
+    (_, scalar_events), (_, vector_events) = \
+        _scalar_and_vector_events(trace)
     scalar, vector = scalar_events[0], vector_events[0]
-    assert scalar["occupancy"] > 0
-    assert sum(scalar["counter_distribution"].values()) \
-        == scalar["occupancy"]
+    assert set(scalar) == set(vector)
     for key in ("occupancy", "evictions", "conflict_evictions",
-                "counter_distribution"):
-        assert key in scalar
-        assert key not in vector
+                "counter_distribution", "counter_transitions"):
+        assert key not in scalar
 
 
 # --- mispredict attribution -------------------------------------------------
