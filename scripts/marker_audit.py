@@ -38,6 +38,7 @@ REQUIRED_BATTERY_FILES = (
     "tests/test_characterize.py",
     "tests/test_cycle_kernel_equivalence.py",
     "tests/test_flush_tournament_equivalence.py",
+    "tests/test_kernel_screen_battery.py",
     "tests/test_sweep_equivalence.py",
     "tests/test_vm_compiled.py",
 )

@@ -45,7 +45,10 @@ def outcomes(predictor, enc, conditional_only=False, ras_returns=True,
         return sub, np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int8), \
             credited
     pred_taken, target_match, hit = kernel_for(predictor)(predictor, sub)
-    correct = np.where(sub.takens, pred_taken & target_match, ~pred_taken)
+    # Taken records need the direction and the target, others only
+    # the direction (bool algebra: np.where is far slower on bools).
+    correct = sub.takens & pred_taken & target_match
+    correct |= ~(sub.takens | pred_taken)
     return sub, correct, hit, credited
 
 
@@ -62,17 +65,17 @@ def assemble_stats(predictor, enc, conditional_only=False,
     stats.correct = int(np.count_nonzero(correct)) + credited
     stats.buffer_accesses = int(np.count_nonzero(hit >= 0))
     stats.buffer_misses = int(np.count_nonzero(hit == 0))
-    classes = sub.classes.astype(np.int64)
-    totals = np.bincount(classes, minlength=4)
-    corrects = np.bincount(classes[correct], minlength=4)
-    totals[BranchClass.RETURN] += credited
-    corrects[BranchClass.RETURN] += credited
     for branch_class in range(4):
-        if totals[branch_class]:
-            stats.by_class_total[branch_class] = int(totals[branch_class])
-        if corrects[branch_class]:
-            stats.by_class_correct[branch_class] = (
-                int(corrects[branch_class]))
+        # Four compare-and-count passes beat a bincount, which first
+        # copies the classes to intp.
+        of_class = sub.classes == branch_class
+        extra = credited if branch_class == BranchClass.RETURN else 0
+        total = int(np.count_nonzero(of_class)) + extra
+        right = int(np.count_nonzero(of_class & correct)) + extra
+        if total:
+            stats.by_class_total[branch_class] = total
+        if right:
+            stats.by_class_correct[branch_class] = right
     return stats
 
 
@@ -80,8 +83,9 @@ def site_counts(predictor, enc, ras_returns=True):
     """``{site: [executions, correct]}`` in first-execution order."""
     sub, correct, _hit, _credited = outcomes(predictor, enc,
                                              ras_returns=ras_returns)
-    sites, first, inverse = np.unique(sub.sites, return_index=True,
-                                      return_inverse=True)
+    groups = sub.plain_site_groups()
+    sites, inverse = sub.unique_sites(), sub.site_inverse()
+    first = groups.order[groups.starts]
     executions = np.bincount(inverse, minlength=sites.shape[0])
     rights = np.bincount(inverse[correct], minlength=sites.shape[0])
     order = np.argsort(first)

@@ -132,16 +132,13 @@ def _with_target_store(cache, enc, conditional, direction):
 
     # Eviction screen: only a first taken execution allocates, nothing
     # deletes, so occupancy is the running count of those events.
-    set_ids = enc.set_ids(cache.n_sets)
-    allocates = takens & ~present
-    occupancy = scan.running_total(enc.set_groups(cache.n_sets),
-                                   allocates)
-    mask = evict.overflow_rows(set_ids, occupancy, cache.associativity)
-    if mask is not None:
+    overflow = evict.overflow_rows(enc, cache, takens & ~present)
+    if overflow is not None:
+        rows, set_ids = overflow
         refreshes = ~conditional | direction
-        evict.store_evict(np.nonzero(mask)[0], set_ids, sites, takens,
-                          targets, refreshes, cache.associativity,
-                          present, stored)
+        evict.store_evict(rows, set_ids, sites, takens, targets,
+                          refreshes, cache.associativity, present,
+                          stored)
 
     pred_taken = present & direction
     target_match = pred_taken & (stored == targets)

@@ -3,11 +3,14 @@
 :class:`~repro.vm.tracing.BranchTrace` already holds its five columns
 as NumPy arrays; :class:`EncodedTrace` wraps those same arrays (no
 copy) and adds what only the kernels need: memoized derived
-structures — the stable per-site grouping, per-cache-set groupings,
-the distinct-site table, filtered sub-encodings — because a sweep
+structures — the stable per-site grouping and what is read off it
+(the distinct-site table, each record's previous same-site record),
+per-cache-set groupings, filtered sub-encodings — because a sweep
 simulates several schemes over the same trace and the sort work is
-identical across them.  The encoding is memoized on the trace object,
-which is sound because a trace is never grown after it is built.
+identical across them.  A trace's sites are sorted once: the
+distinct sites come from the site grouping, not from a second sort.
+The encoding is memoized on the trace object, which is sound because
+a trace is never grown after it is built.
 
 A context-switch run adds a sixth column, each record's flush epoch
 (:meth:`EncodedTrace.flushed`); that encoding keys its groupings by
@@ -72,11 +75,16 @@ class EncodedTrace:
 
     def qualify(self, keys, rows=None):
         """``keys`` (of the records ``rows``, default all) made distinct
-        per flush epoch; unchanged without epochs."""
+        per flush epoch; unchanged without epochs.
+
+        Keys are offset by their minimum first, so that negative keys
+        of one epoch cannot meet the keys of the next.
+        """
         if self.epochs is None or not keys.shape[0]:
             return keys
         epochs = self.epochs if rows is None else self.epochs[rows]
-        return epochs * (int(keys.max()) + 1) + keys
+        low = int(keys.min())
+        return epochs * (int(keys.max()) - low + 1) + (keys - low)
 
     def set_ids(self, n_sets):
         """Each record's cache set out of ``n_sets``."""
@@ -84,40 +92,69 @@ class EncodedTrace:
 
     # -- memoized derived structures --------------------------------------
 
+    def _memoized(self, key, build):
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._memo[key] = build()
+        return cached
+
     def subset(self, key, mask):
         """The records where ``mask`` (memoized; ``key`` names the rule)."""
-        cached = self._memo.get(("subset", key))
-        if cached is None:
-            cached = self._memo[("subset", key)] = EncodedTrace(
-                self.sites[mask], self.classes[mask], self.takens[mask],
-                self.targets[mask], self.gaps[mask],
-                None if self.epochs is None else self.epochs[mask])
-        return cached
+        return self._memoized(("subset", key), lambda: EncodedTrace(
+            self.sites[mask], self.classes[mask], self.takens[mask],
+            self.targets[mask], self.gaps[mask],
+            None if self.epochs is None else self.epochs[mask]))
 
     def site_groups(self):
-        """Records grouped by branch site (memoized)."""
+        """Records grouped by branch site, per flush epoch (memoized)."""
         from repro.kernels.scan import Groups
 
-        cached = self._memo.get("site_groups")
-        if cached is None:
-            cached = self._memo["site_groups"] = Groups(
-                self.qualify(self.sites))
-        return cached
+        return self._memoized("site_groups",
+                              lambda: Groups(self.qualify(self.sites)))
+
+    def plain_site_groups(self):
+        """Records grouped by branch site alone, across flush epochs
+        (memoized; :meth:`site_groups` itself when there are none)."""
+        from repro.kernels.scan import Groups
+
+        if self.epochs is None:
+            return self.site_groups()
+        return self._memoized("plain_site_groups",
+                              lambda: Groups(self.sites))
 
     def set_groups(self, n_sets):
         """Records grouped by cache set (memoized per set count)."""
         from repro.kernels.scan import Groups
 
-        cached = self._memo.get(("set_groups", n_sets))
-        if cached is None:
-            cached = Groups(self.set_ids(n_sets))
-            self._memo[("set_groups", n_sets)] = cached
-        return cached
+        return self._memoized(("set_groups", n_sets),
+                              lambda: Groups(self.set_ids(n_sets)))
+
+    def previous_index(self):
+        """Each record's previous same-site record, -1 for none, per
+        flush epoch (memoized: the SBTB and CBTB share it)."""
+        from repro.kernels.scan import previous_index
+
+        return self._memoized(
+            "previous_index", lambda: previous_index(self.site_groups()))
 
     def unique_sites(self):
-        """``(distinct_sites, inverse)`` as from np.unique (memoized)."""
-        cached = self._memo.get("unique_sites")
-        if cached is None:
-            cached = np.unique(self.sites, return_inverse=True)
-            self._memo["unique_sites"] = cached
-        return cached
+        """The distinct sites, ascending, as ``np.unique`` returns them
+        (memoized).  Read off :meth:`plain_site_groups`, whose sort
+        already put equal sites together: no second sort."""
+        def build():
+            groups = self.plain_site_groups()
+            return self.sites[groups.order[groups.starts]]
+
+        return self._memoized("unique_sites", build)
+
+    def site_inverse(self):
+        """Each record's index into :meth:`unique_sites`, as
+        ``np.unique``'s ``return_inverse`` (memoized, built on first
+        use)."""
+        def build():
+            groups = self.plain_site_groups()
+            inverse = np.empty(len(self), dtype=np.intp)
+            inverse[groups.order] = groups.seg_ids
+            return inverse
+
+        return self._memoized("site_inverse", build)

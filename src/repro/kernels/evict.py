@@ -23,28 +23,48 @@ The eviction *screen* lives here too (:func:`overflow_rows`) so every
 kernel shares the same exact boundary rule: a set routes to the
 replay only when its no-eviction occupancy trajectory strictly
 exceeds the way count — ``occupancy == ways`` fills the set without
-evicting and stays on the closed-form path.
+evicting and stays on the closed-form path.  The screen first asks
+the cheap question (:func:`cannot_overflow`): a set never holds more
+entries than it has distinct sites, in any flush epoch, so when no
+set has more distinct sites than ways the occupancy scan is skipped.
 """
 
 from collections import OrderedDict, defaultdict
 
 import numpy as np
 
+from repro.kernels import scan
 
-def overflow_rows(set_ids, occupancy, ways):
-    """Mask of records in sets whose occupancy ever exceeds ``ways``.
 
-    ``occupancy`` is the no-eviction occupancy trajectory (valid up to
-    the first eviction, which is exactly what the screen needs).
-    Returns ``None`` when no set overflows.  The comparison is strict:
-    a set that exactly fills its ways never evicts, so it keeps the
-    closed-form answers.
+def cannot_overflow(enc, n_sets, ways):
+    """True when no set of ``n_sets`` has more than ``ways`` distinct
+    sites of ``enc``, so no set can ever evict."""
+    per_set = np.bincount(enc.unique_sites() % n_sets, minlength=1)
+    return int(per_set.max()) <= ways
+
+
+def overflow_rows(enc, cache, delta):
+    """Records of the sets whose occupancy ever exceeds their ways.
+
+    ``delta`` is each record's change to its set's occupancy while no
+    set evicts (+1 allocation, -1 deletion); its running total per set
+    is the no-eviction occupancy trajectory, valid up to the first
+    eviction, which is exactly what the screen needs.  Returns
+    ``(rows, set_ids)`` — the overflowing sets' record indices in
+    trace order, and every record's set — or ``None`` when no set
+    overflows.  The comparison is strict: a set that exactly fills its
+    ways never evicts, so it keeps the closed-form answers.
     """
+    n_sets, ways = cache.n_sets, cache.associativity
+    if cannot_overflow(enc, n_sets, ways):
+        return None
+    set_ids = enc.set_ids(n_sets)
+    occupancy = scan.running_total(enc.set_groups(n_sets), delta)
     overflowed = occupancy > ways
     if not overflowed.any():
         return None
     hot = np.unique(set_ids[overflowed])
-    return np.isin(set_ids, hot)
+    return np.nonzero(np.isin(set_ids, hot))[0], set_ids
 
 
 def sbtb_evict(rows, set_ids, sites, takens, targets, ways, present,

@@ -24,10 +24,10 @@ def _no_buffer(n):
 
 def _site_table(enc, fn, dtype):
     """Evaluate ``fn`` once per distinct site, gathered per record."""
-    unique, inverse = enc.unique_sites()
+    unique = enc.unique_sites()
     values = np.fromiter((fn(int(site)) for site in unique), dtype,
                          count=unique.shape[0])
-    return values[inverse]
+    return values[enc.site_inverse()]
 
 
 def fs_kernel(predictor, enc):
