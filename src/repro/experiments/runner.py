@@ -5,16 +5,20 @@ For each benchmark the runner performs the paper's methodology:
 1. compile the Minic source (the "executable intermediate form"),
 2. profile it over the input suite with basic-block probes,
 3. recompile with trace selection + layout, setting likely bits,
-4. run the laid-out program over the same input suite, collecting the
-   evaluation branch trace (the paper profiles and measures on the
-   same inputs, which it notes explicitly),
+4. derive the evaluation branch trace of the laid-out program over the
+   same input suite (the paper profiles and measures on the same
+   inputs, which it notes explicitly).  Layout only reorders blocks,
+   so each laid-out run follows its profiling run block for block:
+   the trace comes from the profiling run's block path, mapped through
+   the layout (:meth:`~repro.traceopt.layout.LayoutResult.derive_traces`),
+   and the laid-out program never runs,
 5. simulate the predictors over the trace and size the forward-slot
    expansions.
 
-Steps 2 and 4 dominate the cost, so their outputs (profile JSON and
-trace arrays) are cached on disk keyed by benchmark, scale, run count,
-and a format version.  Everything else is recomputed deterministically
-from those artifacts.
+Step 2, the one VM pass per input, dominates the cost, so the outputs
+of steps 2 and 4 (profile JSON and trace arrays) are cached on disk
+keyed by benchmark, scale, run count, and a format version.
+Everything else is recomputed deterministically from those artifacts.
 
 The cache is crash-safe (see :mod:`repro.resilience` and
 docs/RESILIENCE.md): every artifact is written atomically with its
@@ -582,52 +586,47 @@ class SuiteRunner:
         )
 
     def _execute(self, spec, program, n_runs, stages=None):
-        """The two VM passes: profile the base program, trace the laid-out
-        program, verifying output equality along the way.
+        """One VM pass per input: profile the base program, lay it out,
+        and derive the laid-out program's trace from each profiling
+        run's block path.
 
-        With ``profile_source="static"`` the first pass never invokes
-        the profiler: the profile is estimated from the IR, and the
-        baseline outputs come from plain (untraced, unprobed) runs of
-        the base program.
+        Layout's translation validator shows that the laid-out program
+        computes what the base program computes, and the derivation
+        raises when a base run took an indirect jump layout cannot
+        remap or when a laid-out run would exceed ``max_instructions``.
+
+        With ``profile_source="static"`` the profiler is never invoked:
+        the profile is estimated from the IR, and the block paths come
+        from plain (untraced, unprobed) runs of the base program.
 
         Returns ``(profile, trace, layout)``.
         """
         if stages is None:
             stages = {}
         suite = spec.input_suite(scale=self.scale, runs=n_runs)
+        paths = []
         if self.profile_source == "static":
             from repro.analysis.staticpred import estimate_profile
 
             with _stage(stages, "staticpred", spec.name):
                 profile = estimate_profile(program)
             with _stage(stages, "baseline", spec.name):
-                base_outputs = [
-                    run_program(program, inputs=streams,
-                                max_instructions=self.max_instructions
-                                ).output
-                    for streams in suite
-                ]
+                for streams in suite:
+                    paths.append(run_program(
+                        program, inputs=streams,
+                        max_instructions=self.max_instructions).block_path)
         else:
             with _stage(stages, "profile", spec.name):
-                profile, base_outputs = profile_program(
-                    program, suite,
-                    max_instructions=self.max_instructions)
+                profile, _ = profile_program(
+                    program, suite, max_instructions=self.max_instructions,
+                    paths=paths)
         with _stage(stages, "layout", spec.name):
             layout = build_fs_program(program, profile,
                                       verify=self.verify)
 
-        traces = []
         with _stage(stages, "trace", spec.name):
-            for index, streams in enumerate(suite):
-                result = run_program(layout.program, inputs=streams,
-                                     trace=True,
-                                     max_instructions=self.max_instructions)
-                if result.output != base_outputs[index]:
-                    raise RuntimeError(
-                        "layout changed the output of %s run %d"
-                        % (spec.name, index))
-                traces.append(result.trace)
-            merged = BranchTrace.concatenate(traces)
+            merged = BranchTrace.concatenate(
+                layout.derive_traces(paths, self.max_instructions))
         return profile, merged, layout
 
     def run_all(self, names=None, workers=None):

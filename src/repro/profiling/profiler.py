@@ -129,7 +129,7 @@ class Profile:
 
 
 def profile_program(program, input_suite, cfg=None,
-                    max_instructions=200_000_000):
+                    max_instructions=200_000_000, paths=None):
     """Profile ``program`` over ``input_suite``.
 
     Args:
@@ -137,6 +137,8 @@ def profile_program(program, input_suite, cfg=None,
         input_suite: list of runs, each a sequence of input streams.
         cfg: optional pre-built :class:`ControlFlowGraph`.
         max_instructions: per-run instruction budget.
+        paths: optional list that receives each run's
+            :class:`~repro.vm.compiled.BlockPath`, in suite order.
 
     Returns:
         (profile, outputs) — the accumulated :class:`Profile` and the
@@ -155,5 +157,7 @@ def profile_program(program, input_suite, cfg=None,
         result = machine.run()
         profile.add_run(result.probe_counts, result.trace)
         outputs.append(result.output)
+        if paths is not None:
+            paths.append(result.block_path)
     return profile, outputs
 

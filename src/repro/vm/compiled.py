@@ -16,7 +16,7 @@ RET swap the frame held in the functions' globals.
 
 The driver loop is one append and one call per executed block.
 Everything else is derived from the sequence of block starts once the
-run ends, with NumPy:
+run ends, with NumPy (:meth:`BlockTables.trace`):
 
 * the instruction count is the sum of the block lengths;
 * probe counts are a ``bincount`` of the starts (exact, because blocks
@@ -28,6 +28,11 @@ run ends, with NumPy:
   that way, so its block appends the direction to a side list;
 * RET and JIND targets are the next block start;
 * gaps are differences of the cumulative instruction count, minus one.
+
+The starts and the side list together are the run's :class:`BlockPath`,
+which every result carries.  Trace layout maps a base run's path onto
+the laid-out program, and :meth:`BlockTables.trace` turns the mapped
+path into the laid-out program's trace without running it.
 
 The instruction budget is exact: the driver runs unchecked for
 ``(budget - executed) // longest_block`` blocks at a time, then steps
@@ -59,8 +64,9 @@ from repro.vm.machine import (
 from repro.vm.tracing import BranchClass, BranchTrace
 
 #: Most recently used block sets kept between runs.  A cold ``all``
-#: runs one program at a time (every input of the base program, then
-#: every input of its layout), so a few entries give every hit.
+#: runs one program at a time, every input of a base program (the
+#: laid-out program's traces are derived from those runs' block paths,
+#: never run), so a few entries give every hit.
 _CACHE_SIZE = 8
 
 _CACHE = {}
@@ -83,6 +89,109 @@ _ENDERS = frozenset(_CLASS) | {_HALT}
 
 class _Halted(Exception):
     """Raised by the HALT block to leave the driver loop."""
+
+
+class BlockPath:
+    """The blocks one compiled run executed, in order.
+
+    Attributes:
+        starts: the entry pc of every executed block (int32).
+        directions: the direction of every executed conditional whose
+            taken pc equals its fall-through, which the next start
+            cannot tell, in execution order (bool).
+    """
+
+    __slots__ = ("starts", "directions")
+
+    def __init__(self, starts, directions):
+        self.starts = starts
+        self.directions = directions
+
+
+class BlockTables:
+    """Per-pc tables of a program cut into blocks.
+
+    A block entered at pc ``p`` ends at ``ends[p]``: the first control
+    transfer or HALT at or after ``p``, or the pc just before the next
+    address in ``stops``.  It runs ``sizes[p]`` instructions.  The
+    other tables describe the record the block yields at its last pc,
+    so at a branch's own pc they describe that branch: ``kinds`` (its
+    :class:`BranchClass`, -1 for no record), ``targets`` (its static
+    target), ``taken_pcs`` (where a conditional, JUMP or CALL goes when
+    taken) and ``ambiguous`` (a conditional whose taken pc equals its
+    fall-through).
+    """
+
+    def __init__(self, code, stops):
+        size = len(code)
+        ends = [0] * size
+        end = size - 1
+        for pc in reversed(range(size)):
+            if code[pc][0] in _ENDERS or pc + 1 in stops:
+                end = pc
+            ends[pc] = end
+        self.lengths = [end - pc + 1 for pc, end in enumerate(ends)]
+        self.ends = np.array(ends, dtype=np.intp)
+        self.sizes = np.array(self.lengths, dtype=np.intp)
+
+        kinds = np.full(size, -1, dtype=np.int8)
+        targets = np.zeros(size, dtype=np.intp)
+        taken_pcs = np.full(size, -1, dtype=np.intp)
+        ambiguous = np.zeros(size, dtype=bool)
+        for pc, ins in enumerate(code):
+            kind = _CLASS.get(ins[0])
+            if kind is None:
+                continue
+            kinds[pc] = kind
+            if kind <= BranchClass.UNCONDITIONAL_KNOWN:
+                targets[pc] = ins[5]
+                taken_pcs[pc] = _taken_pc(ins)
+            if kind == BranchClass.CONDITIONAL:
+                ambiguous[pc] = taken_pcs[pc] == pc + 1 + ins[6]
+        self.kinds = kinds[self.ends]
+        self.targets = targets[self.ends]
+        self.taken_pcs = taken_pcs[self.ends]
+        self.ambiguous = ambiguous[self.ends]
+
+    def count(self, starts):
+        """Instructions executed by the blocks entered at ``starts``."""
+        return int(self.sizes[starts].sum())
+
+    def trace(self, starts, directions, budget=None):
+        """The :class:`BranchTrace` of a run that entered its blocks at
+        ``starts`` (ending with the HALT block) and took ``directions``
+        at its ambiguous conditionals.
+
+        With a ``budget``, a path longer than that many instructions
+        raises the :class:`ExecutionLimitExceeded` a run of it would.
+        """
+        # Gathers through native-width indices skip a conversion each.
+        starts = starts.astype(np.intp, copy=False)
+        cumulative = np.cumsum(self.sizes[starts])
+        instructions = int(cumulative[-1]) if len(cumulative) else 0
+        if budget is not None and instructions > budget:
+            index = int(np.searchsorted(cumulative, budget, side="right"))
+            done = int(cumulative[index - 1]) if index else 0
+            raise ExecutionLimitExceeded(
+                "exceeded %d instructions (pc=%d)"
+                % (budget, int(starts[index]) + max(budget - done, 0)))
+        kinds = self.kinds[starts]
+        records = np.flatnonzero(kinds >= 0)
+        entered = starts[records]
+        classes = kinds[records]
+        following = starts[1:][records]
+        # RET and JIND go wherever the next block starts; every other
+        # record is taken when the next block starts at its taken pc.
+        dynamic = classes >= BranchClass.UNCONDITIONAL_UNKNOWN
+        targets = self.targets[entered]
+        np.copyto(targets, following, where=dynamic)
+        takens = following == self.taken_pcs[entered]
+        takens |= dynamic
+        if len(directions):
+            takens[self.ambiguous[entered]] = directions
+        gaps = np.diff(cumulative[records], prepend=0) - 1
+        return BranchTrace(self.ends[entered], classes, takens, targets,
+                           gaps, total_instructions=instructions)
 
 
 def run_compiled(machine):
@@ -122,36 +231,10 @@ class _BlockSet:
     def __init__(self, code, stops, memory_size):
         self.code = code
         self.memory_size = memory_size
-        size = len(code)
-        ends = [0] * size
-        end = size - 1
-        for pc in reversed(range(size)):
-            if code[pc][0] in _ENDERS or pc + 1 in stops:
-                end = pc
-            ends[pc] = end
-        self.lengths = [end - pc + 1 for pc, end in enumerate(ends)]
+        self.tables = BlockTables(code, stops)
+        self.lengths = self.tables.lengths
         self.longest = max(self.lengths, default=1)
-        self.ends = np.array(ends, dtype=np.int64)
-
-        # Per-instruction record tables, read at each block's last pc.
-        kinds = np.full(size, -1, dtype=np.int8)
-        targets = np.zeros(size, dtype=np.int64)
-        taken_pcs = np.full(size, -1, dtype=np.int64)
-        ambiguous = np.zeros(size, dtype=bool)
-        for pc, ins in enumerate(code):
-            kind = _CLASS.get(ins[0])
-            if kind is None:
-                continue
-            kinds[pc] = kind
-            if kind <= BranchClass.UNCONDITIONAL_KNOWN:
-                targets[pc] = ins[5]
-            if kind == BranchClass.CONDITIONAL:
-                taken_pcs[pc] = _taken_pc(ins)
-                ambiguous[pc] = taken_pcs[pc] == pc + 1 + ins[6]
-        self.kinds = kinds
-        self.targets = targets
-        self.taken_pcs = taken_pcs
-        self.ambiguous = ambiguous
+        size = len(code)
 
         self.namespace = {"C": code, "E": MachineError, "Halted": _Halted,
                           "cdiv": _c_div, "crem": _c_rem}
@@ -344,21 +427,19 @@ class _BlockSet:
             pass
         # Drop the list before the arrays derived from it are built.
         del push
-        starts = np.array(starts, dtype=np.int64)
-        return self._result(machine, bytes(output), namespace["RV"],
-                            starts, directions)
+        path = BlockPath(np.array(starts, dtype=np.int32),
+                         np.array(directions, dtype=bool))
+        del starts
+        return self._result(machine, bytes(output), namespace["RV"], path)
 
     def release(self):
         """Drop the last run's state from the functions' globals."""
         for name in ("R", "M", "A", "ST", "T", "IT", "O", "OX", "D"):
             self.namespace.pop(name, None)
 
-    def _result(self, machine, output, exit_value, starts, directions):
-        """The :class:`MachineResult` derived from the block starts."""
-        ends = self.ends[starts]
-        cumulative = np.cumsum(ends - starts + 1)
-        instructions = int(cumulative[-1]) if len(cumulative) else 0
-
+    def _result(self, machine, output, exit_value, path):
+        """The :class:`MachineResult` derived from the block path."""
+        starts = path.starts
         probe_counts = None
         if machine.probe_addresses is not None:
             size = len(self.code)
@@ -369,21 +450,17 @@ class _BlockSet:
 
         trace = None
         if machine.trace_enabled:
-            records = np.flatnonzero(self.kinds[ends] >= 0)
-            sites = ends[records]
-            classes = self.kinds[sites]
-            following = starts[records + 1]
-            dynamic = classes >= BranchClass.UNCONDITIONAL_UNKNOWN
-            targets = np.where(dynamic, following, self.targets[sites])
-            takens = ((classes != BranchClass.CONDITIONAL)
-                      | (following == self.taken_pcs[sites]))
-            if directions:
-                takens[self.ambiguous[sites]] = directions
-            gaps = np.diff(cumulative[records], prepend=0) - 1
-            trace = BranchTrace(sites, classes, takens, targets, gaps,
-                                total_instructions=instructions)
+            trace = self.tables.trace(starts, path.directions)
+            instructions = trace.total_instructions
+        else:
+            instructions = self.tables.count(starts)
         return MachineResult(output, instructions, trace, exit_value,
-                             probe_counts)
+                             probe_counts, block_path=path)
+
+
+def block_tables(program, stops):
+    """The :class:`BlockTables` of ``program`` cut at ``stops``."""
+    return BlockTables(tuple(_decode(program)), frozenset(stops))
 
 
 def _taken_pc(ins):

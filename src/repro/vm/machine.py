@@ -91,19 +91,24 @@ def _c_rem(a, b):
 
 
 class MachineResult:
-    """Outcome of a program run."""
+    """Outcome of a program run.
+
+    ``block_path`` is the :class:`~repro.vm.compiled.BlockPath` of a
+    compiled run, None for the reference interpreter.
+    """
 
     __slots__ = ("output", "instructions", "trace", "exit_value",
-                 "probe_counts", "addresses")
+                 "probe_counts", "addresses", "block_path")
 
     def __init__(self, output, instructions, trace, exit_value,
-                 probe_counts=None, addresses=None):
+                 probe_counts=None, addresses=None, block_path=None):
         self.output = output
         self.instructions = instructions
         self.trace = trace
         self.exit_value = exit_value
         self.probe_counts = probe_counts
         self.addresses = addresses
+        self.block_path = block_path
 
     def output_text(self):
         return self.output.decode("latin-1")

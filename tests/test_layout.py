@@ -1,10 +1,14 @@
 """Tests for the trace-layout pass."""
 
+import pytest
+
+from repro.analysis.verify import VerificationError
 from repro.cfg import ControlFlowGraph
 from repro.isa.opcodes import Opcode
 from repro.lang import compile_source
 from repro.profiling import profile_program
 from repro.traceopt import build_fs_program
+from repro.traceopt import layout as layout_module
 from repro.vm import run_program
 
 BRANCHY = """
@@ -126,18 +130,20 @@ def test_functions_survive_layout():
     assert layout.program.entry == layout.leader_map[program.entry]
 
 
-def test_jump_tables_remapped():
-    source = """
-    int main() {
-        int v = getc(0);
-        switch (v) {
-            case 0: return 1; case 1: return 2; case 2: return 3;
-            case 3: return 4; case 4: return 5; case 5: return 6;
-            default: return 0;
-        }
+SWITCH = """
+int main() {
+    int v = getc(0);
+    switch (v) {
+        case 0: return 1; case 1: return 2; case 2: return 3;
+        case 3: return 4; case 4: return 5; case 5: return 6;
+        default: return 0;
     }
-    """
-    program = compile_source(source, "t")
+}
+"""
+
+
+def test_jump_tables_remapped():
+    program = compile_source(SWITCH, "t")
     profile, _ = profile_program(program, [[bytes([2])], [bytes([5])]])
     layout = build_fs_program(program, profile)
     for value in range(6):
@@ -150,3 +156,85 @@ def test_hot_trace_placed_first():
     _, profile, layout, _ = layout_for()
     weights = [trace.weight for trace in layout.traces]
     assert weights == sorted(weights, reverse=True)
+
+
+# -- the translation validator ----------------------------------------------
+#
+# Each test breaks one step of the pass and lays out with verify=False,
+# so only the translation validator stands between the broken layout
+# and its caller.
+
+
+def _broken_layout(monkeypatch, helper, breaker, source=BRANCHY,
+                   inputs=INPUTS):
+    """Lay ``source`` out with ``breaker`` applied to the result of the
+    layout helper ``helper``; returns how often it broke something."""
+    program = compile_source(source, "t")
+    profile, _ = profile_program(program, inputs)
+    original = getattr(layout_module, helper)
+    broken = []
+
+    def wrapper(*args):
+        result = original(*args)
+        broken.extend(breaker(args, result))
+        return result
+
+    monkeypatch.setattr(layout_module, helper, wrapper)
+    with pytest.raises(VerificationError, match="layout translation"):
+        build_fs_program(program, profile, verify=False)
+    return len(broken)
+
+
+def test_validator_catches_a_wrong_remapped_target(monkeypatch):
+    def breaker(args, result):
+        _, new_program, leader_map = args
+        instructions = new_program.instructions
+        for address, instr in enumerate(instructions):
+            if instr.op is Opcode.JUMP or instr.is_conditional:
+                wrong = [leader for leader in sorted(leader_map.values())
+                         if leader != instr.target]
+                instr.target = wrong[0]
+                return [address]
+        return []
+
+    assert _broken_layout(monkeypatch, "_remap", breaker)
+
+
+def test_validator_catches_an_inversion_that_keeps_its_target(monkeypatch):
+    def breaker(args, result):
+        cfg, block = args[:2]
+        terminator = result[0][-1]
+        old = cfg.program.instructions[block.end - 1]
+        if terminator.is_conditional and terminator.op is not old.op:
+            terminator.target = old.target
+            return [block.start]
+        return []
+
+    assert _broken_layout(monkeypatch, "_rewrite_block", breaker)
+
+
+def test_validator_catches_an_inserted_jump_to_the_wrong_block(monkeypatch):
+    def breaker(args, result):
+        _, block = args[:2]
+        instructions, old_addresses = result
+        if old_addresses[-1] is None:
+            instructions[-1].target = block.start
+            return [block.start]
+        return []
+
+    assert _broken_layout(monkeypatch, "_rewrite_block", breaker)
+
+
+def test_validator_catches_an_unmapped_jump_table_entry(monkeypatch):
+    def breaker(args, result):
+        program, new_program, leader_map = args
+        table = new_program.jump_tables[0]
+        for index, entry in enumerate(program.jump_tables[0].entries):
+            if leader_map[entry] != entry:
+                table.entries[index] = entry
+                return [index]
+        return []
+
+    assert _broken_layout(monkeypatch, "_remap", breaker, source=SWITCH,
+                          inputs=[[bytes([2])], [bytes([5])]])
+
