@@ -155,12 +155,6 @@ class DataflowResult:
         self.inputs = inputs
         self.outputs = outputs
 
-    def value_in(self, leader):
-        return self.inputs[self.graph.index_of(leader)]
-
-    def value_out(self, leader):
-        return self.outputs[self.graph.index_of(leader)]
-
 
 def postorder(graph, roots=None):
     """Post-order block indices from ``roots`` (default: all blocks

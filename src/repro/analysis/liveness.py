@@ -75,29 +75,6 @@ class Liveness:
     def is_live_in(self, leader, register):
         return bool(self.live_in[leader] >> register & 1)
 
-    def is_live_out(self, leader, register):
-        return bool(self.live_out[leader] >> register & 1)
-
-    def live_masks_at(self, block):
-        """Per-instruction live-after masks inside ``block``.
-
-        Returns a list aligned with ``range(block.start, block.end)``:
-        element ``i`` is the mask of registers live immediately
-        *after* the instruction at ``block.start + i``.
-        """
-        program = self.graph.cfg.program
-        live = self.live_out[block.start]
-        masks = [0] * len(block)
-        for offset in range(len(block) - 1, -1, -1):
-            masks[offset] = live
-            instr = program.instructions[block.start + offset]
-            written = register_written(instr)
-            if written is not None:
-                live &= ~(1 << written)
-            for register in registers_read(instr):
-                live |= 1 << register
-        return masks
-
 
 def compute_liveness(program, cfg=None, graph=None):
     """Solve liveness for a resolved program; returns :class:`Liveness`."""

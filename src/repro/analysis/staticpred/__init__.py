@@ -4,15 +4,13 @@ Ball-Larus branch heuristics (:mod:`.heuristics`) over natural loops
 (:mod:`.loops`), Wu-Larus frequency propagation (:mod:`.frequency`),
 and a :class:`StaticProfile` (:mod:`.profile`) that drops into every
 consumer of measured profiles.  :mod:`.evaluate` scores the predictor
-against measured profiles benchmark by benchmark.
+against a measured profile.
 """
 
 from repro.analysis.staticpred.evaluate import (
     AgreementReport,
     SiteComparison,
     compare_to_profile,
-    evaluate_benchmark,
-    evaluate_suite,
 )
 from repro.analysis.staticpred.frequency import (
     FREQUENCY_CLAMP,
@@ -53,8 +51,6 @@ __all__ = [
     "compare_to_profile",
     "edge_probabilities",
     "estimate_profile",
-    "evaluate_benchmark",
-    "evaluate_suite",
     "find_loops",
     "local_frequencies",
     "predict_branches",

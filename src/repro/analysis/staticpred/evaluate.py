@@ -1,11 +1,12 @@
 """Heuristic-vs-measured agreement evaluation.
 
 Quantifies how much of a measured profile the static predictor
-recovers: each benchmark is profiled normally, the same program is
-predicted statically, and the two are compared per conditional branch
-site.  Two headline metrics, both weighted by measured executions so
-hot branches dominate (a branch that never executed is unmeasurable
-and is excluded):
+recovers: :func:`compare_to_profile` predicts a program statically and
+compares the prediction with the program's measured profile (the one
+the experiment runner cached) per conditional branch site.  Two
+headline metrics, both weighted by measured executions so hot branches
+dominate (a branch that never executed is unmeasurable and is
+excluded):
 
 ``direction agreement``
     fraction of dynamic branch executions whose site's predicted
@@ -21,18 +22,15 @@ how often its vote matched the measured majority — the same
 accounting Ball-Larus use for their published hit rates.
 """
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.staticpred.heuristics import (
     HEURISTIC_ORDER,
     BranchEstimate,
     predict_branches,
 )
-from repro.benchmarksuite.suite import BENCHMARK_NAMES, compile_benchmark, \
-    get_benchmark
-from repro.cfg import ControlFlowGraph
 from repro.isa.program import Program
-from repro.profiling.profiler import Profile, profile_program
+from repro.profiling.profiler import Profile
 
 
 class SiteComparison:
@@ -166,33 +164,3 @@ def compare_to_profile(program: Program, profile: Profile, name: str,
                                     votes))
     return AgreementReport(name, sites)
 
-
-def evaluate_benchmark(name: str, scale: float = 1.0,
-                       runs: Optional[int] = None,
-                       max_instructions: int = 200_000_000
-                       ) -> AgreementReport:
-    """Profile one benchmark and score the static predictor against it."""
-    spec = get_benchmark(name)
-    program = compile_benchmark(name)
-    cfg = ControlFlowGraph.from_program(program)
-    profile, _ = profile_program(program, spec.input_suite(scale, runs),
-                                 cfg=cfg,
-                                 max_instructions=max_instructions)
-    estimates = predict_branches(program, cfg=cfg)
-    return compare_to_profile(program, profile, name, estimates)
-
-
-def evaluate_suite(names: Iterable[str] = BENCHMARK_NAMES,
-                   scale: float = 1.0, runs: Optional[int] = None,
-                   max_instructions: int = 200_000_000
-                   ) -> Tuple[List[AgreementReport], AgreementReport]:
-    """Evaluate several benchmarks; returns (per-benchmark, overall).
-
-    The overall report pools every site comparison, so its weighted
-    metrics are the suite-wide numbers the acceptance gate checks.
-    """
-    reports = [evaluate_benchmark(name, scale=scale, runs=runs,
-                                  max_instructions=max_instructions)
-               for name in names]
-    pooled = [site for report in reports for site in report.sites]
-    return reports, AgreementReport("overall", pooled)

@@ -80,9 +80,6 @@ class LoopNest:
         """The innermost loop containing block ``index``, or None."""
         return self._innermost.get(index)
 
-    def is_header(self, index: int) -> bool:
-        return any(loop.header == index for loop in self.loops)
-
 
 def find_loops(graph: FlowGraph, root_index: int) -> LoopNest:
     """Discover the natural loops of the region rooted at a block.

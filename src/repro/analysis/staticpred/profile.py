@@ -33,7 +33,6 @@ from repro.analysis.staticpred.heuristics import (
     predict_branches,
 )
 from repro.cfg import ControlFlowGraph
-from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.profiling.profiler import Profile
 
@@ -102,22 +101,14 @@ def estimate_profile(program: Program,
     for block in cfg.blocks:
         site = block.end - 1
         terminator = program.instructions[site]
-        block_count = counts.get(block.start, 0)
         if terminator.is_conditional:
             estimate = estimates.get(site)
             probability = (estimate.taken_probability
                            if estimate is not None else 0.5)
-            execs = block_count
+            execs = counts.get(block.start, 0)
             taken = min(execs, max(0, int(round(execs * probability))))
             profile.branch_execs[site] = execs
             profile.branch_taken[site] = taken
-            if block.taken_target is not None and taken > 0:
-                profile.edge_counts[(site, block.taken_target)] = taken
-        elif terminator.op in (Opcode.JUMP, Opcode.CALL) \
-                and block_count > 0:
-            target = terminator.target
-            if isinstance(target, int):
-                profile.edge_counts[(site, target)] = block_count
 
     profile.total_instructions = sum(
         counts.get(block.start, 0) * (block.end - block.start)

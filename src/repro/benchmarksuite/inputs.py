@@ -101,17 +101,6 @@ def c_source(rng, n_lines):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def similar_pair(rng, n_lines, difference_rate=0.02):
-    """Two mostly-identical texts (for cmp): occasional byte flips."""
-    original = bytearray(text_lines(rng, n_lines))
-    mutated = bytearray(original)
-    for position in range(len(mutated)):
-        if mutated[position] != 10 and rng.chance(
-                int(difference_rate * 1000), 1000):
-            mutated[position] = 97 + rng.next_int(26)
-    return bytes(original), bytes(mutated)
-
-
 def makefile(rng, n_targets):
     """A makefile: target lines, dependency lists, command lines."""
     names = ["t%d" % index for index in range(n_targets)]

@@ -123,13 +123,6 @@ def build_parser():
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers for trace collection "
                              "(needs the cache enabled)")
-    parser.add_argument("--verify", dest="verify", action="store_true",
-                        default=True,
-                        help="run the IR verifier after every compiler "
-                             "pass (the default)")
-    parser.add_argument("--no-verify", dest="verify", action="store_false",
-                        help="skip IR verification in the compilation "
-                             "pipeline")
     parser.add_argument("--file", default=None,
                         help="for 'lint': verify this assembly file "
                              "instead of the benchmark suite; for "
@@ -464,8 +457,8 @@ def _sweep_checkpoint(runner, names, sections, label, resume):
         sweep_fingerprint,
     )
 
-    fingerprint = sweep_fingerprint(sections, runner.scale, runner.runs,
-                                    names, CACHE_FORMAT_VERSION)
+    fingerprint = sweep_fingerprint(sections, runner.config, names,
+                                    CACHE_FORMAT_VERSION)
     path = (runner.cache_dir / "checkpoints"
             / ("%s-%s.json" % (label, fingerprint)))
     return SweepCheckpoint(path, fingerprint)
@@ -584,7 +577,7 @@ def main(argv=None):
             return exit_code
         runner = SuiteRunner(scale=args.scale, runs=args.runs,
                              cache_dir=False if args.no_cache else None,
-                             verify=args.verify, event_log=event_log,
+                             event_log=event_log,
                              profile_source=args.profile_source)
         names = ([args.target] if args.target else None) or args.benchmarks
         if args.workers > 1:

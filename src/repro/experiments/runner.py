@@ -17,8 +17,9 @@ For each benchmark the runner performs the paper's methodology:
 
 Step 2, the one VM pass per input, dominates the cost, so the outputs
 of steps 2 and 4 (profile JSON and trace arrays) are cached on disk
-keyed by benchmark, scale, run count, and a format version.
-Everything else is recomputed deterministically from those artifacts.
+keyed by benchmark, the run configuration (:class:`RunConfig`: scale,
+run count, profile source), and a format version.  Everything else is
+recomputed deterministically from those artifacts.
 
 The cache is crash-safe (see :mod:`repro.resilience` and
 docs/RESILIENCE.md): every artifact is written atomically with its
@@ -40,6 +41,7 @@ import re
 import time
 import zipfile
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,12 +75,25 @@ from repro.predictors import (
 )
 from repro.vm import BranchTrace, run_program
 
-# Version 3: manifests record per-artifact sha256 checksums (manifest
-# schema 2) that cache loads verify; entries are written atomically
-# under a per-stem lock.  Version 2 entries lack checksums, so the
-# bump regenerates them (emitting a cache.invalidated event for each
-# one found).
-CACHE_FORMAT_VERSION = 3
+# Version 4: the cached profile holds only what layout reads (block
+# counts and branch directions, no edge table) and the manifest config
+# only the run configuration.  Older entries are regenerated, each
+# one found emitting a cache.invalidated event; without the bump an
+# older checkout would quarantine the new entries as corrupt.
+CACHE_FORMAT_VERSION = 4
+
+#: Per-run VM instruction budget.
+MAX_INSTRUCTIONS = 500_000_000
+
+#: Wall-clock limit per benchmark for a supervised warm worker (a hung
+#: worker is killed and retried), and the extra attempts a worker gets
+#: after dying.
+WARM_TIMEOUT = 600.0
+WARM_RETRIES = 2
+
+#: How long to wait on another process's stem lock before degrading
+#: to an uncached in-process compute.
+LOCK_TIMEOUT = 600.0
 
 #: Where the profile driving trace layout comes from: ``measured``
 #: profiles the program on its input suite (the paper's setup);
@@ -88,6 +103,26 @@ CACHE_FORMAT_VERSION = 3
 PROFILE_SOURCES = ("measured", "static")
 
 _VERSION_IN_STEM = re.compile(r"-v(\d+)-")
+
+
+class RunConfig(NamedTuple):
+    """Everything that shapes a run's content, kept in one place.
+
+    The cache stem, the manifest ``config``, the warm-worker payload
+    and the sweep-checkpoint fingerprint all take it whole, so a new
+    field reaches every one of them.
+    """
+
+    scale: float = 1.0
+    runs: Optional[int] = None      # None = each spec's full suite
+    profile_source: str = "measured"
+
+    def for_benchmark(self, spec):
+        """This configuration with ``runs`` capped at ``spec``'s suite."""
+        return self._replace(
+            runs=spec.runs if self.runs is None
+            else min(self.runs, spec.runs))
+
 
 _UNSET = object()
 
@@ -267,23 +302,20 @@ def list_cache_entries(cache_dir=None):
 class SuiteRunner:
     """Runs benchmarks and caches their traces and profiles.
 
+    ``scale``, ``runs`` and ``profile_source`` are the run
+    configuration, kept whole in :attr:`config`; ``cache_dir`` and
+    ``event_log`` only say where this deployment keeps its files.
+    Every laid-out program is IR-verified.
+
     Args:
         scale: input size multiplier (1.0 = paper-scale).
         runs: cap on profiling runs per benchmark (None = the spec's
             full suite).
         cache_dir: trace cache directory; None = default; False
             disables caching entirely.
-        max_instructions: per-run execution budget.
-        verify: run the IR verifier on every laid-out program (the
-            default; ``--no-verify`` on the CLI turns it off).
         event_log: path of the telemetry JSONL event log this run
             writes to (recorded in run manifests); None when telemetry
             is off or in-memory.
-        warm_timeout: per-benchmark wall-clock limit for supervised
-            warm workers (a hung worker is killed and retried).
-        warm_retries: extra attempts a warm worker gets after dying.
-        lock_timeout: how long to wait on another process's stem lock
-            before degrading to an uncached in-process compute.
         profile_source: ``"measured"`` (default) profiles each
             benchmark on its input suite; ``"static"`` estimates the
             profile from the IR alone — the profiler is never invoked,
@@ -296,49 +328,40 @@ class SuiteRunner:
     """
 
     def __init__(self, scale=1.0, runs=None, cache_dir=None,
-                 max_instructions=500_000_000, verify=True,
-                 event_log=None, warm_timeout=600.0, warm_retries=2,
-                 lock_timeout=600.0, profile_source="measured"):
+                 event_log=None, profile_source="measured"):
         if profile_source not in PROFILE_SOURCES:
             raise ValueError(
                 "unknown profile source %r (expected one of %s)"
                 % (profile_source, ", ".join(PROFILE_SOURCES)))
-        self.scale = scale
-        self.runs = runs
-        self.profile_source = profile_source
+        self.config = RunConfig(scale, runs, profile_source)
         if cache_dir is False:
             self.cache_dir = None
         else:
             self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-        self.max_instructions = max_instructions
-        self.verify = verify
         self.event_log = str(event_log) if event_log else None
-        self.warm_timeout = warm_timeout
-        self.warm_retries = warm_retries
-        self.lock_timeout = lock_timeout
         self.last_warm_report = None
         self._memo = {}
         self._git_sha = _UNSET
 
     # -- cache plumbing ------------------------------------------------------
 
-    def _cache_paths(self, name, n_runs, source):
+    def _cache_paths(self, name, config, source):
         """The (trace, profile) paths of one benchmark's cache entry.
 
         The only owner of the content-addressed stem format: everything
         that can change the cached trace is baked in — the source hash
-        (so an edit to the benchmark program invalidates it), scale,
-        run count, profile source, and the cache format version.
-        Static-profile entries carry a ``+static`` marker: the layout
-        they trace was driven by estimated counts, so they must never
-        collide with measured entries of the same benchmark.
+        (so an edit to the benchmark program invalidates it), the
+        benchmark's resolved :class:`RunConfig`, and the cache format
+        version.  Static-profile entries carry a ``+static`` marker:
+        the layout they trace was driven by estimated counts, so they
+        must never collide with measured entries of the same benchmark.
         """
         if self.cache_dir is None:
             return None, None
         digest = hashlib.sha1(source.encode()).hexdigest()[:10]
-        marker = "" if self.profile_source == "measured" else "+static"
+        marker = "" if config.profile_source == "measured" else "+static"
         stem = ("%s%s-s%s-r%d-v%d-%s"
-                % (name, marker, repr(self.scale), n_runs,
+                % (name, marker, repr(config.scale), config.runs,
                    CACHE_FORMAT_VERSION, digest)).replace(".", "_")
         return (self.cache_dir / (stem + ".npz"),
                 self.cache_dir / (stem + ".json"))
@@ -433,7 +456,7 @@ class SuiteRunner:
         for path in paths:
             quarantine(path, reason=str(error), benchmark=name)
 
-    def _store_cache_entry(self, name, n_runs, trace_path, profile_path,
+    def _store_cache_entry(self, name, config, trace_path, profile_path,
                            profile, trace, stages):
         """Atomically persist an entry; returns its manifest.
 
@@ -452,7 +475,7 @@ class SuiteRunner:
                     "profile": atomic_write_text(
                         profile_path, json.dumps(profile.to_dict())),
                 }
-            manifest = self._build_manifest(name, n_runs, trace_path,
+            manifest = self._build_manifest(name, config, trace_path,
                                             profile_path, stages,
                                             checksums=checksums)
             manifest.write(manifest_path)
@@ -466,7 +489,7 @@ class SuiteRunner:
             TELEMETRY.count("runner.cache.store_failed")
             TELEMETRY.event("cache.store_failed", benchmark=name,
                             path=str(trace_path), error=str(error))
-            return self._build_manifest(name, n_runs, trace_path,
+            return self._build_manifest(name, config, trace_path,
                                         profile_path, stages)
 
     # -- execution ------------------------------------------------------------
@@ -478,11 +501,11 @@ class SuiteRunner:
 
         stages = {}
         spec = get_benchmark(name)
-        n_runs = spec.runs if self.runs is None else min(self.runs, spec.runs)
+        config = self.config.for_benchmark(spec)
         with _stage(stages, "compile", name):
             program = compile_source(spec.source, name=name)
 
-        trace_path, profile_path = self._cache_paths(name, n_runs,
+        trace_path, profile_path = self._cache_paths(name, config,
                                                      spec.source)
         self._report_stale_versions(name, trace_path)
         profile = None
@@ -502,29 +525,28 @@ class SuiteRunner:
                             path=str(trace_path))
         elif trace_path is None:
             TELEMETRY.event("cache.miss", benchmark=name, path=None)
-            profile, trace, layout = self._execute(spec, program, n_runs,
+            profile, trace, layout = self._execute(spec, program, config,
                                                    stages)
         else:
             TELEMETRY.event("cache.miss", benchmark=name,
                             path=str(trace_path))
             profile, trace, manifest, layout = self._compute_locked(
-                spec, program, n_runs, trace_path, profile_path, stages)
+                spec, program, config, trace_path, profile_path, stages)
 
-        if layout is None:      # cache hit: the VM passes did not run
+        if layout is None:      # cache hit: the VM pass did not run
             with _stage(stages, "layout", name):
-                layout = build_fs_program(program, profile,
-                                          verify=self.verify)
+                layout = build_fs_program(program, profile)
 
         if manifest is None:
-            manifest = self._build_manifest(name, n_runs, trace_path,
+            manifest = self._build_manifest(name, config, trace_path,
                                             profile_path, stages)
 
         run = BenchmarkRun(name, spec, program, layout, profile, trace,
-                           self.scale, n_runs, manifest=manifest)
+                           config.scale, config.runs, manifest=manifest)
         self._memo[name] = run
         return run
 
-    def _compute_locked(self, spec, program, n_runs, trace_path,
+    def _compute_locked(self, spec, program, config, trace_path,
                         profile_path, stages):
         """Compute + store one entry under its inter-process stem lock.
 
@@ -533,7 +555,7 @@ class SuiteRunner:
         computes and stores; later holders find the finished entry on
         re-check and load it, so the work happens once and the entry
         is written exactly once.  A lock that cannot be acquired
-        within ``lock_timeout`` (a wedged peer) degrades to an
+        within :data:`LOCK_TIMEOUT` (a wedged peer) degrades to an
         uncached in-process compute instead of blocking the campaign.
 
         Returns ``(profile, trace, manifest, layout)``; ``layout`` is
@@ -541,7 +563,7 @@ class SuiteRunner:
         """
         name = spec.name
         lock = StemLock(self.cache_dir, trace_path.stem,
-                        timeout=self.lock_timeout)
+                        timeout=LOCK_TIMEOUT)
         try:
             with lock:
                 profile, trace, manifest = self._load_cache_entry(
@@ -552,17 +574,17 @@ class SuiteRunner:
                                     after_lock_wait=True)
                     return profile, trace, manifest, None
                 profile, trace, layout = self._execute(spec, program,
-                                                       n_runs, stages)
+                                                       config, stages)
                 manifest = self._store_cache_entry(
-                    name, n_runs, trace_path, profile_path, profile,
+                    name, config, trace_path, profile_path, profile,
                     trace, stages)
                 return profile, trace, manifest, layout
         except LockTimeout:
-            profile, trace, layout = self._execute(spec, program, n_runs,
+            profile, trace, layout = self._execute(spec, program, config,
                                                    stages)
             return profile, trace, None, layout
 
-    def _build_manifest(self, name, n_runs, trace_path, profile_path,
+    def _build_manifest(self, name, config, trace_path, profile_path,
                         stages, checksums=None):
         """The provenance record written beside the cache artifacts."""
         cache_key = trace_path.stem if trace_path is not None else None
@@ -574,10 +596,7 @@ class SuiteRunner:
             benchmark=name,
             cache_key=cache_key,
             format_version=CACHE_FORMAT_VERSION,
-            config={"scale": self.scale, "runs": n_runs,
-                    "max_instructions": self.max_instructions,
-                    "verify": self.verify,
-                    "profile_source": self.profile_source},
+            config=config._asdict(),
             git_sha=self._repo_git_sha(),
             stages=stages,
             event_log=self.event_log,
@@ -585,7 +604,7 @@ class SuiteRunner:
             checksums=checksums,
         )
 
-    def _execute(self, spec, program, n_runs, stages=None):
+    def _execute(self, spec, program, config, stages=None):
         """One VM pass per input: profile the base program, lay it out,
         and derive the laid-out program's trace from each profiling
         run's block path.
@@ -593,7 +612,8 @@ class SuiteRunner:
         Layout's translation validator shows that the laid-out program
         computes what the base program computes, and the derivation
         raises when a base run took an indirect jump layout cannot
-        remap or when a laid-out run would exceed ``max_instructions``.
+        remap or when a laid-out run would exceed
+        :data:`MAX_INSTRUCTIONS`.
 
         With ``profile_source="static"`` the profiler is never invoked:
         the profile is estimated from the IR, and the block paths come
@@ -603,9 +623,9 @@ class SuiteRunner:
         """
         if stages is None:
             stages = {}
-        suite = spec.input_suite(scale=self.scale, runs=n_runs)
+        suite = spec.input_suite(scale=config.scale, runs=config.runs)
         paths = []
-        if self.profile_source == "static":
+        if config.profile_source == "static":
             from repro.analysis.staticpred import estimate_profile
 
             with _stage(stages, "staticpred", spec.name):
@@ -614,19 +634,18 @@ class SuiteRunner:
                 for streams in suite:
                     paths.append(run_program(
                         program, inputs=streams,
-                        max_instructions=self.max_instructions).block_path)
+                        max_instructions=MAX_INSTRUCTIONS).block_path)
         else:
             with _stage(stages, "profile", spec.name):
                 profile, _ = profile_program(
-                    program, suite, max_instructions=self.max_instructions,
+                    program, suite, max_instructions=MAX_INSTRUCTIONS,
                     paths=paths)
         with _stage(stages, "layout", spec.name):
-            layout = build_fs_program(program, profile,
-                                      verify=self.verify)
+            layout = build_fs_program(program, profile)
 
         with _stage(stages, "trace", spec.name):
             merged = BranchTrace.concatenate(
-                layout.derive_traces(paths, self.max_instructions))
+                layout.derive_traces(paths, MAX_INSTRUCTIONS))
         return profile, merged, layout
 
     def run_all(self, names=None, workers=None):
@@ -655,11 +674,8 @@ class SuiteRunner:
         pending = [name for name in names if name not in self._memo]
         if not pending:
             return None
-        tasks = [
-            (name, (name, self.scale, self.runs, str(self.cache_dir),
-                    self.max_instructions, self.profile_source))
-            for name in pending
-        ]
+        tasks = [(name, (name, self.config, str(self.cache_dir)))
+                 for name in pending]
         # Telemetry-enabled warms are traced across the process
         # boundary: each attempt writes a JSONL shard under
         # <cache>/traces that the merger stitches under this
@@ -675,7 +691,7 @@ class SuiteRunner:
             report = run_supervised(
                 tasks, _warm_cache_entry,
                 workers=min(workers, len(pending)),
-                timeout=self.warm_timeout, retries=self.warm_retries,
+                timeout=WARM_TIMEOUT, retries=WARM_RETRIES,
                 backoff=0.25, trace_dir=trace_dir)
         self.last_warm_report = report
         if not report.ok:
@@ -688,10 +704,6 @@ class SuiteRunner:
 
 def _warm_cache_entry(arguments):
     """Worker: execute one benchmark so its trace cache exists."""
-    (name, scale, runs, cache_dir, max_instructions,
-     profile_source) = arguments
-    runner = SuiteRunner(scale=scale, runs=runs, cache_dir=cache_dir,
-                         max_instructions=max_instructions,
-                         profile_source=profile_source)
-    runner.run(name)
+    name, config, cache_dir = arguments
+    SuiteRunner(cache_dir=cache_dir, **config._asdict()).run(name)
     return name

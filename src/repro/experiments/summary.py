@@ -63,8 +63,9 @@ def generate(runner, names=None, checkpoint=None):
         "For Reducing the Cost of Branches* (ISCA 1989).",
         "",
         "Input scale %s, %s benchmark runs per spec." % (
-            runner.scale,
-            "default" if runner.runs is None else runner.runs),
+            runner.config.scale,
+            "default" if runner.config.runs is None
+            else runner.config.runs),
         "",
     ]
     texts = render_sections(runner, names, checkpoint)

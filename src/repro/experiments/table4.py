@@ -6,7 +6,7 @@ to each benchmark's measured accuracy per scheme.
 
 from repro.experiments import paper_values
 from repro.experiments.report import TableData, mean, std_dev
-from repro.pipeline import branch_cost_batch
+from repro.pipeline import branch_cost
 
 SCHEMES = ("SBTB", "CBTB", "FS")
 
@@ -14,9 +14,9 @@ SCHEMES = ("SBTB", "CBTB", "FS")
 def costs_for(run, k_plus_l_bar, m_bar=1.0):
     """(SBTB, CBTB, FS) costs for one benchmark at one pipeline point."""
     predictions = run.predictions()
-    return tuple(branch_cost_batch(
-        (predictions[scheme].accuracy for scheme in SCHEMES),
-        k=k_plus_l_bar, l_bar=0.0, m_bar=m_bar))
+    return tuple(branch_cost(predictions[scheme].accuracy,
+                             k=k_plus_l_bar, l_bar=0.0, m_bar=m_bar)
+                 for scheme in SCHEMES)
 
 
 def compute(runner, names=None):

@@ -89,28 +89,6 @@ class InstructionCache:
         self.stats.misses += misses
         return self.stats
 
-    def access_range(self, start, length):
-        """Fetch ``length`` sequential instructions from ``start``.
-
-        Touches each covered cache line once; returns the number of
-        misses.  Equivalent to feeding the addresses one by one but
-        O(lines) instead of O(instructions).
-        """
-        if length <= 0:
-            return 0
-        lookup = self._lines.lookup
-        insert = self._lines.insert
-        first = start // self.line_words
-        last = (start + length - 1) // self.line_words
-        misses = 0
-        for line in range(first, last + 1):
-            if lookup(line) is None:
-                misses += 1
-                insert(line, True)
-        self.stats.accesses += length
-        self.stats.misses += misses
-        return misses
-
     def reset(self):
         self._lines.clear()
         self.stats = CacheStats()

@@ -112,11 +112,6 @@ class _FunctionEmitter:
             return symbol
         return None
 
-    def is_local_scalar(self, name):
-        if name in self.registers:
-            return True
-        return self.global_scalar(name) is None
-
     # -- emission ------------------------------------------------------------------
 
     def emit(self, op, **kwargs):

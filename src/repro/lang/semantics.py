@@ -209,12 +209,6 @@ class _Checker:
 
     # name classification -------------------------------------------------
 
-    def is_scalar(self, name):
-        if name in self.scalars:
-            return True
-        symbol = self.unit.globals.get(name)
-        return symbol is not None and not symbol.is_array
-
     def is_array(self, name):
         if name in self.function.local_arrays:
             return True

@@ -13,12 +13,7 @@ itself uses the equation).
 """
 
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.cost_model import (
-    branch_cost,
-    branch_cost_batch,
-    branch_cost_series,
-    cost_from_stats,
-)
+from repro.pipeline.cost_model import branch_cost
 from repro.pipeline.cycle_sim import CycleSimulator, CycleStats
 from repro.pipeline.fetch_stream import (
     TraceInconsistency,
@@ -37,9 +32,6 @@ from repro.pipeline.hardware_cost import (
 __all__ = [
     "PipelineConfig",
     "branch_cost",
-    "branch_cost_batch",
-    "branch_cost_series",
-    "cost_from_stats",
     "CycleSimulator",
     "CycleStats",
     "TraceInconsistency",

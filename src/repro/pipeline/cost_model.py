@@ -6,15 +6,9 @@ With prediction accuracy A, the expected cost of one branch is::
 
     cost = A + (k + l_bar + m_bar) * (1 - A)
 
-measured in clock cycles with one-cycle stages.
-
-The equation is evaluated elementwise in float64 whether computed
-scalar or in a numpy batch, so :func:`branch_cost_batch` and
-:func:`branch_cost_series` are bit-identical to mapping
-:func:`branch_cost` over their inputs.
+measured in clock cycles with one-cycle stages.  Table 4 maps
+:func:`branch_cost` over each benchmark's measured accuracies.
 """
-
-import numpy as np
 
 
 def branch_cost(accuracy, k=None, l_bar=None, m_bar=None, config=None):
@@ -40,51 +34,3 @@ def branch_cost(accuracy, k=None, l_bar=None, m_bar=None, config=None):
         raise ValueError("flush penalty must be non-negative")
     return accuracy + flush * (1.0 - accuracy)
 
-
-def branch_cost_series(accuracy, k, lm_values):
-    """Cost as a function of l_bar + m_bar for fixed k (Figures 3-4).
-
-    Args:
-        accuracy: prediction accuracy A.
-        k: fetch-pipeline depth.
-        lm_values: iterable of l_bar + m_bar points.
-
-    Returns:
-        list of (l_bar + m_bar, cost) pairs.
-    """
-    lm_list = list(lm_values)
-    if not 0.0 <= accuracy <= 1.0:
-        raise ValueError("accuracy must lie in [0, 1]")
-    flushes = k + np.asarray(lm_list, dtype=np.float64)
-    if flushes.size and flushes.min() < 0:
-        raise ValueError("flush penalty must be non-negative")
-    costs = accuracy + flushes * (1.0 - accuracy)
-    return list(zip(lm_list, (float(cost) for cost in costs)))
-
-
-def branch_cost_batch(accuracies, k, l_bar, m_bar):
-    """The cost equation over many accuracies at one pipeline point.
-
-    Vectorized form used by the table aggregation paths; returns a
-    list of costs in input order.
-    """
-    values = np.asarray(list(accuracies), dtype=np.float64)
-    if values.size and not (0.0 <= values.min()
-                            and values.max() <= 1.0):
-        raise ValueError("accuracy must lie in [0, 1]")
-    flush = k + l_bar + m_bar
-    if flush < 0:
-        raise ValueError("flush penalty must be non-negative")
-    return [float(cost) for cost in values + flush * (1.0 - values)]
-
-
-def cost_from_stats(stats, k, l_bar, m_bar):
-    """Branch cost using a measured :class:`PredictionStats` accuracy."""
-    return branch_cost(stats.accuracy, k=k, l_bar=l_bar, m_bar=m_bar)
-
-
-def speedup_over(cost_a, cost_b):
-    """How much cheaper scheme A's branches are than scheme B's."""
-    if cost_a <= 0:
-        raise ValueError("costs must be positive")
-    return cost_b / cost_a

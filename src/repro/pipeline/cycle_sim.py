@@ -140,26 +140,3 @@ class CycleSimulator:
                 squashed_by_class={
                     BranchClass.NAMES[code]: cycles
                     for code, cycles in stats.squashed_by_class.items()})
-
-    def run_with_icache(self, trace, entry, icache, miss_penalty=8):
-        """Simulate with an instruction cache in the fetch path.
-
-        The fetch stream is reconstructed from the (single-run) trace
-        via :mod:`repro.pipeline.fetch_stream`; every cache-line miss
-        stalls the pipeline ``miss_penalty`` cycles on top of the
-        squash accounting of :meth:`run`.
-
-        Returns (:class:`CycleStats`, cache miss count).  ``icache``
-        accumulates its own :class:`~repro.icache.CacheStats`.
-        """
-        from repro.pipeline.fetch_stream import fetch_segments
-
-        base = self.run(trace)
-        misses = 0
-        for start, length in fetch_segments(trace, entry):
-            misses += icache.access_range(start, length)
-        cycles = base.cycles + misses * miss_penalty
-        stats = CycleStats(cycles, base.instructions, base.branches,
-                           base.squashed_cycles, base.mispredictions,
-                           base.fill_cycles, base.squashed_by_class)
-        return stats, misses

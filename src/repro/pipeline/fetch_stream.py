@@ -2,11 +2,10 @@
 
 Between two branches the machine fetches sequentially, so a branch
 trace (sites, directions, targets, gaps) plus the entry point fully
-determines the instruction-address stream of a single run.  This gives
-the instruction-cache and pipeline models a fetch stream without the
-memory cost of recording every executed address — and doubles as a
-strong internal consistency check on the trace itself (every record's
-site must equal the previous landing plus its gap).
+determines the instruction-address stream of a single run.
+Reconstructing it is a strong internal consistency check on the trace
+itself: every record's site must equal the previous landing plus its
+gap.
 
 Only single-run traces reconstruct (merged multi-run traces have
 invisible restarts); :class:`~repro.vm.machine.Machine` address traces

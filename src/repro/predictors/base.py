@@ -71,10 +71,6 @@ class PredictionStats:
             return None
         return self.by_class_correct.get(branch_class, 0) / total
 
-    @property
-    def conditional_accuracy(self):
-        return self.class_accuracy(BranchClass.CONDITIONAL)
-
     def merge(self, other):
         self.total += other.total
         self.correct += other.correct

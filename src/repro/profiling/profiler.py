@@ -17,12 +17,13 @@ def _fold(counts, keys):
 class Profile:
     """Execution profile of a program over an input suite.
 
+    Holds what trace selection and the likely bits read: block counts
+    and branch directions.
+
     Attributes:
         block_counts: leader address -> number of times the block ran.
         branch_execs: conditional branch site -> executions.
         branch_taken: conditional branch site -> taken count.
-        edge_counts: (site, target) -> taken-transfer count, for
-            conditional (taken direction), JUMP, CALL, and JIND records.
         runs: number of profiling runs accumulated.
         total_instructions: dynamic instructions over all runs.
     """
@@ -31,7 +32,6 @@ class Profile:
         self.block_counts = {}
         self.branch_execs = {}
         self.branch_taken = {}
-        self.edge_counts = {}
         self.runs = 0
         self.total_instructions = 0
 
@@ -45,33 +45,15 @@ class Profile:
         self.runs += 1
 
     def add_trace(self, trace):
-        """Fold a branch trace's per-site statistics in.
+        """Fold a branch trace's conditional-branch statistics in.
 
         Columnar: each statistic is one ``np.unique`` count over the
         records it covers, folded into the dicts as Python ints.
         """
         sites = trace.sites
         conditional = trace.classes == BranchClass.CONDITIONAL
-        taken = conditional & trace.takens
         _fold(self.branch_execs, sites[conditional])
-        _fold(self.branch_taken, sites[taken])
-        # Taken conditionals plus every unconditional transfer except
-        # returns (their targets follow from the call stack).
-        edge = taken | ~(conditional
-                         | (trace.classes == BranchClass.RETURN))
-        targets = trace.targets[edge]
-        if len(targets):
-            # Pack (site, target) into one int64 key: site * span +
-            # target offset sorts exactly like the pair.
-            low = int(targets.min())
-            span = int(targets.max()) - low + 1
-            keys = sites[edge] * span + (targets - low)
-            keys, counts = np.unique(keys, return_counts=True)
-            edges = self.edge_counts
-            for key, count in zip(keys.tolist(), counts.tolist()):
-                site, offset = divmod(key, span)
-                edge_key = (site, low + offset)
-                edges[edge_key] = edges.get(edge_key, 0) + count
+        _fold(self.branch_taken, sites[conditional & trace.takens])
         self.total_instructions += trace.total_instructions
 
     # -- queries -------------------------------------------------------------
@@ -90,9 +72,6 @@ class Profile:
             return None
         return self.branch_taken.get(site, 0) / execs
 
-    def edge_count(self, source_site, target):
-        return self.edge_counts.get((source_site, target), 0)
-
     # -- serialisation ----------------------------------------------------------
 
     def to_dict(self):
@@ -101,10 +80,6 @@ class Profile:
             "block_counts": sorted(self.block_counts.items()),
             "branch_execs": sorted(self.branch_execs.items()),
             "branch_taken": sorted(self.branch_taken.items()),
-            "edge_counts": sorted(
-                ([site, target], count)
-                for (site, target), count in self.edge_counts.items()
-            ),
             "runs": self.runs,
             "total_instructions": self.total_instructions,
         }
@@ -115,9 +90,6 @@ class Profile:
         profile.block_counts = {key: value for key, value in data["block_counts"]}
         profile.branch_execs = {key: value for key, value in data["branch_execs"]}
         profile.branch_taken = {key: value for key, value in data["branch_taken"]}
-        profile.edge_counts = {
-            (edge[0], edge[1]): count for edge, count in data["edge_counts"]
-        }
         profile.runs = data["runs"]
         profile.total_instructions = data["total_instructions"]
         return profile

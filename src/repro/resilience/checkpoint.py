@@ -9,7 +9,8 @@ campaign replays finished sections from disk and resumes computing at
 the first incomplete one.
 
 The fingerprint covers everything that could change a section's
-content (section list, scale, runs, benchmark subset, cache format
+content (section list, the runner's whole run configuration — scale,
+runs, profile source — the benchmark subset and the cache format
 version); a checkpoint whose fingerprint disagrees is silently
 discarded rather than resumed, and a corrupt checkpoint file is
 quarantined — resuming from a wrong-config record would misattribute
@@ -26,12 +27,15 @@ from repro.telemetry.core import TELEMETRY
 CHECKPOINT_VERSION = 1
 
 
-def sweep_fingerprint(sections, scale, runs, benchmarks, format_version):
-    """A short stable digest of everything that shapes a sweep."""
+def sweep_fingerprint(sections, config, benchmarks, format_version):
+    """A short stable digest of everything that shapes a sweep.
+
+    ``config`` is the runner's
+    :class:`~repro.experiments.runner.RunConfig`, taken whole.
+    """
     payload = json.dumps({
         "sections": list(sections),
-        "scale": scale,
-        "runs": runs,
+        "config": config._asdict(),
         "benchmarks": sorted(benchmarks) if benchmarks else None,
         "format_version": format_version,
     }, sort_keys=True)

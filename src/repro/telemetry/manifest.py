@@ -2,7 +2,8 @@
 
 Every time the suite runner executes a benchmark and writes its trace
 cache, it also writes ``<cache stem>.manifest.json`` describing *how*
-those artifacts were produced: the runner configuration, the cache key
+those artifacts were produced: the benchmark's run configuration
+(:class:`~repro.experiments.runner.RunConfig`), the cache key
 and format version, the git commit of the working tree (when
 available), per-stage wall-clock seconds, and the telemetry event-log
 path (when a run had one).  Any table or figure computed from the
@@ -13,10 +14,9 @@ The schema (``MANIFEST_VERSION`` 2)::
     {
       "manifest_version": 2,
       "benchmark": "wc",
-      "cache_key": "wc-s0_1-r2-v3-a1b2c3d4e5",
-      "format_version": 3,
-      "config": {"scale": 0.1, "runs": 2, "max_instructions": ...,
-                 "verify": true, "profile_source": "measured"},
+      "cache_key": "wc-s0_1-r2-v4-a1b2c3d4e5",
+      "format_version": 4,
+      "config": {"scale": 0.1, "runs": 2, "profile_source": "measured"},
       "git_sha": "..." | null,
       "stages": {"compile": 0.012, "profile": 1.4, ...},
       "event_log": "path/to/telemetry.jsonl" | null,

@@ -105,11 +105,6 @@ def shard_path(trace_dir, trace_id, label, attempt):
     return Path(trace_dir) / shard_filename(trace_id, label, attempt)
 
 
-def trace_shards(trace_dir, trace_id):
-    """All shard files of one trace, sorted by name."""
-    return sorted(Path(trace_dir).glob("shard-%s-*.jsonl" % trace_id))
-
-
 def emit_shard_span(registry, span_id, label, attempt, status,
                     duration, shard):
     """Emit the synthetic span covering one worker attempt's shard.

@@ -110,9 +110,6 @@ class MachineResult:
         self.addresses = addresses
         self.block_path = block_path
 
-    def output_text(self):
-        return self.output.decode("latin-1")
-
     def __repr__(self):
         return "MachineResult(%d instructions, %d output bytes)" % (
             self.instructions, len(self.output))

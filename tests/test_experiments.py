@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchmarksuite import get_benchmark
 from repro.experiments import SuiteRunner, render_table
 from repro.experiments import (
     figures,
@@ -327,6 +328,35 @@ def test_tampered_trace_columns_are_quarantined(tmp_path):
 def test_cache_key_includes_source_hash(tmp_path):
     runner = SuiteRunner(scale=TINY, runs=1, cache_dir=tmp_path)
     spec_source = "int main() { return 0; }"
-    path_a, _ = runner._cache_paths("x", 1, spec_source)
-    path_b, _ = runner._cache_paths("x", 1, spec_source + " ")
+    path_a, _ = runner._cache_paths("x", runner.config, spec_source)
+    path_b, _ = runner._cache_paths("x", runner.config, spec_source + " ")
     assert path_a != path_b
+
+
+def _keys(runner):
+    """(cache stem, manifest config, sweep fingerprint) of ``wc``."""
+    from repro.cli import _sweep_checkpoint
+
+    spec = get_benchmark("wc")
+    config = runner.config.for_benchmark(spec)
+    trace_path, profile_path = runner._cache_paths("wc", config,
+                                                   spec.source)
+    manifest = runner._build_manifest("wc", config, trace_path,
+                                      profile_path, {})
+    checkpoint = _sweep_checkpoint(runner, ["wc"], ["table1"], "all", True)
+    return trace_path.stem, manifest.config, checkpoint.fingerprint
+
+
+@pytest.mark.parametrize("change", [
+    {"scale": 0.03}, {"runs": 2}, {"profile_source": "static"}])
+def test_every_config_field_keys_every_consumer(tmp_path, change):
+    """The cache stem, the manifest config and the sweep fingerprint
+    each change with every field of the run configuration."""
+    base = dict(scale=TINY, runs=1)
+    stem, config, fingerprint = _keys(SuiteRunner(cache_dir=tmp_path,
+                                                  **base))
+    assert set(config) == {"scale", "runs", "profile_source"}
+    changed = _keys(SuiteRunner(cache_dir=tmp_path, **dict(base, **change)))
+    assert changed[0] != stem
+    assert changed[1] != config
+    assert changed[2] != fingerprint

@@ -1,5 +1,4 @@
-"""Tests for fetch-stream reconstruction and the icache-aware cycle
-simulation.
+"""Tests for fetch-stream reconstruction.
 
 The central property: the stream reconstructed from a branch trace is
 exactly the address stream the VM recorded while executing — for every
@@ -10,15 +9,12 @@ benchmark.  This doubles as a consistency proof of the trace format
 import pytest
 
 from repro.benchmarksuite import BENCHMARK_NAMES, compile_benchmark, get_benchmark
-from repro.icache import InstructionCache
 from repro.lang import compile_source
-from repro.pipeline import CycleSimulator, PipelineConfig
 from repro.pipeline.fetch_stream import (
     TraceInconsistency,
     fetch_addresses,
     fetch_segments,
 )
-from repro.predictors import SimpleBTB
 from repro.vm import Machine
 from repro.vm.tracing import BranchClass, BranchTrace
 
@@ -97,41 +93,3 @@ def test_validation_can_be_disabled():
     segments = fetch_segments(trace, 0, validate=False)
     assert segments == [(0, 3)]
 
-
-def test_access_range_equals_per_address():
-    a = InstructionCache(64, 8, 2)
-    b = InstructionCache(64, 8, 2)
-    for start, length in [(0, 10), (5, 3), (60, 30), (0, 1)]:
-        for address in range(start, start + length):
-            a.access(address)
-        b.access_range(start, length)
-    assert (a.stats.accesses, a.stats.misses) == \
-        (b.stats.accesses, b.stats.misses)
-
-
-def test_run_with_icache_adds_miss_stalls():
-    program, result = traced(SMALL)
-    config = PipelineConfig(1, 1, 1)
-    simulator = CycleSimulator(config, SimpleBTB())
-    base = simulator.run(result.trace)
-
-    simulator = CycleSimulator(config, SimpleBTB())
-    cache = InstructionCache(total_words=32, line_words=4)
-    with_cache, misses = simulator.run_with_icache(
-        result.trace, program.entry, cache, miss_penalty=10)
-    assert misses > 0
-    assert with_cache.cycles == base.cycles + 10 * misses
-    assert cache.stats.accesses == result.instructions
-
-
-def test_run_with_icache_perfect_cache_is_free():
-    program, result = traced(SMALL)
-    config = PipelineConfig(1, 1, 1)
-    base = CycleSimulator(config, SimpleBTB()).run(result.trace)
-    huge = InstructionCache(total_words=4096, line_words=4096 // 4,
-                            associativity=None)
-    with_cache, misses = CycleSimulator(config, SimpleBTB()) \
-        .run_with_icache(result.trace, program.entry, huge)
-    # One compulsory miss per touched line only.
-    assert misses <= 2
-    assert with_cache.cycles <= base.cycles + 2 * 8

@@ -59,15 +59,6 @@ def test_lint_writes_report_to_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_parser_accepts_verify_flags():
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    assert parser.parse_args(["table1"]).verify is True
-    assert parser.parse_args(["table1", "--no-verify"]).verify is False
-    assert parser.parse_args(["table1", "--verify"]).verify is True
-
-
 def test_lint_unknown_benchmark_exits_two(capsys):
     exit_code = main(["lint", "--benchmarks", "nosuch"])
     out = capsys.readouterr().out

@@ -9,10 +9,7 @@ from repro.pipeline import (
     CycleSimulator,
     PipelineConfig,
     branch_cost,
-    branch_cost_series,
-    cost_from_stats,
 )
-from repro.pipeline.cost_model import speedup_over
 from repro.predictors import (
     AlwaysNotTaken,
     SimpleBTB,
@@ -80,22 +77,6 @@ def test_cost_argument_validation():
     with pytest.raises(ValueError):
         branch_cost(0.5, k=1, l_bar=0, m_bar=0,
                     config=PipelineConfig(1, 1, 1))
-
-
-def test_cost_series():
-    series = branch_cost_series(0.9, k=1, lm_values=range(4))
-    assert [point[0] for point in series] == [0, 1, 2, 3]
-    costs = [point[1] for point in series]
-    assert costs == sorted(costs)
-    # Linear: constant increments of (1 - A).
-    increments = [b - a for a, b in zip(costs, costs[1:])]
-    assert all(abs(delta - 0.1) < 1e-12 for delta in increments)
-
-
-def test_speedup_over():
-    assert speedup_over(1.0, 1.5) == 1.5
-    with pytest.raises(ValueError):
-        speedup_over(0.0, 1.0)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),

@@ -79,7 +79,6 @@ def test_profile_serialisation_roundtrip():
     assert rebuilt.block_counts == profile.block_counts
     assert rebuilt.branch_execs == profile.branch_execs
     assert rebuilt.branch_taken == profile.branch_taken
-    assert rebuilt.edge_counts == profile.edge_counts
     assert rebuilt.runs == profile.runs
     assert rebuilt.total_instructions == profile.total_instructions
 
@@ -103,17 +102,6 @@ def test_profile_trace_branch_only():
     assert profile.total_instructions == result.instructions
 
 
-def test_edge_counts_cover_taken_transfers():
-    program = compile_source(COUNTER, "t")
-    profile, _ = profile_program(program, [[]])
-    # Every edge target must be a plausible address.
-    size = len(program)
-    for (site, target), count in profile.edge_counts.items():
-        assert 0 <= site < size
-        assert 0 <= target < size
-        assert count > 0
-
-
 def test_block_counts_only_at_leaders():
     program = compile_source(COUNTER, "t")
     cfg = ControlFlowGraph.from_program(program)
@@ -126,25 +114,22 @@ def test_block_counts_only_at_leaders():
 
 def _naive_fold(traces):
     """``Profile.add_trace`` written one record at a time."""
-    execs, taken_counts, edges = {}, {}, {}
+    execs, taken_counts = {}, {}
     for trace in traces:
-        for site, branch_class, taken, target, _ in trace.records():
+        for site, branch_class, taken, _, _ in trace.records():
             if branch_class == BranchClass.CONDITIONAL:
                 execs[site] = execs.get(site, 0) + 1
                 if taken:
                     taken_counts[site] = taken_counts.get(site, 0) + 1
-                    edges[(site, target)] = edges.get((site, target), 0) + 1
-            elif branch_class != BranchClass.RETURN:
-                edges[(site, target)] = edges.get((site, target), 0) + 1
-    return execs, taken_counts, edges
+    return execs, taken_counts
 
 
 def _assert_fold_matches(traces):
     profile = Profile()
     for trace in traces:
         profile.add_trace(trace)
-    assert (profile.branch_execs, profile.branch_taken,
-            profile.edge_counts) == _naive_fold(traces)
+    assert (profile.branch_execs, profile.branch_taken) \
+        == _naive_fold(traces)
     assert profile.total_instructions == sum(
         trace.total_instructions for trace in traces)
     # Python ints throughout: NumPy scalars would not serialise.

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.runner import RunConfig
 from repro.resilience.checkpoint import (
     SweepCheckpoint,
     sweep_fingerprint,
@@ -37,22 +38,45 @@ def sink():
 # -- fingerprint ------------------------------------------------------------
 
 def test_fingerprint_is_stable():
-    args = (["t1", "t2"], 0.1, 2, ["wc"], 3)
+    args = (["t1", "t2"], RunConfig(0.1, 2), ["wc"], 3)
     assert sweep_fingerprint(*args) == sweep_fingerprint(*args)
 
 
 def test_fingerprint_covers_every_input():
-    base = sweep_fingerprint(["t1"], 0.1, 2, ["wc"], 3)
-    assert sweep_fingerprint(["t2"], 0.1, 2, ["wc"], 3) != base
-    assert sweep_fingerprint(["t1"], 0.2, 2, ["wc"], 3) != base
-    assert sweep_fingerprint(["t1"], 0.1, 3, ["wc"], 3) != base
-    assert sweep_fingerprint(["t1"], 0.1, 2, ["tee"], 3) != base
-    assert sweep_fingerprint(["t1"], 0.1, 2, ["wc"], 4) != base
+    config = RunConfig(0.1, 2)
+    base = sweep_fingerprint(["t1"], config, ["wc"], 3)
+    assert sweep_fingerprint(["t2"], config, ["wc"], 3) != base
+    assert sweep_fingerprint(["t1"], RunConfig(0.2, 2), ["wc"], 3) != base
+    assert sweep_fingerprint(["t1"], RunConfig(0.1, 3), ["wc"], 3) != base
+    assert sweep_fingerprint(["t1"], RunConfig(0.1, 2, "static"),
+                             ["wc"], 3) != base
+    assert sweep_fingerprint(["t1"], config, ["tee"], 3) != base
+    assert sweep_fingerprint(["t1"], config, ["wc"], 4) != base
 
 
 def test_fingerprint_benchmark_order_irrelevant():
-    assert sweep_fingerprint(["t"], 0.1, 1, ["wc", "tee"], 3) \
-        == sweep_fingerprint(["t"], 0.1, 1, ["tee", "wc"], 3)
+    config = RunConfig(0.1, 1)
+    assert sweep_fingerprint(["t"], config, ["wc", "tee"], 3) \
+        == sweep_fingerprint(["t"], config, ["tee", "wc"], 3)
+
+
+def test_static_sweep_never_resumes_into_measured(tmp_path, sink):
+    """A killed ``--profile-source static`` sweep left a checkpoint; a
+    measured sweep of the same scale, runs and benchmarks must render
+    its own tables, not replay the static ones."""
+    from repro.cli import _sweep_checkpoint
+    from repro.experiments.runner import SuiteRunner
+
+    sections = ["table1", "table2"]
+    static = SuiteRunner(scale=SCALE, runs=1, cache_dir=tmp_path,
+                         profile_source="static")
+    _sweep_checkpoint(static, ["wc"], sections, "all", True) \
+        .record("table1", "static-profile table")
+
+    measured = SuiteRunner(scale=SCALE, runs=1, cache_dir=tmp_path)
+    assert _sweep_checkpoint(measured, ["wc"], sections, "all",
+                             True).load() == {}
+    assert not sink.named("checkpoint.resume")
 
 
 # -- record / load / clear --------------------------------------------------
@@ -136,8 +160,7 @@ def test_generate_resumes_from_checkpoint(tmp_path, monkeypatch):
                          ("b", "Section B", second)))
 
     class _FakeRunner:
-        scale = SCALE
-        runs = 1
+        config = RunConfig(SCALE, 1)
 
     path = tmp_path / "sweep.json"
     # Simulate a campaign killed after Section A.
@@ -160,8 +183,7 @@ def test_generate_without_checkpoint_renders_everything(monkeypatch):
     monkeypatch.setattr(summary, "SECTIONS", (("only", "Only", section),))
 
     class _FakeRunner:
-        scale = SCALE
-        runs = 1
+        config = RunConfig(SCALE, 1)
 
     summary.generate(_FakeRunner(), ["wc"])
     assert section.renders == 1

@@ -6,9 +6,9 @@ from repro.analysis.staticpred import (
     AgreementReport,
     SiteComparison,
     compare_to_profile,
-    evaluate_benchmark,
     predict_branches,
 )
+from repro.experiments.runner import SuiteRunner
 from repro.isa import assemble
 from repro.profiling import profile_program
 
@@ -100,7 +100,10 @@ def test_unestimated_sites_fall_back_to_even_odds():
 
 
 def test_evaluate_benchmark_end_to_end():
-    report = evaluate_benchmark("wc", scale=0.05, runs=1)
+    """Scored against the runner's own profile, as the ``staticpred``
+    experiment scores it."""
+    run = SuiteRunner(scale=0.05, runs=1, cache_dir=False).run("wc")
+    report = compare_to_profile(run.program, run.profile, "wc")
     assert report.name == "wc"
     assert report.sites
     assert report.total_execs > 0

@@ -52,8 +52,6 @@ def test_quantisation_invariants(name):
         assert 0 <= taken <= execs, site
         assert execs == profile.block_counts.get(
             cfg.block_of(site).start, 0), site
-    for count in profile.edge_counts.values():
-        assert isinstance(count, int) and count >= 0
     assert isinstance(profile.total_instructions, int)
     assert profile.total_instructions > 0
 
