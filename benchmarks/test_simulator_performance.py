@@ -119,19 +119,19 @@ def test_vm_throughput(benchmark):
 
 
 #: Minimum speed of the compiled-block VM over the reference
-#: interpreter on the two VM passes (compress, scale 0.1).  Both paths
+#: interpreter on traced runs of compress (scale 0.1).  Both paths
 #: are timed alternately in one process, so host load moves both.
 _VM_COMPILED_FLOOR = 1.8
 
 
 def test_vm_compiled_speedup():
     """Paired gate: ``Machine.run`` (compiled blocks) against
-    ``Machine._run`` (the reference) on the profile pass (base program,
-    leader probes) and the trace pass (FS layout) of compress."""
+    ``Machine._run`` (the reference) on traced runs of compress: its
+    base program with leader probes and its FS layout."""
     program = compile_benchmark("compress")
     suite = get_benchmark("compress").input_suite(scale=0.1)
     cfg = ControlFlowGraph.from_program(program)
-    profile, _ = profile_program(program, suite, cfg=cfg)
+    profile, _ = profile_program(program, suite)
     layout = build_fs_program(program, profile)
     machines = [Machine(program, inputs=streams, trace=True,
                         probe_addresses=cfg.leaders) for streams in suite]
@@ -149,7 +149,7 @@ def test_vm_compiled_speedup():
         compiled = min(compiled, timed(Machine.run))
         reference = min(reference, timed(Machine._run))
     ratio = reference / compiled
-    print("\nVM passes: reference %.3fs, compiled %.3fs (%.2fx)"
+    print("\nVM runs: reference %.3fs, compiled %.3fs (%.2fx)"
           % (reference, compiled, ratio))
     assert ratio >= _VM_COMPILED_FLOOR
 

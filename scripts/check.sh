@@ -139,8 +139,9 @@ echo "== kernel bench gate =="
 # 15x; the cycle kernel must match OracleCycleInterpreter; and the
 # headline and cycle-sim vector throughput must not regress >25%
 # against the committed BENCH_kernels.json baseline.  The paired VM
-# gate times Machine.run against the reference Machine._run on the two
-# VM passes of compress and fails under a 1.8x speedup; the paired
+# gate times Machine.run against the reference Machine._run on traced
+# runs of compress, its base program with leader probes and its FS
+# layout, and fails under a 1.8x speedup; the paired
 # flush/tournament gate times simulate_vector against simulate_scalar
 # on SBTB and CBTB with flushes and on Tournament, and fails under 4x.
 PYTHONPATH=src python -m pytest -q \

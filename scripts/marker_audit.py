@@ -20,8 +20,8 @@ marker expression — and enforces:
    (a collection discrepancy would mean the two runs disagree about
    what the suite even is);
 5. every file in ``REQUIRED_BATTERY_FILES`` — the differential
-   equivalence batteries that lock the kernels, the compiled VM and
-   the derived trace to their references —
+   equivalence batteries that lock the kernels, the compiled VM, the
+   derived trace and the profile fold to their references —
    contributes at least one slow-marked battery test (a renamed or
    deleted battery must fail loudly here, not silently stop gating).
 
@@ -32,14 +32,15 @@ import subprocess
 import sys
 
 #: Test files that must each carry at least one slow-marked
-#: ``*_battery`` test: the kernel, compiled-VM and derived-trace
-#: equivalence contract suites.
+#: ``*_battery`` test: the kernel, compiled-VM, derived-trace and
+#: profile-fold equivalence contract suites.
 REQUIRED_BATTERY_FILES = (
     "tests/test_characterize.py",
     "tests/test_cycle_kernel_equivalence.py",
     "tests/test_derived_trace.py",
     "tests/test_flush_tournament_equivalence.py",
     "tests/test_kernel_screen_battery.py",
+    "tests/test_profiling.py",
     "tests/test_sweep_equivalence.py",
     "tests/test_vm_compiled.py",
 )

@@ -9,16 +9,12 @@ FS cost model — consumes Profile's count dictionaries and ratios, so a
 StaticProfile flows through the whole `traceopt` pipeline unmodified
 and no profiling run is ever needed.
 
-Quantisation invariants the optimiser relies on:
-
-* every count is a non-negative ``int``;
-* ``branch_execs[site]`` equals the branch block's ``block_counts``
-  entry, and ``0 <= branch_taken[site] <= branch_execs[site]`` — so
-  trace selection's fall-through weight ``execs - taken`` is never
-  negative and ``taken_fraction`` reproduces the estimated
-  probability to quantisation accuracy;
-* a reachable block never quantises to zero (its count is floored at
-  1) so layout keeps it placeable.
+Quantisation keeps every count a non-negative ``int`` and the counts
+within :meth:`~repro.profiling.profiler.Profile.check`, so trace
+selection's fall-through weight ``execs - taken`` is never negative
+and ``taken_fraction`` reproduces the estimated probability to
+quantisation accuracy.  A reachable block's count is floored at 1 so
+layout keeps it placeable.
 """
 
 from typing import Dict, Optional
@@ -60,11 +56,6 @@ class StaticProfile(Profile):
         self.frequencies: Optional[StaticFrequencies] = None
         self.scale: int = DEFAULT_SCALE
 
-    def __repr__(self) -> str:
-        return ("StaticProfile(%d blocks, %d cond sites, scale=%d)"
-                % (len(self.block_counts), len(self.branch_execs),
-                   self.scale))
-
 
 def estimate_profile(program: Program,
                      cfg: Optional[ControlFlowGraph] = None,
@@ -88,7 +79,6 @@ def estimate_profile(program: Program,
     profile.estimates = estimates
     profile.frequencies = frequencies
     profile.scale = scale
-    profile.runs = 1
 
     counts: Dict[int, int] = {}
     for leader, frequency in frequencies.block_freq.items():
@@ -109,8 +99,4 @@ def estimate_profile(program: Program,
             taken = min(execs, max(0, int(round(execs * probability))))
             profile.branch_execs[site] = execs
             profile.branch_taken[site] = taken
-
-    profile.total_instructions = sum(
-        counts.get(block.start, 0) * (block.end - block.start)
-        for block in cfg.blocks)
     return profile

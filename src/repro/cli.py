@@ -354,8 +354,11 @@ def _metrics(args):
     source = Path(args.replay)
     if not source.exists():
         return "", _usage_error("no such event log: %s" % source)
+    files = jsonl_files(source)
+    if not files:
+        return "", _usage_error("no *.jsonl event log in %s" % source)
     registry = Telemetry(enabled=True)
-    for path in jsonl_files(source):
+    for path in files:
         events, _torn = read_jsonl_tolerant(path)
         replay_into(registry, events)
     return prometheus_text(registry.snapshot()), 0

@@ -3,7 +3,8 @@
 For each benchmark the runner performs the paper's methodology:
 
 1. compile the Minic source (the "executable intermediate form"),
-2. profile it over the input suite with basic-block probes,
+2. run it over the input suite and fold its profile (block counts,
+   branch directions) from the runs' block paths,
 3. recompile with trace selection + layout, setting likely bits,
 4. derive the evaluation branch trace of the laid-out program over the
    same input suite (the paper profiles and measures on the same
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.benchmarksuite import get_benchmark
 from repro.lang import compile_source
-from repro.profiling import Profile, profile_program
+from repro.profiling import Profile
 from repro.resilience.errors import (
     CacheCorruptError,
     LockTimeout,
@@ -75,12 +76,12 @@ from repro.predictors import (
 )
 from repro.vm import BranchTrace, run_program
 
-# Version 4: the cached profile holds only what layout reads (block
-# counts and branch directions, no edge table) and the manifest config
-# only the run configuration.  Older entries are regenerated, each
-# one found emitting a cache.invalidated event; without the bump an
-# older checkout would quarantine the new entries as corrupt.
-CACHE_FORMAT_VERSION = 4
+# Version 5: the cached profile holds only block counts and branch
+# directions (no run count or instruction total).  Older entries are
+# regenerated, each one found emitting a cache.invalidated event;
+# without the bump an older checkout would quarantine the new entries
+# as corrupt.
+CACHE_FORMAT_VERSION = 5
 
 #: Per-run VM instruction budget.
 MAX_INSTRUCTIONS = 500_000_000
@@ -400,13 +401,14 @@ class SuiteRunner:
 
     # -- crash-safe cache load/store ----------------------------------------
 
-    def _load_cache_entry(self, name, trace_path, profile_path):
+    def _load_cache_entry(self, name, program, trace_path, profile_path):
         """(profile, trace, manifest) from disk, or (None, None, None).
 
         An entry is a **miss** when none of its three files exist; it
         is **corrupt** — quarantined and reported, then treated as a
         miss — when the files are incomplete, the manifest does not
-        parse, a checksum disagrees, or an artifact fails to parse.
+        parse, a checksum disagrees, or an artifact fails to parse or
+        to check (the profile's counts must fit ``program``'s CFG).
         Only the typed taxonomy is caught here; a genuine bug still
         raises.
         """
@@ -436,11 +438,12 @@ class SuiteRunner:
                     trace = BranchTrace.from_arrays(arrays)
                 profile = Profile.from_dict(
                     json.loads(profile_path.read_text()))
+                profile.check(program)
             except (OSError, ValueError, KeyError,
                     zipfile.BadZipFile) as error:
                 raise CacheCorruptError(
                     str(trace_path),
-                    "artifact parse failed: %s" % error) from error
+                    "artifact rejected: %s" % error) from error
         except (CacheCorruptError, ManifestError) as error:
             self._quarantine_entry(name, paths, error)
             return None, None, None
@@ -515,7 +518,7 @@ class SuiteRunner:
         if trace_path is not None:
             with _stage(stages, "cache_load", name):
                 profile, trace, manifest = self._load_cache_entry(
-                    name, trace_path, profile_path)
+                    name, program, trace_path, profile_path)
 
         cache_hit = trace is not None and profile is not None
         TELEMETRY.count("runner.cache.hit" if cache_hit
@@ -567,7 +570,7 @@ class SuiteRunner:
         try:
             with lock:
                 profile, trace, manifest = self._load_cache_entry(
-                    name, trace_path, profile_path)
+                    name, program, trace_path, profile_path)
                 if trace is not None:
                     TELEMETRY.event("cache.hit", benchmark=name,
                                     path=str(trace_path),
@@ -604,10 +607,10 @@ class SuiteRunner:
             checksums=checksums,
         )
 
-    def _execute(self, spec, program, config, stages=None):
-        """One VM pass per input: profile the base program, lay it out,
-        and derive the laid-out program's trace from each profiling
-        run's block path.
+    def _execute(self, spec, program, config, stages):
+        """One VM pass per input: run the base program, fold its
+        profile from the runs' block paths, lay it out, and derive the
+        laid-out program's trace from each run's block path.
 
         Layout's translation validator shows that the laid-out program
         computes what the base program computes, and the derivation
@@ -615,31 +618,24 @@ class SuiteRunner:
         remap or when a laid-out run would exceed
         :data:`MAX_INSTRUCTIONS`.
 
-        With ``profile_source="static"`` the profiler is never invoked:
-        the profile is estimated from the IR, and the block paths come
-        from plain (untraced, unprobed) runs of the base program.
+        With ``profile_source="static"`` the profile is estimated from
+        the IR instead of folded from the runs.
 
         Returns ``(profile, trace, layout)``.
         """
-        if stages is None:
-            stages = {}
         suite = spec.input_suite(scale=config.scale, runs=config.runs)
-        paths = []
+        with _stage(stages, "vm", spec.name):
+            paths = [run_program(program, inputs=streams,
+                                 max_instructions=MAX_INSTRUCTIONS).block_path
+                     for streams in suite]
         if config.profile_source == "static":
             from repro.analysis.staticpred import estimate_profile
 
             with _stage(stages, "staticpred", spec.name):
                 profile = estimate_profile(program)
-            with _stage(stages, "baseline", spec.name):
-                for streams in suite:
-                    paths.append(run_program(
-                        program, inputs=streams,
-                        max_instructions=MAX_INSTRUCTIONS).block_path)
         else:
             with _stage(stages, "profile", spec.name):
-                profile, _ = profile_program(
-                    program, suite, max_instructions=MAX_INSTRUCTIONS,
-                    paths=paths)
+                profile = Profile.from_paths(program, paths)
         with _stage(stages, "layout", spec.name):
             layout = build_fs_program(program, profile)
 

@@ -1,17 +1,10 @@
-"""Block and branch profiles accumulated over one or more runs."""
+"""Block and branch profiles folded from the block paths of runs."""
 
 import numpy as np
 
-from repro.cfg import ControlFlowGraph
-from repro.vm.machine import Machine
+from repro.cfg import ControlFlowGraph, compute_leaders
+from repro.vm.machine import run_program
 from repro.vm.tracing import BranchClass
-
-
-def _fold(counts, keys):
-    """Add the occurrence count of each value of ``keys`` to ``counts``."""
-    values, tallies = np.unique(keys, return_counts=True)
-    for key, tally in zip(values.tolist(), tallies.tolist()):
-        counts[key] = counts.get(key, 0) + tally
 
 
 class Profile:
@@ -24,37 +17,53 @@ class Profile:
         block_counts: leader address -> number of times the block ran.
         branch_execs: conditional branch site -> executions.
         branch_taken: conditional branch site -> taken count.
-        runs: number of profiling runs accumulated.
-        total_instructions: dynamic instructions over all runs.
     """
 
     def __init__(self):
         self.block_counts = {}
         self.branch_execs = {}
         self.branch_taken = {}
-        self.runs = 0
-        self.total_instructions = 0
 
-    # -- accumulation ------------------------------------------------------
+    @classmethod
+    def from_paths(cls, program, paths):
+        """The profile of runs of ``program`` that followed ``paths``
+        (:class:`~repro.vm.compiled.BlockPath`).
 
-    def add_run(self, probe_counts, trace):
-        """Fold one profiling run (probe counts + branch trace) in."""
-        for leader, count in probe_counts.items():
-            self.block_counts[leader] = self.block_counts.get(leader, 0) + count
-        self.add_trace(trace)
-        self.runs += 1
-
-    def add_trace(self, trace):
-        """Fold a branch trace's conditional-branch statistics in.
-
-        Columnar: each statistic is one ``np.unique`` count over the
-        records it covers, folded into the dicts as Python ints.
+        Block counts are a ``bincount`` of the starts at the CFG
+        leaders (exact, because compiled blocks split at every leader;
+        a leader that never ran counts 0).  Directions follow
+        :meth:`~repro.vm.compiled.BlockTables.taken`, as in traces.
         """
-        sites = trace.sites
-        conditional = trace.classes == BranchClass.CONDITIONAL
-        _fold(self.branch_execs, sites[conditional])
-        _fold(self.branch_taken, sites[conditional & trace.takens])
-        self.total_instructions += trace.total_instructions
+        # Imported here, so importing the profiler does not load the
+        # compiled VM: only a cold run folds a profile.
+        from repro.vm.compiled import block_tables
+
+        leaders = compute_leaders(program)
+        tables = block_tables(program, leaders)
+        size = len(program.instructions)
+        blocks = np.zeros(size, dtype=np.int64)
+        execs = np.zeros(size, dtype=np.int64)
+        taken = np.zeros(size, dtype=np.int64)
+        for path in paths:
+            starts = path.starts.astype(np.intp, copy=False)
+            blocks += np.bincount(starts, minlength=size)
+            # A path ends in its HALT block, so every branch has a
+            # following start.
+            records = np.flatnonzero(
+                tables.kinds[starts] == BranchClass.CONDITIONAL)
+            entered = starts[records]
+            sites = tables.ends[entered]
+            execs += np.bincount(sites, minlength=size)
+            takens = tables.taken(entered, starts[records + 1],
+                                  path.directions)
+            taken += np.bincount(sites[takens], minlength=size)
+        profile = cls()
+        profile.block_counts = dict(zip(leaders, blocks[leaders].tolist()))
+        profile.branch_execs = {site: count for site, count
+                                in enumerate(execs.tolist()) if count}
+        profile.branch_taken = {site: count for site, count
+                                in enumerate(taken.tolist()) if count}
+        return profile
 
     # -- queries -------------------------------------------------------------
 
@@ -72,6 +81,24 @@ class Profile:
             return None
         return self.branch_taken.get(site, 0) / execs
 
+    def check(self, program):
+        """Raise ValueError unless the counts fit ``program``'s CFG:
+        every counted site ends a CFG block with a conditional, whose
+        executions equal its block's count, and ``0 <= taken <= execs``.
+        Measured and estimated profiles both hold these."""
+        blocks = {}     # conditional site -> its block's count
+        for block in ControlFlowGraph.from_program(program).blocks:
+            if program.instructions[block.end - 1].is_conditional:
+                blocks[block.end - 1] = self.block_counts.get(block.start, 0)
+        for site in blocks.keys() | self.branch_execs.keys() \
+                | self.branch_taken.keys():
+            execs = self.branch_execs.get(site, 0)
+            taken = self.branch_taken.get(site, 0)
+            if blocks.get(site) != execs or not 0 <= taken <= execs:
+                raise ValueError(
+                    "branch site %d: %d executions, %d taken, block "
+                    "count %s" % (site, execs, taken, blocks.get(site)))
+
     # -- serialisation ----------------------------------------------------------
 
     def to_dict(self):
@@ -80,8 +107,6 @@ class Profile:
             "block_counts": sorted(self.block_counts.items()),
             "branch_execs": sorted(self.branch_execs.items()),
             "branch_taken": sorted(self.branch_taken.items()),
-            "runs": self.runs,
-            "total_instructions": self.total_instructions,
         }
 
     @classmethod
@@ -90,46 +115,24 @@ class Profile:
         profile.block_counts = {key: value for key, value in data["block_counts"]}
         profile.branch_execs = {key: value for key, value in data["branch_execs"]}
         profile.branch_taken = {key: value for key, value in data["branch_taken"]}
-        profile.runs = data["runs"]
-        profile.total_instructions = data["total_instructions"]
         return profile
 
     def __repr__(self):
-        return "Profile(%d runs, %d blocks, %d cond sites, %d instructions)" % (
-            self.runs, len(self.block_counts), len(self.branch_execs),
-            self.total_instructions)
+        return "%s(%d blocks, %d cond sites)" % (
+            type(self).__name__, len(self.block_counts),
+            len(self.branch_execs))
 
 
-def profile_program(program, input_suite, cfg=None,
-                    max_instructions=200_000_000, paths=None):
-    """Profile ``program`` over ``input_suite``.
+def profile_program(program, input_suite, max_instructions=200_000_000):
+    """Run ``program`` on each entry of ``input_suite`` (a list of
+    input-stream sequences) within ``max_instructions`` per run.
 
-    Args:
-        program: resolved program.
-        input_suite: list of runs, each a sequence of input streams.
-        cfg: optional pre-built :class:`ControlFlowGraph`.
-        max_instructions: per-run instruction budget.
-        paths: optional list that receives each run's
-            :class:`~repro.vm.compiled.BlockPath`, in suite order.
-
-    Returns:
-        (profile, outputs) — the accumulated :class:`Profile` and the
-        list of per-run output byte strings (useful for checking the
-        transformed program later).
+    Returns ``(profile, outputs)``: the :class:`Profile` folded from the
+    runs' block paths and each run's output bytes.
     """
-    if cfg is None:
-        cfg = ControlFlowGraph.from_program(program)
-    leaders = cfg.leaders
-    profile = Profile()
-    outputs = []
-    for streams in input_suite:
-        machine = Machine(program, inputs=streams, trace=True,
-                          probe_addresses=leaders,
-                          max_instructions=max_instructions)
-        result = machine.run()
-        profile.add_run(result.probe_counts, result.trace)
-        outputs.append(result.output)
-        if paths is not None:
-            paths.append(result.block_path)
-    return profile, outputs
-
+    results = [run_program(program, inputs=streams,
+                           max_instructions=max_instructions)
+               for streams in input_suite]
+    return (Profile.from_paths(program,
+                               [result.block_path for result in results]),
+            [result.output for result in results])

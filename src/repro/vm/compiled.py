@@ -30,9 +30,10 @@ run ends, with NumPy (:meth:`BlockTables.trace`):
 * gaps are differences of the cumulative instruction count, minus one.
 
 The starts and the side list together are the run's :class:`BlockPath`,
-which every result carries.  Trace layout maps a base run's path onto
-the laid-out program, and :meth:`BlockTables.trace` turns the mapped
-path into the laid-out program's trace without running it.
+which every result carries.  The profile is folded from the paths,
+trace layout maps a base run's path onto the laid-out program, and
+:meth:`BlockTables.trace` turns the mapped path into the laid-out
+program's trace without running it.
 
 The instruction budget is exact: the driver runs unchecked for
 ``(budget - executed) // longest_block`` blocks at a time, then steps
@@ -157,6 +158,16 @@ class BlockTables:
         """Instructions executed by the blocks entered at ``starts``."""
         return int(self.sizes[starts].sum())
 
+    def taken(self, entered, following, directions):
+        """Whether the branch ending each block entered at ``entered``
+        was taken: the ``following`` block starts at its taken pc, or,
+        for an ambiguous conditional, its entry in ``directions`` (one
+        per ambiguous branch of ``entered``, in order) says so."""
+        takens = following == self.taken_pcs[entered]
+        if len(directions):
+            takens[self.ambiguous[entered]] = directions
+        return takens
+
     def trace(self, starts, directions, budget=None):
         """The :class:`BranchTrace` of a run that entered its blocks at
         ``starts`` (ending with the HALT block) and took ``directions``
@@ -185,10 +196,8 @@ class BlockTables:
         dynamic = classes >= BranchClass.UNCONDITIONAL_UNKNOWN
         targets = self.targets[entered]
         np.copyto(targets, following, where=dynamic)
-        takens = following == self.taken_pcs[entered]
+        takens = self.taken(entered, following, directions)
         takens |= dynamic
-        if len(directions):
-            takens[self.ambiguous[entered]] = directions
         gaps = np.diff(cumulative[records], prepend=0) - 1
         return BranchTrace(self.ends[entered], classes, takens, targets,
                            gaps, total_instructions=instructions)
@@ -448,14 +457,10 @@ class _BlockSet:
                                       if 0 <= address < size else 0)
                             for address in machine.probe_addresses}
 
-        trace = None
-        if machine.trace_enabled:
-            trace = self.tables.trace(starts, path.directions)
-            instructions = trace.total_instructions
-        else:
-            instructions = self.tables.count(starts)
-        return MachineResult(output, instructions, trace, exit_value,
-                             probe_counts, block_path=path)
+        trace = (self.tables.trace(starts, path.directions)
+                 if machine.trace_enabled else None)
+        return MachineResult(output, self.tables.count(starts), trace,
+                             exit_value, probe_counts, block_path=path)
 
 
 def block_tables(program, stops):

@@ -24,7 +24,7 @@ from repro.isa import assemble
 from repro.isa.opcodes import Opcode
 from repro.lang import compile_source
 from repro.opt import optimize
-from repro.profiling import profile_program
+from repro.profiling import Profile, profile_program
 from repro.traceopt import Trace, build_fs_program, lay_out_traces
 from repro.vm import ExecutionLimitExceeded, MachineError, run_program
 from repro.vm.compiled import block_tables
@@ -44,11 +44,12 @@ def assert_derived_equals_executed(program, suite, layout=None,
     """Profile ``program`` over ``suite``, lay it out (unless ``layout``
     is given), and require every derived trace to equal the executed
     one; returns the layout."""
-    paths = []
-    profile, _ = profile_program(program, suite, paths=paths,
-                                 max_instructions=max_instructions)
+    paths = [run_program(program, inputs=streams,
+                         max_instructions=max_instructions).block_path
+             for streams in suite]
     if layout is None:
-        layout = build_fs_program(program, profile)
+        layout = build_fs_program(program,
+                                  Profile.from_paths(program, paths))
     derived = layout.derive_traces(paths, max_instructions)
     assert not paths
     assert len(derived) == len(suite)
@@ -99,7 +100,7 @@ def _lay_out(program, order):
     cfg = ControlFlowGraph.from_program(program)
     leaders = [program.labels[label] for label in order]
     assert sorted(leaders) == cfg.leaders
-    profile, _ = profile_program(program, [[]], cfg=cfg)
+    profile, _ = profile_program(program, [[]])
     traces = [Trace([leader], weight=len(leaders) - position)
               for position, leader in enumerate(leaders)]
     return lay_out_traces(program, cfg, profile, traces)
@@ -308,9 +309,8 @@ func main:
     puti r2
     halt
 """)
-    paths = []
-    profile, _ = profile_program(program, [[]], paths=paths)
-    layout = build_fs_program(program, profile)
+    paths = [run_program(program).block_path]
+    layout = build_fs_program(program, Profile.from_paths(program, paths))
     with pytest.raises(MachineError, match="no jump-table entry"):
         layout.derive_traces(paths)
 

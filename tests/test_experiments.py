@@ -15,6 +15,7 @@ from repro.experiments import (
     table5,
 )
 from repro.experiments.report import TableData, mean, std_dev
+from repro.profiling import profile_program
 
 TINY = 0.05
 NAMES = ("wc", "tee", "cmp")   # a fast subset for table plumbing tests
@@ -29,7 +30,12 @@ def runner(tmp_path_factory):
 def test_run_produces_artifacts(runner):
     run = runner.run("wc")
     assert run.stats.branches > 0
-    assert run.profile.runs == 2
+    # The profile is the fold over both runs of the two-input suite.
+    suite = run.spec.input_suite(scale=TINY, runs=2)
+    assert len(suite) == 2
+    assert run.profile.to_dict() \
+        == profile_program(run.program, suite)[0].to_dict()
+    assert run.profile.block_counts[run.program.entry] == 2
     assert len(run.fs_program) > 0
     predictions = run.predictions()
     assert set(predictions) == {"SBTB", "CBTB", "FS"}
@@ -323,6 +329,45 @@ def test_tampered_trace_columns_are_quarantined(tmp_path):
     assert list_quarantined(cache)
     assert (list(recovered.trace.records())
             == list(fresh.trace.records()))
+
+
+def test_tampered_profile_count_is_quarantined(tmp_path):
+    # One branch count off by one with a recomputed checksum: the JSON
+    # parses and the checksum passes, so the profile's check against
+    # the CFG must catch it, and the recomputed entry renders as a
+    # clean run does.
+    import json
+
+    from repro.resilience.store import file_checksum
+    from repro.telemetry.core import TELEMETRY
+    from repro.telemetry.manifest import RunManifest, manifest_path_for
+    from repro.telemetry.sinks import InMemoryAggregator
+
+    clean = headline.render(
+        SuiteRunner(scale=TINY, runs=1, cache_dir=False), names=["wc"])
+    cache = tmp_path / "tampered"
+    SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
+    (trace_path,) = cache.glob("*.npz")
+    profile_path = trace_path.with_suffix(".json")
+    data = json.loads(profile_path.read_text())
+    data["branch_execs"][0][1] += 1
+    profile_path.write_text(json.dumps(data))
+    manifest_path = manifest_path_for(trace_path)
+    manifest = RunManifest.load(manifest_path)
+    manifest.checksums["profile"] = file_checksum(profile_path)
+    manifest.write(manifest_path)
+
+    sink = InMemoryAggregator()
+    TELEMETRY.enable(sink)
+    try:
+        recovered = headline.render(
+            SuiteRunner(scale=TINY, runs=1, cache_dir=cache), names=["wc"])
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    (event,) = sink.named("cache.corrupt")
+    assert "artifact rejected: branch site" in event["reason"]
+    assert recovered == clean
 
 
 def test_cache_key_includes_source_hash(tmp_path):

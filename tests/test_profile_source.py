@@ -1,8 +1,8 @@
 """--profile-source threading through the experiment harness.
 
-With ``profile_source="static"`` the profiler must never run: the
-layout profile is estimated from the IR and the baseline outputs come
-from plain VM runs.  Static and measured cache entries must never
+With ``profile_source="static"`` no profile is folded from the runs:
+the layout profile is estimated from the IR, and the runs only give
+the block paths the trace is derived from.  Static and measured cache entries must never
 collide, and manifests must record which source produced them.
 """
 
@@ -18,7 +18,7 @@ def _forbid_profiler(monkeypatch):
     def explode(*args, **kwargs):
         raise AssertionError("profiler invoked in static mode")
 
-    monkeypatch.setattr(runner_mod, "profile_program", explode)
+    monkeypatch.setattr(runner_mod.Profile, "from_paths", explode)
 
 
 def test_unknown_profile_source_is_rejected():

@@ -1,20 +1,30 @@
-"""Tests for the probe-based profiler."""
+"""Tests for the block-count profiler.
+
+``Profile.from_paths`` folds block counts and branch directions from
+the block paths of compiled runs.  The migration tests below hold it to
+the paper's probe profiler as the reference interpreter still runs it:
+``Machine._run`` with block probes at every CFG leader and a branch
+trace, folded one record at a time.
+"""
 
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.benchmarksuite import (
-    BENCHMARK_NAMES,
+    ALL_BENCHMARK_NAMES,
     compile_benchmark,
     get_benchmark,
 )
 from repro.cfg import ControlFlowGraph
-from repro.conformance.fuzz import TraceFuzzer
+from repro.isa import assemble
 from repro.lang import compile_source
+from repro.opt import optimize
 from repro.profiling import Profile, profile_program
-from repro.vm import run_program
+from repro.vm import Machine, run_program
 from repro.vm.tracing import BranchClass
+from tests.test_fuzz_fs_pipeline import programs
 
 COUNTER = """
 int main() {
@@ -35,7 +45,6 @@ def test_profile_block_counts_match_execution():
     assert outputs == [run_program(program).output]
     # The loop body block runs 10 times.
     assert max(profile.block_counts.values()) >= 10
-    assert profile.runs == 1
 
 
 def test_profile_taken_fractions():
@@ -60,8 +69,9 @@ def test_profile_accumulates_runs():
         }
     """, "t")
     profile, outputs = profile_program(program, [[b"abc"], [b"defgh"], [b""]])
-    assert profile.runs == 3
     assert outputs == [b"3", b"5", b"0"]
+    # The entry block runs once per run.
+    assert profile.block_counts[program.entry] == 3
     # The loop branch executed 3 + 5 + 0 taken iterations in total.
     total_execs = sum(profile.branch_execs.values())
     assert total_execs >= 8
@@ -79,12 +89,9 @@ def test_profile_serialisation_roundtrip():
     assert rebuilt.block_counts == profile.block_counts
     assert rebuilt.branch_execs == profile.branch_execs
     assert rebuilt.branch_taken == profile.branch_taken
-    assert rebuilt.runs == profile.runs
-    assert rebuilt.total_instructions == profile.total_instructions
 
 
 def test_serialised_profile_is_jsonable():
-    import json
     program = compile_source(COUNTER, "t")
     profile, _ = profile_program(program, [[]])
     text = json.dumps(profile.to_dict())
@@ -93,61 +100,137 @@ def test_serialised_profile_is_jsonable():
 
 
 def test_profile_trace_branch_only():
-    program = compile_source(COUNTER, "t")
-    result = run_program(program, trace=True)
-    profile = Profile()
-    profile.add_trace(result.trace)
-    assert profile.block_counts == {}
-    assert profile.branch_execs
-    assert profile.total_instructions == result.instructions
+    # Branch statistics cover conditionals only: the CALL, RET and
+    # JUMP that run here leave no entry, while their blocks count.
+    program = assemble("""
+func main:
+    call f
+    jump done
+done:
+    halt
+func f:
+    ret
+""")
+    profile, _ = profile_program(program, [[], []])
+    assert profile.branch_execs == profile.branch_taken == {}
+    assert profile.block_counts == {0: 2, 2: 2, 3: 2}
 
 
 def test_block_counts_only_at_leaders():
     program = compile_source(COUNTER, "t")
     cfg = ControlFlowGraph.from_program(program)
-    profile, _ = profile_program(program, [[]], cfg=cfg)
-    assert set(profile.block_counts) <= set(cfg.leaders)
+    profile, _ = profile_program(program, [[]])
+    assert set(profile.block_counts) == set(cfg.leaders)
 
 
-# -- the columnar fold against a per-record reference ----------------------
+# -- the fold against the probe profiler -------------------------------------
 
 
-def _naive_fold(traces):
-    """``Profile.add_trace`` written one record at a time."""
+def reference_profile(program, suite, max_instructions=200_000_000):
+    """(block counts, branch executions, taken counts) of the probe
+    profiler: the reference interpreter with probes at the CFG leaders
+    and a branch trace, folded one record at a time."""
+    leaders = ControlFlowGraph.from_program(program).leaders
+    blocks = dict.fromkeys(leaders, 0)
     execs, taken_counts = {}, {}
-    for trace in traces:
-        for site, branch_class, taken, _, _ in trace.records():
+    for streams in suite:
+        result = Machine(program, inputs=streams, trace=True,
+                         probe_addresses=leaders,
+                         max_instructions=max_instructions)._run()
+        for leader, count in result.probe_counts.items():
+            blocks[leader] += count
+        for site, branch_class, taken, _, _ in result.trace.records():
             if branch_class == BranchClass.CONDITIONAL:
                 execs[site] = execs.get(site, 0) + 1
                 if taken:
                     taken_counts[site] = taken_counts.get(site, 0) + 1
-    return execs, taken_counts
+    return blocks, execs, taken_counts
 
 
-def _assert_fold_matches(traces):
-    profile = Profile()
-    for trace in traces:
-        profile.add_trace(trace)
-    assert (profile.branch_execs, profile.branch_taken) \
-        == _naive_fold(traces)
-    assert profile.total_instructions == sum(
-        trace.total_instructions for trace in traces)
+def assert_fold_matches_reference(program, suite,
+                                  max_instructions=200_000_000):
+    """``profile_program``'s fold equals the probe profiler's counts,
+    serialises, and passes its own CFG check; returns the profile."""
+    profile, _ = profile_program(program, suite,
+                                 max_instructions=max_instructions)
+    assert (profile.block_counts, profile.branch_execs,
+            profile.branch_taken) == reference_profile(
+                program, suite, max_instructions)
     # Python ints throughout: NumPy scalars would not serialise.
     json.dumps(profile.to_dict())
+    profile.check(program)
+    return profile
 
 
-@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def _check_benchmark(name, scale):
+    assert_fold_matches_reference(
+        compile_benchmark(name),
+        get_benchmark(name).input_suite(scale=scale),
+        max_instructions=500_000_000)
+
+
+# The name is kept from the trace fold this test first covered, so the
+# test ids stay stable.
+@pytest.mark.parametrize("name", ALL_BENCHMARK_NAMES)
 def test_add_trace_matches_per_record_fold(name):
-    program = compile_benchmark(name)
-    suite = get_benchmark(name).input_suite(scale=0.02, runs=2)
-    _assert_fold_matches([
-        run_program(program, inputs=streams, trace=True).trace
-        for streams in suite])
+    _check_benchmark(name, 0.02)
 
 
-def test_add_trace_matches_per_record_fold_on_fuzz_traces():
-    traces = [TraceFuzzer(seed).trace() for seed in range(20)]
-    classes = {int(c) for trace in traces for c in trace.classes}
-    assert {BranchClass.RETURN,
-            BranchClass.UNCONDITIONAL_UNKNOWN} <= classes
-    _assert_fold_matches(traces)
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ALL_BENCHMARK_NAMES)
+def test_profile_fold_battery(name):
+    _check_benchmark(name, 0.1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs())
+def test_fold_matches_reference_on_generated_programs(source):
+    program, _ = optimize(compile_source(source, "fuzz"))
+    assert_fold_matches_reference(program, [[]],
+                                  max_instructions=2_000_000)
+
+
+def test_fold_of_a_branch_to_its_own_fall_through():
+    # The BLT at pc 3 goes to pc 4 either way, so its direction comes
+    # from the side list; the block at `dead` never runs and keeps its
+    # 0 count, and its conditional gets no entry.
+    program = assemble("""
+func main:
+    li r1, 0
+    li r2, 3
+    li r4, 2
+loop:
+    blt r1, r4, next
+next:
+    li r3, 1
+    add r1, r1, r3
+    blt r1, r2, loop
+    halt
+dead:
+    bne r1, r2, loop
+    halt
+""")
+    profile = assert_fold_matches_reference(program, [[], []])
+    assert (profile.branch_execs[3], profile.branch_taken[3]) == (6, 4)
+    dead = program.labels["dead"]
+    assert profile.block_counts[dead] == 0
+    assert dead not in profile.branch_execs
+
+
+# -- the profile check ----------------------------------------------------------
+
+
+def test_check_rejects_counts_that_do_not_fit_the_cfg():
+    program = compile_source(COUNTER, "t")
+    profile, _ = profile_program(program, [[]])
+    profile.check(program)
+    site, execs = next(iter(profile.branch_execs.items()))
+    for field, key, value in (("branch_execs", site, execs + 1),
+                              ("branch_taken", site, execs + 1),
+                              ("branch_taken", site, -1),
+                              ("branch_execs", program.entry, 1),
+                              ("branch_taken", program.entry, 1)):
+        tampered = Profile.from_dict(profile.to_dict())
+        getattr(tampered, field)[key] = value
+        with pytest.raises(ValueError, match="branch site %d:" % key):
+            tampered.check(program)

@@ -168,4 +168,4 @@ def test_frequencies_and_profiles_are_total_on_generated_programs(source):
         assert 0 <= taken <= execs
         leader = cfg.block_of(site).start
         assert execs == counts.get(leader, 0)
-    assert profile.total_instructions >= 0
+    profile.check(program)

@@ -65,7 +65,7 @@ def _three_programs(name, scale=0.02):
     program = compile_benchmark(name)
     suite = get_benchmark(name).input_suite(scale=scale)
     cfg = ControlFlowGraph.from_program(program)
-    profile, _ = profile_program(program, suite, cfg=cfg)
+    profile, _ = profile_program(program, suite)
     layout = build_fs_program(program, profile)
     slotted, _ = fill_forward_slots(layout.program, 3)
     return suite, ((program, cfg.leaders), (layout.program, None),
@@ -112,7 +112,7 @@ def test_compiled_matches_reference_on_generated_programs(source):
     cfg = ControlFlowGraph.from_program(program)
     assert_same(program, trace=True, probe_addresses=cfg.leaders,
                 max_instructions=2_000_000)
-    profile, _ = profile_program(program, [[]], cfg=cfg,
+    profile, _ = profile_program(program, [[]],
                                  max_instructions=2_000_000)
     layout = build_fs_program(program, profile)
     slotted, _ = fill_forward_slots(layout.program, 3)
