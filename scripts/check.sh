@@ -119,7 +119,8 @@ echo "   sweeps: $actual"
 
 echo "== fault-injection smoke =="
 # Seeded recovery matrix: every fault class (torn write, bit flip,
-# ENOSPC, worker crash, worker hang, corrupt manifest) is injected
+# ENOSPC, worker crash, worker hang, corrupt manifest, a trace column
+# tampered out of range under a recomputed checksum) is injected
 # deterministically and must end in a verified recovery — the gate
 # fails if any injected fault is silently swallowed.
 PYTHONPATH=src python -m repro faults --seeds 10

@@ -76,12 +76,12 @@ from repro.predictors import (
 )
 from repro.vm import BranchTrace, run_program
 
-# Version 5: the cached profile holds only block counts and branch
-# directions (no run count or instruction total).  Older entries are
-# regenerated, each one found emitting a cache.invalidated event;
-# without the bump an older checkout would quarantine the new entries
-# as corrupt.
-CACHE_FORMAT_VERSION = 5
+# Version 6: the cached trace stores sites, targets and gaps in the
+# narrowest dtype that holds them and class and taken as one ``flags``
+# column (BranchTrace.to_arrays).  Older entries are regenerated, each
+# one found emitting a cache.invalidated event; without the bump an
+# older checkout would quarantine the new entries as corrupt.
+CACHE_FORMAT_VERSION = 6
 
 #: Per-run VM instruction budget.
 MAX_INSTRUCTIONS = 500_000_000
@@ -187,7 +187,10 @@ class BenchmarkRun:
         """PredictionStats per scheme over the evaluation trace.
 
         The default parameters are the paper's configuration; the
-        result for that configuration is memoised.
+        result for that configuration is memoised, and the trace's
+        kernel encoding is released once it is, since no paper table
+        simulates the trace again.  Other configurations keep the
+        encoding for the next call.
         """
         default = (entries == 256 and associativity is None
                    and counter_bits == 2 and threshold == 2)
@@ -207,7 +210,10 @@ class BenchmarkRun:
                     self.trace),
             }
         if default:
+            from repro.kernels import EncodedTrace
+
             self._predictions = results
+            EncodedTrace.release(self.trace)
         return results
 
     def expansions(self):

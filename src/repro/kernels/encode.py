@@ -10,7 +10,9 @@ simulates several schemes over the same trace and the sort work is
 identical across them.  A trace's sites are sorted once: the
 distinct sites come from the site grouping, not from a second sort.
 The encoding is memoized on the trace object, which is sound because
-a trace is never grown after it is built.
+a trace is never grown after it is built; a caller done with every
+simulation it will run over a trace frees the memo with
+:meth:`EncodedTrace.release`.
 
 A context-switch run adds a sixth column, each record's flush epoch
 (:meth:`EncodedTrace.flushed`); that encoding keys its groupings by
@@ -40,7 +42,8 @@ def flush_epochs(gaps, interval):
 
 class EncodedTrace:
     """The trace columns as NumPy arrays, in record order; ``epochs``
-    is None or each record's flush epoch."""
+    is None or each record's flush epoch, and ``gaps`` is None in a
+    :meth:`subset`."""
 
     __slots__ = ("sites", "classes", "takens", "targets", "gaps", "epochs",
                  "_memo")
@@ -67,8 +70,18 @@ class EncodedTrace:
                 trace.gaps)
         return encoded
 
+    @staticmethod
+    def release(trace):
+        """Drop ``trace``'s memoized encoding and everything derived
+        from it; the next :meth:`of` builds a fresh one."""
+        trace.__dict__.pop("_encoded", None)
+
     def flushed(self, interval):
-        """This encoding with flush epochs; call it before filtering."""
+        """This encoding with flush epochs; call it before filtering
+        (a subset has no gaps to count epochs from)."""
+        if self.gaps is None:
+            raise ValueError("flush epochs count every record: call "
+                             "flushed() before subset()")
         return EncodedTrace(self.sites, self.classes, self.takens,
                             self.targets, self.gaps,
                             flush_epochs(self.gaps, interval))
@@ -99,10 +112,14 @@ class EncodedTrace:
         return cached
 
     def subset(self, key, mask):
-        """The records where ``mask`` (memoized; ``key`` names the rule)."""
+        """The records where ``mask`` (memoized; ``key`` names the rule).
+
+        A subset carries no gaps: no kernel reads them, and flush
+        epochs are counted over every record before filtering.
+        """
         return self._memoized(("subset", key), lambda: EncodedTrace(
             self.sites[mask], self.classes[mask], self.takens[mask],
-            self.targets[mask], self.gaps[mask],
+            self.targets[mask], None,
             None if self.epochs is None else self.epochs[mask]))
 
     def site_groups(self):

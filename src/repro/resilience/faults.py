@@ -30,6 +30,13 @@ The fault catalog (:data:`FAULT_KINDS`):
     Overwrite a committed ``*.manifest.json`` with garbage.  Detected
     as a :class:`~repro.resilience.errors.ManifestError`; recovered by
     quarantine + recompute (and tolerated by the cache listing).
+``tamper``
+    Rewrite one column of a committed trace out of range (a flag
+    above 7, a negative gap, or gaps past the instruction count) and
+    record the tampered file's checksum in its manifest, so the
+    checksum verify passes.  Detected by the trace's semantic checks
+    (:meth:`~repro.vm.tracing.BranchTrace.from_arrays`); recovered by
+    quarantine + recompute.
 
 Worker faults key on the *attempt number* (passed into the child by
 the supervisor) rather than a shared counter, so they stay
@@ -46,7 +53,7 @@ import time
 from repro.telemetry.core import TELEMETRY
 
 FAULT_KINDS = ("torn-write", "bit-flip", "enospc", "worker-crash",
-               "worker-hang", "corrupt-manifest")
+               "worker-hang", "corrupt-manifest", "tamper")
 
 #: Environment variable carrying a serialised plan into worker
 #: processes (see :meth:`FaultInjector.activate_from_env`).
@@ -58,7 +65,7 @@ HANG_SECONDS = 3600.0
 
 #: Faults triggered by committed artifact writes (vs. worker attempts).
 _WRITE_KINDS = frozenset(("torn-write", "bit-flip", "enospc",
-                          "corrupt-manifest"))
+                          "corrupt-manifest", "tamper"))
 
 
 class Fault:
@@ -115,7 +122,7 @@ class FaultPlan:
         rng = random.Random((seed, kind).__repr__())
         if kind in ("worker-crash", "worker-hang"):
             at = 1          # fail the first attempt; retries recover
-        elif kind == "corrupt-manifest":
+        elif kind in ("corrupt-manifest", "tamper"):
             at = 1          # manifests are rare writes; hit the first
         else:
             at = rng.randint(1, 2)
@@ -159,6 +166,33 @@ def _default_corrupt(path, fault):
         path.write_bytes(flipped)
     elif fault.kind == "corrupt-manifest":
         path.write_bytes(b'{"manifest_version": !!! torn json')
+
+
+def _tamper(manifest_path, fault):
+    """Put one trace column of the entry out of range, then record the
+    tampered trace's checksum in ``manifest_path``."""
+    import numpy as np
+
+    from repro.resilience.store import file_checksum
+
+    manifest = json.loads(manifest_path.read_text())
+    trace_path = manifest_path.with_name(manifest["artifacts"]["trace"])
+    with np.load(trace_path) as stored:
+        arrays = dict(stored)
+    index = int(fault.param * (arrays["gaps"].size - 1))
+    variant = int(fault.param * 3) % 3
+    if variant == 0:
+        arrays["flags"][index] = 8
+    elif variant == 1:
+        arrays["gaps"][index] = -1
+    else:
+        arrays["total_instructions"] = np.int64(
+            arrays["gaps"].astype(np.int64).sum() + arrays["gaps"].size - 1)
+    with open(trace_path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+    manifest["checksums"]["trace"] = file_checksum(trace_path)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
+                             + "\n")
 
 
 class FaultInjector:
@@ -250,20 +284,24 @@ class FaultInjector:
     def on_commit(self, path):
         """After ``os.replace``: may damage the committed artifact.
 
-        ``corrupt-manifest`` counts manifest commits only (a manifest
-        is rarely the Nth write overall); the other write faults count
-        every commit.
+        ``corrupt-manifest`` and ``tamper`` count manifest commits only
+        (a manifest is rarely the Nth write overall, and a tamper
+        needs the entry complete); the other write faults count every
+        commit.
         """
         if str(path).endswith(".manifest.json"):
             self._manifest_count += 1
-            fault = self._take(("corrupt-manifest",),
+            fault = self._take(("corrupt-manifest", "tamper"),
                                self._manifest_count)
         else:
             fault = self._take(("torn-write", "bit-flip"),
                                self._write_count)
         if fault is not None:
             self._report(fault, "store.commit", path=str(path))
-            _default_corrupt(path, fault)
+            if fault.kind == "tamper":
+                _tamper(path, fault)
+            else:
+                _default_corrupt(path, fault)
 
     def on_worker_start(self, task, attempt):
         """In a worker process: may crash or hang this attempt."""

@@ -16,6 +16,7 @@ enospc             run completes uncached      ``cache.store_failed``
 worker-crash       retry succeeds              ``worker.retry``
 worker-hang        kill + retry succeeds       ``worker.retry``
 corrupt-manifest   quarantine + recompute      ``cache.quarantined``
+tamper             quarantine + recompute      ``cache.quarantined``
 =================  ==========================  =====================
 
 A fault that fires but produces no recovery evidence is a **silent
@@ -153,7 +154,8 @@ def _make_runner(cache_dir):
 
 
 def _corruption_case(kind, seed, case_dir):
-    """torn-write / bit-flip / corrupt-manifest: quarantine + recompute."""
+    """torn-write / bit-flip / corrupt-manifest / tamper: quarantine +
+    recompute."""
     plan = FaultPlan.single(kind, seed=seed)
     with _captured_events() as sink:
         FAULTS.arm(plan)
@@ -263,7 +265,7 @@ def run_fault_matrix(seeds=10, first_seed=0, kinds=FAULT_KINDS,
                 case_dir = base / ("%s-%d" % (kind, seed))
                 case_dir.mkdir(parents=True, exist_ok=True)
                 if kind in ("torn-write", "bit-flip",
-                            "corrupt-manifest"):
+                            "corrupt-manifest", "tamper"):
                     case = _corruption_case(kind, seed, case_dir)
                 elif kind == "enospc":
                     case = _enospc_case(seed, case_dir)

@@ -6,7 +6,8 @@ count is everything the predictors, the cost model, and Tables 1-3 need.
 
 Records are stored column-wise as NumPy arrays, the one form a trace
 takes from the VM's last instruction to the simulation kernels; the
-``.npz`` trace cache stores the same arrays.
+``.npz`` trace cache stores the same columns narrowed to the range they
+hold (:meth:`BranchTrace.to_arrays`).
 """
 
 import numpy as np
@@ -31,6 +32,9 @@ class BranchClass:
 
 #: The trace columns, in record-tuple order.
 _COLUMNS = ("sites", "classes", "takens", "targets", "gaps")
+
+#: The arrays of the on-disk layout (see :meth:`BranchTrace.to_arrays`).
+_STORED = ("sites", "targets", "gaps", "flags", "total_instructions")
 
 
 class BranchRecord:
@@ -167,17 +171,64 @@ class BranchTrace:
     # -- serialisation -----------------------------------------------------------
 
     def to_arrays(self):
-        """The arrays of the on-disk cache layout (``takens`` as int8)."""
-        arrays = {column: getattr(self, column) for column in _COLUMNS}
-        arrays["takens"] = self.takens.astype(np.int8)
-        arrays["total_instructions"] = np.int64(self.total_instructions)
-        return arrays
+        """The arrays of the on-disk cache layout.
+
+        Sites, targets and gaps are each stored in the narrowest signed
+        dtype that holds the column's range (int64 beyond int32), and
+        class and taken share one int8 ``flags`` column
+        (``class << 1 | taken``).
+        """
+        flags = self.classes << 1
+        flags |= self.takens
+        return {
+            "sites": _narrowed(self.sites),
+            "targets": _narrowed(self.targets),
+            "gaps": _narrowed(self.gaps),
+            "flags": flags,
+            "total_instructions": np.int64(self.total_instructions),
+        }
 
     @classmethod
     def from_arrays(cls, arrays):
-        """Rebuild a trace saved by :meth:`to_arrays`."""
-        return cls(*(arrays[column] for column in _COLUMNS),
-                   total_instructions=int(arrays["total_instructions"]))
+        """Rebuild a trace saved by :meth:`to_arrays`, widened back to
+        the in-memory dtypes.
+
+        Raises ``ValueError`` unless every column is a signed integer
+        array, every flag lies in [0, 7], no gap is negative and the
+        records fit ``total_instructions`` (``sum(gaps) + len`` may
+        fall short of it only by instructions after a run's last
+        branch).
+        """
+        columns = {key: arrays[key] for key in _STORED}
+        for key, column in columns.items():
+            if not np.issubdtype(column.dtype, np.signedinteger):
+                raise ValueError("trace column %s has dtype %s, not a "
+                                 "signed integer" % (key, column.dtype))
+        flags, gaps = columns["flags"], columns["gaps"]
+        if columns["total_instructions"].shape:
+            raise ValueError("trace total_instructions is not a scalar")
+        total = int(columns["total_instructions"])
+        if flags.size and not 0 <= flags.min() <= flags.max() <= 7:
+            raise ValueError("trace flags outside [0, 7]")
+        if gaps.size and gaps.min() < 0:
+            raise ValueError("trace has a negative gap")
+        if int(gaps.sum(dtype=np.int64)) + gaps.size > total:
+            raise ValueError("trace records exceed its %d instructions"
+                             % total)
+        return cls(columns["sites"], flags >> 1, flags & 1,
+                   columns["targets"], gaps, total_instructions=total)
+
+
+def _narrowed(column):
+    """``column`` in the narrowest signed dtype holding its range."""
+    if not column.shape[0]:
+        return column.astype(np.int8)
+    low, high = int(column.min()), int(column.max())
+    for dtype in (np.int8, np.int16, np.int32):
+        bounds = np.iinfo(dtype)
+        if bounds.min <= low and high <= bounds.max:
+            return column.astype(dtype)
+    return column
 
 
 class TraceStats:

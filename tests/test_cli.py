@@ -269,7 +269,7 @@ def test_main_faults_matrix(capsys):
     assert "Fault-injection recovery matrix" in out
     assert "RESULT: PASS" in out
     for kind in ("torn-write", "bit-flip", "enospc", "worker-crash",
-                 "worker-hang", "corrupt-manifest"):
+                 "worker-hang", "corrupt-manifest", "tamper"):
         assert kind in out
 
 

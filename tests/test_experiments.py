@@ -304,20 +304,18 @@ def test_corrupt_cache_falls_back_to_execution(tmp_path):
             == list(fresh.trace.records()))
 
 
-def test_tampered_trace_columns_are_quarantined(tmp_path):
-    # A content-tampered entry with a recomputed checksum: the checksum
-    # passes, so the trace's own shape check must catch it.
+def _tamper_trace(cache, change):
+    """Rewrite the cached trace of ``cache`` through ``change`` and
+    record the new file's checksum in its manifest."""
     import numpy as np
 
-    from repro.resilience.store import file_checksum, list_quarantined
+    from repro.resilience.store import file_checksum
     from repro.telemetry.manifest import RunManifest, manifest_path_for
 
-    cache = tmp_path / "tampered"
-    fresh = SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
     (trace_path,) = cache.glob("*.npz")
     with np.load(trace_path) as stored:
         arrays = dict(stored)
-    arrays["takens"] = arrays["takens"][:1]
+    change(arrays)
     with open(trace_path, "wb") as handle:
         np.savez(handle, **arrays)
     manifest_path = manifest_path_for(trace_path)
@@ -325,10 +323,93 @@ def test_tampered_trace_columns_are_quarantined(tmp_path):
     manifest.checksums["trace"] = file_checksum(trace_path)
     manifest.write(manifest_path)
 
+
+def _truncated_flags(arrays):
+    arrays["flags"] = arrays["flags"][:1]
+
+
+def test_tampered_trace_columns_are_quarantined(tmp_path):
+    # A content-tampered entry with a recomputed checksum: the checksum
+    # passes, so the trace's own shape check must catch it.
+    from repro.resilience.store import list_quarantined
+
+    cache = tmp_path / "tampered"
+    fresh = SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
+    _tamper_trace(cache, _truncated_flags)
+
     recovered = SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
     assert list_quarantined(cache)
     assert (list(recovered.trace.records())
             == list(fresh.trace.records()))
+
+
+def _float_sites(arrays):
+    arrays["sites"] = arrays["sites"].astype(float)
+
+
+def _flag_above_seven(arrays):
+    arrays["flags"][-1] = 8
+
+
+def _negative_gap(arrays):
+    arrays["gaps"][0] = -1
+
+
+def _gaps_past_total(arrays):
+    arrays["total_instructions"] = (arrays["gaps"].astype(int).sum()
+                                    + arrays["gaps"].size - 1)
+
+
+@pytest.mark.parametrize("change, reason", [
+    (_float_sites, "not a signed integer"),
+    (_flag_above_seven, "flags outside [0, 7]"),
+    (_negative_gap, "negative gap"),
+    (_gaps_past_total, "records exceed"),
+])
+def test_trace_violating_an_invariant_is_quarantined(tmp_path, change,
+                                                     reason):
+    # Each of the trace's semantic checks, alone, with a recomputed
+    # checksum: the entry is quarantined once, and the recomputed run
+    # renders as a clean run does.
+    from repro.telemetry.core import TELEMETRY
+    from repro.telemetry.sinks import InMemoryAggregator
+
+    clean = headline.render(
+        SuiteRunner(scale=TINY, runs=1, cache_dir=False), names=["wc"])
+    cache = tmp_path / "tampered"
+    SuiteRunner(scale=TINY, runs=1, cache_dir=cache).run("wc")
+    _tamper_trace(cache, change)
+
+    sink = InMemoryAggregator()
+    TELEMETRY.enable(sink)
+    try:
+        recovered = headline.render(
+            SuiteRunner(scale=TINY, runs=1, cache_dir=cache), names=["wc"])
+        again = headline.render(
+            SuiteRunner(scale=TINY, runs=1, cache_dir=cache), names=["wc"])
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    (event,) = sink.named("cache.corrupt")
+    assert reason in event["reason"]
+    assert recovered == again == clean
+
+
+def test_paper_predictions_release_the_trace_encoding(tmp_path):
+    from repro.kernels import EncodedTrace
+
+    run = SuiteRunner(scale=TINY, runs=1, cache_dir=False).run("wc")
+    held = EncodedTrace.of(run.trace)
+    predictions = run.predictions()
+    assert EncodedTrace.of(run.trace) is not held
+    # The memoized result needs no encoding; another configuration
+    # keeps the one it builds.
+    assert run.predictions() is predictions
+    EncodedTrace.release(run.trace)
+    run.predictions(entries=64)
+    built = EncodedTrace.of(run.trace)
+    run.predictions(entries=16)
+    assert EncodedTrace.of(run.trace) is built
 
 
 def test_tampered_profile_count_is_quarantined(tmp_path):

@@ -282,6 +282,29 @@ def test_encoded_trace_memoizes_derived_structures():
         is encoded.subset("conditional", mask)
 
 
+def test_subset_drops_gaps_and_refuses_flush_epochs():
+    """No kernel reads a subset's gaps, and epochs count every record,
+    so a subset carries none and cannot be flushed."""
+    encoded = EncodedTrace.of(_small_trace())
+    subset = encoded.subset("conditional",
+                            encoded.classes == BranchClass.CONDITIONAL)
+    assert subset.gaps is None
+    with pytest.raises(ValueError, match="before subset"):
+        subset.flushed(2)
+
+
+def test_simulations_share_one_encoding_until_released():
+    trace = _small_trace()
+    simulate(SimpleBTB(64), trace)
+    shared = EncodedTrace.of(trace)
+    assert shared._memo        # the first simulation's groupings
+    simulate(CounterBTB(16, 4), trace)
+    assert EncodedTrace.of(trace) is shared
+    EncodedTrace.release(trace)
+    EncodedTrace.release(trace)         # releasing twice is harmless
+    assert EncodedTrace.of(trace) is not shared
+
+
 def test_flush_epochs_match_the_reference_count():
     """The closed form counts flushes exactly as simulate_scalar's loop
     does: at most one per record, lagging behind on long gaps."""

@@ -1,5 +1,6 @@
 """Tests for deterministic fault injection and the recovery matrix."""
 
+import numpy as np
 import pytest
 
 from repro.resilience.faults import (
@@ -115,6 +116,29 @@ def test_manifest_faults_count_manifests_only(tmp_path):
     assert b"torn json" in manifest.read_bytes()
 
 
+def test_tamper_keeps_the_checksum_and_breaks_a_trace_check(tmp_path):
+    """The tampered trace passes its recorded checksum, so only the
+    trace's own semantic checks can catch it."""
+    from repro.experiments.runner import SuiteRunner
+    from repro.resilience.store import verify_checksum
+    from repro.telemetry.manifest import RunManifest, manifest_path_for
+    from repro.vm.tracing import BranchTrace
+
+    SuiteRunner(scale=0.02, runs=1, cache_dir=tmp_path).run("wc")
+    (trace_path,) = tmp_path.glob("*.npz")
+    manifest_path = manifest_path_for(trace_path)
+    for param in (0.1, 0.5, 0.9):       # one per out-of-range variant
+        injector = FaultInjector()
+        injector.arm(FaultPlan([Fault("tamper", at=1, param=param)]))
+        injector.on_commit(manifest_path)
+        manifest = RunManifest.load(manifest_path)
+        assert verify_checksum(trace_path, manifest.checksums["trace"])
+        with np.load(trace_path) as arrays:
+            with pytest.raises(ValueError):
+                BranchTrace.from_arrays(arrays)
+        SuiteRunner(scale=0.02, runs=1, cache_dir=tmp_path).run("wc")
+
+
 def test_bit_flip_changes_exactly_one_byte(tmp_path):
     injector = FaultInjector()
     path = tmp_path / "a.bin"
@@ -176,4 +200,4 @@ def test_empty_matrix_is_not_ok():
 def test_fault_matrix_defaults_to_fault_kinds(tmp_path):
     report = run_fault_matrix(seeds=0, base_dir=str(tmp_path))
     assert report.kinds == FAULT_KINDS
-    assert len(FAULT_KINDS) == 6
+    assert len(FAULT_KINDS) == 7

@@ -388,6 +388,64 @@ def test_stale_version_emits_invalidation_event(tmp_path, global_telemetry,
     assert TELEMETRY.counter_value("runner.cache.invalidated") == 1
 
 
+def test_v5_entry_lists_stale_and_is_recomputed(tmp_path,
+                                                global_telemetry):
+    """An entry in the five-column layout of format 5 (no ``flags``)
+    is stale, not corrupt: it is listed as such, reported through
+    ``cache.invalidated`` and recomputed without a quarantine."""
+    import json
+
+    import numpy as np
+
+    from repro.experiments.runner import (
+        CACHE_FORMAT_VERSION,
+        SuiteRunner,
+        list_cache_entries,
+    )
+    from repro.resilience.store import file_checksum, list_quarantined
+    from repro.telemetry.manifest import manifest_path_for
+
+    def runner():
+        return SuiteRunner(scale=0.05, runs=1, cache_dir=tmp_path)
+
+    fresh = runner().run("wc")
+    (current,) = tmp_path.glob("*.npz")
+    old = tmp_path / current.name.replace(
+        "-v%d-" % CACHE_FORMAT_VERSION, "-v5-")
+    trace = fresh.trace
+    with open(old, "wb") as handle:
+        np.savez_compressed(
+            handle, sites=trace.sites, classes=trace.classes,
+            takens=trace.takens.astype(np.int8), targets=trace.targets,
+            gaps=trace.gaps,
+            total_instructions=np.int64(trace.total_instructions))
+    current.with_suffix(".json").rename(old.with_suffix(".json"))
+    manifest = json.loads(manifest_path_for(current).read_text())
+    manifest.update(format_version=5, cache_key=old.stem,
+                    artifacts={"trace": old.name,
+                               "profile": old.with_suffix(".json").name})
+    manifest["checksums"]["trace"] = file_checksum(old)
+    manifest_path_for(old).write_text(json.dumps(manifest))
+    current.unlink()
+    manifest_path_for(current).unlink()
+
+    (entry,) = list_cache_entries(tmp_path)
+    assert entry["stem"] == old.stem
+    assert entry["status"] == "stale" and entry["current"] is False
+
+    recomputed = runner().run("wc")
+    (event,) = global_telemetry.named("cache.invalidated")
+    assert event["found_version"] == 5
+    assert event["path"] == str(old)
+    assert not global_telemetry.named("cache.corrupt")
+    assert global_telemetry.named("cache.miss")
+    assert not list_quarantined(tmp_path)
+    assert list(recomputed.trace.records()) == list(trace.records())
+    statuses = {entry["stem"]: entry["status"]
+                for entry in list_cache_entries(tmp_path)}
+    assert statuses == {old.stem: "stale", current.stem: "ok"}
+
+
 def test_cache_listing(tmp_path):
     from repro.experiments.runner import (
         CACHE_FORMAT_VERSION,

@@ -4,7 +4,8 @@ import functools
 import io
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.lang import compile_source
 from repro.vm import run_program
@@ -155,6 +156,81 @@ def test_roundtrip_property(records):
         _assert_same_trace(source, BranchTrace.from_records(
             source.records(), source.total_instructions))
         _assert_same_trace(source, _npz_roundtrip(source))
+
+
+#: Values on both sides of the int8, int16 and int32 limits.
+_LIMITS = sorted({value for bits in (8, 16, 32)
+                  for edge in (-2 ** (bits - 1), 2 ** (bits - 1) - 1)
+                  for value in (edge - 1, edge, edge + 1)})
+_INT64 = st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)
+
+
+def _narrowest_bits(column):
+    """The width the narrow layout must pick for ``column``."""
+    for bits in (8, 16, 32):
+        limit = 2 ** (bits - 1)
+        if all(-limit <= value < limit for value in column):
+            return bits
+    return 64
+
+
+@given(st.lists(st.tuples(
+    st.one_of(st.sampled_from(_LIMITS), _INT64),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.one_of(st.sampled_from(_LIMITS), _INT64),
+    st.one_of(st.sampled_from([v for v in _LIMITS if v >= 0]),
+              st.integers(min_value=0, max_value=2 ** 40)),
+), max_size=20), st.integers(min_value=0, max_value=5))
+@example([], 0)
+@example([(-129, 0, True, 2 ** 31, 127), (-2 ** 40, 3, False, -1, 128)], 2)
+def test_narrow_layout_roundtrip(records, tail):
+    """The on-disk layout stores each column in the narrowest signed
+    dtype of its range (never truncating) and the records back from
+    it, through ``.npz`` too, equal the originals in the in-memory
+    dtypes."""
+    total = sum(gap for *_, gap in records) + len(records) + tail
+    trace = BranchTrace.from_records(records, total)
+    arrays = trace.to_arrays()
+    for index, column in ((0, "sites"), (3, "targets"), (4, "gaps")):
+        values = [record[index] for record in records]
+        assert arrays[column].dtype == np.dtype(
+            "int%d" % _narrowest_bits(values))
+        assert arrays[column].tolist() == values
+    assert arrays["flags"].dtype == np.int8
+    assert arrays["flags"].tolist() == [
+        branch_class << 1 | taken for _, branch_class, taken, _, _ in records]
+    for rebuilt in (BranchTrace.from_arrays(arrays), _npz_roundtrip(trace)):
+        _assert_same_trace(trace, rebuilt)
+        assert list(rebuilt.records()) == records
+
+
+def _layout_with(**changes):
+    arrays = _sample_trace().to_arrays()
+    arrays.update(changes)
+    return arrays
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"sites": np.array([10, 10, 30, 40, 50], dtype=np.float64)},
+     "not a signed integer"),
+    ({"flags": np.array([1, 0, 3, 5, 7], dtype=np.uint8)},
+     "not a signed integer"),
+    ({"flags": np.array([1, 0, 8, 5, 7], dtype=np.int8)}, r"\[0, 7\]"),
+    ({"flags": np.array([1, 0, -1, 5, 7], dtype=np.int8)}, r"\[0, 7\]"),
+    ({"gaps": np.array([3, -1, 0, 2, 4], dtype=np.int8)}, "negative gap"),
+    ({"total_instructions": np.int64(14)}, "exceed its 14 instructions"),
+    ({"total_instructions": np.array([15, 15])}, "not a scalar"),
+])
+def test_from_arrays_rejects_broken_layouts(changes, message):
+    with pytest.raises(ValueError, match=message):
+        BranchTrace.from_arrays(_layout_with(**changes))
+
+
+def test_from_arrays_allows_instructions_after_the_last_branch():
+    trace = BranchTrace.from_arrays(
+        _layout_with(total_instructions=np.int64(16)))
+    assert trace.total_instructions == 16
 
 
 @given(st.lists(st.tuples(
