@@ -2,14 +2,15 @@
 
 The package has three layers (see ``docs/ANALYSIS.md``):
 
-* :mod:`.dataflow` — a generic worklist solver over
-  :class:`~repro.cfg.ControlFlowGraph` flow graphs, with forward /
-  backward direction and a configurable lattice join;
-* concrete analyses on top of it — :mod:`.liveness`,
-  :mod:`.reaching` (reaching definitions and use-before-def),
+* :mod:`.dataflow` — :class:`FlowGraph`, the one flow graph every
+  analysis takes, and a generic worklist solver over it, with forward
+  / backward direction and a configurable lattice join;
+* concrete analyses on top of it — :mod:`.registers` (liveness,
+  defined registers and use-before-def over register bitmasks),
   :mod:`.dominators`, :mod:`.unreachable`;
 * :mod:`.verify` — the IR verifier the optimizer and the Forward
-  Semantic pipeline run after every transformation.
+  Semantic pipeline run after every transformation, reporting
+  :class:`~repro.analysis.findings.Finding` records.
 
 The opcode-mix helpers that predate the package live in :mod:`.mix`
 and are re-exported here, so ``from repro.analysis import
@@ -32,25 +33,21 @@ from repro.analysis.effects import (
     register_written,
     registers_read,
 )
-from repro.analysis.liveness import (
-    Liveness,
-    compute_liveness,
-    dead_register_writes,
-)
+from repro.analysis.findings import Finding
 from repro.analysis.mix import (
     dynamic_opcode_mix,
     mix_fractions,
     static_opcode_mix,
     summarize_mix,
 )
-from repro.analysis.reaching import (
-    ReachingDefinitions,
-    compute_reaching_definitions,
+from repro.analysis.registers import (
+    Liveness,
+    compute_liveness,
+    dead_register_writes,
     use_before_def,
 )
 from repro.analysis.unreachable import reachable_blocks, unreachable_blocks
 from repro.analysis.verify import (
-    Diagnostic,
     VerificationError,
     assert_valid,
     verify_program,
@@ -79,15 +76,13 @@ __all__ = [
     "Liveness",
     "compute_liveness",
     "dead_register_writes",
-    "ReachingDefinitions",
-    "compute_reaching_definitions",
     "use_before_def",
     "dominator_sets",
     "immediate_dominators",
     "reachable_blocks",
     "unreachable_blocks",
     # verifier
-    "Diagnostic",
+    "Finding",
     "VerificationError",
     "verify_program",
     "assert_valid",

@@ -19,11 +19,16 @@ Two pieces:
   bitmasks).
 """
 
+from repro.cfg import ControlFlowGraph
 from repro.isa.opcodes import Opcode
 
 
 class FlowGraph:
-    """Flow successor/predecessor structure over a CFG's blocks."""
+    """Flow successor/predecessor structure over a CFG's blocks.
+
+    Every analysis takes one; ``graph.cfg`` and ``graph.cfg.program``
+    reach the blocks and the program it was built from.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -55,6 +60,11 @@ class FlowGraph:
         self._index_of = index_of
         self.successors = successors
         self.predecessors = predecessors
+
+    @classmethod
+    def from_program(cls, program):
+        """The flow graph of a resolved program."""
+        return cls(ControlFlowGraph.from_program(program))
 
     def index_of(self, leader):
         """Block index of a leader address."""

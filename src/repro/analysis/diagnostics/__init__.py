@@ -1,23 +1,14 @@
 """Whole-pipeline IR diagnostics.
 
-A structured findings framework (:mod:`.findings`) unifying the
-structural verifier with analysis rules (:mod:`.rules`) behind one
-engine (:mod:`.engine`); drives ``repro-branches lint`` including its
+One record type (:mod:`repro.analysis.findings`) for the structural
+verifier and the analysis rules (:mod:`.rules`) behind one engine
+(:mod:`.engine`); drives ``repro-branches lint`` including its
 ``--json`` and ``--strict`` modes.
 """
 
 from repro.analysis.diagnostics.engine import (
     DiagnosticsReport,
     run_diagnostics,
-)
-from repro.analysis.diagnostics.findings import (
-    ERROR,
-    INFO,
-    SEVERITIES,
-    WARNING,
-    Finding,
-    from_diagnostic,
-    line_of,
 )
 from repro.analysis.diagnostics.rules import (
     degenerate_branches,
@@ -26,6 +17,14 @@ from repro.analysis.diagnostics.rules import (
     slot_use_before_def,
     squash_unsafe_slots,
     unreachable_after_layout,
+)
+from repro.analysis.findings import (
+    ERROR,
+    INFO,
+    SEVERITIES,
+    WARNING,
+    Finding,
+    line_of,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "SEVERITIES",
     "WARNING",
     "degenerate_branches",
-    "from_diagnostic",
     "line_of",
     "loop_invariant_branches",
     "run_diagnostics",

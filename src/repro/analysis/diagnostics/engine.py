@@ -2,7 +2,7 @@
 
 :func:`run_diagnostics` unifies the structural verifier with the
 rule set of :mod:`.rules` into a single :class:`DiagnosticsReport` of
-:class:`~repro.analysis.diagnostics.findings.Finding` records.  The
+:class:`~repro.analysis.findings.Finding` records.  The
 ``stage`` argument names the pipeline point the program came from
 (``"compiled"``, ``"optimized"``, ``"layout"``, ``"slots"``, ...);
 layout-aware rules only run when the caller passes the
@@ -17,12 +17,6 @@ never raises on a syntactically loadable program.
 
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.dataflow import FlowGraph
-from repro.analysis.diagnostics.findings import (
-    SEVERITIES,
-    Finding,
-    from_diagnostic,
-)
 from repro.analysis.diagnostics.rules import (
     degenerate_branches,
     loop_invariant_branches,
@@ -30,8 +24,8 @@ from repro.analysis.diagnostics.rules import (
     squash_unsafe_slots,
     unreachable_after_layout,
 )
-from repro.analysis.verify import verify_program
-from repro.cfg import ControlFlowGraph
+from repro.analysis.findings import SEVERITIES, Finding
+from repro.analysis.verify import verify_with_graph
 from repro.isa.program import Program
 from repro.traceopt.layout import LayoutResult
 
@@ -99,7 +93,6 @@ class DiagnosticsReport:
 
 
 def run_diagnostics(program: Program,
-                    cfg: Optional[ControlFlowGraph] = None,
                     stage: str = "compiled",
                     name: Optional[str] = None,
                     layout: Optional[LayoutResult] = None,
@@ -109,7 +102,6 @@ def run_diagnostics(program: Program,
 
     Args:
         program: resolved program to diagnose.
-        cfg: optional pre-built CFG.
         stage: pipeline stage label, recorded in the report.
         name: report name (defaults to the program's).
         layout: the :class:`LayoutResult` that produced ``program``;
@@ -120,21 +112,16 @@ def run_diagnostics(program: Program,
             lint ``--no-warnings`` mode).
     """
     report_name = name if name is not None else program.name
-    findings = [from_diagnostic(diagnostic, program)
-                for diagnostic in verify_program(program, cfg=cfg,
-                                                 warnings=warnings)]
+    findings, graph = verify_with_graph(program)
     findings = slot_use_before_def(program, findings)
 
     if not any(finding.is_error for finding in findings):
-        if cfg is None:
-            cfg = ControlFlowGraph.from_program(program)
-        graph = FlowGraph(cfg)
         findings.extend(squash_unsafe_slots(program))
-        findings.extend(degenerate_branches(program, cfg))
-        findings.extend(loop_invariant_branches(program, cfg, graph))
+        findings.extend(degenerate_branches(graph))
+        findings.extend(loop_invariant_branches(graph))
         if layout is not None and original is not None:
-            findings.extend(unreachable_after_layout(
-                program, cfg, graph, layout, original))
+            findings.extend(unreachable_after_layout(graph, layout,
+                                                     original))
 
     if not warnings:
         findings = [finding for finding in findings

@@ -1,6 +1,7 @@
 """Diagnostics rules beyond the structural verifier.
 
-Each rule is a function taking the program (plus whatever analyses it
+Each rule is a function taking the program or its
+:class:`~repro.analysis.dataflow.FlowGraph` (plus whatever else it
 needs) and returning a list of :class:`Finding`.  The engine
 (:mod:`.engine`) decides which rules run at which pipeline stage.
 
@@ -27,7 +28,7 @@ Rules (rule id — severity — meaning):
     iteration).
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.dataflow import FlowGraph
 from repro.analysis.effects import (
@@ -36,17 +37,10 @@ from repro.analysis.effects import (
     register_written,
     registers_read,
 )
-from repro.analysis.diagnostics.findings import (
-    ERROR,
-    INFO,
-    WARNING,
-    Finding,
-    line_of,
-)
+from repro.analysis.findings import ERROR, INFO, WARNING, Finding, line_of
 from repro.analysis.staticpred.heuristics import _constant_outcome
 from repro.analysis.staticpred.loops import find_loops
 from repro.analysis.unreachable import reachable_blocks
-from repro.cfg import ControlFlowGraph
 from repro.isa.program import Program
 from repro.traceopt.layout import LayoutResult
 
@@ -111,8 +105,7 @@ def slot_use_before_def(program: Program,
     return rewritten
 
 
-def unreachable_after_layout(program: Program, cfg: ControlFlowGraph,
-                             graph: FlowGraph, layout: LayoutResult,
+def unreachable_after_layout(graph: FlowGraph, layout: LayoutResult,
                              original: Program) -> List[Finding]:
     """Flag blocks layout made unreachable.
 
@@ -122,12 +115,12 @@ def unreachable_after_layout(program: Program, cfg: ControlFlowGraph,
     findings) — only a reachable-to-unreachable transition is a
     layout defect.
     """
-    reachable_after = reachable_blocks(program, graph=graph)
-    original_cfg = ControlFlowGraph.from_program(original)
-    reachable_before = reachable_blocks(original,
-                                        cfg=original_cfg)
+    program = graph.cfg.program
+    reachable_after = reachable_blocks(graph)
+    original_graph = FlowGraph.from_program(original)
+    reachable_before = reachable_blocks(original_graph)
     findings: List[Finding] = []
-    for block in cfg.blocks:
+    for block in graph.cfg.blocks:
         if block.start in reachable_after:
             continue
         # old_address_of is a per-new-address list; inserted JUMPs map
@@ -135,7 +128,7 @@ def unreachable_after_layout(program: Program, cfg: ControlFlowGraph,
         old_address = layout.old_address_of[block.start]
         if old_address is None:
             continue
-        old_leader = original_cfg.block_of(old_address).start
+        old_leader = original_graph.cfg.block_of(old_address).start
         if old_leader in reachable_before:
             findings.append(Finding(
                 "unreachable-after-layout", WARNING,
@@ -146,16 +139,16 @@ def unreachable_after_layout(program: Program, cfg: ControlFlowGraph,
     return findings
 
 
-def degenerate_branches(program: Program,
-                        cfg: ControlFlowGraph) -> List[Finding]:
+def degenerate_branches(graph: FlowGraph) -> List[Finding]:
     """Flag conditional branches whose outcome is statically constant."""
+    program = graph.cfg.program
     findings: List[Finding] = []
-    for block in cfg.blocks:
+    for block in graph.cfg.blocks:
         site = block.end - 1
         terminator = program.instructions[site]
         if not terminator.is_conditional:
             continue
-        outcome = _constant_outcome(program, cfg, block, terminator)
+        outcome = _constant_outcome(program, block, terminator)
         if outcome is None:
             continue
         findings.append(Finding(
@@ -167,9 +160,10 @@ def degenerate_branches(program: Program,
     return findings
 
 
-def loop_invariant_branches(program: Program, cfg: ControlFlowGraph,
-                            graph: FlowGraph) -> List[Finding]:
+def loop_invariant_branches(graph: FlowGraph) -> List[Finding]:
     """Flag loop branches reading only loop-invariant registers."""
+    cfg = graph.cfg
+    program = cfg.program
     findings: List[Finding] = []
     roots = set(function_entry_addresses(program))
     roots.add(cfg.block_of(program.entry).start)

@@ -12,8 +12,7 @@ dominator sets, and unreachable blocks keep the (meaningless) full
 mask and are excluded from the returned maps.
 """
 
-from repro.analysis.dataflow import Analysis, FlowGraph, solve
-from repro.cfg import ControlFlowGraph
+from repro.analysis.dataflow import Analysis, solve
 
 
 class _DominatorAnalysis(Analysis):
@@ -43,35 +42,29 @@ class _DominatorAnalysis(Analysis):
         return incoming | 1 << index
 
 
-def dominator_sets(program, cfg=None, graph=None, root=None):
+def dominator_sets(graph, root=None):
     """{leader: frozenset of dominating leaders}, reachable from root.
 
     ``root`` is a leader address (default: the program entry's block).
     Blocks unreachable from the root are omitted.
     """
-    if graph is None:
-        graph = FlowGraph(cfg or ControlFlowGraph.from_program(program))
     if root is None:
         root = graph.cfg.block_of(graph.cfg.program.entry).start
     root_index = graph.index_of(root)
     result = solve(graph, _DominatorAnalysis(graph, root_index))
 
-    reachable = _reachable_from(graph, root_index)
+    reachable = reachable_from(graph, root_index)
     blocks = graph.cfg.blocks
-    sets = {}
-    for index in reachable:
-        mask = result.outputs[index] & _mask_of(reachable)
-        sets[blocks[index].start] = frozenset(
-            blocks[position].start for position in _bits(mask)
-            if position in reachable)
-    return sets
+    return {blocks[index].start: frozenset(
+                blocks[position].start
+                for position in _bits(result.outputs[index])
+                if position in reachable)
+            for index in reachable}
 
 
-def immediate_dominators(program, cfg=None, graph=None, root=None):
+def immediate_dominators(graph, root=None):
     """{leader: immediate dominator leader}; the root maps to None."""
-    if graph is None:
-        graph = FlowGraph(cfg or ControlFlowGraph.from_program(program))
-    sets = dominator_sets(program, cfg=cfg, graph=graph, root=root)
+    sets = dominator_sets(graph, root=root)
     idom = {}
     for leader, dominators in sets.items():
         strict = dominators - {leader}
@@ -84,7 +77,8 @@ def immediate_dominators(program, cfg=None, graph=None, root=None):
     return idom
 
 
-def _reachable_from(graph, root_index):
+def reachable_from(graph, root_index):
+    """Block indices a flow-edge flood from ``root_index`` reaches."""
     seen = {root_index}
     stack = [root_index]
     while stack:
@@ -93,13 +87,6 @@ def _reachable_from(graph, root_index):
                 seen.add(successor)
                 stack.append(successor)
     return seen
-
-
-def _mask_of(indices):
-    mask = 0
-    for index in indices:
-        mask |= 1 << index
-    return mask
 
 
 def _bits(mask):

@@ -24,6 +24,7 @@ accounting Ball-Larus use for their published hit rates.
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.dataflow import FlowGraph
 from repro.analysis.staticpred.heuristics import (
     HEURISTIC_ORDER,
     BranchEstimate,
@@ -148,7 +149,7 @@ def compare_to_profile(program: Program, profile: Profile, name: str,
                        = None) -> AgreementReport:
     """Compare static estimates against an existing measured profile."""
     if estimates is None:
-        estimates = predict_branches(program)
+        estimates = predict_branches(FlowGraph.from_program(program))
     sites: List[SiteComparison] = []
     for site, execs in sorted(profile.branch_execs.items()):
         if execs == 0:

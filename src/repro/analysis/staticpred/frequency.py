@@ -31,9 +31,7 @@ from repro.analysis.staticpred.heuristics import (
     predict_branches,
 )
 from repro.analysis.staticpred.loops import find_loops
-from repro.cfg import ControlFlowGraph
 from repro.isa.opcodes import Opcode
-from repro.isa.program import Program
 
 #: Cap on a single loop's cyclic probability (Wu-Larus use the same
 #: constant): a heuristically never-exiting loop still terminates with
@@ -223,10 +221,8 @@ def _reaches(graph: FlowGraph, source: int, target: int,
     return False
 
 
-def program_frequencies(program: Program,
-                        estimates: Optional[Dict[int, BranchEstimate]] = None,
-                        cfg: Optional[ControlFlowGraph] = None,
-                        graph: Optional[FlowGraph] = None
+def program_frequencies(graph: FlowGraph,
+                        estimates: Optional[Dict[int, BranchEstimate]] = None
                         ) -> StaticFrequencies:
     """Whole-program frequencies: local propagation + call-graph scaling.
 
@@ -236,12 +232,10 @@ def program_frequencies(program: Program,
     local values are scaled through.  Recursive call cycles are
     iterated to a bounded fixpoint and clamped.
     """
-    if cfg is None:
-        cfg = ControlFlowGraph.from_program(program)
-    if graph is None:
-        graph = FlowGraph(cfg)
+    cfg = graph.cfg
+    program = cfg.program
     if estimates is None:
-        estimates = predict_branches(program, cfg=cfg, graph=graph)
+        estimates = predict_branches(graph)
     probabilities = edge_probabilities(graph, estimates)
 
     entries = dict(function_entry_addresses(program))

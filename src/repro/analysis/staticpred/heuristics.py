@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.dataflow import FlowGraph
 from repro.analysis.effects import function_entry_addresses
 from repro.analysis.staticpred.loops import LoopNest, find_loops
-from repro.cfg import BasicBlock, ControlFlowGraph
+from repro.cfg import BasicBlock
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -111,21 +111,15 @@ def combine_votes(votes: List[Tuple[str, bool]]) -> float:
     return probability
 
 
-def predict_branches(program: Program,
-                     cfg: Optional[ControlFlowGraph] = None,
-                     graph: Optional[FlowGraph] = None
-                     ) -> Dict[int, BranchEstimate]:
+def predict_branches(graph: FlowGraph) -> Dict[int, BranchEstimate]:
     """Estimate P(taken) for every conditional branch site.
 
     Returns {branch address: :class:`BranchEstimate`} covering every
     conditional branch of the program, including branches unreachable
     from any function entry (those get the no-evidence 0.5).
     """
-    if cfg is None:
-        cfg = ControlFlowGraph.from_program(program)
-    if graph is None:
-        graph = FlowGraph(cfg)
-
+    cfg = graph.cfg
+    program = cfg.program
     roots = dict(function_entry_addresses(program))
     entry_leader = cfg.block_of(program.entry).start
     roots.setdefault(entry_leader, "<entry>")
@@ -140,7 +134,7 @@ def predict_branches(program: Program,
                 continue
             claimed.add(index)
             block = cfg.blocks[index]
-            estimate = _estimate_block(program, cfg, graph, nest, block)
+            estimate = _estimate_block(graph, nest, block)
             if estimate is not None:
                 estimates[estimate.site] = estimate
 
@@ -153,9 +147,10 @@ def predict_branches(program: Program,
     return estimates
 
 
-def _estimate_block(program: Program, cfg: ControlFlowGraph,
-                    graph: FlowGraph, nest: LoopNest,
+def _estimate_block(graph: FlowGraph, nest: LoopNest,
                     block: BasicBlock) -> Optional[BranchEstimate]:
+    cfg = graph.cfg
+    program = cfg.program
     site = block.end - 1
     terminator = program.instructions[site]
     if not terminator.is_conditional:
@@ -167,7 +162,7 @@ def _estimate_block(program: Program, cfg: ControlFlowGraph,
         # does not matter, keep the no-evidence estimate.
         return BranchEstimate(site, block.start, 0.5, ())
 
-    constant = _constant_outcome(program, cfg, block, terminator)
+    constant = _constant_outcome(program, block, terminator)
     if constant is not None:
         return BranchEstimate(site, block.start,
                               1.0 if constant else 0.0,
@@ -198,7 +193,7 @@ def _estimate_block(program: Program, cfg: ControlFlowGraph,
     if taken_enters != fall_enters:
         votes.append(("loop-header", taken_enters))
 
-    opcode_vote = _opcode_vote(program, cfg, block, terminator)
+    opcode_vote = _opcode_vote(program, block, terminator)
     if opcode_vote is not None:
         votes.append(("opcode", opcode_vote))
 
@@ -271,8 +266,7 @@ _MIRRORED = {
 }
 
 
-def _opcode_vote(program: Program, cfg: ControlFlowGraph,
-                 block: BasicBlock,
+def _opcode_vote(program: Program, block: BasicBlock,
                  terminator: Instruction) -> Optional[bool]:
     """The Ball-Larus opcode heuristic vote, or None."""
     op = terminator.op
@@ -299,8 +293,7 @@ _COMPARATORS = {
 }
 
 
-def _constant_outcome(program: Program, cfg: ControlFlowGraph,
-                      block: BasicBlock,
+def _constant_outcome(program: Program, block: BasicBlock,
                       terminator: Instruction) -> Optional[bool]:
     """The branch outcome when it is statically determined.
 

@@ -19,7 +19,7 @@ ordinary back edges: the block dominates itself.
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import FlowGraph
-from repro.analysis.dominators import dominator_sets
+from repro.analysis.dominators import dominator_sets, reachable_from
 
 
 class Loop:
@@ -88,11 +88,9 @@ def find_loops(graph: FlowGraph, root_index: int) -> LoopNest:
     (the program entry or a function entry).  Only blocks reachable
     from the root participate.
     """
-    reachable = _reachable_from(graph, root_index)
-    root_leader = graph.cfg.blocks[root_index].start
-    dominators = dominator_sets(graph.cfg.program, graph=graph,
-                                root=root_leader)
-    blocks = graph.cfg.blocks
+    reachable = reachable_from(graph, root_index)
+    dominators = dominator_sets(graph,
+                                root=graph.cfg.blocks[root_index].start)
     dom_indices: Dict[int, FrozenSet[int]] = {}
     index_of = graph.index_of
     for leader, dominating in dominators.items():
@@ -131,7 +129,6 @@ def find_loops(graph: FlowGraph, root_index: int) -> LoopNest:
     # computes every parent's depth before its children's.
     for loop in reversed(loops):
         loop.depth = 1 + (loop.parent.depth if loop.parent else 0)
-    del blocks
     return LoopNest(loops, frozenset(back_edges), frozenset(reachable))
 
 
@@ -147,14 +144,3 @@ def _natural_loop_body(graph: FlowGraph, tail: int, head: int,
             body.add(predecessor)
             stack.append(predecessor)
     return body
-
-
-def _reachable_from(graph: FlowGraph, root_index: int) -> Set[int]:
-    seen = {root_index}
-    stack = [root_index]
-    while stack:
-        for successor in graph.successors[stack.pop()]:
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return seen

@@ -28,7 +28,6 @@ from repro.analysis.staticpred.heuristics import (
     BranchEstimate,
     predict_branches,
 )
-from repro.cfg import ControlFlowGraph
 from repro.isa.program import Program
 from repro.profiling.profiler import Profile
 
@@ -58,7 +57,6 @@ class StaticProfile(Profile):
 
 
 def estimate_profile(program: Program,
-                     cfg: Optional[ControlFlowGraph] = None,
                      scale: int = DEFAULT_SCALE) -> StaticProfile:
     """Estimate an execution profile from the IR alone.
 
@@ -68,12 +66,9 @@ def estimate_profile(program: Program,
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    if cfg is None:
-        cfg = ControlFlowGraph.from_program(program)
-    graph = FlowGraph(cfg)
-    estimates = predict_branches(program, cfg=cfg, graph=graph)
-    frequencies = program_frequencies(program, estimates, cfg=cfg,
-                                      graph=graph)
+    graph = FlowGraph.from_program(program)
+    estimates = predict_branches(graph)
+    frequencies = program_frequencies(graph, estimates)
 
     profile = StaticProfile()
     profile.estimates = estimates
@@ -88,7 +83,7 @@ def estimate_profile(program: Program,
         counts[leader] = max(count, 1)
     profile.block_counts = counts
 
-    for block in cfg.blocks:
+    for block in graph.cfg.blocks:
         site = block.end - 1
         terminator = program.instructions[site]
         if terminator.is_conditional:

@@ -6,15 +6,11 @@ the same closure :mod:`repro.opt.dead_code` uses to delete dead
 blocks, expressed over the CFG instead of raw addresses.
 """
 
-from repro.analysis.dataflow import FlowGraph
-from repro.cfg import ControlFlowGraph
 from repro.isa.opcodes import Opcode
 
 
-def reachable_blocks(program, cfg=None, graph=None):
+def reachable_blocks(graph):
     """Set of leader addresses reachable from the program entry."""
-    if graph is None:
-        graph = FlowGraph(cfg or ControlFlowGraph.from_program(program))
     cfg = graph.cfg
     program = cfg.program
     entry_index = graph.index_of(cfg.block_of(program.entry).start)
@@ -39,10 +35,8 @@ def reachable_blocks(program, cfg=None, graph=None):
     return {cfg.blocks[index].start for index in seen}
 
 
-def unreachable_blocks(program, cfg=None, graph=None):
+def unreachable_blocks(graph):
     """Blocks no execution can reach, in address order."""
-    if graph is None:
-        graph = FlowGraph(cfg or ControlFlowGraph.from_program(program))
-    reachable = reachable_blocks(program, graph=graph)
+    reachable = reachable_blocks(graph)
     return [block for block in graph.cfg.blocks
             if block.start not in reachable]

@@ -11,6 +11,7 @@ The measured side reuses the runner's cached profiles, so the only
 extra work is the (cheap) static analysis.
 """
 
+from repro.analysis.dataflow import FlowGraph
 from repro.analysis.staticpred import compare_to_profile, predict_branches
 from repro.experiments.report import TableData, render_table
 
@@ -25,8 +26,9 @@ def compute(runner, names=None):
     pooled = []
     for name in names:
         run = runner.run(name)
-        report = compare_to_profile(run.program, run.profile, name,
-                                    predict_branches(run.program))
+        report = compare_to_profile(
+            run.program, run.profile, name,
+            predict_branches(FlowGraph.from_program(run.program)))
         pooled.extend(report.sites)
         rows.append([
             name,

@@ -9,14 +9,15 @@ Two independent reductions share this module:
   point are dropped along with their bodies (their ``functions``
   entries are removed too).
 * :func:`remove_dead_writes` deletes pure register writes whose
-  destination the liveness analysis (:mod:`repro.analysis.liveness`)
+  destination the liveness analysis (:mod:`repro.analysis.registers`)
   proves is never read afterwards — typically ``LI`` sources left
   behind by constant folding.  Writes with side effects or possible
   faults (``LOAD``, ``DIV``, ``GETC``, ...) are never touched, nor is
   anything inside a forward-slot region.
 """
 
-from repro.analysis.liveness import dead_register_writes
+from repro.analysis.dataflow import FlowGraph
+from repro.analysis.registers import dead_register_writes
 from repro.isa.opcodes import Opcode
 from repro.opt.rewrite import rebuild
 
@@ -88,7 +89,7 @@ def remove_dead_writes(program):
     only effect was reaching the next instruction once its destination
     is dead).
     """
-    dead = dead_register_writes(program)
+    dead = dead_register_writes(FlowGraph.from_program(program))
     if not dead:
         return program.copy(), 0
     keep = [True] * len(program.instructions)

@@ -27,6 +27,27 @@ class Prediction:
             self.taken, self.target, self.hit)
 
 
+class _AnyTarget:
+    """Sentinel equal to every target: direction-only scoring."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    def __hash__(self):  # pragma: no cover - never stored in sets
+        return 0
+
+    def __repr__(self):
+        return "<any-target>"
+
+
+#: The predicted target of a scheme that predicts direction only: it
+#: matches whatever target the branch actually takes.
+ANY_TARGET = _AnyTarget()
+
+
 class PredictionStats:
     """Accumulated accuracy/miss statistics of a simulation run."""
 

@@ -11,7 +11,7 @@ can only fall through), which is always wrong — they "pose a problem
 for all three schemes".
 """
 
-from repro.predictors.base import Prediction, Predictor
+from repro.predictors.base import ANY_TARGET, Prediction, Predictor
 from repro.vm.tracing import BranchClass
 
 
@@ -58,7 +58,7 @@ class ForwardSemanticPredictor(Predictor):
                 # statically-encoded target is unavailable to us but is
                 # by definition the branch's own target: score
                 # direction-only via the sentinel.
-                target = self._targets.get(site, _STATIC_TARGET)
+                target = self._targets.get(site, ANY_TARGET)
                 return Prediction(True, target=target)
             return Prediction(False)
         if branch_class == BranchClass.UNCONDITIONAL_KNOWN:
@@ -68,7 +68,7 @@ class ForwardSemanticPredictor(Predictor):
                 return Prediction(True, target=target)
             # Program text unavailable (likely_sites construction):
             # still credit the statically known target.
-            return Prediction(True, target=_STATIC_TARGET)
+            return Prediction(True, target=ANY_TARGET)
         # Unknown-target indirect jump: nothing to predict.
         return Prediction(False)
 
@@ -93,17 +93,3 @@ class ForwardSemanticPredictor(Predictor):
             "likely_taken_sites": likely,
             "static_targets": len(self._targets),
         }
-
-
-class _AnyTarget:
-    def __eq__(self, other):
-        return True
-
-    def __ne__(self, other):
-        return False
-
-    def __hash__(self):  # pragma: no cover
-        return 0
-
-
-_STATIC_TARGET = _AnyTarget()

@@ -11,7 +11,7 @@ branches they supply the *actual* target (equivalent to measuring
 direction accuracy only, as the original studies did).
 """
 
-from repro.predictors.base import Prediction, Predictor
+from repro.predictors.base import ANY_TARGET, Prediction, Predictor
 
 
 class _StaticScheme(Predictor):
@@ -34,7 +34,7 @@ class AlwaysTaken(_StaticScheme):
     name = "always-taken"
 
     def predict(self, site, branch_class):
-        return Prediction(True, target=_ORACLE_TARGET)
+        return Prediction(True, target=ANY_TARGET)
 
 
 class AlwaysNotTaken(_StaticScheme):
@@ -63,24 +63,5 @@ class BackwardTakenForwardNotTaken(_StaticScheme):
 
     def predict(self, site, branch_class):
         if self._backward.get(site, False):
-            return Prediction(True, target=_ORACLE_TARGET)
+            return Prediction(True, target=ANY_TARGET)
         return Prediction(False)
-
-
-class _AnyTarget:
-    """Sentinel equal to every target: direction-only scoring."""
-
-    def __eq__(self, other):
-        return True
-
-    def __ne__(self, other):
-        return False
-
-    def __hash__(self):  # pragma: no cover - never stored in sets
-        return 0
-
-    def __repr__(self):
-        return "<any-target>"
-
-
-_ORACLE_TARGET = _AnyTarget()

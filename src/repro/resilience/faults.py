@@ -128,14 +128,6 @@ class FaultPlan:
             at = rng.randint(1, 2)
         return cls([Fault(kind, at=at, param=rng.random())], seed=seed)
 
-    @classmethod
-    def seeded(cls, seed, kinds=FAULT_KINDS):
-        """One fault of every kind in ``kinds``, parameterised by seed."""
-        faults = []
-        for kind in kinds:
-            faults.extend(cls.single(kind, seed=seed).faults)
-        return cls(faults, seed=seed)
-
     def to_json(self):
         return json.dumps({"seed": self.seed,
                            "faults": [fault.to_dict()

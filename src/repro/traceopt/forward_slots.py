@@ -18,8 +18,10 @@ Absorption rules (which instructions may be copied into slots):
   copy (everything after it on the target path is unreachable from the
   slots);
 * the copy stops *before* a likely-taken conditional branch (its own
-  slots live in the target trace and are not duplicated) and before a
-  CALL (a call would return into the middle of the slot region).
+  slots live in the target trace and are not duplicated), before a
+  JUMP under the ``fill_unconditional`` ablation (likewise: it owns
+  slots of its own) and before a CALL (a call would return into the
+  middle of the slot region).
 
 The transformation preserves semantics: `tests/test_fs_semantics.py`
 executes every benchmark in both ``direct`` and ``execute`` slot modes
@@ -64,12 +66,22 @@ class ExpansionReport:
 _COPY_ENDERS = frozenset({Opcode.JUMP, Opcode.RET, Opcode.JIND, Opcode.HALT})
 
 
-def _collect_slot_copies(instructions, target, n_slots, absorb_branches):
+def _owns_slots(instr, fill_unconditional):
+    """True when slot filling reserves slots after ``instr``."""
+    return (instr.is_conditional and instr.likely) or (
+        fill_unconditional and instr.op is Opcode.JUMP)
+
+
+def _collect_slot_copies(instructions, target, n_slots, absorb_branches,
+                         fill_unconditional):
     """Choose the target-path prefix to copy into the slots.
 
     Returns (copies, consumed): ``copies`` are instruction copies (at
     most ``n_slots``), ``consumed`` is how far the copied prefix
-    advances along the target path.
+    advances along the target path.  The copy stops before any
+    instruction that owns slots itself, so the copied prefix stays
+    contiguous in the expanded text and the adjusted target lands
+    exactly ``consumed`` past the original one.
 
     With ``absorb_branches=False`` the copy stops before ANY control
     transfer — the restriction of the "Delayed Branch with Squashing"
@@ -83,7 +95,7 @@ def _collect_slot_copies(instructions, target, n_slots, absorb_branches):
         if address >= size:
             break
         candidate = instructions[address]
-        if candidate.is_conditional and candidate.likely:
+        if _owns_slots(candidate, fill_unconditional):
             break
         if candidate.op is Opcode.CALL:
             break
@@ -142,14 +154,13 @@ def fill_forward_slots(program, n_slots, fill_unconditional=False,
         if n_slots == 0:
             continue
 
-        expand = (duplicate.is_conditional and duplicate.likely) or (
-            fill_unconditional and duplicate.op is Opcode.JUMP)
-        if not expand:
+        if not _owns_slots(duplicate, fill_unconditional):
             continue
 
         likely_branches += 1
         copies, consumed = _collect_slot_copies(
-            old_instructions, duplicate.target, n_slots, absorb_branches)
+            old_instructions, duplicate.target, n_slots, absorb_branches,
+            fill_unconditional)
         copied_total += len(copies)
         padding = n_slots - len(copies)
         padding_total += padding

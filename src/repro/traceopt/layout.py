@@ -35,12 +35,8 @@ derives the laid-out run's trace from it without running it.
 
 import numpy as np
 
-from repro.analysis.verify import (
-    ERROR,
-    Diagnostic,
-    VerificationError,
-    assert_valid,
-)
+from repro.analysis.findings import ERROR, Finding
+from repro.analysis.verify import VerificationError, assert_valid
 from repro.cfg import ControlFlowGraph, compute_leaders
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode, invert_branch
@@ -251,8 +247,8 @@ def _check_translation(program, new_program, leader_map, old_address_of):
     errors = []
 
     def fail(address, message, *args):
-        errors.append(Diagnostic(ERROR, address, "layout-translation",
-                                 message % args))
+        errors.append(Finding("layout-translation", ERROR, message % args,
+                              address))
 
     image = {}
     for address, source in enumerate(old_address_of):

@@ -3,7 +3,6 @@
 from repro.analysis import (
     FlowGraph,
     compute_liveness,
-    compute_reaching_definitions,
     dead_register_writes,
     dominator_sets,
     immediate_dominators,
@@ -107,8 +106,8 @@ def test_postorder_visits_every_block_once():
 # -- liveness ----------------------------------------------------------------
 
 def test_loop_carried_registers_are_live_at_the_header():
-    program, cfg, _ = graph_of(LOOP_SOURCE)
-    liveness = compute_liveness(program, cfg=cfg)
+    program, cfg, graph = graph_of(LOOP_SOURCE)
+    liveness = compute_liveness(graph)
     header = program.labels["loop"]
     assert liveness.is_live_in(header, 1)  # accumulator
     assert liveness.is_live_in(header, 2)  # counter
@@ -116,8 +115,8 @@ def test_loop_carried_registers_are_live_at_the_header():
 
 
 def test_nothing_is_live_out_of_a_halt_block():
-    program, cfg, _ = graph_of(LOOP_SOURCE)
-    liveness = compute_liveness(program, cfg=cfg)
+    program, cfg, graph = graph_of(LOOP_SOURCE)
+    liveness = compute_liveness(graph)
     last_leader = cfg.blocks[-1].start
     assert liveness.live_out[last_leader] == 0
 
@@ -130,7 +129,7 @@ func main:
     puti r1
     halt
 """)
-    assert dead_register_writes(program) == [0]
+    assert dead_register_writes(FlowGraph.from_program(program)) == [0]
 
 
 def test_dead_write_chains_die_together():
@@ -143,7 +142,7 @@ func main:
     puti r3
     halt
 """)
-    assert dead_register_writes(program) == [0, 1]
+    assert dead_register_writes(FlowGraph.from_program(program)) == [0, 1]
 
 
 def test_load_is_never_a_dead_write():
@@ -156,7 +155,7 @@ func main:
     puti r1
     halt
 """)
-    assert dead_register_writes(program) == []
+    assert dead_register_writes(FlowGraph.from_program(program)) == []
 
 
 def test_remove_dead_writes_preserves_output():
@@ -174,35 +173,34 @@ func main:
     assert run_program(slim).output == run_program(program).output
 
 
-# -- reaching definitions ----------------------------------------------------
+# -- defined registers -------------------------------------------------------
 
 def test_defs_from_both_diamond_arms_reach_the_join():
-    program, cfg, _ = graph_of("""
+    # r1 is written on both arms, r3 on one arm only, r4 on neither:
+    # only the read of r4 has no definition on any path to the join.
+    program = assemble("""
 func main:
     li r2, 0
     beq r2, r2, other
     li r1, 1
+    li r3, 3
     jump join
 other:
     li r1, 2
 join:
     puti r1
+    puti r3
+    puti r4
     halt
 """)
-    reaching = compute_reaching_definitions(program, cfg=cfg)
     join = program.labels["join"]
-    both_arms = {site for site, register in reaching.sites
-                 if register == 1}
-    reaching_defs = {reaching.sites[index][0]
-                     for index in range(len(reaching.sites))
-                     if reaching.reach_in[join] >> index & 1
-                     and reaching.sites[index][1] == 1}
-    assert reaching_defs == both_arms
+    assert use_before_def(FlowGraph.from_program(program)) \
+        == [(join + 2, 4)]
 
 
 def test_clean_program_has_no_use_before_def():
-    program, cfg, _ = graph_of(LOOP_SOURCE)
-    assert use_before_def(program, cfg=cfg) == []
+    program, cfg, graph = graph_of(LOOP_SOURCE)
+    assert use_before_def(graph) == []
 
 
 def test_never_written_register_is_flagged():
@@ -213,7 +211,7 @@ func main:
     puti r2
     halt
 """)
-    assert use_before_def(program) == [(1, 7)]
+    assert use_before_def(FlowGraph.from_program(program)) == [(1, 7)]
 
 
 def test_function_arguments_count_as_definitions():
@@ -229,20 +227,20 @@ func main:
     puti r2
     halt
 """)
-    assert use_before_def(program) == []
+    assert use_before_def(FlowGraph.from_program(program)) == []
 
 
 # -- dominators --------------------------------------------------------------
 
 def test_diamond_dominators():
     program, cfg, graph = graph_of(DIAMOND_SOURCE)
-    sets = dominator_sets(program, cfg=cfg, graph=graph)
+    sets = dominator_sets(graph)
     entry = cfg.block_of(program.entry).start
     join = program.labels["join"]
     other = program.labels["other"]
     assert sets[join] == frozenset({entry, join})
     assert other not in sets[join]
-    idom = immediate_dominators(program, cfg=cfg, graph=graph)
+    idom = immediate_dominators(graph)
     assert idom[entry] is None
     assert idom[join] == entry
     assert idom[other] == entry
@@ -250,7 +248,7 @@ def test_diamond_dominators():
 
 def test_loop_header_dominates_its_body():
     program, cfg, graph = graph_of(LOOP_SOURCE)
-    sets = dominator_sets(program, cfg=cfg, graph=graph)
+    sets = dominator_sets(graph)
     header = program.labels["loop"]
     exit_leader = cfg.blocks[-1].start
     assert header in sets[exit_leader]
@@ -267,9 +265,9 @@ func main:
 end:
     halt
 """)
-    dead = unreachable_blocks(program, graph=graph)
+    dead = unreachable_blocks(graph)
     assert [block.start for block in dead] == [1]
-    assert 1 not in reachable_blocks(program, graph=graph)
+    assert 1 not in reachable_blocks(graph)
 
 
 def test_callee_bodies_are_reachable_through_calls():
@@ -285,4 +283,4 @@ func main:
     puti r2
     halt
 """)
-    assert unreachable_blocks(program, graph=graph) == []
+    assert unreachable_blocks(graph) == []

@@ -19,7 +19,6 @@ from repro.analysis.diagnostics.rules import (
     slot_regions,
     unreachable_after_layout,
 )
-from repro.cfg import ControlFlowGraph
 from repro.isa import assemble
 from repro.traceopt import fill_forward_slots
 
@@ -253,9 +252,8 @@ dead:
     puti r1
     halt
 """)
-    cfg = ControlFlowGraph.from_program(broken)
     findings = unreachable_after_layout(
-        broken, cfg, FlowGraph(cfg),
+        FlowGraph.from_program(broken),
         _FakeLayout(list(range(len(broken.instructions)))), original)
     assert [finding.rule for finding in findings] \
         == ["unreachable-after-layout"]
@@ -276,9 +274,8 @@ dead:
 """
     original = assemble(source)
     after = assemble(source)
-    cfg = ControlFlowGraph.from_program(after)
     findings = unreachable_after_layout(
-        after, cfg, FlowGraph(cfg),
+        FlowGraph.from_program(after),
         _FakeLayout(list(range(len(after.instructions)))), original)
     assert findings == []
 

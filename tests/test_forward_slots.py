@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.staticpred import estimate_profile
+from repro.benchmarksuite import get_benchmark
 from repro.isa.opcodes import Opcode
 from repro.lang import compile_source
 from repro.profiling import profile_program
@@ -142,6 +144,25 @@ def test_fill_unconditional_ablation_grows_more():
     expanded, _ = fill_forward_slots(program, 2, fill_unconditional=True)
     assert run_program(expanded, slot_mode="execute").output == \
         run_program(program).output
+
+
+def test_fill_unconditional_stops_before_a_slotted_jump():
+    # grep's statically laid-out text has a likely branch whose target
+    # path ends in a JUMP.  Under the ablation that JUMP owns 8 slots
+    # of its own, so copying it would put the adjusted target past
+    # them, 14 instructions beyond the original target.
+    spec = get_benchmark("grep")
+    program = compile_source(spec.source, "grep")
+    laid = build_fs_program(program, estimate_profile(program)).program
+    expanded, _ = fill_forward_slots(laid, 8, fill_unconditional=True)
+    for address, instr in enumerate(expanded.instructions):
+        if instr.is_conditional and instr.n_slots:
+            copies = expanded.instructions[
+                address + 1:address + 1 + instr.target - instr.orig_target]
+            assert not any(copy.n_slots for copy in copies)
+    inputs = spec.inputs_for_run(0, 0.05)
+    assert run_program(expanded, inputs, slot_mode="execute").output == \
+        run_program(program, inputs).output
 
 
 def test_data_init_preserved():

@@ -7,10 +7,22 @@ byte for byte — including literal forward-slot execution.
 
 The generator only emits bounded ``for`` loops with dedicated index
 variables and guards divisions, so every generated program terminates.
+
+The same programs, laid out and slot-filled, also check
+``use_before_def`` against a brute-force reference.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import (
+    FlowGraph,
+    function_argument_counts,
+    register_written,
+    registers_read,
+    use_before_def,
+)
+from repro.analysis.staticpred import estimate_profile
+from repro.isa import Instruction, Opcode
 from repro.lang import compile_source
 from repro.opt import optimize
 from repro.profiling import profile_program
@@ -129,3 +141,79 @@ def test_every_stage_preserves_output(source):
             result = run_program(expanded, slot_mode=mode,
                                  max_instructions=4_000_000)
             assert result.output == baseline.output, (mode, n_slots)
+
+
+_ENDERS = (Opcode.JUMP, Opcode.RET, Opcode.JIND, Opcode.HALT)
+
+
+def reference_use_before_def(program):
+    """Reads no path from a function entry defines, from a fixed point
+    over per-instruction register sets (no flow graph, no solver)."""
+    instructions = program.instructions
+    size = len(instructions)
+
+    def successors(pc):
+        instr = instructions[pc]
+        if instr.op in (Opcode.RET, Opcode.HALT):
+            return []
+        if instr.op is Opcode.JUMP:
+            return [instr.target]
+        if instr.op is Opcode.JIND:
+            return [entry for table in program.jump_tables
+                    for entry in table.entries]
+        following = [pc + 1] if pc + 1 < size else []
+        if not instr.is_conditional:
+            return following
+        target = instr.target
+        if instr.n_slots:
+            # A copy that absorbed an unconditional transfer always
+            # leaves the slots through it: the adjusted target is
+            # never reached, the original one is (in direct mode).
+            consumed = target - instr.orig_target
+            if 0 < consumed <= instr.n_slots \
+                    and instructions[pc + consumed].op in _ENDERS:
+                target = instr.orig_target
+        return [target] + following
+
+    defined = [0] * size
+    for entry, count in function_argument_counts(program).items():
+        defined[entry] = (1 << count) - 1
+    changed = True
+    while changed:
+        changed = False
+        for pc, instr in enumerate(instructions):
+            written = register_written(instr)
+            out = defined[pc] | (0 if written is None else 1 << written)
+            for successor in successors(pc):
+                if out & ~defined[successor]:
+                    defined[successor] |= out
+                    changed = True
+    return [(pc, register) for pc, instr in enumerate(instructions)
+            for register in registers_read(instr)
+            if not defined[pc] >> register & 1]
+
+
+def _drop_a_write(program, choice):
+    """A copy with one register write replaced by a NOP, so some reads
+    lose their definition on some or all paths."""
+    writes = [address for address, instr in enumerate(program.instructions)
+              if register_written(instr) is not None]
+    mutant = program.copy()
+    if writes:
+        mutant.instructions[writes[choice % len(writes)]] = \
+            Instruction(Opcode.NOP)
+    return mutant
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs(), st.integers(min_value=0, max_value=1000))
+def test_use_before_def_matches_a_brute_force_reference(source, choice):
+    program = compile_source(source, "fuzz")
+    layout = build_fs_program(program, estimate_profile(program))
+    stages = [program, layout.program]
+    stages.extend(fill_forward_slots(layout.program, n_slots)[0]
+                  for n_slots in (1, 2, 4, 8))
+    for stage in stages:
+        for candidate in (stage, _drop_a_write(stage, choice)):
+            assert use_before_def(FlowGraph.from_program(candidate)) \
+                == reference_use_before_def(candidate)

@@ -51,7 +51,9 @@ def test_worker_faults_always_hit_first_attempt():
 
 
 def test_plan_json_roundtrip():
-    plan = FaultPlan.seeded(7)
+    plan = FaultPlan([fault for kind in FAULT_KINDS
+                      for fault in FaultPlan.single(kind, seed=7).faults],
+                     seed=7)
     copy = FaultPlan.from_json(plan.to_json())
     assert copy.seed == 7
     assert [f.to_dict() for f in copy.faults] \

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.dataflow import FlowGraph
 from repro.analysis.staticpred import (
     AgreementReport,
     SiteComparison,
@@ -120,7 +121,7 @@ def test_evaluate_benchmark_end_to_end():
 
 def test_estimates_parameter_short_circuits_prediction():
     program, profile, _ = measured_report()
-    estimates = predict_branches(program)
+    estimates = predict_branches(FlowGraph.from_program(program))
     via_param = compare_to_profile(program, profile, "x", estimates)
     recomputed = compare_to_profile(program, profile, "x")
     assert {s.site: s.estimated_probability for s in via_param.sites} \

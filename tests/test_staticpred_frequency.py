@@ -65,10 +65,9 @@ def flow(source):
 
 def test_self_loop_frequency_matches_the_geometric_sum():
     program, cfg, graph = flow(SELF_LOOP)
-    estimates = predict_branches(program, cfg=cfg, graph=graph)
+    estimates = predict_branches(graph)
     taken_p = estimates[3].taken_probability
-    frequencies = program_frequencies(program, estimates, cfg=cfg,
-                                      graph=graph)
+    frequencies = program_frequencies(graph, estimates)
     # Header multiplier is the closed form 1 / (1 - cyclic probability).
     assert frequencies.block_freq[2] == pytest.approx(1.0 / (1.0 - taken_p))
     # One run enters the loop once and leaves it once.
@@ -89,7 +88,7 @@ loop:
     beq r1, r1, loop
     halt
 """)
-    frequencies = program_frequencies(program, cfg=cfg, graph=graph)
+    frequencies = program_frequencies(graph)
     assert frequencies.block_freq[1] == pytest.approx(
         1.0 / (1.0 - MAX_CYCLIC_PROBABILITY))
 
@@ -106,7 +105,7 @@ def test_irreducible_cycle_has_no_back_edge():
 
 def test_irreducible_region_still_gets_total_finite_frequencies():
     program, cfg, graph = flow(IRREDUCIBLE)
-    frequencies = program_frequencies(program, cfg=cfg, graph=graph)
+    frequencies = program_frequencies(graph)
     leaders = {block.start for block in cfg.blocks}
     assert set(frequencies.block_freq) == leaders
     for leader, value in frequencies.block_freq.items():
@@ -131,7 +130,7 @@ func main:
     call f
     halt
 """)
-    frequencies = program_frequencies(program, cfg=cfg, graph=graph)
+    frequencies = program_frequencies(graph)
     for value in frequencies.function_freq.values():
         assert math.isfinite(value)
         assert 0.0 <= value <= FREQUENCY_CLAMP
@@ -152,12 +151,12 @@ def test_frequencies_and_profiles_are_total_on_generated_programs(source):
     program = compile_source(source, "fuzz")
     cfg = ControlFlowGraph.from_program(program)
     graph = FlowGraph(cfg)
-    frequencies = program_frequencies(program, cfg=cfg, graph=graph)
+    frequencies = program_frequencies(graph)
     for value in frequencies.block_freq.values():
         assert math.isfinite(value)
         assert 0.0 <= value <= FREQUENCY_CLAMP
 
-    profile = estimate_profile(program, cfg=cfg)
+    profile = estimate_profile(program)
     counts = profile.block_counts
     for leader, count in counts.items():
         assert isinstance(count, int)

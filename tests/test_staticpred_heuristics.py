@@ -15,7 +15,7 @@ from repro.isa import assemble
 
 def predictions(source):
     program = assemble(source)
-    return program, predict_branches(program)
+    return program, predict_branches(FlowGraph.from_program(program))
 
 
 def votes_of(estimate):

@@ -43,7 +43,7 @@ def test_scale_must_be_positive():
 def test_quantisation_invariants(name):
     program = compiled(name)
     cfg = ControlFlowGraph.from_program(program)
-    profile = estimate_profile(program, cfg=cfg)
+    profile = estimate_profile(program)
     for leader, count in profile.block_counts.items():
         assert isinstance(count, int) and count >= 1, leader
     for site, execs in profile.branch_execs.items():

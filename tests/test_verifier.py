@@ -66,8 +66,8 @@ def slotted_program(n_slots=2):
 
 
 def error_rules(program):
-    return {diagnostic.rule for diagnostic in verify_program(program)
-            if diagnostic.is_error}
+    return {finding.rule for finding in verify_program(program)
+            if finding.is_error}
 
 
 # -- clean passes ------------------------------------------------------------
@@ -200,7 +200,7 @@ def test_read_of_a_never_written_register():
     assert "use-before-def" in rules
 
 
-def test_unreachable_block_is_a_warning_not_an_error():
+def test_unreachable_block_is_info_not_an_error():
     program = assemble("""
 func main:
     jump end
@@ -209,10 +209,10 @@ func main:
 end:
     halt
 """)
-    diagnostics = verify_program(program)
-    assert [d.rule for d in diagnostics if not d.is_error] == ["unreachable"]
-    assert error_rules(program) == set()
-    assert_valid(program)  # warnings alone must not raise
+    findings = verify_program(program)
+    assert [(finding.rule, finding.severity) for finding in findings] \
+        == [("unreachable", "info")]
+    assert_valid(program)  # infos alone must not raise
 
 
 # -- reporting ---------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_assert_valid_names_the_context_and_rule():
     assert "mutation test" in message
     assert "branch-target" in message
     assert caught.value.context == "mutation test"
-    assert all(d.is_error for d in caught.value.diagnostics)
+    assert all(finding.is_error for finding in caught.value.findings)
 
 
 def test_optimizer_pipeline_blames_the_broken_pass(monkeypatch):
