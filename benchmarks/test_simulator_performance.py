@@ -5,16 +5,15 @@ the throughput of the VM interpreter, the predictor simulators (the
 scalar loop and the vector kernels), and the FS compiler passes — the
 costs that gate paper-scale runs.
 
-Two trajectory files are written next to the repo root on teardown:
-
-* ``BENCH_telemetry.json`` — per-stage wall clock and throughput
-  rates, comparable across PRs;
-* ``BENCH_kernels.json`` — the scalar-vs-vector measurements.
-  The ``test_kernel_*`` tests are the **perf-regression gate**: they
-  fail when the vector kernels lose bit identity with their
-  references, when the headline speedup drops below its floor, or
-  when vector throughput regresses more than 25% against the
-  committed baseline (read before it is rewritten).
+The ``test_kernel_*`` tests are the **perf-regression gate**: they
+fail when the vector kernels lose bit identity with their references,
+when the headline speedup drops below its floor, or when vector
+throughput regresses more than 25% against the committed
+``BENCH_kernels.json`` baseline at the repo root.  The gate never
+writes into the tree: on teardown the fresh scalar-vs-vector
+measurements go to ``bench/BENCH_kernels.json`` under the trace cache
+directory (``REPRO_CACHE_DIR``, default ``.repro_cache/``), and a
+deliberate baseline refresh copies that file over the committed one.
   ``test_vm_compiled_speedup`` gates the compiled-block VM against
   the reference interpreter the same way, and
   ``test_flush_tournament_speedup`` the flush-epoch and tournament
@@ -25,7 +24,6 @@ Two trajectory files are written next to the repo root on teardown:
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -41,12 +39,7 @@ from repro.predictors import (
     Tournament,
     simulate_scalar,
 )
-from repro.telemetry.history import (
-    append_record,
-    flatten_bench_reports,
-    history_path,
-)
-from repro.telemetry.manifest import git_sha
+from repro.experiments.runner import default_cache_dir
 from repro.traceopt import build_fs_program, fill_forward_slots
 from repro.profiling import profile_program
 from repro.vm import Machine
@@ -69,36 +62,19 @@ _SPEEDUP_FLOOR = 25.0
 #: so it gets its own floor; the others are covered by the headline.
 _SCHEME_FLOORS = {"CBTB": 15.0}
 
-#: Rates and stage timings the tests below record; flushed to
-#: BENCH_telemetry.json when the module finishes.
-_TELEMETRY_REPORT = {"rates": {}, "stages": {}}
-
-#: Kernel measurements; flushed to BENCH_kernels.json on teardown.
+#: Kernel measurements; written to bench/BENCH_kernels.json under the
+#: trace cache directory on teardown.
 _KERNEL_REPORT = {"workload": {}, "schemes": {}, "headline": {}}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_bench_telemetry():
+def _write_fresh_kernel_numbers():
     yield
-    # Partial runs (e.g. `-k kernel`) must not wipe the trajectory
-    # file the deselected tests would have filled.
-    if _TELEMETRY_REPORT["rates"] or _TELEMETRY_REPORT["stages"]:
-        path = _REPO_ROOT / "BENCH_telemetry.json"
-        path.write_text(json.dumps(_TELEMETRY_REPORT, indent=2,
-                                   sort_keys=True) + "\n")
     if _KERNEL_REPORT["schemes"]:
-        path = _REPO_ROOT / "BENCH_kernels.json"
+        path = default_cache_dir() / "bench" / "BENCH_kernels.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(_KERNEL_REPORT, indent=2,
                                    sort_keys=True) + "\n")
-    # Longitudinal trajectory: the snapshots above are overwritten in
-    # place, so each gate run also appends one flattened record to the
-    # append-only history (`repro-branches bench-history` reads it).
-    metrics = flatten_bench_reports(_TELEMETRY_REPORT, _KERNEL_REPORT)
-    if metrics:
-        append_record(history_path(_REPO_ROOT), metrics,
-                      git_sha=git_sha(_REPO_ROOT),
-                      scale=float(os.environ.get("REPRO_BENCH_SCALE",
-                                                 "0.1")))
 
 
 def test_vm_throughput(benchmark):
@@ -112,7 +88,6 @@ def test_vm_throughput(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     rate = result.instructions / benchmark.stats.stats.mean
-    _TELEMETRY_REPORT["rates"]["vm_instructions_per_second"] = rate
     print("\nVM throughput: %.0f instructions/second "
           "(%d instructions per run)" % (rate, result.instructions))
     assert rate > 100_000  # the floor that keeps paper-scale runs sane
@@ -178,9 +153,8 @@ def test_vm_tracing_overhead(benchmark):
 def test_predictor_throughput(benchmark, runner, all_runs):
     """Branch records per second through the SBTB + CBTB simulators.
 
-    Runs the scalar loop: the rate floor (and the trajectory in
-    BENCH_telemetry.json) measures the per-record loop, not the
-    kernels — those have their own gate below.
+    Runs the scalar loop: the rate floor measures the per-record loop,
+    not the kernels — those have their own gate below.
     """
     largest = max(all_runs.values(), key=lambda run: len(run.trace))
 
@@ -190,7 +164,6 @@ def test_predictor_throughput(benchmark, runner, all_runs):
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     rate = 2 * len(largest.trace) / benchmark.stats.stats.mean
-    _TELEMETRY_REPORT["rates"]["predictor_records_per_second"] = rate
     print("\npredictor throughput: %.0f records/second" % rate)
     assert rate > 50_000
 
@@ -227,7 +200,7 @@ def test_kernel_engines_match_and_speed_up(all_runs):
     both paths.  Fails if any scheme's stats differ between the
     paths (bit identity is the kernels' contract) or if the
     aggregate speedup falls below ``_SPEEDUP_FLOOR``.  The teardown
-    fixture persists the numbers to ``BENCH_kernels.json``.
+    fixture writes the numbers under the trace cache directory.
     """
     name, run = max(all_runs.items(), key=lambda kv: len(kv[1].trace))
     trace = run.trace
@@ -309,9 +282,9 @@ def test_flush_tournament_speedup(all_runs):
 
 
 def _committed_kernels_baseline():
-    """The committed ``BENCH_kernels.json``, read before teardown
-    rewrites it; skips the calling gate when there is no baseline or
-    it was measured on another workload (rates are only comparable on
+    """The committed ``BENCH_kernels.json`` at the repo root; skips
+    the calling gate when there is no baseline or it was measured on
+    another workload (rates are only comparable on
     the same record count, so a different ``REPRO_BENCH_SCALE`` skips
     too)."""
     baseline_path = _REPO_ROOT / "BENCH_kernels.json"
@@ -338,8 +311,7 @@ def _assert_no_regression(label, old, new):
 def test_kernel_throughput_regression_gate(all_runs):
     """Fail when vector throughput regresses >25% vs the baseline.
 
-    Compares against the committed ``BENCH_kernels.json`` (the
-    previous run's measurements, read before teardown rewrites it).
+    Compares against the committed ``BENCH_kernels.json`` baseline.
     """
     if not _KERNEL_REPORT["headline"]:
         pytest.skip("speedup test did not run; nothing to compare")
@@ -357,8 +329,8 @@ def test_kernel_cycle_sim_speedup(all_runs):
     and checks every field against ``OracleCycleInterpreter`` driving
     the same predictor record by record.  Fails when its rate drops
     below ``_REGRESSION_FLOOR`` of the committed
-    ``schemes.cycle_sim.vector_records_per_second``; the measurement
-    lands in ``BENCH_kernels.json`` under ``schemes.cycle_sim``.
+    ``schemes.cycle_sim.vector_records_per_second``; the fresh
+    measurement is written under ``schemes.cycle_sim``.
     """
     from repro.conformance.oracles import OracleCycleInterpreter
     from repro.pipeline.config import PipelineConfig
@@ -426,21 +398,12 @@ def test_cycle_sim_throughput(benchmark, all_runs):
 
     stats = benchmark.pedantic(run, rounds=3, iterations=1)
     rate = len(largest.trace) / benchmark.stats.stats.mean
-    _TELEMETRY_REPORT["rates"]["cycle_sim_records_per_second"] = rate
-    _TELEMETRY_REPORT["rates"]["cycle_sim_instructions_per_second"] = (
-        stats.instructions / benchmark.stats.stats.mean)
     print("\ncycle sim throughput: %.0f records/second" % rate)
     assert stats.cycles > stats.instructions
 
 
 def test_pipeline_stage_telemetry(runner):
-    """A telemetry-enabled run exposes stage spans and key counters.
-
-    Also the source of the per-stage wall clock in
-    ``BENCH_telemetry.json``: the stage timings come from the run
-    manifest (always measured), the counters prove instrumentation
-    fires when the registry is on.
-    """
+    """A telemetry-enabled run exposes stage spans and key counters."""
     from repro.telemetry.core import TELEMETRY
     from repro.telemetry.sinks import InMemoryAggregator
 
@@ -459,7 +422,3 @@ def test_pipeline_stage_telemetry(runner):
     assert any(name.startswith("span.runner.")
                for name in snapshot["histograms"])
     assert sink.named("predictor.simulate")
-
-    manifest = run.manifest
-    if manifest is not None:
-        _TELEMETRY_REPORT["stages"] = dict(manifest.stages)

@@ -454,14 +454,12 @@ def _sweep_checkpoint(runner, names, sections, label, resume):
     """The checkpoint for a multi-table sweep, or None when disabled."""
     if not resume or runner.cache_dir is None:
         return None
-    from repro.experiments.runner import CACHE_FORMAT_VERSION
     from repro.resilience.checkpoint import (
         SweepCheckpoint,
         sweep_fingerprint,
     )
 
-    fingerprint = sweep_fingerprint(sections, runner.config, names,
-                                    CACHE_FORMAT_VERSION)
+    fingerprint = sweep_fingerprint(sections, runner.config, names)
     path = (runner.cache_dir / "checkpoints"
             / ("%s-%s.json" % (label, fingerprint)))
     return SweepCheckpoint(path, fingerprint)

@@ -84,20 +84,19 @@ def _compare_predictions(index, record, mine, theirs, taken, target):
     return None
 
 
-def replay_divergence(production, oracle, trace, ras_returns=True,
-                      compare_state=True):
+def replay_divergence(production, oracle, trace):
     """Run both sides over ``trace``; return the first Divergence or None.
 
     Mirrors :func:`repro.predictors.base.simulate`'s record handling:
-    with ``ras_returns`` (the default) return records never reach
-    either predictor.  With ``compare_state`` the full buffer snapshot
-    is compared after every update — this is what makes replay
-    *bit-for-bit*: two runs that agree on every snapshot make identical
-    decisions forever after.
+    return records never reach either predictor (the return-address
+    mechanism covers them).  The full buffer snapshot is compared after
+    every update — this is what makes replay *bit-for-bit*: two runs
+    that agree on every snapshot make identical decisions forever
+    after.
     """
     for index, record in enumerate(trace.records()):
         site, branch_class, taken, target, _gap = record
-        if branch_class == BranchClass.RETURN and ras_returns:
+        if branch_class == BranchClass.RETURN:
             continue
         mine = production.predict(site, branch_class)
         theirs = oracle.predict(site, branch_class)
@@ -107,17 +106,15 @@ def replay_divergence(production, oracle, trace, ras_returns=True,
             return divergence
         production.update(site, branch_class, taken, target)
         oracle.update(site, branch_class, taken, target)
-        if compare_state:
-            mine_state = production_state(production)
-            theirs_state = oracle.state()
-            if theirs_state and mine_state != theirs_state:
-                return Divergence("state", index, record,
-                                  mine_state, theirs_state)
+        mine_state = production_state(production)
+        theirs_state = oracle.state()
+        if theirs_state and mine_state != theirs_state:
+            return Divergence("state", index, record,
+                              mine_state, theirs_state)
     return None
 
 
-def engine_divergence(make_predictor, trace, ras_returns=True,
-                      conditional_only=False):
+def engine_divergence(make_predictor, trace):
     """Compare the scalar and vector simulation paths on one trace.
 
     Simulates a fresh predictor from ``make_predictor`` once through
@@ -133,20 +130,15 @@ def engine_divergence(make_predictor, trace, ras_returns=True,
 
     if not supports(make_predictor()):
         return None
-    scalar = simulate_scalar(make_predictor(), trace,
-                             conditional_only=conditional_only,
-                             ras_returns=ras_returns)
-    vector = simulate_vector(make_predictor(), trace,
-                             conditional_only=conditional_only,
-                             ras_returns=ras_returns)
+    scalar = simulate_scalar(make_predictor(), trace)
+    vector = simulate_vector(make_predictor(), trace)
     if scalar != vector:
         return Divergence("engine", None, None, scalar.as_dict(),
                           vector.as_dict())
     return None
 
 
-def cycle_divergence(config, make_production, make_oracle, trace,
-                     ras_returns=True):
+def cycle_divergence(config, make_production, make_oracle, trace):
     """Compare the production cycle simulator against the interpreter.
 
     Args:
@@ -160,10 +152,8 @@ def cycle_divergence(config, make_production, make_oracle, trace,
     from repro.conformance.oracles import OracleCycleInterpreter
     from repro.pipeline.cycle_sim import CycleSimulator
 
-    fast = CycleSimulator(config, make_production(),
-                          ras_returns=ras_returns).run(trace)
-    slow = OracleCycleInterpreter(config, make_oracle(),
-                                  ras_returns=ras_returns).run(trace)
+    fast = CycleSimulator(config, make_production()).run(trace)
+    slow = OracleCycleInterpreter(config, make_oracle()).run(trace)
     for field in ("fill_cycles", "mispredictions", "squashed_cycles",
                   "cycles"):
         mine = getattr(fast, field)
@@ -177,7 +167,11 @@ def cycle_divergence(config, make_production, make_oracle, trace,
     return None
 
 
-def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
+#: Budget on predicate evaluations per shrink.
+SHRINK_TESTS = 2000
+
+
+def shrink_trace(trace, still_fails, seed=0):
     """Delta-debug ``trace`` to a minimal failing reproducer.
 
     Args:
@@ -188,11 +182,10 @@ def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
         seed: chunk-order shuffle seed — shrinking is deterministic per
             seed (different seeds may find different, equally minimal,
             reproducers).
-        max_tests: budget on predicate evaluations.
 
     Returns the shrunk :class:`BranchTrace` (1-minimal: removing any
-    single remaining record makes the failure disappear, budget
-    permitting).
+    single remaining record makes the failure disappear, within
+    :data:`SHRINK_TESTS` evaluations).
     """
     records = list(trace.records())
     if not still_fails(BranchTrace.from_records(records)):
@@ -200,7 +193,7 @@ def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
     rng = random.Random(seed)
     tests = 0
     granularity = 2
-    while len(records) >= 2 and tests < max_tests:
+    while len(records) >= 2 and tests < SHRINK_TESTS:
         chunk = max(1, len(records) // granularity)
         starts = list(range(0, len(records), chunk))
         rng.shuffle(starts)
@@ -215,7 +208,7 @@ def shrink_trace(trace, still_fails, seed=0, max_tests=2000):
                 granularity = max(granularity - 1, 2)
                 reduced = True
                 break
-            if tests >= max_tests:
+            if tests >= SHRINK_TESTS:
                 break
         if not reduced:
             if chunk == 1:

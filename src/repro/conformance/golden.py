@@ -13,8 +13,8 @@ Two complementary checks over the experiment pipeline's numbers:
   regenerating the file (``repro-branches conformance
   --update-golden``).
 
-Both return a flat list of human-readable violation strings; empty
-means pass.
+Both read one :func:`measure` result and return a flat list of
+human-readable violation strings; empty means pass.
 """
 
 import json
@@ -38,6 +38,9 @@ GOLDEN_CONFIG = {
 
 GOLDEN_FORMAT = 1
 
+#: Relative tolerance of the golden comparison (float noise only).
+_TOLERANCE = 1e-9
+
 #: Declared tolerance bands around the paper's values.  DESIGN.md §6.9
 #: documents why the substrate deviates (scaled inputs, Minic codegen);
 #: the bands assert the deviations stay bounded.
@@ -57,10 +60,20 @@ PAPER_BANDS = {
 _SLOT_COUNTS = (1, 2, 4, 8)
 
 
-def measure(runner, names):
-    """All golden-checked quantities for ``names``, JSON-serialisable."""
+def measure(cache=True):
+    """All golden-checked quantities at :data:`GOLDEN_CONFIG`.
+
+    Builds one runner at the pinned configuration (through the trace
+    cache unless ``cache`` is False) and returns a JSON-serialisable
+    ``{benchmark: row}`` dict that both checks below read.
+    """
+    from repro.experiments.runner import SuiteRunner
+
+    runner = SuiteRunner(scale=GOLDEN_CONFIG["scale"],
+                         runs=GOLDEN_CONFIG["runs"],
+                         cache_dir=None if cache else False)
     data = {}
-    for name in names:
+    for name in GOLDEN_CONFIG["benchmarks"]:
         run = runner.run(name)
         predictions = run.predictions()
         stats = run.stats
@@ -85,15 +98,15 @@ def measure(runner, names):
     return data
 
 
-def check_paper_bands(runner, names=None):
-    """Violations of the declared bands around the paper's values."""
-    names = list(names or GOLDEN_CONFIG["benchmarks"])
+def check_paper_bands(measured):
+    """Violations of the declared bands around the paper's values.
+
+    ``measured`` is the :func:`measure` result.
+    """
     bands = PAPER_BANDS
     low, high = bands["accuracy_range"]
     violations = []
-    measured = measure(runner, names)
-    for name in names:
-        row = measured[name]
+    for name, row in measured.items():
         paper = paper_values.TABLE3[name]
         paper_by_key = {
             "accuracy_sbtb": paper[1],
@@ -169,71 +182,58 @@ def _structural_violations(name, row):
     return violations
 
 
-def _golden_runner(cache):
-    from repro.experiments.runner import SuiteRunner
-
-    return SuiteRunner(scale=GOLDEN_CONFIG["scale"],
-                       runs=GOLDEN_CONFIG["runs"],
-                       cache_dir=None if cache else False)
-
-
 def write_golden(path=None, cache=True):
     """Measure at the pinned configuration and write the golden file."""
     path = Path(path) if path else GOLDEN_PATH
-    runner = _golden_runner(cache)
     payload = {
         "format": GOLDEN_FORMAT,
         "config": GOLDEN_CONFIG,
-        "measured": measure(runner, GOLDEN_CONFIG["benchmarks"]),
+        "measured": measure(cache),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def check_golden(path=None, cache=True, tolerance=1e-9):
-    """Compare a fresh pinned-config measurement against the golden file.
+def check_golden(measured, path=None):
+    """Compare the :func:`measure` result against the golden file.
 
-    The golden file embeds the configuration it was measured at, so
-    this check is self-contained: it builds its own runner.  Each
-    trace takes the path ``simulate()`` picks (the kernels for the
-    long traces, the scalar loop for those under the size threshold),
-    so a kernel that drifted from the committed trajectory fails here
-    even if it agrees with an equally drifted scalar loop.  Returns a
-    list of violation strings (empty = pass).
+    Each trace takes the path ``simulate()`` picks (the vector kernel
+    for every scheme that has one), so a kernel that drifted from the
+    committed trajectory fails here even if it agrees with an equally
+    drifted scalar loop.  A file measured at another configuration
+    than :data:`GOLDEN_CONFIG` cannot be compared and must be
+    regenerated.  Returns a list of violation strings (empty = pass).
     """
     path = Path(path) if path else GOLDEN_PATH
+    regenerate = "run `repro-branches conformance --update-golden`"
     if not path.exists():
-        return ["golden file missing: %s (run `repro-branches "
-                "conformance --update-golden`)" % path]
+        return ["golden file missing: %s (%s)" % (path, regenerate)]
     payload = json.loads(path.read_text())
     if payload.get("format") != GOLDEN_FORMAT:
         return ["golden file %s has format %r, expected %r"
                 % (path, payload.get("format"), GOLDEN_FORMAT)]
-    config = payload["config"]
-    from repro.experiments.runner import SuiteRunner
-
-    runner = SuiteRunner(scale=config["scale"], runs=config["runs"],
-                         cache_dir=None if cache else False)
-    fresh = measure(runner, config["benchmarks"])
+    if payload.get("config") != GOLDEN_CONFIG:
+        return ["golden file %s was measured at %r, not the pinned %r "
+                "(%s)" % (path, payload.get("config"), GOLDEN_CONFIG,
+                          regenerate)]
     violations = []
     for name, golden_row in payload["measured"].items():
-        fresh_row = fresh.get(name)
+        fresh_row = measured.get(name)
         if fresh_row is None:
             violations.append("%s: missing from fresh measurement" % name)
             continue
-        violations.extend(_compare_rows(name, golden_row, fresh_row,
-                                        tolerance))
+        violations.extend(_compare_rows(name, golden_row, fresh_row))
     return violations
 
 
-def _compare_rows(name, golden_row, fresh_row, tolerance):
+def _compare_rows(name, golden_row, fresh_row):
     violations = []
     for key, golden_value in golden_row.items():
         fresh_value = fresh_row.get(key)
         for label, gold, got in _flatten(key, golden_value, fresh_value):
             if isinstance(gold, float) or isinstance(got, float):
                 same = (got is not None
-                        and abs(got - gold) <= tolerance * max(
+                        and abs(got - gold) <= _TOLERANCE * max(
                             1.0, abs(gold)))
             else:
                 same = got == gold

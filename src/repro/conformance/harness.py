@@ -1,21 +1,24 @@
-"""The conformance run: fuzz -> differential replay -> golden tables.
+"""The conformance run: probes and fuzz -> differential replay -> golden.
 
-One call to :func:`run_conformance` drives, per seed:
+One call to :func:`run_conformance` checks every trace — first the
+characterization probe battery, then one fuzzed trace (and its
+likely-bit map) per seed from
+:class:`~repro.conformance.fuzz.TraceFuzzer` — with one loop over one
+scheme table:
 
-1. a fuzzed trace (and its likely-bit map) from
-   :class:`~repro.conformance.fuzz.TraceFuzzer`;
-2. lockstep differential replay of SBTB, CBTB, and FS against their
-   oracles, including buffer-state comparison after every record, plus
-   a scalar-vs-vector cross-check of each scheme's
-   ``PredictionStats`` over the same trace;
-3. a cycle-level differential of the production
+1. lockstep differential replay of each scheme against its oracle,
+   including buffer-state comparison after every record;
+2. a scalar-vs-vector cross-check of the scheme's ``PredictionStats``
+   over the same trace;
+3. on fuzzed traces, a cycle-level differential of the production
    :class:`~repro.pipeline.cycle_sim.CycleSimulator` (always the batch
    kernel, :mod:`repro.kernels.cycle`) against the straight-line
    oracle interpreter, once per pipeline shape;
 
-and then, once, the golden-table layer (paper tolerance bands and the
-committed golden JSON).  Any divergence is shrunk to a minimal
-reproducer and reported — and emitted as a structured
+and then, once, the golden-table layer: one measurement at the pinned
+configuration, checked against the paper tolerance bands and the
+committed golden JSON.  Any replay or engine divergence is shrunk to a
+minimal reproducer and reported — and emitted as a structured
 ``conformance.divergence`` telemetry event so a CI run's JSONL log
 pinpoints the failure without rerunning anything.
 """
@@ -27,7 +30,11 @@ from repro.conformance.differential import (
     shrink_trace,
 )
 from repro.conformance.fuzz import TraceFuzzer
-from repro.conformance.golden import check_golden, check_paper_bands
+from repro.conformance.golden import (
+    check_golden,
+    check_paper_bands,
+    measure,
+)
 from repro.conformance.oracles import oracle_for
 from repro.pipeline.config import PipelineConfig
 from repro.predictors import (
@@ -48,37 +55,51 @@ _ENTRIES = 16
 _CYCLE_CONFIGS = (PipelineConfig(1, 1, 1), PipelineConfig(2, 4, 4))
 
 
-def _scheme_pairs(fuzzer):
-    """(scheme, make_production, make_oracle) for one fuzzed skeleton."""
-    likely = fuzzer.likely_sites()
-    return (
+def _schemes(likely_sites):
+    """The scheme table: (scheme, make_production, make_oracle) rows.
+
+    A fuzzed trace comes with a likely-bit map and checks the three
+    paper schemes against their oracles.  A probe trace has no map, so
+    FS sits it out, and the history-based kernels, which have no
+    oracle (``make_oracle`` is None), join it for the engine
+    cross-check.
+    """
+    schemes = [
         ("SBTB",
          lambda: SimpleBTB(entries=_ENTRIES),
          lambda: oracle_for("SBTB", entries=_ENTRIES)),
         ("CBTB",
          lambda: CounterBTB(entries=_ENTRIES),
          lambda: oracle_for("CBTB", entries=_ENTRIES)),
-        ("FS",
-         lambda: ForwardSemanticPredictor(likely_sites=likely),
-         lambda: oracle_for("FS", likely_sites=likely)),
-    )
+    ]
+    if likely_sites is not None:
+        schemes.append(
+            ("FS",
+             lambda: ForwardSemanticPredictor(likely_sites=likely_sites),
+             lambda: oracle_for("FS", likely_sites=likely_sites)))
+    else:
+        schemes += [
+            ("gshare", lambda: GShare(history_bits=4, entries=_ENTRIES),
+             None),
+            ("bimodal", lambda: Bimodal(entries=_ENTRIES), None),
+        ]
+    return schemes
 
 
 class DivergenceFinding:
     """A shrunk, reportable conformance failure."""
 
-    __slots__ = ("scheme", "seed", "kind", "divergence", "reproducer")
+    __slots__ = ("scheme", "seed", "divergence", "reproducer")
 
-    def __init__(self, scheme, seed, kind, divergence, reproducer):
+    def __init__(self, scheme, seed, divergence, reproducer):
         self.scheme = scheme
         self.seed = seed
-        self.kind = kind
         self.divergence = divergence
         self.reproducer = reproducer
 
     def describe(self):
         lines = ["%s (seed %d, %s): %s"
-                 % (self.scheme, self.seed, self.kind,
+                 % (self.scheme, self.seed, self.divergence.kind,
                     self.divergence.describe())]
         if self.reproducer is not None:
             lines.append("  minimal reproducer (%d records):"
@@ -91,12 +112,10 @@ class DivergenceFinding:
 class ConformanceReport:
     """Everything one conformance run observed."""
 
-    def __init__(self, seeds, schemes):
+    def __init__(self, seeds):
         self.seeds = seeds
-        self.schemes = tuple(schemes)
         self.replays = 0
         self.cycle_checks = 0
-        self.vector_cycle_checks = 0
         self.engine_checks = 0
         self.probe_checks = 0
         self.findings = []
@@ -112,7 +131,7 @@ class ConformanceReport:
     def render(self):
         lines = ["Conformance: %d seeds x %d oracles (%d replays, "
                  "%d cycle checks)"
-                 % (self.seeds, len(self.schemes), self.replays,
+                 % (self.seeds, len(_schemes({})), self.replays,
                     self.cycle_checks)]
         if self.findings:
             lines.append("DIVERGENCES (%d):" % len(self.findings))
@@ -121,11 +140,12 @@ class ConformanceReport:
             lines.append("differential replay: zero divergences")
         lines.append("engine cross-check (scalar vs vector): "
                      "%d comparisons" % self.engine_checks)
+        # Every cycle check runs the batch kernel, so the cycle count
+        # is also the count of kernel-vs-interpreter comparisons.
         lines.append("vector cycle-sim vs oracle interpreter: "
-                     "%d comparisons" % self.vector_cycle_checks)
-        if self.probe_checks:
-            lines.append("characterization probe battery: "
-                         "%d scheme x probe replays" % self.probe_checks)
+                     "%d comparisons" % self.cycle_checks)
+        lines.append("characterization probe battery: "
+                     "%d scheme x probe replays" % self.probe_checks)
         if self.golden_checked:
             for label, violations in (
                     ("paper tolerance bands", self.band_violations),
@@ -145,9 +165,8 @@ class ConformanceReport:
 
 
 def _note_divergence(report, scheme, seed, divergence, reproducer):
-    finding = DivergenceFinding(scheme, seed, divergence.kind, divergence,
-                                reproducer)
-    report.findings.append(finding)
+    report.findings.append(DivergenceFinding(scheme, seed, divergence,
+                                             reproducer))
     TELEMETRY.count("conformance.divergences")
     TELEMETRY.event(
         "conformance.divergence", scheme=scheme, seed=seed,
@@ -158,129 +177,94 @@ def _note_divergence(report, scheme, seed, divergence, reproducer):
                             if reproducer is not None else None))
 
 
-def _run_probe_battery(report):
-    """Replay the characterization probe corpus differentially.
+def _diverged(report, label, seed, trace, diverges):
+    """Note the divergence ``diverges(trace)`` finds, shrunk to a minimal
+    reproducer; True when there was one.  Probe traces (seed -1) shrink
+    with seed 0."""
+    divergence = diverges(trace)
+    if divergence is None:
+        return False
+    reproducer = shrink_trace(trace, lambda t: diverges(t) is not None,
+                              seed=max(seed, 0))
+    _note_divergence(report, label, seed, divergence, reproducer)
+    return True
 
-    The probe traces (capacity chains, alias chains, counter steps,
-    history ladders, victim probes, disagreement weaves — see
-    :func:`repro.characterize.probes.probe_battery`) are adversarial
-    by construction: they oversubscribe sets and maximise aliasing,
-    regimes the program-skeleton fuzzer essentially never reaches.
-    Each trace runs through (a) lockstep oracle replay for the schemes
-    that have reference oracles and (b) the scalar-vs-vector
-    cross-check for every kernel-backed scheme; divergences are shrunk
-    like any fuzz finding.
+
+def _check_trace(report, trace, seed, schemes, probe):
+    """Check every scheme of ``schemes`` on one trace.
+
+    Per scheme: oracle replay (when the scheme has an oracle), the
+    engine cross-check, and on fuzzed traces the cycle check at each
+    pipeline shape; a divergence ends that scheme's checks.  ``probe``
+    is None for a fuzzed trace and names a probe trace, which counts
+    every check in ``probe_checks`` and labels findings
+    ``SCHEME@probe:NAME`` and ``SCHEME@engine:NAME``.  Cycle
+    divergences are noted unshrunk.
     """
-    from repro.characterize.probes import probe_battery
-
-    oracle_schemes = (
-        ("SBTB", lambda: SimpleBTB(entries=_ENTRIES),
-         lambda: oracle_for("SBTB", entries=_ENTRIES)),
-        ("CBTB", lambda: CounterBTB(entries=_ENTRIES),
-         lambda: oracle_for("CBTB", entries=_ENTRIES)),
-    )
-    engine_schemes = (
-        ("SBTB", lambda: SimpleBTB(entries=_ENTRIES)),
-        ("CBTB", lambda: CounterBTB(entries=_ENTRIES)),
-        ("gshare", lambda: GShare(history_bits=4, entries=_ENTRIES)),
-        ("bimodal", lambda: Bimodal(entries=_ENTRIES)),
-    )
-    for family, name, trace in probe_battery(entries=_ENTRIES):
-        probe = "%s/%s" % (family, name)
-        for scheme, make_production, make_oracle in oracle_schemes:
+    fuzzed = probe is None
+    replay_suffix = "" if fuzzed else "@probe:" + probe
+    engine_suffix = "@engine" if fuzzed else "@engine:" + probe
+    for scheme, make_production, make_oracle in schemes:
+        if make_oracle is not None:
+            if fuzzed:
+                report.replays += 1
+            else:
+                report.probe_checks += 1
+            if _diverged(report, scheme + replay_suffix, seed, trace,
+                         lambda t: replay_divergence(
+                             make_production(), make_oracle(), t)):
+                continue
+        if fuzzed:
+            report.engine_checks += 1
+        else:
             report.probe_checks += 1
-            divergence = replay_divergence(make_production(),
-                                           make_oracle(), trace)
+        if _diverged(report, scheme + engine_suffix, seed, trace,
+                     lambda t: engine_divergence(make_production, t)):
+            continue
+        if not fuzzed:
+            continue
+        for config in _CYCLE_CONFIGS:
+            report.cycle_checks += 1
+            divergence = cycle_divergence(config, make_production,
+                                          make_oracle, trace)
             if divergence is not None:
-                reproducer = shrink_trace(
-                    trace,
-                    lambda t, mp=make_production, mo=make_oracle:
-                    replay_divergence(mp(), mo(), t) is not None)
-                _note_divergence(report, "%s@probe:%s" % (scheme, probe),
-                                 -1, divergence, reproducer)
-        for scheme, make_production in engine_schemes:
-            report.probe_checks += 1
-            divergence = engine_divergence(make_production, trace)
-            if divergence is not None:
-                reproducer = shrink_trace(
-                    trace,
-                    lambda t, mp=make_production:
-                    engine_divergence(mp, t) is not None)
-                _note_divergence(report,
-                                 "%s@engine:%s" % (scheme, probe),
-                                 -1, divergence, reproducer)
+                _note_divergence(report, "%s@%r" % (scheme, config),
+                                 seed, divergence, None)
 
 
-def run_conformance(seeds=200, first_seed=0, golden=True, cache=True,
-                    schemes=("SBTB", "CBTB", "FS"), probes=True):
+def run_conformance(seeds=200, golden=True, cache=True):
     """Run the full conformance battery; returns a ConformanceReport.
 
     Args:
         seeds: fuzz seeds to replay (each seed covers every scheme and
             both cycle-differential pipeline shapes).
-        first_seed: start of the seed range (CI shards can split it).
         golden: also run the paper-band and golden-file checks.
         cache: let the golden layer use the trace cache.
-        schemes: subset of production schemes to check differentially.
-        probes: also replay the characterization probe battery (fixed
-            adversarial traces) through the oracles and both
-            simulation paths.
+
+    The characterization probe battery (fixed adversarial traces, see
+    :func:`repro.characterize.probes.probe_battery`) runs first: it
+    oversubscribes sets and maximises aliasing, regimes the
+    program-skeleton fuzzer essentially never reaches.
     """
-    report = ConformanceReport(seeds, schemes)
-    if probes:
-        with TELEMETRY.span("conformance.probes"):
-            _run_probe_battery(report)
+    from repro.characterize.probes import probe_battery
+
+    report = ConformanceReport(seeds)
+    with TELEMETRY.span("conformance.probes"):
+        schemes = _schemes(None)
+        for family, name, trace in probe_battery(entries=_ENTRIES):
+            _check_trace(report, trace, -1, schemes,
+                         probe="%s/%s" % (family, name))
     with TELEMETRY.span("conformance.differential", seeds=seeds):
-        for seed in range(first_seed, first_seed + seeds):
+        for seed in range(seeds):
             TELEMETRY.count("conformance.seeds")
             fuzzer = TraceFuzzer(seed)
-            trace = fuzzer.trace()
-            pairs = [pair for pair in _scheme_pairs(fuzzer)
-                     if pair[0] in schemes]
-            for scheme, make_production, make_oracle in pairs:
-                report.replays += 1
-                divergence = replay_divergence(make_production(),
-                                               make_oracle(), trace)
-                if divergence is not None:
-                    reproducer = shrink_trace(
-                        trace,
-                        lambda t, mp=make_production, mo=make_oracle:
-                        replay_divergence(mp(), mo(), t) is not None,
-                        seed=seed)
-                    _note_divergence(report, scheme, seed, divergence,
-                                     reproducer)
-                    continue
-                report.engine_checks += 1
-                divergence = engine_divergence(make_production, trace)
-                if divergence is not None:
-                    reproducer = shrink_trace(
-                        trace,
-                        lambda t, mp=make_production:
-                        engine_divergence(mp, t) is not None,
-                        seed=seed)
-                    _note_divergence(report, "%s@engine" % scheme, seed,
-                                     divergence, reproducer)
-                    continue
-                for config in _CYCLE_CONFIGS:
-                    # Every cycle run is a kernel run, so this one
-                    # check counts toward both totals.
-                    report.cycle_checks += 1
-                    report.vector_cycle_checks += 1
-                    divergence = cycle_divergence(
-                        config, make_production, make_oracle, trace)
-                    if divergence is not None:
-                        _note_divergence(report, "%s@%r" % (scheme, config),
-                                         seed, divergence, None)
+            _check_trace(report, fuzzer.trace(), seed,
+                         _schemes(fuzzer.likely_sites()), None)
     if golden:
         with TELEMETRY.span("conformance.golden"):
-            from repro.experiments.runner import SuiteRunner
-            from repro.conformance.golden import GOLDEN_CONFIG
-
-            runner = SuiteRunner(scale=GOLDEN_CONFIG["scale"],
-                                 runs=GOLDEN_CONFIG["runs"],
-                                 cache_dir=None if cache else False)
-            report.band_violations = check_paper_bands(runner)
-            report.golden_violations = check_golden(cache=cache)
+            measured = measure(cache)
+            report.band_violations = check_paper_bands(measured)
+            report.golden_violations = check_golden(measured)
             report.golden_checked = True
             TELEMETRY.count("conformance.band_violations",
                             len(report.band_violations))
@@ -289,6 +273,5 @@ def run_conformance(seeds=200, first_seed=0, golden=True, cache=True,
     TELEMETRY.event("conformance.result", ok=report.ok,
                     seeds=seeds, replays=report.replays,
                     cycle_checks=report.cycle_checks,
-                    vector_cycle_checks=report.vector_cycle_checks,
                     divergences=len(report.findings))
     return report

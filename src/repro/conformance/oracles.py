@@ -260,10 +260,9 @@ class OracleCycleInterpreter:
     :class:`repro.pipeline.cycle_sim.CycleSimulator`'s arithmetic.
     """
 
-    def __init__(self, config, predictor, ras_returns=True):
+    def __init__(self, config, predictor):
         self.config = config
         self.predictor = predictor
-        self.ras_returns = ras_returns
 
     def run(self, trace):
         from repro.predictors.base import is_correct
@@ -280,7 +279,7 @@ class OracleCycleInterpreter:
             stats.instructions += 1              # the branch retires too
             stats.cycles += 1
             stats.branches += 1
-            if branch_class == BranchClass.RETURN and self.ras_returns:
+            if branch_class == BranchClass.RETURN:
                 continue                         # covered by the RAS
             prediction = self.predictor.predict(site, branch_class)
             covered = is_correct(prediction, taken, target)

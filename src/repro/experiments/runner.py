@@ -182,39 +182,28 @@ class BenchmarkRun:
     def source_lines(self):
         return self.spec.source_lines()
 
-    def predictions(self, entries=256, associativity=None,
-                    counter_bits=2, threshold=2):
+    def predictions(self):
         """PredictionStats per scheme over the evaluation trace.
 
-        The default parameters are the paper's configuration; the
-        result for that configuration is memoised, and the trace's
-        kernel encoding is released once it is, since no paper table
-        simulates the trace again.  Other configurations keep the
-        encoding for the next call.
+        Simulates the paper's configuration (256-entry buffers, a 2-bit
+        CBTB counter with threshold 2) once and memoises the result.
+        The trace's kernel encoding is then released, since no paper
+        table simulates the trace again.
         """
-        default = (entries == 256 and associativity is None
-                   and counter_bits == 2 and threshold == 2)
-        if default and self._predictions is not None:
-            return self._predictions
-        with TELEMETRY.span("runner.predict", benchmark=self.name,
-                            entries=entries):
-            results = {
-                "SBTB": simulate(SimpleBTB(entries, associativity),
-                                 self.trace),
-                "CBTB": simulate(
-                    CounterBTB(entries, associativity, counter_bits,
-                               threshold),
-                    self.trace),
-                "FS": simulate(
-                    ForwardSemanticPredictor(program=self.fs_program),
-                    self.trace),
-            }
-        if default:
+        if self._predictions is None:
             from repro.kernels import EncodedTrace
 
-            self._predictions = results
+            with TELEMETRY.span("runner.predict", benchmark=self.name,
+                                entries=256):
+                self._predictions = {
+                    "SBTB": simulate(SimpleBTB(256), self.trace),
+                    "CBTB": simulate(CounterBTB(256), self.trace),
+                    "FS": simulate(
+                        ForwardSemanticPredictor(program=self.fs_program),
+                        self.trace),
+                }
             EncodedTrace.release(self.trace)
-        return results
+        return self._predictions
 
     def expansions(self):
         """Table 5's code-size reports, one per slot count."""

@@ -32,7 +32,7 @@ from repro.kernels.encode import EncodedTrace
 from repro.vm.tracing import BranchClass
 
 
-def cycle_kernel(config, predictor, trace, ras_returns=True):
+def cycle_kernel(config, predictor, trace):
     """Raw cycle accounting for ``trace``; returns a plain dict.
 
     The caller (:class:`~repro.pipeline.cycle_sim.CycleSimulator`)
@@ -42,10 +42,9 @@ def cycle_kernel(config, predictor, trace, ras_returns=True):
     from repro.kernels.aggregate import outcomes
 
     enc = EncodedTrace.of(trace)
-    # With the return-address mechanism the reference never shows
-    # return records to the predictor, and they are always covered.
-    sub, correct, _hit, _credited = outcomes(predictor, enc,
-                                             ras_returns=ras_returns)
+    # The return-address mechanism covers every return, so the
+    # reference never shows return records to the predictor.
+    sub, correct, _hit, _credited = outcomes(predictor, enc)
     uncovered = ~correct
     counts = np.bincount(sub.classes[uncovered], minlength=4)
     conditional_penalty = config.k + config.l + config.m

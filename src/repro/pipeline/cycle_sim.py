@@ -90,9 +90,10 @@ class CycleSimulator:
             averaged penalties — those belong to the analytic model).
         predictor: a predictor with a batch kernel
             (:func:`repro.kernels.supports`).
-        ras_returns: model the shared return-address mechanism (returns
-            always covered); matches the accounting of
-            :func:`repro.predictors.base.simulate`.
+
+    Returns are always covered by the shared return-address mechanism,
+    matching the default accounting of
+    :func:`repro.predictors.base.simulate`.
 
     Every run goes through the batch cycle kernel
     (:mod:`repro.kernels.cycle`), which leaves the predictor object
@@ -100,10 +101,9 @@ class CycleSimulator:
     :class:`~repro.conformance.oracles.OracleCycleInterpreter`.
     """
 
-    def __init__(self, config, predictor, ras_returns=True):
+    def __init__(self, config, predictor):
         self.config = config
         self.predictor = predictor
-        self.ras_returns = ras_returns
 
     def run(self, trace):
         """Simulate ``trace``; returns :class:`CycleStats`.
@@ -119,7 +119,7 @@ class CycleSimulator:
             raise ValueError("no cycle kernel for %s"
                              % type(self.predictor).__name__)
         stats = CycleStats(**cycle_kernel(self.config, self.predictor,
-                                          trace, self.ras_returns))
+                                          trace))
         self._report(stats)
         return stats
 

@@ -7,7 +7,7 @@ docs/RESILIENCE.md for the full guide):
 
 * :mod:`repro.resilience.errors` — the typed failure taxonomy
   (:class:`CacheCorruptError`, :class:`ManifestError`,
-  :class:`WorkerFailure`, ...), replacing blanket ``except Exception``
+  :class:`LockTimeout`), replacing blanket ``except Exception``
   in the cache paths;
 * :mod:`repro.resilience.store` — atomic writes (temp + fsync +
   ``os.replace``), sha256 checksums recorded in run manifests,
@@ -24,17 +24,14 @@ docs/RESILIENCE.md for the full guide):
 """
 
 from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
     SweepCheckpoint,
     sweep_fingerprint,
 )
 from repro.resilience.errors import (
     CacheCorruptError,
-    CheckpointError,
     LockTimeout,
     ManifestError,
     ResilienceError,
-    WorkerFailure,
 )
 from repro.resilience.faults import (
     FAULT_KINDS,
@@ -63,15 +60,12 @@ from repro.resilience.supervisor import (
 )
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "SweepCheckpoint",
     "sweep_fingerprint",
     "CacheCorruptError",
-    "CheckpointError",
     "LockTimeout",
     "ManifestError",
     "ResilienceError",
-    "WorkerFailure",
     "FAULT_KINDS",
     "FAULTS",
     "Fault",

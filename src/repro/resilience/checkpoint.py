@@ -10,9 +10,11 @@ the first incomplete one.
 
 The fingerprint covers everything that could change a section's
 content (section list, the runner's whole run configuration — scale,
-runs, profile source — the benchmark subset and the cache format
-version); a checkpoint whose fingerprint disagrees is silently
-discarded rather than resumed, and a corrupt checkpoint file is
+runs, profile source — the benchmark subset, and a digest of the
+``repro`` package's source, which holds the benchmark programs, the
+cache format version and every line of code that renders a table); a
+checkpoint whose fingerprint disagrees is silently discarded rather
+than resumed, and a corrupt checkpoint file is
 quarantined — resuming from a wrong-config record would misattribute
 results, which is worse than recomputing.
 """
@@ -24,20 +26,33 @@ from pathlib import Path
 from repro.resilience.store import atomic_write_json, quarantine
 from repro.telemetry.core import TELEMETRY
 
-CHECKPOINT_VERSION = 1
+
+def source_digest():
+    """A digest of every ``.py`` file of the ``repro`` package.
+
+    Benchmark programs are Python modules of the package, so an edited
+    benchmark changes the digest as an edited table renderer does.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha1()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
-def sweep_fingerprint(sections, config, benchmarks, format_version):
+def sweep_fingerprint(sections, config, benchmarks):
     """A short stable digest of everything that shapes a sweep.
 
     ``config`` is the runner's
-    :class:`~repro.experiments.runner.RunConfig`, taken whole.
+    :class:`~repro.experiments.runner.RunConfig`, taken whole; the
+    package source comes from :func:`source_digest`.
     """
     payload = json.dumps({
         "sections": list(sections),
         "config": config._asdict(),
         "benchmarks": sorted(benchmarks) if benchmarks else None,
-        "format_version": format_version,
+        "source": source_digest(),
     }, sort_keys=True)
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
@@ -63,18 +78,14 @@ class SweepCheckpoint:
         self.fingerprint = fingerprint
         self._sections = {}
 
-    @property
-    def sections(self):
-        return dict(self._sections)
-
     def load(self):
         """Completed sections from disk; {} when absent or unusable.
 
         A file that is unreadable, not valid JSON, or structurally
         wrong is quarantined (``*.corrupt``) with a
-        ``checkpoint.corrupt`` event; a fingerprint or version
-        mismatch just ignores the file (it will be overwritten by the
-        first :meth:`record`).
+        ``checkpoint.corrupt`` event; a fingerprint mismatch just
+        ignores the file (it will be overwritten by the first
+        :meth:`record`).
         """
         self._sections = {}
         try:
@@ -99,8 +110,7 @@ class SweepCheckpoint:
             TELEMETRY.event("checkpoint.corrupt", path=str(self.path),
                             reason=str(error))
             return {}
-        if (data.get("checkpoint_version") != CHECKPOINT_VERSION
-                or data.get("fingerprint") != self.fingerprint):
+        if data.get("fingerprint") != self.fingerprint:
             TELEMETRY.event("checkpoint.mismatch", path=str(self.path),
                             found=data.get("fingerprint"),
                             expected=self.fingerprint)
@@ -117,7 +127,6 @@ class SweepCheckpoint:
         """Persist ``section``'s rendered text; atomic whole-file write."""
         self._sections[section] = text
         atomic_write_json(self.path, {
-            "checkpoint_version": CHECKPOINT_VERSION,
             "fingerprint": self.fingerprint,
             "sections": self._sections,
         })

@@ -4,8 +4,8 @@ Every failure the layer can recover from (or must surface) has a
 distinct exception type, so callers catch exactly the failures they
 handle and nothing else.  The blanket ``except Exception`` the suite
 runner's cache-load path used to carry is gone: a corrupt artifact, a
-damaged manifest, a dead worker, a held lock, and a bad checkpoint are
-different situations with different recoveries.
+damaged manifest and a held lock are different situations with
+different recoveries.
 """
 
 
@@ -40,18 +40,6 @@ class ManifestError(ResilienceError):
         self.reason = reason
 
 
-class WorkerFailure(ResilienceError):
-    """A supervised worker died (or hung) and exhausted its retries."""
-
-    def __init__(self, task, attempts, reason):
-        super().__init__("%s failed after %d attempt%s: %s"
-                         % (task, attempts,
-                            "" if attempts == 1 else "s", reason))
-        self.task = task
-        self.attempts = attempts
-        self.reason = reason
-
-
 class LockTimeout(ResilienceError):
     """An inter-process stem lock could not be acquired in time.
 
@@ -64,16 +52,3 @@ class LockTimeout(ResilienceError):
                          % (path, timeout))
         self.path = path
         self.timeout = timeout
-
-
-class CheckpointError(ResilienceError):
-    """A sweep checkpoint file exists but cannot be trusted.
-
-    Recovery: discard it and restart the sweep from the beginning —
-    never resume from a record that might misattribute results.
-    """
-
-    def __init__(self, path, reason):
-        super().__init__("%s: %s" % (path, reason))
-        self.path = path
-        self.reason = reason

@@ -224,18 +224,6 @@ class FaultInjector:
         self._manifest_count = 0
         return self
 
-    def to_env(self, environ=None):
-        """Export the armed plan so forked workers can activate it."""
-        environ = os.environ if environ is None else environ
-        if self.enabled and self.plan is not None:
-            environ[PLAN_ENV_VAR] = self.plan.to_json()
-        return environ
-
-    def clear_env(self, environ=None):
-        environ = os.environ if environ is None else environ
-        environ.pop(PLAN_ENV_VAR, None)
-        return environ
-
     def activate_from_env(self, environ=None):
         """Arm from ``REPRO_FAULT_PLAN`` when set (worker entry point)."""
         environ = os.environ if environ is None else environ

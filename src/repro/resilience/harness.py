@@ -242,14 +242,12 @@ def _worker_case(kind, seed, case_dir):
     return FaultCase(kind, seed, "retried", ok, detail, events)
 
 
-def run_fault_matrix(seeds=10, first_seed=0, kinds=FAULT_KINDS,
-                     base_dir=None):
+def run_fault_matrix(seeds=10, kinds=FAULT_KINDS, base_dir=None):
     """Run the recovery matrix; returns a :class:`FaultMatrixReport`.
 
     Args:
         seeds: seeds per fault kind (each varies the trigger point and
             damage parameters).
-        first_seed: start of the seed range.
         kinds: subset of :data:`FAULT_KINDS` to exercise.
         base_dir: scratch directory (a fresh temp dir by default);
             each case gets its own isolated cache underneath.
@@ -260,7 +258,7 @@ def run_fault_matrix(seeds=10, first_seed=0, kinds=FAULT_KINDS,
             base_dir = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-faults-"))
         base = Path(base_dir)
-        for seed in range(first_seed, first_seed + seeds):
+        for seed in range(seeds):
             for kind in kinds:
                 case_dir = base / ("%s-%d" % (kind, seed))
                 case_dir.mkdir(parents=True, exist_ok=True)

@@ -38,7 +38,6 @@ import random
 import time
 from pathlib import Path
 
-from repro.resilience.errors import WorkerFailure
 from repro.telemetry.core import TELEMETRY
 
 #: Exit code the child wrapper uses for an exception escaping the
@@ -108,13 +107,6 @@ class RunReport:
             if outcome.name == name:
                 return outcome
         return None
-
-    def raise_failures(self):
-        """Raise :class:`WorkerFailure` for the first failed task."""
-        for outcome in self.outcomes:
-            if not outcome.ok:
-                raise WorkerFailure(outcome.name, outcome.attempts,
-                                    outcome.error or "unknown")
 
     def to_dict(self):
         return {"degraded": self.degraded,
@@ -250,8 +242,7 @@ def backoff_seconds(backoff, attempt, rng):
 
 
 def run_supervised(tasks, worker, *, workers=2, timeout=None,
-                   retries=2, backoff=0.1, seed=0, context=None,
-                   trace_dir=None):
+                   retries=2, backoff=0.1, seed=0, trace_dir=None):
     """Run ``worker(payload)`` for every task under supervision.
 
     Args:
@@ -264,8 +255,6 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
         retries: extra attempts after the first failure.
         backoff: base of the jittered exponential backoff sleep.
         seed: seeds the backoff jitter (determinism for tests).
-        context: a ``multiprocessing`` context (tests may inject one);
-            default is the platform default.
         trace_dir: directory for per-attempt telemetry shards; when
             given and telemetry is enabled, the run is traced across
             the process boundary (see module docstring).  Ignored
@@ -276,8 +265,7 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
     normalized = [task if isinstance(task, tuple) else (task, task)
                   for task in tasks]
     rng = random.Random(seed)
-    if context is None:
-        context = multiprocessing.get_context()
+    context = multiprocessing.get_context()
     pending = [(label, payload, 1, 0.0)
                for label, payload in normalized]
     active = []

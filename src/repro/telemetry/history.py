@@ -1,11 +1,10 @@
 """Longitudinal perf history: BENCH_history.jsonl and its report.
 
-``BENCH_telemetry.json`` and ``BENCH_kernels.json`` are
-overwrite-in-place snapshots — useful for "what is it now", useless
-for "when did it get slow".  This module gives the benchmark gates a
-**trajectory**: every gate run appends one record (git sha, UTC
-timestamp, bench scale, and every BENCH_* rate, flattened) to an
-append-only ``BENCH_history.jsonl`` at the repo root, and
+The committed ``BENCH_kernels.json`` baseline says "what is it now",
+not "when did it get slow".  This module keeps a **trajectory**:
+:func:`append_record` appends one record (git sha, UTC timestamp,
+bench scale, and a flat ``metric -> rate`` dict) to an append-only
+``BENCH_history.jsonl`` at the repo root, and
 ``repro-branches bench-history`` reports the latest record against a
 **rolling-median baseline** over the preceding window, flagging any
 rate that dropped more than the threshold (default 20%) below its
@@ -41,25 +40,6 @@ MIN_BASELINE = 3
 
 def history_path(root):
     return Path(root) / HISTORY_FILENAME
-
-
-def flatten_bench_reports(telemetry=None, kernels=None):
-    """One flat ``metric -> rate`` dict from the BENCH_* payloads.
-
-    ``telemetry`` is the BENCH_telemetry.json shape (``rates`` dict);
-    ``kernels`` the BENCH_kernels.json shape (per-scheme and headline
-    records/second + speedups, prefixed ``kernel_``).
-    """
-    metrics = {}
-    for name, value in ((telemetry or {}).get("rates") or {}).items():
-        metrics[name] = value
-    kernels = kernels or {}
-    for scheme, data in (kernels.get("schemes") or {}).items():
-        for key, value in data.items():
-            metrics["kernel_%s_%s" % (scheme, key)] = value
-    for key, value in (kernels.get("headline") or {}).items():
-        metrics["kernel_headline_%s" % key] = value
-    return metrics
 
 
 def append_record(path, metrics, git_sha=None, scale=None, ts=None):

@@ -499,12 +499,12 @@ def _set_likely(terminator, profile, old_site, inverted):
     terminator.likely = fraction > 0.5
 
 
-def build_fs_program(program, profile, min_probability=0.0, verify=True):
+def build_fs_program(program, profile, verify=True):
     """Convenience pipeline: CFG -> trace selection -> layout.
 
     Returns the :class:`LayoutResult` for ``program`` under
     ``profile``.
     """
     cfg = ControlFlowGraph.from_program(program)
-    traces = select_traces(cfg, profile, min_probability=min_probability)
+    traces = select_traces(cfg, profile)
     return lay_out_traces(program, cfg, profile, traces, verify=verify)

@@ -165,9 +165,3 @@ def test_conformance_probe_battery_counts_and_passes():
                       or "@engine:" in finding.scheme]
     assert probe_findings == []
     assert "characterization probe battery" in report.render()
-
-
-def test_conformance_probes_flag_off():
-    report = run_conformance(seeds=1, golden=False, probes=False)
-    assert report.probe_checks == 0
-    assert "characterization probe battery" not in report.render()

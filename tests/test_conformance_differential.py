@@ -227,18 +227,20 @@ def test_run_conformance_differential_only():
 
 def test_run_conformance_checks_golden_and_each_cycle_shape_once(
         monkeypatch):
-    """One golden pass, and one kernel-vs-interpreter cycle run per
-    (seed, scheme, shape) that counts as both a cycle check and a
-    vector cycle check."""
+    """One golden measurement, read by both golden checks, and one
+    kernel-vs-interpreter cycle run per (seed, scheme, shape) that the
+    report prints as both the cycle and the vector cycle count."""
     from repro.conformance import harness
     from repro.kernels import cycle
     from repro.pipeline.cycle_sim import CycleSimulator
 
-    calls = {"golden": 0, "run": 0, "kernel": 0}
+    calls = {"measure": 0, "run": 0, "kernel": 0}
+    measured = {"wc": {}}
+    checked = []
 
-    def check_golden(**kwargs):
-        calls["golden"] += 1
-        return []
+    def measure(cache):
+        calls["measure"] += 1
+        return measured
 
     def counting(key, function):
         def wrapper(*args, **kwargs):
@@ -246,22 +248,67 @@ def test_run_conformance_checks_golden_and_each_cycle_shape_once(
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(harness, "check_golden", check_golden)
-    monkeypatch.setattr(harness, "check_paper_bands", lambda runner: [])
+    monkeypatch.setattr(harness, "measure", measure)
+    monkeypatch.setattr(harness, "check_paper_bands",
+                        lambda data: checked.append(data) or [])
+    monkeypatch.setattr(harness, "check_golden",
+                        lambda data: checked.append(data) or [])
     monkeypatch.setattr(CycleSimulator, "run",
                         counting("run", CycleSimulator.run))
     monkeypatch.setattr(cycle, "cycle_kernel",
                         counting("kernel", cycle.cycle_kernel))
-    report = run_conformance(seeds=2, probes=False)
+    report = run_conformance(seeds=2)
     assert report.ok
-    assert calls == {"golden": 1, "run": 12, "kernel": 12}
-    assert report.cycle_checks == report.vector_cycle_checks == 12
+    assert calls == {"measure": 1, "run": 12, "kernel": 12}
+    assert checked == [measured, measured]
+    assert report.cycle_checks == 12
+    text = report.render()
+    assert "(6 replays, 12 cycle checks)" in text
+    assert "vector cycle-sim vs oracle interpreter: 12 comparisons" in text
 
 
-def test_run_conformance_scheme_subset():
-    report = run_conformance(seeds=5, golden=False, schemes=("CBTB",))
-    assert report.ok
-    assert report.replays == 5
+def test_run_conformance_shrinks_and_labels_every_check_kind(monkeypatch):
+    """Divergences injected into the production side reach the report
+    through the one check loop: an off-by-one CBTB fails the oracle
+    replay of fuzzed and probe traces, a broken SBTB kernel fails the
+    engine cross-check of both.  Each finding is labelled by its check
+    and carries a shrunk reproducer."""
+    from repro.conformance import harness
+    from repro.kernels import tables
+
+    genuine_schemes = harness._schemes
+
+    def schemes(likely_sites):
+        return [(name, (lambda: _OffByOneThresholdCBTB(entries=16))
+                 if name == "CBTB" else make_production, make_oracle)
+                for name, make_production, make_oracle
+                in genuine_schemes(likely_sites)]
+
+    genuine_kernel = tables.sbtb_kernel
+
+    def broken_kernel(predictor, enc):
+        pred_taken, target_match, hit = genuine_kernel(predictor, enc)
+        hit = hit.copy()
+        if len(hit) > 3:
+            hit[3] = 1 - hit[3]
+        return pred_taken, target_match, hit
+
+    monkeypatch.setattr(harness, "_schemes", schemes)
+    monkeypatch.setattr(tables, "sbtb_kernel", broken_kernel)
+    report = run_conformance(seeds=1, golden=False)
+
+    kinds = {}
+    for finding in report.findings:
+        # "CBTB@probe:capacity/..." -> "CBTB@probe:"
+        kind = finding.scheme.split(":")[0] + (
+            ":" if ":" in finding.scheme else "")
+        kinds[kind] = kinds.get(kind, 0) + 1
+        assert finding.reproducer is not None, finding.scheme
+        assert 1 <= len(finding.reproducer) <= 10, finding.describe()
+    assert set(kinds) == {"CBTB", "SBTB@engine", "CBTB@probe:",
+                          "SBTB@engine:"}
+    assert kinds["CBTB"] == kinds["SBTB@engine"] == 1
+    assert "RESULT: FAIL" in report.render()
 
 
 def test_divergence_describe_mentions_record():

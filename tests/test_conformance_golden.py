@@ -6,6 +6,7 @@ import pytest
 
 from repro.conformance.golden import (
     GOLDEN_CONFIG,
+    GOLDEN_FORMAT,
     GOLDEN_PATH,
     _compare_rows,
     _structural_violations,
@@ -68,13 +69,13 @@ def test_structural_checks_catch_cheaper_deep_pipeline():
 
 def test_compare_rows_flags_float_drift_and_passes_identity():
     golden = _clean_row()
-    assert _compare_rows("wc", golden, dict(golden), 1e-9) == []
+    assert _compare_rows("wc", golden, dict(golden)) == []
     drifted = json.loads(json.dumps(golden))   # exact roundtrip
-    assert _compare_rows("wc", golden, drifted, 1e-9) == []
+    assert _compare_rows("wc", golden, drifted) == []
     drifted["accuracy_fs"] += 0.5
     drifted["expansion_percent"]["4"] += 1.0
     drifted["cost_kl2"][0] += 1.0
-    violations = _compare_rows("wc", golden, drifted, 1e-9)
+    violations = _compare_rows("wc", golden, drifted)
     labels = "\n".join(violations)
     assert "accuracy_fs" in labels
     assert "expansion_percent[4]" in labels
@@ -86,7 +87,7 @@ def test_compare_rows_handles_missing_keys():
     partial = dict(golden)
     del partial["rho_cbtb"]
     partial["expansion_percent"] = {}
-    violations = _compare_rows("wc", golden, partial, 1e-9)
+    violations = _compare_rows("wc", golden, partial)
     assert any("rho_cbtb" in violation for violation in violations)
     assert any("expansion_percent[1]" in violation
                for violation in violations)
@@ -104,7 +105,7 @@ def test_committed_golden_file_is_wellformed():
 
 
 def test_check_golden_reports_missing_file(tmp_path):
-    violations = check_golden(path=tmp_path / "absent.json")
+    violations = check_golden({}, path=tmp_path / "absent.json")
     assert len(violations) == 1
     assert "missing" in violations[0]
 
@@ -112,8 +113,20 @@ def test_check_golden_reports_missing_file(tmp_path):
 def test_check_golden_reports_format_mismatch(tmp_path):
     path = tmp_path / "golden.json"
     path.write_text(json.dumps({"format": 99}))
-    violations = check_golden(path=path)
+    violations = check_golden({}, path=path)
     assert "format" in violations[0]
+
+
+def test_check_golden_asks_to_regenerate_another_config(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({
+        "format": GOLDEN_FORMAT,
+        "config": dict(GOLDEN_CONFIG, scale=0.1),
+        "measured": {},
+    }))
+    violations = check_golden({}, path=path)
+    assert len(violations) == 1
+    assert "0.1" in violations[0] and "--update-golden" in violations[0]
 
 
 @pytest.mark.slow
@@ -122,26 +135,22 @@ def test_golden_roundtrip_and_paper_bands(tmp_path, monkeypatch):
     written golden file and sits inside the paper's bands."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     path = write_golden(path=tmp_path / "golden.json")
-    assert check_golden(path=path) == []
-
-    from repro.conformance.golden import _golden_runner
-
-    runner = _golden_runner(cache=True)
-    assert check_paper_bands(runner) == []
+    measured = measure()
+    assert check_golden(measured, path=path) == []
+    assert check_paper_bands(measured) == []
 
     # Drift injection: corrupting one measured value must be caught.
     payload = json.loads(path.read_text())
     payload["measured"]["wc"]["accuracy_cbtb"] += 0.25
     path.write_text(json.dumps(payload))
-    violations = check_golden(path=path)
+    violations = check_golden(measured, path=path)
     assert any("accuracy_cbtb" in violation for violation in violations)
 
 
 @pytest.mark.slow
 def test_measure_is_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    from repro.conformance.golden import _golden_runner
-
-    first = measure(_golden_runner(cache=True), ["wc"])
-    second = measure(_golden_runner(cache=True), ["wc"])
+    first = measure()       # computes and fills the cache
+    second = measure()      # loads it
     assert first == second
+    assert measure(cache=False) == first

@@ -37,28 +37,24 @@ def _cycle_key(stats):
             stats.fill_cycles, dict(stats.squashed_by_class))
 
 
-def _kernel_disagrees(make_predictor, trace, config, ras_returns):
-    oracle = OracleCycleInterpreter(config, make_predictor(),
-                                    ras_returns=ras_returns).run(trace)
-    kernel = CycleSimulator(config, make_predictor(),
-                            ras_returns=ras_returns).run(trace)
+def _kernel_disagrees(make_predictor, trace, config):
+    oracle = OracleCycleInterpreter(config, make_predictor()).run(trace)
+    kernel = CycleSimulator(config, make_predictor()).run(trace)
     if _cycle_key(oracle) == _cycle_key(kernel):
         return None
     return oracle, kernel
 
 
-def _assert_kernel_matches_oracle(label, make_predictor, trace,
-                                  ras_returns=True):
+def _assert_kernel_matches_oracle(label, make_predictor, trace):
     for config in _CYCLE_CONFIGS:
-        disagreement = _kernel_disagrees(make_predictor, trace, config,
-                                         ras_returns)
+        disagreement = _kernel_disagrees(make_predictor, trace, config)
         if disagreement is None:
             continue
         oracle, kernel = disagreement
         shrunk = shrink_trace(
             trace,
-            lambda t: _kernel_disagrees(make_predictor, t, config,
-                                        ras_returns) is not None)
+            lambda t: _kernel_disagrees(make_predictor, t,
+                                        config) is not None)
         pytest.fail(
             "%s @ %r: cycle kernel diverged from the oracle\n"
             "  oracle: %r %r\n  kernel: %r %r\n"
@@ -69,13 +65,12 @@ def _assert_kernel_matches_oracle(label, make_predictor, trace,
                list(shrunk.records())))
 
 
-def _fuzz_case(seed, ras_returns=True):
+def _fuzz_case(seed):
     fuzzer = TraceFuzzer(seed)
     trace = fuzzer.trace()
     likely = fuzzer.likely_sites()
     for label, make_predictor in _configs(likely, trace):
-        _assert_kernel_matches_oracle(label, make_predictor, trace,
-                                    ras_returns=ras_returns)
+        _assert_kernel_matches_oracle(label, make_predictor, trace)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -89,7 +84,6 @@ def test_cycle_fuzzed_traces_smoke(seed):
 def test_cycle_fuzzed_traces_battery(seed):
     """Every conformance fuzz seed, every predictor configuration."""
     _fuzz_case(seed)
-    _fuzz_case(seed, ras_returns=False)
 
 
 @pytest.mark.slow
@@ -119,8 +113,6 @@ def test_cycle_hypothesis_traces(records):
     likely = {site: site % 2 == 0 for site in range(41)}
     for label, make_predictor in _configs(likely, trace):
         _assert_kernel_matches_oracle(label, make_predictor, trace)
-        _assert_kernel_matches_oracle(label, make_predictor, trace,
-                                    ras_returns=False)
 
 
 def test_injected_squash_class_boundary_bug_detected(monkeypatch):
@@ -136,8 +128,8 @@ def test_injected_squash_class_boundary_bug_detected(monkeypatch):
 
     genuine = cycle_module.cycle_kernel
 
-    def broken(config, predictor, trace, ras_returns=True):
-        fields = genuine(config, predictor, trace, ras_returns)
+    def broken(config, predictor, trace):
+        fields = genuine(config, predictor, trace)
         by_class = dict(fields["squashed_by_class"])
         if BranchClass.CONDITIONAL in by_class:
             # Misattribute: conditional squashes priced as if they
@@ -157,12 +149,10 @@ def test_injected_squash_class_boundary_bug_detected(monkeypatch):
     trace = TraceFuzzer(7).trace()
     make_predictor = lambda: SimpleBTB(entries=16)  # noqa: E731
     config = PipelineConfig(2, 4, 4)
-    assert _kernel_disagrees(make_predictor, trace, config,
-                             True) is not None
+    assert _kernel_disagrees(make_predictor, trace, config) is not None
 
     def still_fails(candidate):
-        return _kernel_disagrees(make_predictor, candidate, config,
-                                 True) is not None
+        return _kernel_disagrees(make_predictor, candidate, config) is not None
 
     shrunk = shrink_trace(trace, still_fails, seed=7)
     assert still_fails(shrunk)
@@ -198,13 +188,11 @@ def test_injected_scan_segment_off_by_one_detected(monkeypatch):
         TraceFuzzer(seed).trace() for seed in range(50)
         if _kernel_disagrees(
             lambda: Bimodal(table_bits=6, entries=16),
-            TraceFuzzer(seed).trace(), config, True) is not None)
-    assert _kernel_disagrees(make_predictor, trace, config,
-                             True) is not None
+            TraceFuzzer(seed).trace(), config) is not None)
+    assert _kernel_disagrees(make_predictor, trace, config) is not None
 
     def still_fails(candidate):
-        return _kernel_disagrees(make_predictor, candidate, config,
-                                 True) is not None
+        return _kernel_disagrees(make_predictor, candidate, config) is not None
 
     shrunk = shrink_trace(trace, still_fails, seed=3)
     assert still_fails(shrunk)

@@ -402,14 +402,8 @@ def test_paper_predictions_release_the_trace_encoding(tmp_path):
     held = EncodedTrace.of(run.trace)
     predictions = run.predictions()
     assert EncodedTrace.of(run.trace) is not held
-    # The memoized result needs no encoding; another configuration
-    # keeps the one it builds.
+    # The memoized result needs no encoding.
     assert run.predictions() is predictions
-    EncodedTrace.release(run.trace)
-    run.predictions(entries=64)
-    built = EncodedTrace.of(run.trace)
-    run.predictions(entries=16)
-    assert EncodedTrace.of(run.trace) is built
 
 
 def test_tampered_profile_count_is_quarantined(tmp_path):

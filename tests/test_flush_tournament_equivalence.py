@@ -162,13 +162,10 @@ def _tournaments():
 def _assert_cycle_sim_matches_oracle(trace):
     for config in (PipelineConfig(1, 1, 1), PipelineConfig(2, 4, 4)):
         for make in _tournaments():
-            for ras_returns in (True, False):
-                kernel = CycleSimulator(config, make(),
-                                        ras_returns=ras_returns)
-                oracle = OracleCycleInterpreter(config, make(),
-                                                ras_returns=ras_returns)
-                assert _cycle_key(kernel.run(trace)) \
-                    == _cycle_key(oracle.run(trace))
+            kernel = CycleSimulator(config, make())
+            oracle = OracleCycleInterpreter(config, make())
+            assert _cycle_key(kernel.run(trace)) \
+                == _cycle_key(oracle.run(trace))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -12,7 +12,6 @@ from repro.telemetry.history import (
     MIN_BASELINE,
     append_record,
     find_regressions,
-    flatten_bench_reports,
     history_path,
     load_history,
     render_history,
@@ -52,25 +51,6 @@ def test_load_history_tolerates_torn_and_foreign_lines(tmp_path):
     rates = [record["metrics"]["rate"]
              for record in load_history(path)]
     assert rates == [1.0, 3.0]
-
-
-def test_flatten_bench_reports():
-    telemetry = {"rates": {"vm_instructions_per_second": 2e6,
-                           "predictor_records_per_second": 5e5},
-                 "stages": {"trace": 1.0}}
-    kernels = {"workload": {"records": 100},
-               "schemes": {"fs": {"vector_records_per_second": 3e6,
-                                  "speedup": 8.0}},
-               "headline": {"vector_records_per_second": 2.5e6}}
-    metrics = flatten_bench_reports(telemetry, kernels)
-    assert metrics == {
-        "vm_instructions_per_second": 2e6,
-        "predictor_records_per_second": 5e5,
-        "kernel_fs_vector_records_per_second": 3e6,
-        "kernel_fs_speedup": 8.0,
-        "kernel_headline_vector_records_per_second": 2.5e6,
-    }
-    assert flatten_bench_reports(None, None) == {}
 
 
 def test_rolling_baseline_is_windowed_median():

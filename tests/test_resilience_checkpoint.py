@@ -38,26 +38,86 @@ def sink():
 # -- fingerprint ------------------------------------------------------------
 
 def test_fingerprint_is_stable():
-    args = (["t1", "t2"], RunConfig(0.1, 2), ["wc"], 3)
+    args = (["t1", "t2"], RunConfig(0.1, 2), ["wc"])
     assert sweep_fingerprint(*args) == sweep_fingerprint(*args)
 
 
-def test_fingerprint_covers_every_input():
+def test_fingerprint_covers_every_input(monkeypatch):
+    from repro.resilience import checkpoint
+
     config = RunConfig(0.1, 2)
-    base = sweep_fingerprint(["t1"], config, ["wc"], 3)
-    assert sweep_fingerprint(["t2"], config, ["wc"], 3) != base
-    assert sweep_fingerprint(["t1"], RunConfig(0.2, 2), ["wc"], 3) != base
-    assert sweep_fingerprint(["t1"], RunConfig(0.1, 3), ["wc"], 3) != base
+    base = sweep_fingerprint(["t1"], config, ["wc"])
+    assert sweep_fingerprint(["t2"], config, ["wc"]) != base
+    assert sweep_fingerprint(["t1"], RunConfig(0.2, 2), ["wc"]) != base
+    assert sweep_fingerprint(["t1"], RunConfig(0.1, 3), ["wc"]) != base
     assert sweep_fingerprint(["t1"], RunConfig(0.1, 2, "static"),
-                             ["wc"], 3) != base
-    assert sweep_fingerprint(["t1"], config, ["tee"], 3) != base
-    assert sweep_fingerprint(["t1"], config, ["wc"], 4) != base
+                             ["wc"]) != base
+    assert sweep_fingerprint(["t1"], config, ["tee"]) != base
+    monkeypatch.setattr(checkpoint, "source_digest", lambda: "edited")
+    assert sweep_fingerprint(["t1"], config, ["wc"]) != base
 
 
 def test_fingerprint_benchmark_order_irrelevant():
     config = RunConfig(0.1, 1)
-    assert sweep_fingerprint(["t"], config, ["wc", "tee"], 3) \
-        == sweep_fingerprint(["t"], config, ["tee", "wc"], 3)
+    assert sweep_fingerprint(["t"], config, ["wc", "tee"]) \
+        == sweep_fingerprint(["t"], config, ["tee", "wc"])
+
+
+#: Runs the CLI with Table 3's renderer raising, after Tables 1 and 2
+#: were checkpointed.
+_CRASH_IN_TABLE3 = """
+import sys
+
+import repro.experiments.table3 as table3
+
+
+def render(*args, **kwargs):
+    raise RuntimeError("injected crash in table 3")
+
+
+table3.render = render
+from repro.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_edited_benchmark_never_resumes_a_stale_sweep(tmp_path):
+    """A sweep dies in Table 3 and a benchmark's source is then edited:
+    the rerun on the same cache must print what a fresh run of the
+    edited tree prints, not the checkpointed Table 1 of the old one."""
+    import shutil
+
+    source = tmp_path / "src"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "repro",
+                    source / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    argv = ["all", "--scale", str(SCALE), "--benchmarks", "wc"]
+
+    def repro(cache, *command):
+        env = dict(os.environ, PYTHONPATH=str(source),
+                   REPRO_CACHE_DIR=str(tmp_path / cache))
+        return subprocess.run([sys.executable, *command, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    crashed = repro("cache", "-c", _CRASH_IN_TABLE3)
+    assert "injected crash in table 3" in crashed.stderr
+    assert list((tmp_path / "cache" / "checkpoints").glob("all-*.json"))
+
+    wc = source / "repro" / "benchmarksuite" / "programs" / "wc.py"
+    text = wc.read_text()
+    chain = "    if (c == ' ' || c == '\\t' || c == '\\n' || c == '\\r') " \
+            "return 1;\n"
+    assert chain in text
+    wc.write_text(text.replace(chain, "".join(
+        "    if (c == %s) return 1;\n" % char
+        for char in ("' '", "'\\t'", "'\\n'", "'\\r'"))))
+
+    resumed = repro("cache", "-m", "repro")
+    fresh = repro("fresh", "-m", "repro")
+    assert resumed.returncode == fresh.returncode == 0, resumed.stderr
+    assert resumed.stdout == fresh.stdout
+    assert "resuming sweep" not in resumed.stderr
 
 
 def test_static_sweep_never_resumes_into_measured(tmp_path, sink):
