@@ -421,4 +421,4 @@ def test_pipeline_stage_telemetry(runner):
     assert snapshot["counters"].get("predictor.records", 0) > 0
     assert any(name.startswith("span.runner.")
                for name in snapshot["histograms"])
-    assert sink.named("predictor.simulate")
+    assert sink.named("predictors.simulate")

@@ -129,9 +129,9 @@ echo "== trace gate =="
 # Cross-process tracing: a 2-worker supervised sweep (with one
 # crash-and-retry worker) must merge into a single complete trace
 # tree — every attempt under its shard span, killed attempts adopted —
-# `metrics --replay` over its shards must render byte-identically
-# twice with the workers' counters summed, and the disabled-telemetry
-# hot path must stay allocation-free.
+# the `metrics --replay` ledger over its shards must render
+# byte-identically twice and sum the workers' counters, and the
+# disabled-telemetry hot path must stay allocation-free.
 PYTHONPATH=src python scripts/trace_gate.py
 
 echo "== kernel bench gate =="

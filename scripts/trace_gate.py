@@ -12,7 +12,8 @@ Two properties this gate pins down:
    its ``supervisor.shard`` span, and spans from the killed attempt
    are adopted by their shard instead of dangling.  Two
    ``metrics --replay`` renders of the recorded shards must be
-   byte-identical and carry the workers' counters.
+   byte-identical, and the ledger folded from them must sum the
+   workers' counters.
 2. **The disabled path stays free.**  With telemetry off, ``span()``
    must return the shared ``NULL_SPAN`` and hot counter/histogram
    calls must allocate nothing (measured with tracemalloc filtered to
@@ -35,7 +36,7 @@ from repro.cli import main as cli_main  # noqa: E402
 from repro.resilience.supervisor import run_supervised  # noqa: E402
 from repro.telemetry.core import NULL_SPAN, TELEMETRY  # noqa: E402
 from repro.telemetry.sinks import JsonlSink  # noqa: E402
-from repro.telemetry.tracing import merge_trace, start_trace  # noqa: E402
+from repro.telemetry.tracing import fold_ledger, merge_trace  # noqa: E402
 
 
 def _work(payload):
@@ -60,7 +61,6 @@ def trace_gate(tmp):
 
     with JsonlSink(log) as sink:
         TELEMETRY.enable(sink)
-        start_trace(TELEMETRY)
         with TELEMETRY.span("gate.sweep"):
             report = run_supervised(tasks, _work, workers=2,
                                     retries=2, backoff=0.05,
@@ -88,9 +88,9 @@ def trace_gate(tmp):
                for node in root.walk()), \
         "killed attempt left no adopted spans (adoption path untested)"
 
-    # The recorded-run reader must fold the shards deterministically,
-    # summing one counter per successful attempt (the killed attempt
-    # never wrote its snapshot).
+    # The ledger must fold the shards deterministically, summing one
+    # counter per successful attempt (the killed attempt never wrote
+    # its snapshot).
     renders = set()
     for _ in range(2):
         out = io.StringIO()
@@ -99,9 +99,11 @@ def trace_gate(tmp):
         assert exit_code == 0, "metrics --replay exited %d" % exit_code
         renders.add(out.getvalue())
     assert len(renders) == 1, "metrics --replay render is not deterministic"
-    assert "repro_gate_compute_total 4\n" in next(iter(renders)), \
-        "worker counters missing from the replay:\n%s" \
-        % next(iter(renders))
+    computed = fold_ledger(merge_trace(traces))["counters"].get(
+        "gate.compute")
+    assert computed == 4, \
+        "ledger counts %r gate.compute, expected 4:\n%s" \
+        % (computed, next(iter(renders)))
 
     print("trace gate: %d spans, %d shards, %d attempts, tree complete"
           % (tree.span_count, len(shards), len(attempts)))

@@ -13,8 +13,9 @@ Examples::
     repro-branches lint --file program.asm
     repro-branches staticpred
     repro-branches table3 --profile-source static
+    repro-branches all --scale 0.1 --workers 2 --telemetry
+    repro-branches metrics --replay .repro_cache
     repro-branches metrics --replay .repro_cache/telemetry.jsonl
-    repro-branches metrics --replay .repro_cache/traces
     repro-branches bench-history --window 8 --threshold 0.2
     repro-branches characterize SBTB-paper
     repro-branches characterize --self-test
@@ -27,6 +28,7 @@ import sys
 
 from repro.experiments import staticpred, summary, sweeps
 from repro.experiments.runner import SuiteRunner
+from repro.telemetry.core import TELEMETRY
 
 _EXPERIMENTS = {key: module.render for key, _, module in summary.SECTIONS}
 _EXPERIMENTS.update(staticpred=staticpred.render, sweeps=sweeps.render,
@@ -79,10 +81,11 @@ def build_parser():
                              "ENOSPC, worker crash/hang, corrupt "
                              "manifests) and exits non-zero if any "
                              "injected fault is silently swallowed; "
-                             "'metrics' prints a Prometheus "
-                             "text-format exposition of the counters "
-                             "and span histograms rebuilt from the "
-                             "recorded event log named by --replay; "
+                             "'metrics' prints the per-layer ledger "
+                             "of the latest run recorded in the event "
+                             "logs named by --replay: calls and self "
+                             "seconds per span name, the time no span "
+                             "claims, and every process's counters; "
                              "'bench-history' reports the benchmark "
                              "gates' longitudinal BENCH_history.jsonl "
                              "against a rolling-median baseline and "
@@ -334,19 +337,17 @@ def _lint(names, file_path, show_warnings=True, strict=False,
 
 
 def _metrics(args):
-    """'metrics': Prometheus text exposition of a recorded run.
+    """'metrics': the per-layer ledger of the latest recorded run.
 
-    ``--replay`` rebuilds a registry from a recorded event log (or a
-    directory of shards): span events feed the duration histograms,
-    the ``telemetry.snapshot`` counter dumps restore counters summed
-    across processes.
+    ``--replay`` names an event log or a directory (every ``*.jsonl``
+    beneath it, so a cache directory covers the main log and its
+    worker shards); :func:`~repro.telemetry.tracing.merge_trace`
+    stitches the latest trace in them and
+    :func:`~repro.telemetry.tracing.fold_ledger` folds it.
     """
     from pathlib import Path
 
-    from repro.telemetry.core import Telemetry
-    from repro.telemetry.exposition import prometheus_text, replay_into
-    from repro.telemetry.sinks import read_jsonl_tolerant
-    from repro.telemetry.tracing import jsonl_files
+    from repro.telemetry.tracing import fold_ledger, jsonl_files, merge_trace
 
     if not args.replay:
         return "", _usage_error("metrics needs --replay LOG (a recorded "
@@ -357,11 +358,15 @@ def _metrics(args):
     files = jsonl_files(source)
     if not files:
         return "", _usage_error("no *.jsonl event log in %s" % source)
-    registry = Telemetry(enabled=True)
-    for path in files:
-        events, _torn = read_jsonl_tolerant(path)
-        replay_into(registry, events)
-    return prometheus_text(registry.snapshot()), 0
+    ledger = fold_ledger(merge_trace(files))
+    lines = ["trace %s: wall_s %.6f, other_s %.6f"
+             % (ledger["trace_id"], ledger["wall_s"], ledger["other_s"]),
+             "%-40s %8s %12s" % ("span", "calls", "self_s")]
+    lines += ["%-40s %8d %12.6f" % (name, calls, self_s)
+              for name, (calls, self_s) in ledger["layers"].items()]
+    lines.append("%-40s %21s" % ("counter", "value"))
+    lines += ["%-40s %21s" % item for item in ledger["counters"].items()]
+    return "\n".join(lines) + "\n", 0
 
 
 def _bench_history(args):
@@ -479,7 +484,6 @@ def _enable_telemetry(args):
     from pathlib import Path
 
     from repro.experiments.runner import default_cache_dir
-    from repro.telemetry.core import TELEMETRY
     from repro.telemetry.sinks import JsonlSink
 
     if args.telemetry_log:
@@ -488,13 +492,87 @@ def _enable_telemetry(args):
         event_log = default_cache_dir() / "telemetry.jsonl"
     event_log.parent.mkdir(parents=True, exist_ok=True)
     TELEMETRY.enable(JsonlSink(event_log))
-    # Every telemetry run is a trace: spans get ids, supervised
-    # worker shards parent under this process's spans, and the merger
-    # can stitch the whole run back together.
-    from repro.telemetry.tracing import start_trace
-
-    start_trace(TELEMETRY)
     return event_log
+
+
+def _run_experiment(args, event_log):
+    """Run the chosen experiment; returns ``(text, exit_code)``.
+
+    ``text`` is None when there is nothing to print.
+    """
+    if args.experiment == "conformance":
+        from repro.conformance import run_conformance, write_golden
+
+        if args.update_golden:
+            golden_path = write_golden(cache=not args.no_cache)
+            print("wrote %s" % golden_path, file=sys.stderr)
+        report = run_conformance(
+            seeds=50 if args.seeds is None else args.seeds,
+            golden=not args.skip_golden,
+            cache=not args.no_cache)
+        return report.render(), 0 if report.ok else 1
+    if args.experiment == "characterize":
+        from repro.characterize import run_roster, run_self_test
+
+        if args.self_test:
+            return run_self_test(as_json=args.json)
+        return run_roster(names=[args.target] if args.target else None,
+                          as_json=args.json)
+    if args.experiment == "faults":
+        import json as json_module
+
+        from repro.resilience.harness import run_fault_matrix
+
+        # Exit-code contract: 0 = every injected fault was
+        # recovered, 1 = a recovery failed (including the harness
+        # itself dying unexpectedly), 2 = invalid --seeds
+        # (rejected by _validate_args before we get here).
+        try:
+            report = run_fault_matrix(
+                seeds=5 if args.seeds is None else args.seeds)
+        except Exception as error:
+            print("repro-branches: faults: unexpected recovery "
+                  "failure: %s: %s"
+                  % (type(error).__name__, error), file=sys.stderr)
+            return None, 1
+        text = (json_module.dumps(report.to_dict(), indent=2,
+                                  sort_keys=True) + "\n"
+                if args.json else report.render())
+        return text, 0 if report.ok else 1
+    runner = SuiteRunner(scale=args.scale, runs=args.runs,
+                         cache_dir=False if args.no_cache else None,
+                         event_log=event_log,
+                         profile_source=args.profile_source)
+    names = ([args.target] if args.target else None) or args.benchmarks
+    if args.workers > 1:
+        from repro.benchmarksuite import ALL_BENCHMARK_NAMES
+        runner.run_all(names or ALL_BENCHMARK_NAMES,
+                       workers=args.workers)
+        report = runner.last_warm_report
+        if report is not None and not report.ok:
+            print("warm workers: %s" % report.render(),
+                  file=sys.stderr)
+    if args.experiment in ("all", "report"):
+        checkpoint = _sweep_checkpoint(
+            runner, names, [key for key, _, _ in summary.SECTIONS],
+            args.experiment, args.resume)
+        if args.experiment == "all":
+            text = "\n".join(summary.render_sections(
+                runner, names, checkpoint))
+        else:
+            text = summary.generate(runner, names, checkpoint)
+    elif args.experiment == "trace":
+        text = _dump_trace(runner, names, args.limit)
+    elif args.experiment == "stats":
+        from repro.experiments.stats import render_stats
+        text = render_stats(runner, names, limit=args.limit,
+                            as_json=args.json)
+    elif args.experiment == "profile":
+        from repro.experiments.stats import render_profile
+        text = render_profile(runner, names)
+    else:
+        text = _EXPERIMENTS[args.experiment](runner, names)
+    return text, 0
 
 
 def main(argv=None):
@@ -526,93 +604,11 @@ def main(argv=None):
         return exit_code
 
     event_log = _enable_telemetry(args) if args.telemetry else None
-    exit_code = 0
     try:
-        if args.experiment == "conformance":
-            from repro.conformance import run_conformance, write_golden
-
-            if args.update_golden:
-                golden_path = write_golden(cache=not args.no_cache)
-                print("wrote %s" % golden_path, file=sys.stderr)
-            report = run_conformance(
-                seeds=50 if args.seeds is None else args.seeds,
-                golden=not args.skip_golden,
-                cache=not args.no_cache)
-            text = report.render()
-            exit_code = 0 if report.ok else 1
-            _write_output(text, args.output)
-            return exit_code
-        if args.experiment == "characterize":
-            from repro.characterize import run_roster, run_self_test
-
-            if args.self_test:
-                text, exit_code = run_self_test(as_json=args.json)
-            else:
-                text, exit_code = run_roster(
-                    names=[args.target] if args.target else None,
-                    as_json=args.json)
-            _write_output(text, args.output)
-            return exit_code
-        if args.experiment == "faults":
-            import json as json_module
-
-            from repro.resilience.harness import run_fault_matrix
-
-            # Exit-code contract: 0 = every injected fault was
-            # recovered, 1 = a recovery failed (including the harness
-            # itself dying unexpectedly), 2 = invalid --seeds
-            # (rejected by _validate_args before we get here).
-            try:
-                report = run_fault_matrix(
-                    seeds=5 if args.seeds is None else args.seeds)
-            except Exception as error:
-                print("repro-branches: faults: unexpected recovery "
-                      "failure: %s: %s"
-                      % (type(error).__name__, error), file=sys.stderr)
-                return 1
-            text = (json_module.dumps(report.to_dict(), indent=2,
-                                      sort_keys=True) + "\n"
-                    if args.json else report.render())
-            exit_code = 0 if report.ok else 1
-            _write_output(text, args.output)
-            return exit_code
-        runner = SuiteRunner(scale=args.scale, runs=args.runs,
-                             cache_dir=False if args.no_cache else None,
-                             event_log=event_log,
-                             profile_source=args.profile_source)
-        names = ([args.target] if args.target else None) or args.benchmarks
-        if args.workers > 1:
-            from repro.benchmarksuite import ALL_BENCHMARK_NAMES
-            runner.run_all(names or ALL_BENCHMARK_NAMES,
-                           workers=args.workers)
-            report = runner.last_warm_report
-            if report is not None and not report.ok:
-                print("warm workers: %s" % report.render(),
-                      file=sys.stderr)
-        if args.experiment in ("all", "report"):
-            checkpoint = _sweep_checkpoint(
-                runner, names, [key for key, _, _ in summary.SECTIONS],
-                args.experiment, args.resume)
-            if args.experiment == "all":
-                text = "\n".join(summary.render_sections(
-                    runner, names, checkpoint))
-            else:
-                text = summary.generate(runner, names, checkpoint)
-        elif args.experiment == "trace":
-            text = _dump_trace(runner, names, args.limit)
-        elif args.experiment == "stats":
-            from repro.experiments.stats import render_stats
-            text = render_stats(runner, names, limit=args.limit,
-                                as_json=args.json)
-        elif args.experiment == "profile":
-            from repro.experiments.stats import render_profile
-            text = render_profile(runner, names)
-        else:
-            text = _EXPERIMENTS[args.experiment](runner, names)
+        with TELEMETRY.span("cli." + args.experiment):
+            text, exit_code = _run_experiment(args, event_log)
     finally:
         if event_log is not None:
-            from repro.telemetry.core import TELEMETRY
-
             # Dump the final counters so `metrics --replay` rebuilds them
             # from the log alone (workers do the same on exit).
             TELEMETRY.event("telemetry.snapshot",
@@ -621,7 +617,8 @@ def main(argv=None):
                 TELEMETRY.sink.close()
             TELEMETRY.disable().reset()
             print("telemetry event log: %s" % event_log, file=sys.stderr)
-    _write_output(text, args.output)
+    if text is not None:
+        _write_output(text, args.output)
     return exit_code
 
 

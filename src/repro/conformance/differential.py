@@ -121,9 +121,10 @@ def engine_divergence(make_predictor, trace):
     :func:`~repro.predictors.base.simulate_scalar` and once through
     :func:`~repro.kernels.simulate_vector`, and compares the two
     ``PredictionStats`` field for field — the bit-identity contract of
-    :mod:`repro.kernels`.  Returns an aggregate :class:`Divergence` or
-    None; also None when the predictor has no vector kernel (nothing to
-    cross-check).
+    :mod:`repro.kernels`.  Returns an aggregate :class:`Divergence`
+    whose production side is the vector kernel and whose oracle is the
+    scalar reference loop, or None; also None when the predictor has
+    no vector kernel (nothing to cross-check).
     """
     from repro.kernels import simulate_vector, supports
     from repro.predictors.base import simulate_scalar
@@ -133,8 +134,8 @@ def engine_divergence(make_predictor, trace):
     scalar = simulate_scalar(make_predictor(), trace)
     vector = simulate_vector(make_predictor(), trace)
     if scalar != vector:
-        return Divergence("engine", None, None, scalar.as_dict(),
-                          vector.as_dict())
+        return Divergence("engine", None, None, vector.as_dict(),
+                          scalar.as_dict())
     return None
 
 

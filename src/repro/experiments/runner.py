@@ -671,12 +671,7 @@ class SuiteRunner:
         # boundary: each attempt writes a JSONL shard under
         # <cache>/traces that the merger stitches under this
         # runner.warm span.
-        trace_dir = None
-        if TELEMETRY.enabled:
-            from repro.telemetry.tracing import ensure_trace
-
-            ensure_trace(TELEMETRY)   # before the span, so it has an id
-            trace_dir = self.cache_dir / "traces"
+        trace_dir = self.cache_dir / "traces" if TELEMETRY.enabled else None
         with TELEMETRY.span("runner.warm", benchmarks=len(pending),
                             workers=workers):
             report = run_supervised(

@@ -12,6 +12,7 @@ from repro.experiments import (
     table4,
     table5,
 )
+from repro.telemetry.core import TELEMETRY
 
 #: The paper's sections in order: (checkpoint key, report title,
 #: module).  ``all`` prints the bodies; ``report`` adds the markdown.
@@ -45,7 +46,8 @@ def render_sections(runner, names=None, checkpoint=None):
             text = done[key]
         else:
             # Through the module, so a rebound ``render`` sees the call.
-            text = module.render(runner, names)
+            with TELEMETRY.span("experiments.render." + key):
+                text = module.render(runner, names)
             if checkpoint is not None:
                 checkpoint.record(key, text)
         texts.append(text)

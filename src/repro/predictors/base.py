@@ -2,8 +2,7 @@
 :func:`simulate` runs on the batch kernels (:mod:`repro.kernels`),
 :func:`simulate_scalar` is the reference loop."""
 
-import time
-
+from repro.telemetry.core import TELEMETRY
 from repro.vm.tracing import BranchClass
 
 
@@ -168,9 +167,9 @@ class Predictor:
         self.reset()
 
     def telemetry_stats(self):
-        """Configuration facts for the ``predictor.simulate`` event.
+        """Configuration facts for the ``predictors.simulate`` span.
 
-        They describe the predictor, not a run, so the event has the
+        They describe the predictor, not a run, so the span has the
         same shape on both simulation paths.  The base implementation
         only names the scheme; the BTBs add their geometry.
         """
@@ -272,12 +271,21 @@ def simulate(predictor, trace, flush_interval=None,
     from repro.kernels import resolve_engine, simulate_vector
 
     path = resolve_engine(predictor, trace=trace)
-    started = time.perf_counter()
     simulate_path = simulate_vector if path == "vector" else simulate_scalar
-    stats = simulate_path(predictor, trace, flush_interval=flush_interval,
-                          conditional_only=conditional_only,
-                          ras_returns=ras_returns)
-    _report_simulation(predictor, stats, path, started)
+    with TELEMETRY.span("predictors.simulate") as span:
+        stats = simulate_path(predictor, trace,
+                              flush_interval=flush_interval,
+                              conditional_only=conditional_only,
+                              ras_returns=ras_returns)
+        if TELEMETRY.enabled:    # so the disabled path builds no dict
+            TELEMETRY.count("predictor.records", stats.total)
+            TELEMETRY.count("predictor.records.%s" % path, stats.total)
+            span.annotate(
+                records=stats.total, correct=stats.correct,
+                accuracy=stats.accuracy,
+                buffer_misses=stats.buffer_misses,
+                miss_ratio=stats.miss_ratio, engine=path,
+                **predictor.telemetry_stats())
     return stats
 
 
@@ -317,25 +325,3 @@ def simulate_scalar(predictor, trace, flush_interval=None,
         predictor.update(site, branch_class, taken, target)
 
     return stats
-
-
-def _report_simulation(predictor, stats, path, started):
-    """Telemetry for one simulation: per-path record counters and a
-    ``predictor.simulate`` event carrying the path that ran and its
-    throughput (the observability half of the speedup story; the
-    perf-regression gate in benchmarks/ does the enforcement)."""
-    from repro.telemetry.core import TELEMETRY
-    if not TELEMETRY.enabled:
-        return
-    elapsed = time.perf_counter() - started
-    TELEMETRY.count("predictor.records", stats.total)
-    TELEMETRY.count("predictor.records.%s" % path, stats.total)
-    TELEMETRY.event(
-        "predictor.simulate", records=stats.total,
-        correct=stats.correct, accuracy=stats.accuracy,
-        buffer_misses=stats.buffer_misses,
-        miss_ratio=stats.miss_ratio,
-        engine=path,
-        records_per_second=(stats.total / elapsed if elapsed > 0
-                            else None),
-        **predictor.telemetry_stats())

@@ -129,17 +129,18 @@ def _captured_events():
     """Route telemetry into a private aggregator; restore after.
 
     The counters and histograms the matrix records go into private
-    tables too, so the process registry comes back as it was.
+    tables too, and the trace context enabling installs is put back,
+    so the process registry comes back as it was.
     """
     sink = InMemoryAggregator()
-    prior = (TELEMETRY.enabled, TELEMETRY.sink,
+    prior = (TELEMETRY.enabled, TELEMETRY.sink, TELEMETRY.trace,
              TELEMETRY._counters, TELEMETRY._histograms)
     TELEMETRY._counters, TELEMETRY._histograms = {}, {}
     TELEMETRY.enable(sink)
     try:
         yield sink
     finally:
-        (TELEMETRY.enabled, TELEMETRY.sink,
+        (TELEMETRY.enabled, TELEMETRY.sink, TELEMETRY._trace,
          TELEMETRY._counters, TELEMETRY._histograms) = prior
 
 

@@ -273,11 +273,9 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
 
     trace_ctx = None
     if trace_dir is not None and TELEMETRY.enabled:
-        from repro.telemetry.tracing import ensure_trace
-
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        trace_ctx = ensure_trace(TELEMETRY)
+        trace_ctx = TELEMETRY.trace
         TELEMETRY.event("supervisor.start", tasks=len(normalized),
                         workers=workers, trace_dir=str(trace_dir))
 

@@ -4,15 +4,15 @@ The pieces (see docs/OBSERVABILITY.md for the full guide):
 
 * :mod:`repro.telemetry.core` — the span/counter/histogram registry and
   its process-wide singleton :data:`TELEMETRY` (disabled by default;
-  instrumented hot paths pay one attribute check until enabled);
+  instrumented hot paths pay one attribute check until enabled; an
+  enabled registry always traces);
 * :mod:`repro.telemetry.sinks` — event sinks: an in-memory aggregator
   for tests/`profile`, a crash-safe line-buffered JSONL event log for
   runs, plus a torn-line-tolerant reader;
 * :mod:`repro.telemetry.tracing` — cross-process trace propagation:
   trace contexts shipped into supervised workers, per-attempt JSONL
-  shards, and the merger that stitches them into one trace tree;
-* :mod:`repro.telemetry.exposition` — Prometheus text-format
-  exposition of a recorded run (``repro-branches metrics --replay``);
+  shards, the merger that stitches them into one trace tree, and the
+  ledger folded from that tree (``repro-branches metrics --replay``);
 * :mod:`repro.telemetry.history` — the append-only BENCH_history.jsonl
   perf trajectory and its regression report
   (``repro-branches bench-history``);
@@ -49,9 +49,9 @@ from repro.telemetry.sinks import (
 from repro.telemetry.tracing import (
     TraceContext,
     TraceTree,
+    fold_ledger,
     merge_trace,
     new_trace_id,
-    start_trace,
 )
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
     "read_jsonl_tolerant",
     "TraceContext",
     "TraceTree",
+    "fold_ledger",
     "merge_trace",
     "new_trace_id",
-    "start_trace",
 ]

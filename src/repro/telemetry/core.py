@@ -18,19 +18,20 @@ Design points:
 * all registry mutation happens under one lock — the experiment
   harness's parallel cache warmers run in separate *processes*, but the
   API stays safe for in-process threads too;
-* tracing is opt-in on top of telemetry: installing a
-  :class:`~repro.telemetry.tracing.TraceContext` (via
-  :meth:`Telemetry.set_trace_context`) makes every span carry a
-  ``trace_id``/``span_id``/``parent_span_id`` triple in its sink
-  event, which is what lets the shard merger stitch events from many
-  worker processes into one tree.  Without a context, span events look
-  exactly as they always did.
+* an enabled registry always traces: it carries a
+  :class:`~repro.telemetry.tracing.TraceContext`, so every span event
+  has a ``trace_id``/``span_id``/``parent_span_id`` triple, which lets
+  the shard merger stitch events from many worker processes into one
+  tree and :func:`~repro.telemetry.tracing.fold_ledger` account for
+  a run's time.
 """
 
 import math
 import random
 import threading
 import time
+
+from repro.telemetry.tracing import TraceContext, new_trace_id
 
 
 class Counter:
@@ -127,10 +128,10 @@ class Span:
     Extra keyword attributes given at creation ride along on the event;
     :meth:`annotate` adds more mid-flight.
 
-    When the registry carries a trace context, the span is assigned a
-    process-unique ``span_id`` on entry and remembers its parent (the
-    enclosing span on this thread, or the context's cross-process
-    parent at the top level); both ride on the completion event.
+    The span is assigned a process-unique ``span_id`` on entry and
+    remembers its parent (the enclosing span on this thread, or the
+    trace context's cross-process parent at the top level); both ride
+    on the completion event.
     """
 
     __slots__ = ("registry", "name", "attrs", "start", "duration",
@@ -151,9 +152,8 @@ class Span:
         return self
 
     def __enter__(self):
-        if self.registry._trace is not None:
-            self.parent_span_id = self.registry.current_span_id()
-            self.span_id = self.registry.allocate_span_id()
+        self.parent_span_id = self.registry.current_span_id()
+        self.span_id = self.registry.allocate_span_id()
         self.registry._push(self.name, self.span_id)
         self.start = time.perf_counter()
         return self
@@ -201,15 +201,18 @@ class Telemetry:
         self.enabled = enabled
         self._counters = {}
         self._histograms = {}
-        self._trace = None
+        self._trace = TraceContext(new_trace_id()) if enabled else None
         self._span_seq = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def enable(self, sink=None):
-        """Turn instrumentation on, optionally replacing the sink."""
+        """Turn instrumentation on, optionally replacing the sink;
+        installs a fresh root trace context when none is set."""
         if sink is not None:
             self.sink = sink
+        if self._trace is None:
+            self._trace = TraceContext(new_trace_id())
         self.enabled = True
         return self
 
@@ -221,10 +224,11 @@ class Telemetry:
     def reset(self):
         """Clear all aggregates; detach the sink and trace context.
 
-        The span stack is dropped too: a forked worker inherits its
-        parent's open spans on the main thread, and without clearing
-        them the child's top-level spans would parent under the
-        supervisor's spans instead of its own shard span.
+        A registry that stays enabled starts a new trace.  The span
+        stack is dropped too: a forked worker inherits its parent's
+        open spans on the main thread, and without clearing them the
+        child's top-level spans would parent under the supervisor's
+        spans instead of its own shard span.
         """
         with self._lock:
             self._counters.clear()
@@ -232,18 +236,16 @@ class Telemetry:
             self._span_seq = 0
         self._local = threading.local()
         self.sink = None
-        self._trace = None
+        self._trace = TraceContext(new_trace_id()) if self.enabled else None
         return self
 
     # -- trace context -----------------------------------------------------
 
     def set_trace_context(self, context):
-        """Install (or with None, clear) the cross-process trace context.
+        """Install the cross-process trace context a worker was shipped.
 
-        While a context is installed, spans carry
-        ``trace_id``/``span_id``/``parent_span_id`` on their sink
-        events and structured events are stamped with the trace id and
-        the enclosing span — see :mod:`repro.telemetry.tracing`.
+        Top-level spans parent under its span id — see
+        :mod:`repro.telemetry.tracing`.
         """
         self._trace = context
         return self
@@ -258,21 +260,19 @@ class Telemetry:
         with self._lock:
             self._span_seq += 1
             sequence = self._span_seq
-        node = self._trace.node if self._trace is not None else "s"
-        return "%s-%d" % (node, sequence)
+        return "%s-%d" % (self._trace.node, sequence)
 
     def current_span_id(self):
         """Id of the innermost open span on this thread.
 
         Falls back to the trace context's cross-process parent span
-        when no span is open (so top-level events in a worker process
-        attach under the shard span its supervisor allocated); None
-        without a context.
+        when no span is open, so top-level events in a worker process
+        attach under the shard span its supervisor allocated.
         """
         stack = self._stack()
         if stack:
             return stack[-1][1]
-        return self._trace.span_id if self._trace is not None else None
+        return self._trace.span_id
 
     # -- span stack (per thread) -------------------------------------------
 
@@ -282,7 +282,7 @@ class Telemetry:
             stack = self._local.stack = []
         return stack
 
-    def _push(self, name, span_id=None):
+    def _push(self, name, span_id):
         self._stack().append((name, span_id))
 
     def _pop(self):
@@ -307,13 +307,12 @@ class Telemetry:
         self.record("span." + span.name, span.duration)
         if self.sink is not None:
             event = {"type": "span", "name": span.name,
-                     "duration_s": span.duration, "depth": depth}
+                     "duration_s": span.duration, "depth": depth,
+                     "trace_id": self._trace.trace_id,
+                     "span_id": span.span_id,
+                     "parent_span_id": span.parent_span_id}
             if failed:
                 event["failed"] = True
-            if span.span_id is not None and self._trace is not None:
-                event["trace_id"] = self._trace.trace_id
-                event["span_id"] = span.span_id
-                event["parent_span_id"] = span.parent_span_id
             if span.attrs:
                 event.update(span.attrs)
             self.sink.emit(event)
@@ -342,10 +341,9 @@ class Telemetry:
         """Emit a structured event to the sink (no-op when disabled)."""
         if not self.enabled or self.sink is None:
             return
-        event = {"type": "event", "name": name}
-        if self._trace is not None:
-            event["trace_id"] = self._trace.trace_id
-            event["parent_span_id"] = self.current_span_id()
+        event = {"type": "event", "name": name,
+                 "trace_id": self._trace.trace_id,
+                 "parent_span_id": self.current_span_id()}
         event.update(fields)
         self.sink.emit(event)
 

@@ -1,9 +1,8 @@
-"""Cross-process trace propagation and the shard merger.
+"""Cross-process trace propagation, the shard merger and the ledger.
 
-Observability used to die at the process boundary: spans and counters
-emitted inside supervised worker children went nowhere.  This module
-carries a trace across that boundary and stitches the pieces back
-together:
+Every enabled telemetry registry traces: its spans carry trace and
+span ids.  This module carries a trace across the process boundary,
+stitches the pieces back together and accounts for the run's time:
 
 * a :class:`TraceContext` — a trace id plus the parent span id new
   top-level spans should attach under — travels *in the payload* the
@@ -20,17 +19,21 @@ together:
   :class:`TraceTree` in which every worker attempt parents under its
   shard span.  Spans whose parent never made it to disk (the attempt
   was killed mid-flight) are *adopted* by their shard span rather
-  than dropped, so a tree over a crashed sweep is still complete.
+  than dropped, so a tree over a crashed sweep is still complete;
+* :func:`fold_ledger` folds that tree into the run's per-layer ledger:
+  calls and self seconds per span name, the time no span claims, and
+  the counters of every process.  ``repro-branches metrics --replay``
+  prints it.
 
-The scripts/check.sh trace gate is a client of the merger, and
-``repro-branches metrics --replay`` reads the same files through
-:func:`jsonl_files`; `docs/OBSERVABILITY.md
-<../../../docs/OBSERVABILITY.md>`_ shows a worked example.
+The scripts/check.sh trace gate is a client of the merger and the
+ledger; `docs/OBSERVABILITY.md <../../../docs/OBSERVABILITY.md>`_
+shows a worked example.
 """
 
 import os
 import re
 import uuid
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from repro.telemetry.sinks import read_jsonl_tolerant
@@ -82,19 +85,6 @@ def new_trace_id():
     return uuid.uuid4().hex[:16]
 
 
-def start_trace(registry, trace_id=None):
-    """Install a fresh root context on ``registry``; returns it."""
-    context = TraceContext(trace_id if trace_id else new_trace_id())
-    registry.set_trace_context(context)
-    return context
-
-
-def ensure_trace(registry):
-    """The registry's trace context, creating a root one if absent."""
-    return registry.trace if registry.trace is not None \
-        else start_trace(registry)
-
-
 def shard_filename(trace_id, label, attempt):
     """The shard file name for one worker attempt (filesystem-safe)."""
     return "shard-%s-%s-a%d.jsonl" % (
@@ -115,8 +105,7 @@ def emit_shard_span(registry, span_id, label, attempt, status,
     directly once the attempt resolves — ok, crash, hang, or error
     alike, so a trace accounts for every attempt that ever started.
     """
-    if not registry.enabled or registry.sink is None \
-            or registry.trace is None:
+    if not registry.enabled or registry.sink is None:
         return
     registry.record("span." + SHARD_SPAN, duration)
     registry.sink.emit({
@@ -168,7 +157,8 @@ _SPAN_EVENT_META = frozenset((
 class TraceTree:
     """The stitched view of one trace across all its processes."""
 
-    def __init__(self, trace_id, roots, orphans, torn_lines, nodes):
+    def __init__(self, trace_id, roots, orphans, torn_lines, nodes,
+                 events):
         self.trace_id = trace_id
         self.roots = roots
         #: Spans whose parent id is unknown *and* that could not be
@@ -176,6 +166,8 @@ class TraceTree:
         self.orphans = orphans
         self.torn_lines = torn_lines
         self._nodes = nodes
+        #: Every structured event of the trace, in timestamp order.
+        self.events = events
 
     @property
     def complete(self):
@@ -243,13 +235,14 @@ def jsonl_files(paths):
     """The event-log files ``paths`` names, in read order.
 
     ``paths`` is one path or a list/tuple of them; a directory expands
-    to its ``*.jsonl`` files sorted by name, a file stands for itself.
+    to every ``*.jsonl`` file beneath it sorted by path (a cache
+    directory's log and ``traces/`` shards), a file stands for itself.
     """
     files = []
     for path in (paths if isinstance(paths, (list, tuple)) else [paths]):
         path = Path(path)
         if path.is_dir():
-            files.extend(sorted(path.glob("*.jsonl")))
+            files.extend(sorted(path.rglob("*.jsonl")))
         else:
             files.append(path)
     return files
@@ -261,33 +254,30 @@ def merge_trace(paths, trace_id=None):
     Args:
         paths: JSONL files to merge — the supervisor's own event log
             plus the attempt shards (or a directory, which merges
-            every ``*.jsonl`` inside it).
-        trace_id: restrict to this trace; default is the first trace
-            id seen (one sweep writes one trace, so that is the
-            common case).
+            every ``*.jsonl`` beneath it).
+        trace_id: restrict to this trace; default is the latest in
+            the files, the one with the last ``ts`` (several runs may
+            append to one log).
 
-    Span events without a ``span_id`` (telemetry without tracing) are
-    ignored.  Structured events attach to their parent node as
-    annotations.  A span whose parent id is absent from the merged set
-    is adopted by the shard span owning its file when that is known
-    (the attempt was killed before its root span closed), and is an
-    orphan otherwise.
+    Structured events attach to their parent node as annotations.  A
+    span whose parent id is absent from the merged set is adopted by
+    the shard span owning its file when that is known (the attempt was
+    killed before its root span closed), and is an orphan otherwise.
     """
     torn_total = 0
-    spans = []
-    loose_events = []
+    read = []
     for path in jsonl_files(paths):
         events, torn = read_jsonl_tolerant(path)
         torn_total += torn
-        for event in events:
-            if trace_id is None and event.get("trace_id"):
-                trace_id = event["trace_id"]
-            if event.get("trace_id") != trace_id:
-                continue
-            if event.get("type") == "span" and event.get("span_id"):
-                spans.append((event, path.name))
-            elif event.get("type") == "event":
-                loose_events.append(event)
+        read += [(event, path.name) for event in events
+                 if event.get("trace_id")]
+    if trace_id is None and read:
+        _, _, trace_id = max((event.get("ts", 0.0), order,
+                              event["trace_id"])
+                             for order, (event, _) in enumerate(read))
+    read = [item for item in read if item[0]["trace_id"] == trace_id]
+    spans = [item for item in read if item[0].get("type") == "span"]
+    events = [event for event, _ in read if event.get("type") == "event"]
 
     nodes = {}
     shard_owner = {}            # shard file name -> shard span id
@@ -321,14 +311,60 @@ def merge_trace(paths, trace_id=None):
             continue
         parent.children.append(node)
 
-    for event in loose_events:
+    events.sort(key=lambda item: item.get("ts", 0.0))
+    for event in events:
         parent = nodes.get(event.get("parent_span_id"))
         if parent is not None:
             parent.events.append(event)
 
     for node in nodes.values():
         node.children.sort(key=lambda child: (child.ts, child.span_id))
-        node.events.sort(key=lambda item: item.get("ts", 0.0))
     roots.sort(key=lambda node: (node.ts, node.span_id))
     orphans.sort(key=lambda node: (node.ts, node.span_id))
-    return TraceTree(trace_id, roots, orphans, torn_total, nodes)
+    return TraceTree(trace_id, roots, orphans, torn_total, nodes, events)
+
+
+def _self_time(node):
+    """``node``'s duration minus the union of its children's intervals
+    (a span covers ``[ts - duration, ts]``), so overlapping children,
+    such as parallel shard spans, count once."""
+    end = node.ts
+    reach = end - node.duration
+    covered = 0.0
+    for start, stop in sorted((child.ts - child.duration, child.ts)
+                              for child in node.children):
+        start, stop = max(start, reach), min(stop, end)
+        if stop > start:
+            covered += stop - start
+            reach = stop
+    return node.duration - covered
+
+
+def fold_ledger(tree):
+    """Where a traced run's time went: the per-layer ledger of ``tree``.
+
+    ``layers`` maps each span name below a root (orphans and their
+    subtrees included) to its ``(calls, self_s)``; ``wall_s`` and
+    ``other_s`` are the roots' durations and self times, the time no
+    span claims; ``counters`` sums the ``telemetry.snapshot`` events of
+    every process.  Names sort, so a render is deterministic.
+    """
+    calls = Counter()
+    self_s = defaultdict(float)
+    below = [child for root in tree.roots for child in root.children]
+    for top in below + tree.orphans:
+        for node in top.walk():
+            calls[node.name] += 1
+            self_s[node.name] += _self_time(node)
+    counters = Counter()
+    for event in tree.events:
+        if event.get("name") == "telemetry.snapshot":
+            counters.update(event.get("counters") or {})
+    return {
+        "trace_id": tree.trace_id,
+        "wall_s": sum(root.duration for root in tree.roots),
+        "other_s": sum(_self_time(root) for root in tree.roots),
+        "layers": {name: (calls[name], self_s[name])
+                   for name in sorted(calls)},
+        "counters": dict(sorted(counters.items())),
+    }

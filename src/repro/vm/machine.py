@@ -16,7 +16,6 @@ slots cancels the countdown, which is exactly what an absorbed unlikely
 branch does when it fires.
 """
 
-import time
 
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
@@ -164,8 +163,7 @@ class Machine:
 
         Telemetry is deliberately run-level, never per-instruction: the
         disabled path costs one attribute check per *run* and the
-        enabled path times the whole execution and derives the dispatch
-        rate from the result's instruction count.
+        enabled path spans the whole execution as ``vm.run``.
         """
         from repro.vm.compiled import run_compiled  # imports this module
 
@@ -173,21 +171,15 @@ class Machine:
                     and not self.address_trace_enabled)
         if not TELEMETRY.enabled:
             return run_compiled(self) if compiled else self._run()
-        start = time.perf_counter()
-        result = run_compiled(self) if compiled else self._run()
-        duration = time.perf_counter() - start
+        with TELEMETRY.span("vm.run", program=self.program.name,
+                            path="compiled" if compiled else "reference",
+                            traced=self.trace_enabled) as span:
+            result = run_compiled(self) if compiled else self._run()
+            span.annotate(instructions=result.instructions)
         TELEMETRY.count("vm.runs")
         if compiled:
             TELEMETRY.count("vm.compiled_runs")
         TELEMETRY.count("vm.instructions", result.instructions)
-        TELEMETRY.record("vm.run_seconds", duration)
-        TELEMETRY.event(
-            "vm.run", program=self.program.name,
-            instructions=result.instructions, duration_s=duration,
-            instructions_per_second=(result.instructions / duration
-                                     if duration > 0 else None),
-            traced=self.trace_enabled,
-            path="compiled" if compiled else "reference")
         return result
 
     def _run(self):

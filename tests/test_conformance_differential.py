@@ -311,6 +311,36 @@ def test_run_conformance_shrinks_and_labels_every_check_kind(monkeypatch):
     assert "RESULT: FAIL" in report.render()
 
 
+def test_engine_finding_labels_the_kernel_as_production(monkeypatch):
+    """An engine finding shows the vector kernel as the production side
+    and the scalar reference loop as the oracle."""
+    from repro.conformance import harness
+    from repro.kernels import simulate_vector, tables
+    from repro.predictors.base import simulate_scalar
+
+    genuine_kernel = tables.sbtb_kernel
+
+    def broken_kernel(predictor, enc):
+        pred_taken, target_match, hit = genuine_kernel(predictor, enc)
+        hit = hit.copy()
+        if len(hit) > 3:
+            hit[3] = 1 - hit[3]
+        return pred_taken, target_match, hit
+
+    monkeypatch.setattr(tables, "sbtb_kernel", broken_kernel)
+    report = run_conformance(seeds=1, golden=False)
+    finding = next(finding for finding in report.findings
+                   if finding.scheme == "SBTB@engine")
+    trace = TraceFuzzer(finding.seed).trace()
+    kernel = simulate_vector(SimpleBTB(entries=harness._ENTRIES), trace)
+    reference = simulate_scalar(SimpleBTB(entries=harness._ENTRIES), trace)
+    assert kernel.buffer_misses != reference.buffer_misses
+    assert finding.divergence.production["buffer_misses"] \
+        == kernel.buffer_misses
+    assert finding.divergence.oracle["buffer_misses"] \
+        == reference.buffer_misses
+
+
 def test_divergence_describe_mentions_record():
     trace = TraceFuzzer(0).trace()
 

@@ -167,14 +167,16 @@ def test_fault_matrix_one_seed_all_kinds(tmp_path):
 
 
 def test_fault_matrix_leaves_registry_aggregates_alone(tmp_path):
-    """The matrix records into private tables, not the process's."""
+    """The matrix records into private tables, not the process's, and
+    puts back the trace context that enabling it installs."""
     from repro.telemetry.core import TELEMETRY
 
-    before = TELEMETRY.counter_value("vm.runs")
+    TELEMETRY.disable().reset()     # as in a run without --telemetry
     report = run_fault_matrix(seeds=1, kinds=("enospc",),
                               base_dir=str(tmp_path))
     assert report.ok, report.render()
-    assert TELEMETRY.counter_value("vm.runs") == before
+    assert TELEMETRY.counter_value("vm.runs") == 0
+    assert not TELEMETRY.enabled and TELEMETRY.trace is None
 
 
 def test_fault_matrix_report_fails_on_swallow():

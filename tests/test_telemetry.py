@@ -170,18 +170,20 @@ def test_histogram_percentiles_nearest_rank_small_reservoirs():
 
 
 def test_histogram_two_sample_exposition_quantiles():
-    """A short-run histogram must expose sane quantiles end to end
-    (the probe-latency histograms routinely hold one or two samples)."""
+    """A short-run histogram must expose sane quantiles in the registry
+    snapshot (the probe-latency histograms routinely hold one or two
+    samples)."""
     from repro.telemetry.core import Telemetry
-    from repro.telemetry.exposition import prometheus_text
 
     registry = Telemetry(enabled=True)
     registry.record("characterize_probe", 2.0)
-    snapshot = registry.snapshot()
-    data = snapshot["histograms"]["characterize_probe"]
-    assert data["p50"] == data["p95"] == data["p99"] == 2.0
-    text = prometheus_text(snapshot)
-    assert 'quantile="0.99"' in text
+    registry.record("characterize_pair", 2.0)
+    registry.record("characterize_pair", 5.0)
+    histograms = registry.snapshot()["histograms"]
+    single = histograms["characterize_probe"]
+    assert single["p50"] == single["p95"] == single["p99"] == 2.0
+    pair = histograms["characterize_pair"]
+    assert (pair["p50"], pair["p95"], pair["p99"]) == (2.0, 5.0, 5.0)
 
 
 def test_histogram_reservoir_bounded_and_deterministic():
@@ -483,8 +485,9 @@ def test_vm_emits_run_event(global_telemetry):
     assert (TELEMETRY.counter_value("vm.instructions")
             == 2 * result.instructions)
     compiled, reference = global_telemetry.named("vm.run")
+    assert compiled["type"] == reference["type"] == "span"
     assert compiled["instructions"] == result.instructions
-    assert compiled["instructions_per_second"] > 0
+    assert compiled["duration_s"] > 0
     assert (compiled["path"], reference["path"]) == ("compiled",
                                                      "reference")
 
@@ -503,7 +506,7 @@ def test_predictor_simulate_emits_stats(global_telemetry):
     trace = run_program(program, trace=True).trace
     simulate(SimpleBTB(), trace)
     simulate(CounterBTB(), trace)
-    events = global_telemetry.named("predictor.simulate")
+    events = global_telemetry.named("predictors.simulate")
     assert [event["scheme"] for event in events] == ["SBTB", "CBTB"]
     for event in events:
         assert 0.0 <= event["accuracy"] <= 1.0
@@ -525,7 +528,7 @@ def _loop_trace():
 
 
 def _simulate_events(trace, predictor):
-    """Counters and ``predictor.simulate`` events of one run."""
+    """Counters and ``predictors.simulate`` span events of one run."""
     from repro.predictors import simulate
 
     TELEMETRY.reset()
@@ -533,7 +536,7 @@ def _simulate_events(trace, predictor):
     TELEMETRY.enable(sink)
     simulate(predictor, trace)
     return (TELEMETRY.snapshot()["counters"],
-            sink.named("predictor.simulate"))
+            sink.named("predictors.simulate"))
 
 
 def _scalar_and_vector_events(trace):

@@ -1,5 +1,5 @@
 """Tests for cross-process tracing: contexts, shards, the merger,
-and Prometheus exposition of recorded runs."""
+and the per-layer ledger of recorded runs."""
 
 import json
 import os
@@ -14,15 +14,14 @@ from repro.telemetry import (
     JsonlSink,
     Telemetry,
     TraceContext,
+    fold_ledger,
     merge_trace,
     new_trace_id,
-    start_trace,
 )
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.tracing import (
     ATTEMPT_SPAN,
     SHARD_SPAN,
-    ensure_trace,
     shard_filename,
 )
 
@@ -32,8 +31,7 @@ def traced(tmp_path):
     """The global registry enabled with a JSONL sink and a trace."""
     log = tmp_path / "telemetry.jsonl"
     TELEMETRY.enable(JsonlSink(log))
-    context = start_trace(TELEMETRY)
-    yield log, context
+    yield log, TELEMETRY.trace
     if TELEMETRY.sink is not None:
         TELEMETRY.sink.close()
     TELEMETRY.disable()
@@ -59,11 +57,17 @@ def test_new_trace_ids_are_unique_hex():
     assert all(len(t) == 16 and int(t, 16) >= 0 for t in ids)
 
 
-def test_ensure_trace_is_idempotent():
+def test_enable_installs_one_root_context():
     registry = Telemetry(enabled=True)
-    first = ensure_trace(registry)
-    assert ensure_trace(registry) is first
-    registry.set_trace_context(None)
+    first = registry.trace
+    assert first is not None and first.span_id is None     # a root
+    assert registry.enable().trace is first
+    registry.reset()                    # still enabled: a new trace
+    assert registry.trace is not None and registry.trace is not first
+    assert registry.disable().reset().trace is None
+    shipped = TraceContext(new_trace_id(), span_id="p1-3")
+    registry.set_trace_context(shipped)  # a worker attempt's context
+    assert registry.enable().trace is shipped
 
 
 def test_shard_filename_sanitised():
@@ -78,7 +82,7 @@ def test_shard_filename_sanitised():
 
 def test_spans_carry_trace_ids_and_parents():
     registry = Telemetry(sink=InMemoryAggregator(), enabled=True)
-    context = start_trace(registry)
+    context = registry.trace
     with registry.span("outer"):
         with registry.span("inner"):
             registry.event("deep.event", detail=1)
@@ -92,12 +96,16 @@ def test_spans_carry_trace_ids_and_parents():
     assert outer["span_id"] != inner["span_id"]
 
 
-def test_spans_have_no_ids_without_a_context():
-    registry = Telemetry(sink=InMemoryAggregator(), enabled=True)
+def test_enabled_registry_always_traces():
+    registry = Telemetry(sink=InMemoryAggregator())
+    registry.enable()
     with registry.span("plain"):
-        pass
-    event = registry.sink.named("plain")[0]
-    assert "span_id" not in event and "trace_id" not in event
+        registry.event("inside")
+    span = registry.sink.named("plain")[0]
+    event = registry.sink.named("inside")[0]
+    assert span["trace_id"] == event["trace_id"] == registry.trace.trace_id
+    assert span["span_id"] and span["parent_span_id"] is None
+    assert event["parent_span_id"] == span["span_id"]
 
 
 def test_top_level_spans_parent_under_context_span():
@@ -112,7 +120,6 @@ def test_top_level_spans_parent_under_context_span():
 
 def test_reset_clears_inherited_span_stack():
     registry = Telemetry(sink=InMemoryAggregator(), enabled=True)
-    start_trace(registry)
     span = registry.span("stale").__enter__()       # left open, as a
     assert registry.current_span_name() == "stale"  # fork would leave
     registry.reset()
@@ -243,67 +250,168 @@ def test_merge_trace_respects_trace_id_filter(tmp_path):
     assert [node.name for node in tree.roots] == ["root-bbbb"]
 
 
-# --- exposition -------------------------------------------------------------
+def test_merge_defaults_to_the_latest_trace(tmp_path):
+    path = tmp_path / "appended.jsonl"
+    with open(path, "w") as handle:
+        for trace, ts in (("aaaa", 1.0), ("bbbb", 2.0), ("aaaa", 1.5)):
+            handle.write(json.dumps({
+                "type": "span", "name": "root-" + trace,
+                "trace_id": trace, "span_id": "%s-%s" % (trace, ts),
+                "parent_span_id": None, "duration_s": 0.1,
+                "ts": ts}) + "\n")
+    assert merge_trace([path]).trace_id == "bbbb"
 
 
-def test_prometheus_text_format():
-    from repro.telemetry.exposition import prometheus_text
-
-    registry = Telemetry(enabled=True)
-    registry.count("runner.cache.hit", 5)
-    for value in (1.0, 2.0, 3.0, 4.0):
-        registry.record("span.trace", value)
-    text = prometheus_text(registry.snapshot())
-    assert "# TYPE repro_runner_cache_hit_total counter" in text
-    assert "repro_runner_cache_hit_total 5" in text
-    assert "# TYPE repro_span_trace summary" in text
-    assert 'repro_span_trace{quantile="0.5"} 2.0' in text
-    assert "repro_span_trace_sum 10.0" in text
-    assert "repro_span_trace_count 4" in text
-    assert prometheus_text({"counters": {}, "histograms": {}}) == ""
+# --- the ledger -------------------------------------------------------------
 
 
-def test_replay_rebuilds_registry_from_log():
-    from repro.telemetry.exposition import replay_into
+def _write_events(path, events, trace_id="t" * 16):
+    with open(path, "w") as handle:
+        for event in events:
+            handle.write(json.dumps(dict(event, trace_id=trace_id))
+                         + "\n")
 
-    registry = Telemetry(enabled=True)
-    replay_into(registry, [
-        {"type": "span", "name": "runner.trace", "duration_s": 2.0},
-        {"type": "span", "name": "runner.trace", "duration_s": 4.0},
-        {"type": "event", "name": "telemetry.snapshot",
-         "counters": {"vm.runs": 7}},
-        {"type": "event", "name": "telemetry.snapshot",
-         "counters": {"vm.runs": 3}},
-        {"type": "event", "name": "unrelated", "counters": {"x": 9}},
+
+def _span(name, span_id, parent, start, end, **attrs):
+    return dict(type="span", name=name, span_id=span_id,
+                parent_span_id=parent, duration_s=end - start, ts=end,
+                **attrs)
+
+
+def _snapshot(counters, parent=None, ts=99.0):
+    return {"type": "event", "name": "telemetry.snapshot",
+            "parent_span_id": parent, "counters": counters, "ts": ts}
+
+
+def test_ledger_self_time_subtracts_the_union_of_children(tmp_path):
+    """Two overlapping children under one parent: the parent's self
+    time is its duration minus their union, not minus their sum."""
+    log = tmp_path / "run.jsonl"
+    _write_events(log, [
+        _span("left", "p-3", "p-2", 2.0, 6.0),
+        _span("right", "p-4", "p-2", 4.0, 8.0),
+        _span("parent", "p-2", "p-1", 1.0, 9.0),
+        _span("root", "p-1", None, 0.0, 10.0),
     ])
-    assert registry.counter_value("vm.runs") == 10
-    histogram = registry.histogram("span.runner.trace")
-    assert histogram.count == 2 and histogram.total == 6.0
+    ledger = fold_ledger(merge_trace(log))
+    assert ledger["wall_s"] == 10.0
+    assert ledger["other_s"] == 2.0             # the root's self time
+    layers = ledger["layers"]
+    assert list(layers) == ["left", "parent", "right"]
+    assert layers["parent"] == (1, 2.0)         # 8 - |[2, 8]|
+    assert layers["left"] == layers["right"] == (1, 4.0)
+
+
+def test_ledger_folds_the_orphans_of_a_shards_only_replay(tmp_path,
+                                                          traced):
+    report = run_supervised([("a", "a"), ("b", "b")], _trace_worker,
+                            workers=2, timeout=30.0, retries=0,
+                            trace_dir=tmp_path / "traces")
+    assert report.ok
+    TELEMETRY.sink.close()
+
+    tree = merge_trace(tmp_path / "traces")
+    assert not tree.roots and len(tree.orphans) == 2
+    ledger = fold_ledger(tree)
+    assert ledger["wall_s"] == ledger["other_s"] == 0.0
+    assert ledger["layers"][ATTEMPT_SPAN][0] == 2
+    calls, self_s = ledger["layers"]["work.step"]
+    assert calls == 2 and self_s >= 0.02
+
+
+def test_ledger_sums_the_counters_of_every_process(tmp_path):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    _write_events(tmp_path / "telemetry.jsonl", [
+        _span("root", "p1-1", None, 0.0, 1.0),
+        _snapshot({"vm.runs": 1, "predictor.records": 10})])
+    _write_events(traces / "shard-a.jsonl",
+                  [_snapshot({"vm.runs": 2}, parent="p1-2")])
+    _write_events(traces / "shard-b.jsonl",
+                  [_snapshot({"vm.runs": 4}, parent="p1-3")])
+    _write_events(traces / "shard-old.jsonl",   # an earlier run's
+                  [_snapshot({"vm.runs": 100}, ts=50.0)], trace_id="o" * 16)
+    ledger = fold_ledger(merge_trace(tmp_path))
+    assert ledger["counters"] == {"predictor.records": 10, "vm.runs": 7}
 
 
 def test_metrics_cli_replay(tmp_path, capsys):
     from repro.cli import main
 
-    def snapshot(path, records):
-        with open(path, "w") as handle:
-            handle.write(json.dumps({
-                "type": "event", "name": "telemetry.snapshot",
-                "counters": {"predictor.records": records}}) + "\n")
-
-    log = tmp_path / "telemetry.jsonl"
-    snapshot(log, 1234)
-    assert main(["metrics", "--replay", str(log)]) == 0
-    out = capsys.readouterr().out
-    assert "repro_predictor_records_total 1234" in out
-
-    # A shard directory sums the counters of every shard in it.
     traces = tmp_path / "traces"
     traces.mkdir()
-    snapshot(traces / "shard-t-a-a1.jsonl", 1000)
-    snapshot(traces / "shard-t-b-a1.jsonl", 234)
+    _write_events(tmp_path / "telemetry.jsonl", [
+        _span("runner.vm", "p1-2", "p1-1", 0.5, 2.0),
+        _span("cli.table3", "p1-1", None, 0.0, 2.5),
+        _snapshot({"predictor.records": 1234})])
+    _write_events(traces / "shard-t-a-a1.jsonl",
+                  [_snapshot({"predictor.records": 1000})])
     (traces / "notes.txt").write_text("not an event log\n")
-    assert main(["metrics", "--replay", str(traces)]) == 0
-    assert capsys.readouterr().out == out
+
+    renders = []
+    for _ in range(2):
+        assert main(["metrics", "--replay", str(tmp_path)]) == 0
+        renders.append(capsys.readouterr().out)
+    assert renders[0] == renders[1]
+    lines = renders[0].splitlines()
+    assert lines[0] == ("trace %s: wall_s 2.500000, other_s 1.000000"
+                        % ("t" * 16))
+    assert lines[1].split() == ["span", "calls", "self_s"]
+    assert lines[2].split() == ["runner.vm", "1", "1.500000"]
+    assert lines[3].split() == ["counter", "value"]
+    assert lines[4].split() == ["predictor.records", "2234"]
+    assert len(lines) == 5
+
+
+def test_metrics_replay_reads_only_the_latest_appended_run(tmp_path,
+                                                           capsys):
+    """The default event log is appended to by every run; the ledger
+    of two runs in one log is the ledger of the second alone."""
+    from repro.cli import main
+
+    logs = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+    for log in logs:
+        assert main(["table3", "--scale", "0.02", "--benchmarks", "wc",
+                     "--no-cache", "--telemetry",
+                     "--telemetry-log", str(log)]) == 0
+    appended = tmp_path / "appended" / "telemetry.jsonl"
+    appended.parent.mkdir()
+    appended.write_text(logs[0].read_text() + logs[1].read_text())
+    capsys.readouterr()
+    renders = []
+    for log in (logs[1], appended):
+        assert main(["metrics", "--replay", str(log)]) == 0
+        renders.append(capsys.readouterr().out)
+    assert renders[0] == renders[1]
+    assert "predictor.records" in renders[0]
+
+
+def test_ledger_of_a_two_worker_run_covers_every_child(tmp_path,
+                                                       monkeypatch):
+    """``all --workers 2 --telemetry`` from an empty cache: the ledger
+    of the cache directory holds every worker attempt's spans and
+    counters under the CLI's one root."""
+    from repro.benchmarksuite import ALL_BENCHMARK_NAMES
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(["all", "--scale", "0.1", "--workers", "2",
+                 "--telemetry"]) == 0
+    tree = merge_trace(tmp_path)
+    assert tree.complete
+    assert [root.name for root in tree.roots] == ["cli.all"]
+    ledger = fold_ledger(tree)
+    layers = ledger["layers"]
+    count = len(ALL_BENCHMARK_NAMES)
+    for name in (SHARD_SPAN, ATTEMPT_SPAN, "runner.vm", "runner.trace"):
+        assert layers[name][0] == count, name
+    vm_runs = tree.named("vm.run")
+    assert vm_runs and all(run.source.startswith("shard-")
+                           for run in vm_runs)
+    assert ledger["counters"]["vm.instructions"] == sum(
+        run.attrs["instructions"] for run in vm_runs)
+    assert ledger["counters"]["runner.cache.hit"] == count
+    assert 0.0 <= ledger["other_s"] <= ledger["wall_s"]
 
 
 def test_metrics_replay_missing_log_is_bad_argument(tmp_path, capsys):
