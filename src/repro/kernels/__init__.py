@@ -8,21 +8,27 @@ array programs:
 
 * a trace already is column arrays; the kernels wrap them without
   copying (:class:`~repro.kernels.encode.EncodedTrace`) and memoize
-  the groupings they derive from them;
-* per-predictor kernels compute every record's prediction outcome in
-  a handful of whole-trace array passes (:mod:`~repro.kernels.tables`
-  for the SBTB/CBTB associative buffers,
-  :mod:`~repro.kernels.direction` for gshare/bimodal/tournament,
-  :mod:`~repro.kernels.static` for the FS and static baselines);
+  what they derive from them;
+* the paper's schemes run in the *site-sorted domain*: one
+  :class:`~repro.kernels.encode.SiteView` per filtered trace sorts
+  the records by site once, and the SBTB/CBTB kernels
+  (:mod:`~repro.kernels.tables`) and the FS and static baselines
+  (:mod:`~repro.kernels.static`) answer their per-site questions in
+  that order;
+* the direction schemes (:mod:`~repro.kernels.direction`:
+  gshare/bimodal/tournament) keep trace order, because their history
+  is global;
 * the associative-table kernels partition work by cache set and
-  replay record by record only the sets under real capacity pressure
-  (:mod:`~repro.kernels.evict`; see docs/PERFORMANCE.md for the
-  closed forms);
+  replay record by record, in trace order, only the sets under real
+  capacity pressure (:mod:`~repro.kernels.evict`; see
+  docs/PERFORMANCE.md for the closed forms) — the one place a view's
+  answers go back to trace order;
 * a context switch is a key, not a hook: stateful kernels group by
   ``(flush epoch, key)``, so each epoch starts pristine;
 * :mod:`~repro.kernels.aggregate` filters and scores the records and
   folds the outcomes into ``PredictionStats``, per-site counts or
-  cycle accounting (:mod:`~repro.kernels.cycle`).
+  cycle accounting (:mod:`~repro.kernels.cycle`); each fold only
+  counts, so it gives the same result in either order.
 
 The contract is **bit identity**: for every supported predictor and
 every trace, the vector path returns a ``PredictionStats`` equal
@@ -79,6 +85,16 @@ def kernel_for(predictor):
             and type(predictor.second) in (Bimodal, GShare)):
         return None
     return registry.get(type(predictor))
+
+
+def reads_trace_order(predictor):
+    """True when ``predictor``'s kernel reads the records in trace
+    order (the direction schemes, whose history is global); every
+    other kernel reads a :class:`~repro.kernels.encode.SiteView`."""
+    from repro.predictors.bimodal import Bimodal, Tournament
+    from repro.predictors.twolevel import GShare
+
+    return type(predictor) in (Bimodal, GShare, Tournament)
 
 
 def supports(predictor):

@@ -1,55 +1,72 @@
 """Score the records a simulation shows a predictor, in array form.
 
 A kernel answers three per-record questions — predicted direction,
-predicted-target match, buffer hit (-1 none / 0 miss / 1 hit).
-:func:`outcomes` turns them into what the scalar simulator's loop
-computes, in one place: the flush epochs, the record filters
-(``conditional_only``, the return-address substitution) and the
-scoring rule of :func:`repro.predictors.base.is_correct`.
-:func:`assemble_stats`, :func:`site_counts` and
-:func:`repro.kernels.cycle.cycle_kernel` fold its result.  Stats keep
-the per-class key-presence semantics: a class appears in
-``by_class_correct`` only once a record of that class was predicted
-correctly.
+predicted-target match, buffer hit (None for a scheme with no
+buffer).  :func:`outcomes` turns them into what the scalar
+simulator's loop computes, in one place: the flush epochs, the record
+filters (``conditional_only``, the return-address substitution) and
+the scoring rule of :func:`repro.predictors.base.is_correct`.
+
+The records reach a kernel in the order it reads them: a
+:class:`~repro.kernels.encode.SiteView` (sorted by site, the filter
+applied in the sort) for the paper's schemes, a trace-order encoding
+for the direction schemes.  :func:`assemble_stats`, :func:`site_counts`
+and :func:`repro.kernels.cycle.cycle_kernel` fold the scored records
+in that same order; each fold only counts, so the order does not
+change its result.  Stats keep the per-class key-presence semantics:
+a class appears in ``by_class_correct`` only once a record of that
+class was predicted correctly.
 """
 
 import numpy as np
 
+from repro.kernels.encode import SiteView
 from repro.vm.tracing import BranchClass
+
+#: Each record filter's rule: the mask of the records it drops.
+_DROPS = {
+    "all": None,
+    "no-returns": lambda enc: enc.classes == BranchClass.RETURN,
+    "conditional": lambda enc: enc.classes != BranchClass.CONDITIONAL,
+}
 
 
 def outcomes(predictor, enc, conditional_only=False, ras_returns=True,
              flush_interval=None):
     """Run ``predictor``'s kernel over the records it sees.
 
-    Returns ``(sub, correct, hit, credited)``: the encoding of the
-    records that reach the predictor, their correctness and hit flags,
-    and the count of return records the return-address mechanism
-    scores instead.  Flush epochs count every record, as the loop does.
+    Returns ``(records, correct, hit, credited)``: the records that
+    reach the predictor — a :class:`SiteView`, or for a trace-order
+    kernel an encoding — their correctness and hit flags (None for a
+    scheme with no buffer), and the count of return records the
+    return-address mechanism scores instead.  Flush epochs count every
+    record, as the loop does.
     """
-    from repro.kernels import kernel_for
+    from repro.kernels import kernel_for, reads_trace_order
 
     if flush_interval is not None:
         enc = enc.flushed(flush_interval)
-    credited = 0
-    if conditional_only:
-        sub = enc.subset("conditional",
-                         enc.classes == BranchClass.CONDITIONAL)
-    elif ras_returns:
-        is_return = enc.classes == BranchClass.RETURN
-        credited = int(np.count_nonzero(is_return))
-        sub = enc.subset("no-returns", ~is_return) if credited else enc
+    rule = ("conditional" if conditional_only
+            else "no-returns" if ras_returns else "all")
+    drop = _DROPS[rule]
+    if not reads_trace_order(predictor):
+        records = enc.site_view(rule, drop)
+    elif drop is None:
+        records = enc
     else:
-        sub = enc
-    if not len(sub):
-        return sub, np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int8), \
-            credited
-    pred_taken, target_match, hit = kernel_for(predictor)(predictor, sub)
+        dropped = drop(enc)
+        records = (enc.subset(rule, ~dropped) if dropped.any()
+                   else enc)
+    credited = len(enc) - len(records) if rule == "no-returns" else 0
+    if not len(records):
+        return records, np.zeros(0, dtype=bool), None, credited
+    pred_taken, target_match, hit = kernel_for(predictor)(predictor,
+                                                          records)
     # Taken records need the direction and the target, others only
     # the direction (bool algebra: np.where is far slower on bools).
-    correct = sub.takens & pred_taken & target_match
-    correct |= ~(sub.takens | pred_taken)
-    return sub, correct, hit, credited
+    correct = records.takens & pred_taken & target_match
+    correct |= ~(records.takens | pred_taken)
+    return records, correct, hit, credited
 
 
 def assemble_stats(predictor, enc, conditional_only=False,
@@ -57,21 +74,23 @@ def assemble_stats(predictor, enc, conditional_only=False,
     """One simulation's ``PredictionStats`` from :func:`outcomes`."""
     from repro.predictors.base import PredictionStats
 
-    sub, correct, hit, credited = outcomes(
+    records, correct, hit, credited = outcomes(
         predictor, enc, conditional_only=conditional_only,
         ras_returns=ras_returns, flush_interval=flush_interval)
+    n = len(records)
     stats = PredictionStats()
-    stats.total = len(sub) + credited
+    stats.total = n + credited
     stats.correct = int(np.count_nonzero(correct)) + credited
-    stats.buffer_accesses = int(np.count_nonzero(hit >= 0))
-    stats.buffer_misses = int(np.count_nonzero(hit == 0))
+    if hit is not None:
+        # A buffered scheme looks up every record it predicts.
+        stats.buffer_accesses = n
+        stats.buffer_misses = n - int(np.count_nonzero(hit))
+    wrong = np.bincount(records.classes[~correct], minlength=4)
+    totals = records.class_totals()
     for branch_class in range(4):
-        # Four compare-and-count passes beat a bincount, which first
-        # copies the classes to intp.
-        of_class = sub.classes == branch_class
         extra = credited if branch_class == BranchClass.RETURN else 0
-        total = int(np.count_nonzero(of_class)) + extra
-        right = int(np.count_nonzero(of_class & correct)) + extra
+        total = totals[branch_class] + extra
+        right = totals[branch_class] - int(wrong[branch_class]) + extra
         if total:
             stats.by_class_total[branch_class] = total
         if right:
@@ -81,14 +100,18 @@ def assemble_stats(predictor, enc, conditional_only=False,
 
 def site_counts(predictor, enc, ras_returns=True):
     """``{site: [executions, correct]}`` in first-execution order."""
-    sub, correct, _hit, _credited = outcomes(predictor, enc,
-                                             ras_returns=ras_returns)
-    groups = sub.plain_site_groups()
-    sites, inverse = sub.unique_sites(), sub.site_inverse()
-    first = groups.order[groups.starts]
-    executions = np.bincount(inverse, minlength=sites.shape[0])
-    rights = np.bincount(inverse[correct], minlength=sites.shape[0])
-    order = np.argsort(first)
+    records, correct, _hit, _credited = outcomes(predictor, enc,
+                                                 ras_returns=ras_returns)
+    view = records
+    if not isinstance(records, SiteView):      # a trace-order kernel's
+        view = records.site_view("all", None)
+        correct = correct[view.order]
+    if not len(view):
+        return {}
+    first = np.flatnonzero(view.starts)
+    rights = np.add.reduceat(correct, first, dtype=np.int64)
+    sites = view.distinct_sites[view.segment_site]
+    order = np.argsort(view.order[first])
     return {site: [execs, right] for site, execs, right in zip(
-        sites[order].tolist(), executions[order].tolist(),
+        sites[order].tolist(), view.lengths[order].tolist(),
         rights[order].tolist())}

@@ -44,9 +44,9 @@ def cycle_kernel(config, predictor, trace):
     enc = EncodedTrace.of(trace)
     # The return-address mechanism covers every return, so the
     # reference never shows return records to the predictor.
-    sub, correct, _hit, _credited = outcomes(predictor, enc)
+    records, correct, _hit, _credited = outcomes(predictor, enc)
     uncovered = ~correct
-    counts = np.bincount(sub.classes[uncovered], minlength=4)
+    counts = np.bincount(records.classes[uncovered], minlength=4)
     conditional_penalty = config.k + config.l + config.m
     unconditional_penalty = config.k + config.l
     squashed_by_class = {}

@@ -132,7 +132,10 @@ def _with_target_store(cache, enc, conditional, direction):
 
     # Eviction screen: only a first taken execution allocates, nothing
     # deletes, so occupancy is the running count of those events.
-    overflow = evict.overflow_rows(enc, cache, takens & ~present)
+    overflow = None
+    if not evict.cannot_overflow(enc.unique_sites(), cache.n_sets,
+                                 cache.associativity):
+        overflow = evict.overflow_rows(enc, cache, takens & ~present)
     if overflow is not None:
         rows, set_ids = overflow
         refreshes = ~conditional | direction
@@ -142,4 +145,4 @@ def _with_target_store(cache, enc, conditional, direction):
 
     pred_taken = present & direction
     target_match = pred_taken & (stored == targets)
-    return pred_taken, target_match, present.astype(np.int8)
+    return pred_taken, target_match, present

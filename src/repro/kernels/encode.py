@@ -2,27 +2,38 @@
 
 :class:`~repro.vm.tracing.BranchTrace` already holds its five columns
 as NumPy arrays; :class:`EncodedTrace` wraps those same arrays (no
-copy) and adds what only the kernels need: memoized derived
-structures — the stable per-site grouping and what is read off it
-(the distinct-site table, each record's previous same-site record),
-per-cache-set groupings, filtered sub-encodings — because a sweep
+copy) and memoizes what the kernels derive from them, because a sweep
 simulates several schemes over the same trace and the sort work is
-identical across them.  A trace's sites are sorted once: the
-distinct sites come from the site grouping, not from a second sort.
+identical across them.
+
+The paper's schemes (SBTB, CBTB, FS, the static baselines) read a
+:class:`SiteView`: the records one simulation sees, filtered and
+stably sorted by site in one pass, with their outcome, class and
+target columns gathered into that order once.  Every question those
+kernels ask is per site, and every fold of their answers only counts,
+so they run and are scored in view order; the view keeps ``order``
+only to restore trace order for the eviction replay
+(:meth:`SiteView.in_trace_order`).  The direction schemes, whose
+history is global, read a trace-order encoding and its per-site and
+per-set groupings instead.
+
 The encoding is memoized on the trace object, which is sound because
 a trace is never grown after it is built; a caller done with every
-simulation it will run over a trace frees the memo with
-:meth:`EncodedTrace.release`.
+simulation it will run over a trace frees the memo, views included,
+with :meth:`EncodedTrace.release`.
 
 A context-switch run adds a sixth column, each record's flush epoch
-(:meth:`EncodedTrace.flushed`); that encoding keys its groupings by
-``(epoch, key)`` in its own memo, never under the plain keys.
+(:meth:`EncodedTrace.flushed`); that encoding keys its groupings and
+views by ``(epoch, key)`` in its own memo, never under the plain keys.
 
 This module deliberately imports nothing from ``repro`` outside the
-kernels package, so the trace layer can depend on it without cycles.
+kernels package at import time, so the trace layer can depend on it
+without cycles.
 """
 
 import numpy as np
+
+from repro.kernels import scan
 
 
 def flush_epochs(gaps, interval):
@@ -123,55 +134,128 @@ class EncodedTrace:
             None if self.epochs is None else self.epochs[mask]))
 
     def site_groups(self):
-        """Records grouped by branch site, per flush epoch (memoized)."""
-        from repro.kernels.scan import Groups
-
+        """Records grouped by branch site, per flush epoch (memoized);
+        the trace-order kernels' target store reads it."""
         return self._memoized("site_groups",
-                              lambda: Groups(self.qualify(self.sites)))
-
-    def plain_site_groups(self):
-        """Records grouped by branch site alone, across flush epochs
-        (memoized; :meth:`site_groups` itself when there are none)."""
-        from repro.kernels.scan import Groups
-
-        if self.epochs is None:
-            return self.site_groups()
-        return self._memoized("plain_site_groups",
-                              lambda: Groups(self.sites))
+                              lambda: scan.Groups(self.qualify(self.sites)))
 
     def set_groups(self, n_sets):
         """Records grouped by cache set (memoized per set count)."""
-        from repro.kernels.scan import Groups
-
         return self._memoized(("set_groups", n_sets),
-                              lambda: Groups(self.set_ids(n_sets)))
-
-    def previous_index(self):
-        """Each record's previous same-site record, -1 for none, per
-        flush epoch (memoized: the SBTB and CBTB share it)."""
-        from repro.kernels.scan import previous_index
-
-        return self._memoized(
-            "previous_index", lambda: previous_index(self.site_groups()))
+                              lambda: scan.Groups(self.set_ids(n_sets)))
 
     def unique_sites(self):
         """The distinct sites, ascending, as ``np.unique`` returns them
-        (memoized).  Read off :meth:`plain_site_groups`, whose sort
-        already put equal sites together: no second sort."""
+        (memoized); read off :meth:`site_groups`, whose sort already
+        put equal sites together."""
         def build():
-            groups = self.plain_site_groups()
-            return self.sites[groups.order[groups.starts]]
+            groups = self.site_groups()
+            return np.unique(self.sites[groups.order[groups.starts]])
 
         return self._memoized("unique_sites", build)
 
-    def site_inverse(self):
-        """Each record's index into :meth:`unique_sites`, as
-        ``np.unique``'s ``return_inverse`` (memoized, built on first
-        use)."""
-        def build():
-            groups = self.plain_site_groups()
-            inverse = np.empty(len(self), dtype=np.intp)
-            inverse[groups.order] = groups.seg_ids
-            return inverse
+    def class_totals(self):
+        """Records per branch class code 0..3 (memoized)."""
+        return self._memoized("class_totals",
+                              lambda: class_totals(self.classes))
 
-        return self._memoized("site_inverse", build)
+    def site_view(self, rule, drop):
+        """The :class:`SiteView` of the records this encoding keeps
+        under ``rule`` (memoized per rule); ``drop(self)`` is the mask
+        of the records the rule filters out, or ``drop`` is None."""
+        return self._memoized(("site_view", rule),
+                              lambda: SiteView(self, drop))
+
+
+def class_totals(classes):
+    """How many of ``classes`` hold each branch class code 0..3."""
+    # Four compare-and-count passes beat a bincount, which first
+    # copies the classes to intp.
+    return [int(np.count_nonzero(classes == code)) for code in range(4)]
+
+
+class SiteView:
+    """The records one simulation shows a predictor, sorted by site.
+
+    A stable sort of the encoding's records by (epoch-qualified) site,
+    with the records a filter drops sorted past the end and cut off,
+    so each site's records in one flush epoch form a contiguous
+    *segment* in trace order.  The paper's schemes answer every
+    question per segment, so they run and are scored in view order;
+    only the eviction replay needs trace order back, via ``order``.
+
+    Attributes (over view rows, unless named per segment):
+        order: each row's record index in the encoding.
+        starts: True at each segment's first row.
+        lengths: rows per segment.
+        distinct_sites: the distinct sites, ascending (across epochs).
+        segment_site: each segment's index into ``distinct_sites``.
+        takens, classes, targets: the encoding's columns, gathered.
+    """
+
+    __slots__ = ("order", "starts", "lengths", "distinct_sites",
+                 "segment_site", "takens", "classes", "targets",
+                 "_source", "_class_totals")
+
+    def __init__(self, enc, drop):
+        from repro.telemetry.core import TELEMETRY
+
+        with TELEMETRY.span("kernels.sort_view", records=len(enc)):
+            self._build(enc, None if drop is None else drop(enc))
+
+    def _build(self, enc, drop):
+        keys = enc.qualify(enc.sites)
+        n = keys.shape[0]
+        sentinel = int(keys.max()) + 1 if n else 0
+        # Keys in [0, 65536) sort as uint16: NumPy's stable sort is a
+        # radix sort for 16-bit keys, several times faster than its
+        # merge sort of int64 keys, and gives the same permutation.
+        narrow = n and int(keys.min()) >= 0 and sentinel < scan.NARROW
+        keys = keys.astype(np.uint16 if narrow else np.int64)
+        kept = n
+        if drop is not None:
+            keys[drop] = sentinel
+            kept -= int(np.count_nonzero(drop))
+        order = np.argsort(keys, kind="stable")[:kept]
+        sorted_keys = keys[order]
+        del keys
+        starts = np.empty(kept, dtype=bool)
+        starts[:1] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+        del sorted_keys
+        first = np.flatnonzero(starts)
+        self.order = order
+        self.starts = starts
+        self.lengths = np.diff(first, append=kept)
+        self.distinct_sites, self.segment_site = np.unique(
+            enc.sites[order[first]], return_inverse=True)
+        self.takens = enc.takens[order]
+        self.classes = enc.classes[order]
+        self.targets = enc.targets[order]
+        self._source = (enc.sites, enc.takens, enc.targets, enc.epochs)
+        self._class_totals = None
+
+    def __len__(self):
+        return int(self.order.shape[0])
+
+    def class_totals(self):
+        """Rows per branch class code 0..3 (shared by every scheme)."""
+        if self._class_totals is None:
+            self._class_totals = class_totals(self.classes)
+        return self._class_totals
+
+    def per_segment(self, values):
+        """``values`` (one per distinct site) gathered per row."""
+        return np.repeat(values[self.segment_site], self.lengths)
+
+    def in_trace_order(self):
+        """The view's records as an :class:`EncodedTrace` in trace
+        order, and each view row's index into it."""
+        sites, takens, targets, epochs = self._source
+        kept = np.zeros(sites.shape[0], dtype=bool)
+        kept[self.order] = True
+        rows = np.flatnonzero(kept)
+        encoded = EncodedTrace(
+            sites[rows], None, takens[rows], targets[rows], None,
+            None if epochs is None else epochs[rows])
+        return encoded, (np.cumsum(kept) - 1)[self.order]

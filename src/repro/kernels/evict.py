@@ -19,14 +19,17 @@ overflow, so the replay runs for the small and set-associative
 buffers of the sweeps, the conformance fuzz and the characterize
 probes.
 
-The eviction *screen* lives here too (:func:`overflow_rows`) so every
-kernel shares the same exact boundary rule: a set routes to the
-replay only when its no-eviction occupancy trajectory strictly
-exceeds the way count — ``occupancy == ways`` fills the set without
-evicting and stays on the closed-form path.  The screen first asks
-the cheap question (:func:`cannot_overflow`): a set never holds more
-entries than it has distinct sites, in any flush epoch, so when no
-set has more distinct sites than ways the occupancy scan is skipped.
+The eviction *screen* lives here too (:func:`cannot_overflow`,
+:func:`overflow_rows`) so every kernel shares the same exact boundary
+rule: a set routes to the replay only when its no-eviction occupancy
+trajectory strictly exceeds the way count — ``occupancy == ways``
+fills the set without evicting and stays on the closed-form path.
+The screen first asks the cheap question (:func:`cannot_overflow`): a
+set never holds more entries than it has distinct sites, in any flush
+epoch, so when no set has more distinct sites than ways the
+occupancy scan is skipped.  The site-view kernels pass that check
+through :func:`replay_overflow`, which restores trace order only when
+it fails.
 """
 
 from collections import OrderedDict, defaultdict
@@ -36,28 +39,27 @@ import numpy as np
 from repro.kernels import scan
 
 
-def cannot_overflow(enc, n_sets, ways):
-    """True when no set of ``n_sets`` has more than ``ways`` distinct
-    sites of ``enc``, so no set can ever evict."""
-    per_set = np.bincount(enc.unique_sites() % n_sets, minlength=1)
+def cannot_overflow(sites, n_sets, ways):
+    """True when no set of ``n_sets`` has more than ``ways`` of the
+    distinct ``sites``, so no set can ever evict."""
+    per_set = np.bincount(sites % n_sets, minlength=1)
     return int(per_set.max()) <= ways
 
 
 def overflow_rows(enc, cache, delta):
     """Records of the sets whose occupancy ever exceeds their ways.
 
-    ``delta`` is each record's change to its set's occupancy while no
-    set evicts (+1 allocation, -1 deletion); its running total per set
-    is the no-eviction occupancy trajectory, valid up to the first
-    eviction, which is exactly what the screen needs.  Returns
-    ``(rows, set_ids)`` — the overflowing sets' record indices in
-    trace order, and every record's set — or ``None`` when no set
-    overflows.  The comparison is strict: a set that exactly fills its
-    ways never evicts, so it keeps the closed-form answers.
+    ``enc`` is in trace order, and ``delta`` is each record's change to
+    its set's occupancy while no set evicts (+1 allocation, -1
+    deletion); its running total per set is the no-eviction occupancy
+    trajectory, valid up to the first eviction, which is exactly what
+    the screen needs.  Returns ``(rows, set_ids)`` — the overflowing
+    sets' record indices in trace order, and every record's set — or
+    ``None`` when no set overflows.  The comparison is strict: a set
+    that exactly fills its ways never evicts, so it keeps the
+    closed-form answers.
     """
     n_sets, ways = cache.n_sets, cache.associativity
-    if cannot_overflow(enc, n_sets, ways):
-        return None
     set_ids = enc.set_ids(n_sets)
     occupancy = scan.running_total(enc.set_groups(n_sets), delta)
     overflowed = occupancy > ways
@@ -65,6 +67,37 @@ def overflow_rows(enc, cache, delta):
         return None
     hot = np.unique(set_ids[overflowed])
     return np.nonzero(np.isin(set_ids, hot))[0], set_ids
+
+
+def replay_overflow(view, cache, delta, replay, *args, fixes):
+    """Screen a site view's sets and replay the overflowing ones.
+
+    ``delta`` and the ``fixes`` columns are in view order.  When some
+    set has more distinct sites than ways, the records go back to trace
+    order (``view.in_trace_order``) for :func:`overflow_rows` and
+    ``replay(rows, set_ids, sites, takens, targets, ways, *args,
+    *fixes)``, and the replayed answers are written back into
+    ``fixes`` in place.
+    """
+    ways = cache.associativity
+    if cannot_overflow(view.distinct_sites, cache.n_sets, ways):
+        return
+    enc, at = view.in_trace_order()
+    overflow = overflow_rows(enc, cache, _to_trace_order(delta, at))
+    if overflow is None:
+        return
+    rows, set_ids = overflow
+    fixed = [_to_trace_order(column, at) for column in fixes]
+    replay(rows, set_ids, enc.sites, enc.takens, enc.targets, ways,
+           *args, *fixed)
+    for column, trace_order in zip(fixes, fixed):
+        column[:] = trace_order[at]
+
+
+def _to_trace_order(column, at):
+    out = np.empty_like(column)
+    out[at] = column
+    return out
 
 
 def sbtb_evict(rows, set_ids, sites, takens, targets, ways, present,

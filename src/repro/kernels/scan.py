@@ -4,18 +4,18 @@ Every kernel reduces to the same few questions asked per record about
 *earlier records in some group* (same branch site, same cache set, same
 counter index):
 
-* :func:`previous_index` — where did this group last occur?
 * :func:`last_marked_index` — where did it last occur *with a write*?
 * :func:`running_total` — how much has accumulated in the group so far?
 * :func:`exclusive_states` — what state had the group's small state
   machine reached?
 
-All helpers take a :class:`Groups` (a stable sort of records by group
+These helpers take a :class:`Groups` (a stable sort of records by group
 key, so each group is a contiguous segment in sorted order) and return
-answers scattered back to original record order;
-:func:`sorted_last_marked` and :func:`sorted_exclusive_states` work in
-the sorted order itself, for kernels that gather their inputs once and
-answer several per-group questions there.
+answers scattered back to original record order, for the trace-order
+kernels; :func:`sorted_last_marked` and :func:`sorted_exclusive_states`
+work in the sorted order itself, for kernels that already read their
+records grouped (a :class:`~repro.kernels.encode.SiteView`: the
+previous same-site record is simply the previous row of a segment).
 
 The state scan exploits that every transition in the predictor zoo —
 saturating increment, saturating decrement, allocation to a constant —
@@ -48,11 +48,11 @@ never needs to know where segments begin.
 import numpy as np
 
 
-#: Keys all in ``[0, _NARROW)`` are sorted as uint16: NumPy's stable
+#: Keys all in ``[0, NARROW)`` are sorted as uint16: NumPy's stable
 #: sort is a radix sort for 16-bit keys, several times faster than its
 #: merge sort of int64 keys, and a stable sort of the same values gives
 #: the same permutation.
-_NARROW = 1 << 16
+NARROW = 1 << 16
 
 
 class Groups:
@@ -75,7 +75,7 @@ class Groups:
         keys = np.asarray(keys)
         self.n = int(keys.shape[0])
         if (self.n and keys.dtype.itemsize > 2 and int(keys.min()) >= 0
-                and int(keys.max()) < _NARROW):
+                and int(keys.max()) < NARROW):
             keys = keys.astype(np.uint16)
         self.order = np.argsort(keys, kind="stable")
         starts = np.empty(self.n, dtype=bool)
@@ -87,30 +87,6 @@ class Groups:
         self.starts = starts
         self.seg_ids = (np.cumsum(starts, dtype=np.int64) - 1 if self.n
                         else np.zeros(0, dtype=np.int64))
-
-    def unsort(self, sorted_values):
-        """``sorted_values`` (in sorted order) scattered back to
-        original record order."""
-        out = np.empty_like(sorted_values)
-        out[self.order] = sorted_values
-        return out
-
-
-def previous_index(groups):
-    """Original index of each record's previous same-group record.
-
-    Returns an int64 array in original record order; -1 marks a
-    group's first record.
-    """
-    out = np.full(groups.n, -1, dtype=np.int64)
-    if groups.n == 0:
-        return out
-    prev_sorted = np.empty(groups.n, dtype=np.int64)
-    prev_sorted[0] = -1
-    prev_sorted[1:] = groups.order[:-1]
-    prev_sorted[groups.starts] = -1
-    out[groups.order] = prev_sorted
-    return out
 
 
 def last_marked_index(groups, marked):

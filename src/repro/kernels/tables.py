@@ -1,17 +1,21 @@
 """Batch kernels for the paper's associative-table schemes.
 
-Both BTB kernels exploit the same structure: while no cache set has
-ever evicted, buffer contents are a pure function of each site's own
-history, so presence, counters, and stored targets all come from the
-segmented scans in :mod:`repro.kernels.scan`:
+Both BTB kernels read a :class:`~repro.kernels.encode.SiteView`, the
+records sorted by site with each site's records (per flush epoch) a
+contiguous segment in trace order.  While no cache set has ever
+evicted, buffer contents are a pure function of each site's own
+history, so presence, counters and stored targets are all questions
+about earlier rows of the same segment:
 
 * **SBTB** — an entry exists for a site exactly when the site's
   previous execution was taken (taken inserts/refreshes, not-taken
-  deletes), and its target is whatever that execution wrote.
+  deletes), and its target is whatever that execution wrote: a shift
+  by one row within each segment.
 * **CBTB** — an entry exists once the site has executed at all (first
   execution allocates, nothing deletes), its counter follows the
-  site's private saturating walk, and its target is the last
-  allocation-or-taken write.
+  site's private saturating walk (the run-compressed scan of
+  :func:`repro.kernels.scan.sorted_exclusive_states`), and its target
+  is the last allocation-or-taken write.
 
 Eviction is detected exactly, per set, from the same closed forms: the
 no-eviction occupancy trajectory coincides with the real one up to the
@@ -20,16 +24,18 @@ where the trajectory would exceed the set's way count.  Sets that
 never cross the line keep the closed-form answers; the records of sets
 that do are replayed in trace order through one LRU per set by
 :mod:`repro.kernels.evict`, bit-identical to the AssociativeCache
-recency contract.  Before any of that the screen checks whether some
-set has more distinct sites than ways at all; when none does, no set
-can overflow and the occupancy scan is skipped.  The paper's
-configuration — 256 entries, fully associative, against benchmarks
-with at most 237 distinct branch sites — therefore never scans, and
-the scan and the eviction path are exercised by the small-buffer
-ablations and the equivalence tests, not the headline workload.
+recency contract, and the fixes are written back into view order.
+Before any of that the screen checks whether some set has more
+distinct sites than ways at all; when none does, no set can overflow,
+trace order is never restored and the occupancy scan is skipped.  The
+paper's configuration — 256 entries, fully associative, against
+benchmarks with at most 237 distinct branch sites — therefore never
+scans, and the scan and the eviction path are exercised by the
+small-buffer ablations and the equivalence tests, not the headline
+workload.
 
-Each kernel returns ``(pred_taken, target_match, hit)`` arrays over
-the encoded records; scoring and aggregation live in
+Each kernel returns ``(pred_taken, target_match, hit)`` bool arrays
+over the view's rows; scoring and aggregation live in
 :mod:`repro.kernels.aggregate`.
 """
 
@@ -38,78 +44,69 @@ import numpy as np
 from repro.kernels import evict, scan
 
 
-def sbtb_kernel(predictor, enc):
+def sbtb_kernel(predictor, view):
     """SimpleBTB: present iff the previous execution was taken."""
     cache = predictor._cache
-    sites, takens, targets = enc.sites, enc.takens, enc.targets
+    takens, targets = view.takens, view.targets
 
-    # A first execution's prev is -1: it reads the last record, which
-    # the mask discards (and its stored target is never compared).
-    prev = enc.previous_index()
-    present = takens[prev] & (prev >= 0)
-    stored = targets[prev]
+    # Within a site's segment the previous execution is the previous
+    # row; a segment's first row has none.
+    present = np.zeros(len(view), dtype=bool)
+    present[1:] = takens[:-1]
+    present &= ~view.starts
+    stored = np.zeros(len(view), dtype=targets.dtype)
+    stored[1:] = targets[:-1]
 
     # Eviction screen: +1 on allocation (taken, absent), -1 on deletion
     # (not taken, present), per set.
-    overflow = evict.overflow_rows(
-        enc, cache, takens.view(np.int8) - present.view(np.int8))
-    if overflow is not None:
-        rows, set_ids = overflow
-        evict.sbtb_evict(rows, set_ids, sites, takens, targets,
-                         cache.associativity, present, stored)
+    evict.replay_overflow(
+        view, cache, takens.view(np.int8) - present.view(np.int8),
+        evict.sbtb_evict, fixes=(present, stored))
 
     target_match = present & (stored == targets)
-    return present, target_match, present.astype(np.int8)
+    return present, target_match, present
 
 
-def cbtb_kernel(predictor, enc):
+def cbtb_kernel(predictor, view):
     """CounterBTB: presence from first execution, counters scanned."""
     cache = predictor._cache
     threshold = predictor.threshold
     counter_max = predictor.counter_max
-    n = len(enc)
-    sites, takens, targets = enc.sites, enc.takens, enc.targets
-    present = enc.previous_index() >= 0
+    n = len(view)
+    first, takens, targets = view.starts, view.takens, view.targets
 
-    # The counter walk and the stored target are per-site questions,
-    # answered in the site grouping's sorted order (``_s``): each
-    # site's records in a row, its allocating first record leading.
-    groups = enc.site_groups()
-    first_s = groups.starts
-    taken_s = takens[groups.order]
-    target_s = targets[groups.order]
-
-    # Counter before each execution, via the per-site saturating walk.
+    # Counter before each execution, via each site's saturating walk.
     # The allocating first execution is a constant map (insert
     # overwrites whatever the state "was"), so init_state is moot.
-    delta = taken_s.astype(np.int32) * 2 - 1
+    delta = takens.astype(np.int32)
+    delta *= 2
+    delta -= 1
     low = np.zeros(n, dtype=np.int32)
     high = np.full(n, counter_max, dtype=np.int32)
-    allocations = np.flatnonzero(first_s)
-    allocated = threshold - 1 + taken_s[allocations]
+    allocations = np.flatnonzero(first)
+    allocated = threshold - 1 + takens[allocations]
     delta[allocations] = 0
     low[allocations] = allocated
     high[allocations] = allocated
-    counter_s = scan.sorted_exclusive_states(first_s, delta, low, high, 0)
-    pred_s = (counter_s >= threshold) & ~first_s
+    counter = scan.sorted_exclusive_states(first, delta, low, high, 0)
+    present = ~first
+    pred_taken = (counter >= threshold) & present
 
     # Stored target: written at allocation and on every taken update.
-    # A first execution's last write is -1: it reads the last record,
-    # which pred_s discards.
-    stored_s = target_s[scan.sorted_last_marked(first_s, taken_s | first_s)]
+    # A segment starts with a write, so the latest write at or before
+    # each row (a running max of written row numbers) never reaches
+    # into the previous segment; a row reads the previous row's.
+    written = np.arange(n, dtype=np.int64)
+    written *= takens | first
+    np.maximum.accumulate(written, out=written)
+    stored = np.zeros(n, dtype=targets.dtype)
+    np.take(targets, written[:-1], out=stored[1:])
 
-    pred_taken = groups.unsort(pred_s)
     # Eviction screen: occupancy only grows (allocation per distinct
     # site, no deletion), so a set overflows iff its distinct-site
     # count ever exceeds the way count.
-    overflow = evict.overflow_rows(enc, cache, ~present)
-    if overflow is None:
-        target_match = groups.unsort(pred_s & (stored_s == target_s))
-    else:
-        rows, set_ids = overflow
-        stored = groups.unsort(stored_s)
-        evict.cbtb_evict(rows, set_ids, sites, takens, targets,
-                         cache.associativity, threshold, counter_max,
-                         present, pred_taken, stored)
-        target_match = pred_taken & (stored == targets)
-    return pred_taken, target_match, present.astype(np.int8)
+    evict.replay_overflow(view, cache, first, evict.cbtb_evict,
+                          threshold, counter_max,
+                          fixes=(present, pred_taken, stored))
+    target_match = pred_taken & (stored == targets)
+    return pred_taken, target_match, present

@@ -34,6 +34,7 @@ shards under, plus ``supervisor.start``/``supervisor.done`` and
 """
 
 import multiprocessing
+import multiprocessing.connection
 import random
 import time
 from pathlib import Path
@@ -241,6 +242,19 @@ def backoff_seconds(backoff, attempt, rng):
     return backoff * (2 ** (attempt - 1)) * (0.5 + rng.random())
 
 
+def _wait_for_change(active, pending, workers):
+    """Block until an active attempt exits, reaches its deadline, or
+    the next pending task's backoff ends, whichever comes first."""
+    wakes = [item.deadline for item in active
+             if item.deadline is not None]
+    if pending and len(active) < max(1, workers):
+        wakes.append(pending[0][3])
+    timeout = (max(0.0, min(wakes) - time.monotonic()) if wakes
+               else None)
+    multiprocessing.connection.wait(
+        [item.process.sentinel for item in active], timeout)
+
+
 def run_supervised(tasks, worker, *, workers=2, timeout=None,
                    retries=2, backoff=0.1, seed=0, trace_dir=None):
     """Run ``worker(payload)`` for every task under supervision.
@@ -311,10 +325,7 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
                     break
                 pending.pop(0)
                 active.append(_spawn(label, payload, attempt))
-            if not active:
-                time.sleep(0.01)
-                continue
-            time.sleep(0.01)
+            _wait_for_change(active, pending, workers)
             still_running = []
             for item in active:
                 if item.process.is_alive() and not item.timed_out:

@@ -1,26 +1,33 @@
 """The simulate layer's shortcuts against their long forms, on the
 paper's benchmarks.
 
-The kernels sort each trace's sites once and read the distinct sites,
-their inverse and each record's previous same-site record off that
-grouping; and the eviction screen skips the occupancy scan when no
-set has more distinct sites than ways.  On the ten benchmarks at small
-scale, for the paper's 256-entry buffers, small and set-associative
-ones, and GShare's target store, this battery checks that:
+The kernels sort the records each simulation sees by site once, into a
+site view, and score in view order; and the eviction screen skips the
+occupancy scan when no set has more distinct sites than ways.  On the
+ten benchmarks at small scale, for the paper's 256-entry buffers,
+small and set-associative ones, and GShare's target store, this
+battery checks that:
 
-* the memoized distinct sites, inverse and ``previous_index`` equal a
-  fresh ``np.unique`` and ``scan.previous_index`` over unnarrowed
-  int64 keys;
+* every view's ``order``, segment starts and distinct sites equal a
+  fresh int64 stable ``np.argsort`` and ``np.unique`` over widened
+  keys, with the view's filter applied;
 * every skipped screen agrees with the full occupancy scan (which
-  finds no overflowing set), and forcing the scan changes no result.
+  finds no overflowing set), and forcing the scan changes no result;
+* forcing the trace-order overflow path for the paper's three
+  simulations changes no result and replays nothing.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments import SuiteRunner, paper_values
-from repro.kernels import EncodedTrace, evict, scan, simulate_vector
-from repro.predictors import CounterBTB, GShare, SimpleBTB
+from repro.kernels import encode, evict, simulate_vector
+from repro.predictors import (
+    CounterBTB,
+    ForwardSemanticPredictor,
+    GShare,
+    SimpleBTB,
+)
 
 SCALE = 0.02
 
@@ -37,11 +44,11 @@ CONFIGS = (
 )
 
 #: simulate() arguments: the plain scoring, one filter, and flush
-#: epochs (whose distinct sites come from a plain-site grouping).
+#: epochs (whose segments are (epoch, site) pairs).
 RUNS = ({}, {"conditional_only": True}, {"flush_interval": 5_000})
 
-#: Added to sites so that ``scan.Groups`` cannot narrow them: the
-#: reference grouping takes NumPy's int64 merge sort.
+#: Added to sites so that no reference key fits 16 bits: the reference
+#: grouping takes NumPy's int64 merge sort.
 _WIDE = 1 << 40
 
 
@@ -50,50 +57,98 @@ def runner():
     return SuiteRunner(scale=SCALE, cache_dir=False)
 
 
-def _assert_memo_matches_fresh(enc):
+def _record_views(monkeypatch):
+    """Collect ``(view, encoding, drop mask)`` of every view built."""
+    built = []
+    real_build = encode.SiteView._build
+
+    def build(view, enc, drop):
+        real_build(view, enc, drop)
+        built.append((view, enc, drop))
+
+    monkeypatch.setattr(encode.SiteView, "_build", build)
+    return built
+
+
+def _recording(function, results):
+    """``function``, appending each of its results to ``results``."""
+    def spy(*args):
+        results.append(function(*args))
+        return results[-1]
+    return spy
+
+
+def _assert_view_matches_fresh(view, enc, drop):
     sites = enc.sites.astype(np.int64)
-    unique, inverse = np.unique(sites, return_inverse=True)
-    assert np.array_equal(enc.unique_sites(), unique)
-    assert np.array_equal(enc.site_inverse(), inverse)
-    wide = sites + _WIDE
+    keys = sites + _WIDE
     if enc.epochs is not None:
-        wide = enc.qualify(wide)
-    assert np.array_equal(enc.previous_index(),
-                          scan.previous_index(scan.Groups(wide)))
+        keys += enc.epochs.astype(np.int64) << 42
+    kept = np.arange(len(enc)) if drop is None else np.flatnonzero(~drop)
+    order = kept[np.argsort(keys[kept], kind="stable")]
+    sorted_keys = keys[order]
+    starts = np.ones(order.shape[0], dtype=bool)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    assert np.array_equal(view.order, order)
+    assert np.array_equal(view.starts, starts)
+    assert np.array_equal(view.distinct_sites, np.unique(sites[kept]))
+    assert np.array_equal(view.distinct_sites[view.segment_site],
+                          sites[order[starts]])
+    assert view.lengths.sum() == order.shape[0]
+    for column in ("takens", "classes", "targets"):
+        assert np.array_equal(getattr(view, column),
+                              getattr(enc, column)[order]), column
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", paper_values.BENCHMARKS)
 def test_kernel_screen_battery(runner, name, monkeypatch):
     trace = runner.run(name).trace
-    encodings = []
-    real_screen = evict.overflow_rows
+    built = _record_views(monkeypatch)
     real_check = evict.cannot_overflow
-
-    def checked_screen(enc, cache, delta):
-        """The screen, plus the full scan behind every skip."""
-        encodings.append(enc)
-        result = real_screen(enc, cache, delta)
-        if real_check(enc, cache.n_sets, cache.associativity):
-            assert result is None
-            with monkeypatch.context() as patch:
-                patch.setattr(evict, "cannot_overflow",
-                              lambda *args: False)
-                assert real_screen(enc, cache, delta) is None, \
-                    "%s: skipped screen, but a set overflows" % name
-        return result
+    real_scan = evict.overflow_rows
 
     for label, make in CONFIGS:
         for run in RUNS:
+            screens, scans = [], []
             with monkeypatch.context() as patch:
-                patch.setattr(evict, "overflow_rows", checked_screen)
+                patch.setattr(evict, "cannot_overflow",
+                              _recording(real_check, screens))
                 screened = simulate_vector(make(), trace, **run)
             with monkeypatch.context() as patch:
                 patch.setattr(evict, "cannot_overflow",
                               lambda *args: False)
+                patch.setattr(evict, "overflow_rows",
+                              _recording(real_scan, scans))
                 scanned = simulate_vector(make(), trace, **run)
             assert screened == scanned, (name, label, run)
-    assert encodings
-    for enc in {id(enc): enc for enc in encodings}.values():
-        _assert_memo_matches_fresh(enc)
-    _assert_memo_matches_fresh(EncodedTrace.of(trace))
+            # Forced, every screen is followed by exactly one scan.
+            assert len(scans) == len(screens) > 0, (name, label, run)
+            for skipped, scan in zip(screens, scans):
+                if skipped:
+                    assert scan is None, \
+                        "%s %s: skipped screen, but a set overflows" \
+                        % (name, label)
+    assert built
+    for view, enc, drop in built:
+        _assert_view_matches_fresh(view, enc, drop)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", paper_values.BENCHMARKS)
+def test_forced_overflow_path_keeps_paper_stats(runner, name,
+                                                monkeypatch):
+    """The paper's three simulations through the trace-order overflow
+    path: 256-entry buffers overflow no set, so nothing replays and
+    the stats are those of the screened run."""
+    run = runner.run(name)
+    schemes = (lambda: SimpleBTB(256), lambda: CounterBTB(256),
+               lambda: ForwardSemanticPredictor(program=run.fs_program))
+    screened = [simulate_vector(make(), run.trace) for make in schemes]
+    scans = []
+    with monkeypatch.context() as patch:
+        patch.setattr(evict, "cannot_overflow", lambda *args: False)
+        patch.setattr(evict, "overflow_rows",
+                      _recording(evict.overflow_rows, scans))
+        forced = [simulate_vector(make(), run.trace) for make in schemes]
+    assert forced == screened
+    assert scans == [None, None]        # the SBTB's and the CBTB's

@@ -52,15 +52,28 @@ def _random_keys(rng, n, n_groups):
 # -- scan primitives vs dict-based references ----------------------------
 
 
-def test_previous_index_matches_reference():
+def test_view_previous_row_matches_reference():
+    """Within a site view's segment the previous row is the site's
+    previous kept record, and a segment's first row has none."""
     rng = np.random.default_rng(7)
     for n, n_groups in ((0, 1), (1, 1), (50, 3), (300, 17)):
         keys = _random_keys(rng, n, n_groups)
-        got = scan.previous_index(scan.Groups(keys))
-        last = {}
-        for index, key in enumerate(keys.tolist()):
-            assert got[index] == last.get(key, -1)
-            last[key] = index
+        dropped = rng.random(n) < 0.2
+        encoded = EncodedTrace(keys, np.zeros(n, dtype=np.int8),
+                               np.ones(n, dtype=bool), keys, None)
+        for rule, drop in (("all", None),
+                           ("some", lambda enc, mask=dropped: mask)):
+            view = encoded.site_view(rule, drop)
+            previous = np.full(len(view), -1)
+            previous[1:] = view.order[:-1]
+            previous[view.starts] = -1
+            last, expected = {}, {}
+            for index, key in enumerate(keys.tolist()):
+                if drop is None or not dropped[index]:
+                    expected[index] = last.get(key, -1)
+                    last[key] = index
+            assert dict(zip(view.order.tolist(), previous.tolist())) \
+                == expected
 
 
 def test_last_marked_index_matches_reference():
@@ -235,7 +248,6 @@ def test_groups_narrow_only_in_the_uint16_range(monkeypatch):
 def test_scan_primitives_empty():
     groups = scan.Groups(np.zeros(0, dtype=np.int64))
     empty = np.zeros(0, dtype=np.int64)
-    assert scan.previous_index(groups).shape == (0,)
     assert scan.last_marked_index(groups, empty).shape == (0,)
     assert scan.sorted_last_marked(groups.starts, empty.astype(bool)) \
         .shape == (0,)
@@ -277,6 +289,8 @@ def test_encoded_trace_memoizes_derived_structures():
     assert encoded.set_groups(4) is encoded.set_groups(4)
     assert encoded.set_groups(4) is not encoded.set_groups(8)
     assert encoded.unique_sites() is encoded.unique_sites()
+    assert encoded.site_view("all", None) \
+        is encoded.site_view("all", None)
     mask = encoded.classes == BranchClass.CONDITIONAL
     assert encoded.subset("conditional", mask) \
         is encoded.subset("conditional", mask)
@@ -467,6 +481,57 @@ def test_simulate_vector_rejects_unsupported():
         == simulate(SimpleBTB(16), _small_trace())
 
 
+class _CountingDict(dict):
+    """A dict that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_site_tables_look_up_each_distinct_site_once():
+    """The FS and BTFNT kernels evaluate their dicts once per distinct
+    site, not once per (flush epoch, site) segment."""
+    program = assemble("func main:\nloop:\n    bgt r1, r2, loop\n"
+                       "    halt\n")
+    n_sites = 12
+    trace = BranchTrace.from_records(
+        (index % n_sites,
+         BranchClass.CONDITIONAL if index % 3 else
+         BranchClass.UNCONDITIONAL_KNOWN,
+         index % 5 < 3, 200 + index % n_sites, 4)
+        for index in range(3000))
+    epochs = flush_epochs(trace.gaps, 1_000)
+    segments = len(set(zip(epochs.tolist(), trace.sites.tolist())))
+    assert segments > 10 * n_sites
+    fs = ForwardSemanticPredictor(
+        likely_sites={site: site % 2 == 0 for site in range(n_sites)})
+    fs._likely = _CountingDict(fs._likely)
+    fs._targets = _CountingDict({site: 200 + site
+                                 for site in range(0, n_sites, 3)})
+    btfnt = BackwardTakenForwardNotTaken(program)
+    btfnt._backward = _CountingDict(
+        {site: site % 4 == 0 for site in range(n_sites)})
+    for predictor, tables in ((fs, (fs._likely, fs._targets)),
+                              (btfnt, (btfnt._backward,))):
+        stats = simulate_vector(predictor, trace, flush_interval=1_000)
+        for table in tables:
+            assert 0 < table.lookups <= n_sites, predictor
+            table.lookups = 0
+        assert stats == simulate_scalar(predictor, trace,
+                                        flush_interval=1_000)
+
+
 def test_vector_engine_never_mutates_predictor():
     predictor = SimpleBTB(entries=16)
     stats = simulate(predictor, _big_trace(), flush_interval=40)
@@ -575,7 +640,8 @@ def test_screen_boundary_per_set():
             trace = BranchTrace.from_records(
                 [(site, BranchClass.CONDITIONAL, True, 100 + site, 1)
                  for site in sites + [2, 3]] * 4)
-            assert evict.cannot_overflow(EncodedTrace.of(trace), 4, 2) \
+            distinct = EncodedTrace.of(trace).unique_sites()
+            assert evict.cannot_overflow(distinct, 4, 2) \
                 is not overflows
             calls = _spy_calls(replay, lambda: simulate_vector(make(),
                                                                trace))

@@ -63,6 +63,20 @@ def test_all_tasks_succeed(tmp_path):
         assert (tmp_path / (name + ".done")).read_text() == name
 
 
+def test_scheduler_waits_on_exits_not_sleeps(tmp_path, monkeypatch):
+    """The scheduler blocks on the workers' exit sentinels: a run with
+    no failures (so no backoff) never sleeps to poll."""
+    import repro.resilience.supervisor as supervisor
+
+    sleeps = []
+    monkeypatch.setattr(supervisor.time, "sleep", sleeps.append)
+    tasks = [(name, (str(tmp_path), name)) for name in "abcd"]
+    report = run_supervised(tasks, _write_marker, workers=2,
+                            timeout=30.0, retries=0)
+    assert sorted(report.succeeded) == list("abcd")
+    assert sleeps == []
+
+
 def test_crash_is_retried_to_success(tmp_path, sink):
     report = run_supervised([("flaky", str(tmp_path))],
                             _flaky_until_marker, workers=1,

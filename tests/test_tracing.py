@@ -386,6 +386,25 @@ def test_metrics_replay_reads_only_the_latest_appended_run(tmp_path,
     assert "predictor.records" in renders[0]
 
 
+def test_ledger_of_a_warm_table3_sorts_each_trace_once(tmp_path,
+                                                      monkeypatch):
+    """A warm ``table3``: each simulated benchmark's three schemes
+    share one ``kernels.sort_view``, a layer of its own in the
+    ledger."""
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["table3", "--scale", "0.02"]) == 0
+    log = tmp_path / "warm.jsonl"
+    assert main(["table3", "--scale", "0.02", "--telemetry",
+                 "--telemetry-log", str(log)]) == 0
+    layers = fold_ledger(merge_trace(log))["layers"]
+    simulated = layers["runner.predict"][0]
+    assert simulated > 1
+    assert layers["kernels.sort_view"][0] == simulated
+    assert layers["predictors.simulate"][0] == 3 * simulated
+
+
 def test_ledger_of_a_two_worker_run_covers_every_child(tmp_path,
                                                        monkeypatch):
     """``all --workers 2 --telemetry`` from an empty cache: the ledger
