@@ -9,15 +9,16 @@ array programs:
 * a trace already is column arrays; the kernels wrap them without
   copying (:class:`~repro.kernels.encode.EncodedTrace`) and memoize
   what they derive from them;
-* the paper's schemes run in the *site-sorted domain*: one
+* every kernel runs in the *site-sorted domain*: one
   :class:`~repro.kernels.encode.SiteView` per filtered trace sorts
   the records by site once, and the SBTB/CBTB kernels
-  (:mod:`~repro.kernels.tables`) and the FS and static baselines
-  (:mod:`~repro.kernels.static`) answer their per-site questions in
-  that order;
-* the direction schemes (:mod:`~repro.kernels.direction`:
-  gshare/bimodal/tournament) keep trace order, because their history
-  is global;
+  (:mod:`~repro.kernels.tables`), the FS and static baselines
+  (:mod:`~repro.kernels.static`) and the direction schemes' target
+  store (:mod:`~repro.kernels.direction`) answer their per-site
+  questions in that order;
+* gshare, bimodal and the tournament compute their direction bits in
+  trace order, because their history is global, and gather them into
+  view order through the view's ``order``;
 * the associative-table kernels partition work by cache set and
   replay record by record, in trace order, only the sets under real
   capacity pressure (:mod:`~repro.kernels.evict`; see
@@ -85,16 +86,6 @@ def kernel_for(predictor):
             and type(predictor.second) in (Bimodal, GShare)):
         return None
     return registry.get(type(predictor))
-
-
-def reads_trace_order(predictor):
-    """True when ``predictor``'s kernel reads the records in trace
-    order (the direction schemes, whose history is global); every
-    other kernel reads a :class:`~repro.kernels.encode.SiteView`."""
-    from repro.predictors.bimodal import Bimodal, Tournament
-    from repro.predictors.twolevel import GShare
-
-    return type(predictor) in (Bimodal, GShare, Tournament)
 
 
 def supports(predictor):

@@ -7,20 +7,20 @@ simulator's loop computes, in one place: the flush epochs, the record
 filters (``conditional_only``, the return-address substitution) and
 the scoring rule of :func:`repro.predictors.base.is_correct`.
 
-The records reach a kernel in the order it reads them: a
+The records reach every kernel as a
 :class:`~repro.kernels.encode.SiteView` (sorted by site, the filter
-applied in the sort) for the paper's schemes, a trace-order encoding
-for the direction schemes.  :func:`assemble_stats`, :func:`site_counts`
-and :func:`repro.kernels.cycle.cycle_kernel` fold the scored records
-in that same order; each fold only counts, so the order does not
-change its result.  Stats keep the per-class key-presence semantics:
+applied in the sort), memoized per filter rule on the (flushed)
+encoding, so every scheme run over a trace shares one sort per rule.
+:func:`assemble_stats`, :func:`site_counts` and
+:func:`repro.kernels.cycle.cycle_kernel` fold the scored rows in view
+order; each fold only counts, so the order does not change its
+result.  Stats keep the per-class key-presence semantics:
 a class appears in ``by_class_correct`` only once a record of that
 class was predicted correctly.
 """
 
 import numpy as np
 
-from repro.kernels.encode import SiteView
 from repro.vm.tracing import BranchClass
 
 #: Each record filter's rule: the mask of the records it drops.
@@ -35,28 +35,20 @@ def outcomes(predictor, enc, conditional_only=False, ras_returns=True,
              flush_interval=None):
     """Run ``predictor``'s kernel over the records it sees.
 
-    Returns ``(records, correct, hit, credited)``: the records that
-    reach the predictor — a :class:`SiteView`, or for a trace-order
-    kernel an encoding — their correctness and hit flags (None for a
-    scheme with no buffer), and the count of return records the
+    Returns ``(records, correct, hit, credited)``: the
+    :class:`~repro.kernels.encode.SiteView` of the records that reach
+    the predictor, their correctness and hit flags (None for a scheme
+    with no buffer), and the count of return records the
     return-address mechanism scores instead.  Flush epochs count every
     record, as the loop does.
     """
-    from repro.kernels import kernel_for, reads_trace_order
+    from repro.kernels import kernel_for
 
     if flush_interval is not None:
         enc = enc.flushed(flush_interval)
     rule = ("conditional" if conditional_only
             else "no-returns" if ras_returns else "all")
-    drop = _DROPS[rule]
-    if not reads_trace_order(predictor):
-        records = enc.site_view(rule, drop)
-    elif drop is None:
-        records = enc
-    else:
-        dropped = drop(enc)
-        records = (enc.subset(rule, ~dropped) if dropped.any()
-                   else enc)
+    records = enc.site_view(rule, _DROPS[rule])
     credited = len(enc) - len(records) if rule == "no-returns" else 0
     if not len(records):
         return records, np.zeros(0, dtype=bool), None, credited
@@ -100,12 +92,8 @@ def assemble_stats(predictor, enc, conditional_only=False,
 
 def site_counts(predictor, enc, ras_returns=True):
     """``{site: [executions, correct]}`` in first-execution order."""
-    records, correct, _hit, _credited = outcomes(predictor, enc,
-                                                 ras_returns=ras_returns)
-    view = records
-    if not isinstance(records, SiteView):      # a trace-order kernel's
-        view = records.site_view("all", None)
-        correct = correct[view.order]
+    view, correct, _hit, _credited = outcomes(predictor, enc,
+                                              ras_returns=ras_returns)
     if not len(view):
         return {}
     first = np.flatnonzero(view.starts)

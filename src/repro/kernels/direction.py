@@ -9,15 +9,20 @@ Both schemes split cleanly into two independent machines:
   conditional record, which is just the previous ``history_bits``
   conditional outcomes packed into an integer — a handful of
   shift-and-add passes, no scan needed.  For bimodal the index is the
-  site address masked.
-* a **target store** — the same 256-entry BTB as the paper's schemes.
-  Taken executions insert, nothing deletes, so while a set has not
-  evicted, presence is "some earlier taken execution" and the stored
-  target is the latest such execution's.  The eviction screen and the
-  LRU replay (:mod:`repro.kernels.evict`) mirror
-  :mod:`repro.kernels.tables`; the replay needs one extra input, the
-  direction bit, because only predicted-taken conditionals touch (and
-  therefore refresh) the store on the predict path.
+  site address masked.  History is global, so the direction bits are
+  computed in trace order, over the conditional records of the view's
+  source encoding (no filter ever drops a conditional record), and
+  reach view order by one gather through ``view.order``.
+* a **target store** — the same 256-entry BTB as the paper's schemes,
+  read in view order like them.  Taken executions insert, nothing
+  deletes, so while a set has not evicted, presence is "some earlier
+  taken execution of the site" and the stored target is the latest
+  such execution's: a question about earlier rows of the site's
+  segment.  The eviction screen and the LRU replay
+  (:func:`repro.kernels.evict.replay_overflow`) are the SBTB's and
+  CBTB's; the replay needs one extra column, the direction bit,
+  because only predicted-taken conditionals touch (and therefore
+  refresh) the store on the predict path.
 
 Hit/miss accounting collapses nicely: in every predict case the hit
 flag equals target-store presence (a confirmed lookup, a
@@ -34,7 +39,8 @@ from repro.kernels import evict, scan
 from repro.vm.tracing import BranchClass
 
 
-def gshare_kernel(predictor, enc):
+def gshare_kernel(predictor, view):
+    enc = view.source
     conditional = enc.classes == BranchClass.CONDITIONAL
     sites = enc.sites[conditional]
     takens = enc.takens[conditional]
@@ -43,24 +49,21 @@ def gshare_kernel(predictor, enc):
     index = (sites ^ history) & predictor.table_mask
     counter = _counter_scan(enc.qualify(index, conditional),
                             np.where(takens, 1, -1))
-    direction = np.ones(len(enc), dtype=bool)
-    direction[conditional] = counter >= 2
-    return _with_target_store(predictor._targets, enc, conditional,
-                              direction)
+    return _with_target_store(predictor._targets, view, conditional,
+                              counter)
 
 
-def bimodal_kernel(predictor, enc):
+def bimodal_kernel(predictor, view):
+    enc = view.source
     conditional = enc.classes == BranchClass.CONDITIONAL
     index = enc.sites[conditional] & predictor.table_mask
     counter = _counter_scan(enc.qualify(index, conditional),
                             np.where(enc.takens[conditional], 1, -1))
-    direction = np.ones(len(enc), dtype=bool)
-    direction[conditional] = counter >= 2
-    return _with_target_store(predictor._targets, enc, conditional,
-                              direction)
+    return _with_target_store(predictor._targets, view, conditional,
+                              counter)
 
 
-def tournament_kernel(predictor, enc):
+def tournament_kernel(predictor, view):
     """Both component kernels, then the chooser walk over conditionals.
 
     The chooser steps up when only the second component was right and
@@ -72,19 +75,29 @@ def tournament_kernel(predictor, enc):
     """
     from repro.kernels import kernel_for
 
-    first = kernel_for(predictor.first)(predictor.first, enc)
-    second = kernel_for(predictor.second)(predictor.second, enc)
+    first = kernel_for(predictor.first)(predictor.first, view)
+    second = kernel_for(predictor.second)(predictor.second, view)
+    enc = view.source
     conditional = enc.classes == BranchClass.CONDITIONAL
-    takens = enc.takens[conditional]
-    first_right = first[0][conditional] == takens
-    second_right = second[0][conditional] == takens
+    # The chooser's step, per record in trace order (the records the
+    # view drops are never conditional, so never read).
+    step = np.empty(len(enc), dtype=np.int32)
+    step[view.order] = ((second[0] == view.takens).astype(np.int32)
+                        - (first[0] == view.takens))
     index = enc.sites[conditional] & predictor.chooser_mask
     chooser = _counter_scan(enc.qualify(index, conditional),
-                            second_right.astype(np.int32) - first_right)
-    use_second = np.zeros(len(enc), dtype=bool)
-    use_second[conditional] = chooser >= 2
+                            step[conditional])
+    use_second = _to_view_order(view, conditional, chooser >= 2, False)
     return tuple(np.where(use_second, b, a)
                  for a, b in zip(first, second))
+
+
+def _to_view_order(view, conditional, bits, other):
+    """Per-view-row ``bits`` of the conditional records (given in
+    trace order), ``other`` for every other record."""
+    out = np.full(conditional.shape[0], other)
+    out[conditional] = bits
+    return out[view.order]
 
 
 def _global_history(takens, history_bits, epochs):
@@ -114,34 +127,29 @@ def _counter_scan(index, delta):
                                  1)
 
 
-def _with_target_store(cache, enc, conditional, direction):
-    """Score records given per-record direction predictions.
+def _with_target_store(cache, view, conditional, counter):
+    """Score the view's rows given the conditional records' direction
+    counters (in trace order).
 
-    ``direction`` is True for non-conditional records (their predicted
+    The direction is True for non-conditional rows (their predicted
     direction is presence itself), so uniformly:
-    predicted-taken = present & direction, hit = present.
+    predicted-taken = present & direction, hit = present.  The predict
+    path looks the store up, and so refreshes its recency, exactly
+    where the direction is True.
     """
-    n = len(enc)
-    sites, takens, targets = enc.sites, enc.takens, enc.targets
-
-    site_groups = enc.site_groups()
-    last_taken = scan.last_marked_index(site_groups, takens)
+    direction = _to_view_order(view, conditional, counter >= 2, True)
+    takens, targets = view.takens, view.targets
+    last_taken = scan.sorted_last_marked(view.starts, takens)
     present = last_taken >= 0
-    stored = np.zeros(n, dtype=np.int64)
-    stored[present] = targets[last_taken[present]]
+    # Rows with no earlier taken execution read some other row's
+    # target; ``present`` masks it out of every answer.
+    stored = targets[last_taken]
 
     # Eviction screen: only a first taken execution allocates, nothing
     # deletes, so occupancy is the running count of those events.
-    overflow = None
-    if not evict.cannot_overflow(enc.unique_sites(), cache.n_sets,
-                                 cache.associativity):
-        overflow = evict.overflow_rows(enc, cache, takens & ~present)
-    if overflow is not None:
-        rows, set_ids = overflow
-        refreshes = ~conditional | direction
-        evict.store_evict(rows, set_ids, sites, takens, targets,
-                          refreshes, cache.associativity, present,
-                          stored)
+    evict.replay_overflow(view, cache, takens & ~present,
+                          evict.store_evict, reads=(direction,),
+                          fixes=(present, stored))
 
     pred_taken = present & direction
     target_match = pred_taken & (stored == targets)

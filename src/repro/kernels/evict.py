@@ -1,13 +1,15 @@
 """LRU replay of the overflowing BTB sets.
 
 The closed-form kernels in :mod:`repro.kernels.tables` and
-:mod:`repro.kernels.direction` are exact until a cache set evicts.
-The records of the sets that do evict are replayed here in trace
-order, one record at a time, through one ``OrderedDict`` LRU per set
-(least recently used first).  Each scheme is a table of ops on a hit
-or a miss — *move* (to MRU), *delete*, *insert* (at MRU, evicting the
-LRU entry when the set is full) or *no-op* — stated in the docstrings
-of :func:`sbtb_evict`, :func:`cbtb_evict` and :func:`store_evict`.
+:mod:`repro.kernels.direction` read a
+:class:`~repro.kernels.encode.SiteView` and are exact until a cache
+set evicts.  The records of the sets that do evict are replayed here
+in trace order, one record at a time, through one ``OrderedDict`` LRU
+per set (least recently used first).  Each scheme is a table of ops
+on a hit or a miss — *move* (to MRU), *delete*, *insert* (at MRU,
+evicting the LRU entry when the set is full) or *no-op* — stated in
+the docstrings of :func:`sbtb_evict`, :func:`cbtb_evict` and
+:func:`store_evict`.
 The replay follows the AssociativeCache recency contract without
 calling it, so the equivalence tests still compare two separate
 implementations: a predict-path lookup or a new allocation refreshes
@@ -27,9 +29,9 @@ fills the set without evicting and stays on the closed-form path.
 The screen first asks the cheap question (:func:`cannot_overflow`): a
 set never holds more entries than it has distinct sites, in any flush
 epoch, so when no set has more distinct sites than ways the
-occupancy scan is skipped.  The site-view kernels pass that check
-through :func:`replay_overflow`, which restores trace order only when
-it fails.
+occupancy scan is skipped.  Every kernel passes that check through
+:func:`replay_overflow`, which restores trace order only when it
+fails.
 """
 
 from collections import OrderedDict, defaultdict
@@ -69,35 +71,32 @@ def overflow_rows(enc, cache, delta):
     return np.nonzero(np.isin(set_ids, hot))[0], set_ids
 
 
-def replay_overflow(view, cache, delta, replay, *args, fixes):
+def replay_overflow(view, cache, delta, replay, *args, reads=(),
+                    fixes):
     """Screen a site view's sets and replay the overflowing ones.
 
-    ``delta`` and the ``fixes`` columns are in view order.  When some
-    set has more distinct sites than ways, the records go back to trace
-    order (``view.in_trace_order``) for :func:`overflow_rows` and
-    ``replay(rows, set_ids, sites, takens, targets, ways, *args,
-    *fixes)``, and the replayed answers are written back into
-    ``fixes`` in place.
+    ``delta`` and the ``reads`` and ``fixes`` columns are in view
+    order.  When some set has more distinct sites than ways, the
+    records go back to trace order (``view.in_trace_order``) for
+    :func:`overflow_rows` and ``replay(rows, set_ids, sites, takens,
+    targets, ways, *args, *reads, *fixes)``, and the replayed rows'
+    answers are written back into ``fixes`` in place.
     """
     ways = cache.associativity
     if cannot_overflow(view.distinct_sites, cache.n_sets, ways):
         return
-    enc, at = view.in_trace_order()
-    overflow = overflow_rows(enc, cache, _to_trace_order(delta, at))
+    enc, view_rows = view.in_trace_order()
+    overflow = overflow_rows(enc, cache, delta[view_rows])
     if overflow is None:
         return
     rows, set_ids = overflow
-    fixed = [_to_trace_order(column, at) for column in fixes]
+    # The replay writes the fixes of ``rows`` only, and reads none.
+    fixed = [np.empty(len(enc), dtype=column.dtype) for column in fixes]
     replay(rows, set_ids, enc.sites, enc.takens, enc.targets, ways,
-           *args, *fixed)
+           *args, *(column[view_rows] for column in reads), *fixed)
+    replayed = view_rows[rows]
     for column, trace_order in zip(fixes, fixed):
-        column[:] = trace_order[at]
-
-
-def _to_trace_order(column, at):
-    out = np.empty_like(column)
-    out[at] = column
-    return out
+        column[replayed] = trace_order[rows]
 
 
 def sbtb_evict(rows, set_ids, sites, takens, targets, ways, present,
@@ -127,7 +126,7 @@ def cbtb_evict(rows, set_ids, sites, takens, targets, ways, threshold,
             threshold=threshold, counter_max=counter_max)
 
 
-def store_evict(rows, set_ids, sites, takens, targets, refreshes, ways,
+def store_evict(rows, set_ids, sites, takens, targets, ways, refreshes,
                 present, stored):
     """Replay overflowing direction-scheme target-store sets.
 

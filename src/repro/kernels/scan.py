@@ -4,18 +4,21 @@ Every kernel reduces to the same few questions asked per record about
 *earlier records in some group* (same branch site, same cache set, same
 counter index):
 
-* :func:`last_marked_index` — where did it last occur *with a write*?
+* :func:`sorted_last_marked` — where did it last occur *with a write*?
 * :func:`running_total` — how much has accumulated in the group so far?
 * :func:`exclusive_states` — what state had the group's small state
   machine reached?
 
-These helpers take a :class:`Groups` (a stable sort of records by group
-key, so each group is a contiguous segment in sorted order) and return
-answers scattered back to original record order, for the trace-order
-kernels; :func:`sorted_last_marked` and :func:`sorted_exclusive_states`
-work in the sorted order itself, for kernels that already read their
-records grouped (a :class:`~repro.kernels.encode.SiteView`: the
-previous same-site record is simply the previous row of a segment).
+One sort answers them all: :func:`sort_segments` stably sorts records
+by group key, so each group is a contiguous *segment* in sorted order,
+and returns the segment starts.  A :class:`~repro.kernels.encode.SiteView`
+is that sort of a trace's sites, and its kernels ask their questions in
+the sorted order itself (:func:`sorted_last_marked`,
+:func:`sorted_exclusive_states`: the previous same-site record is
+simply the previous row of a segment).  A :class:`Groups` is the same
+sort kept beside the records, for the counter tables and cache sets
+the kernels key in trace order; :func:`running_total` and
+:func:`exclusive_states` scatter their answers back to record order.
 
 The state scan exploits that every transition in the predictor zoo —
 saturating increment, saturating decrement, allocation to a constant —
@@ -55,6 +58,35 @@ import numpy as np
 NARROW = 1 << 16
 
 
+def sort_segments(keys, drop=None):
+    """Stable sort of ``keys`` and the segment starts of the result.
+
+    Returns ``(order, starts)``: the stable permutation sorting the
+    keys, and True at each sorted row whose key differs from the
+    previous row's.  Records where the bool mask ``drop`` is set get a
+    key past every other, sort to the end and are cut off ``order``.
+    Keys in ``[0, NARROW)``, the past-the-end key included, sort as
+    uint16; the permutation is that of the wide keys.
+    """
+    keys = np.asarray(keys)
+    n = keys.shape[0]
+    top = int(keys.max()) + (drop is not None) if n else 0
+    narrow = n and int(keys.min()) >= 0 and top < NARROW
+    keys = keys.astype(np.uint16 if narrow else np.int64,
+                       copy=drop is not None)
+    kept = n
+    if drop is not None:
+        keys[drop] = top
+        kept -= int(np.count_nonzero(drop))
+    order = np.argsort(keys, kind="stable")[:kept]
+    sorted_keys = keys[order]
+    del keys
+    starts = np.empty(kept, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return order, starts
+
+
 class Groups:
     """Records grouped by an integer key, order-preserving per group.
 
@@ -63,49 +95,23 @@ class Groups:
             group, sorted rows keep original record order.
         starts: True at each group's first sorted row.
         seg_ids: group ordinal per sorted row.
-
-    Keys in ``[0, 65536)`` — branch sites, cache sets and counter
-    indices in practice — are narrowed to uint16 before the sort; the
-    grouping is identical to that of the wide keys.
     """
 
     __slots__ = ("n", "order", "starts", "seg_ids")
 
     def __init__(self, keys):
-        keys = np.asarray(keys)
-        self.n = int(keys.shape[0])
-        if (self.n and keys.dtype.itemsize > 2 and int(keys.min()) >= 0
-                and int(keys.max()) < NARROW):
-            keys = keys.astype(np.uint16)
-        self.order = np.argsort(keys, kind="stable")
-        starts = np.empty(self.n, dtype=bool)
-        if self.n:
-            sorted_keys = keys[self.order]
-            starts[0] = True
-            np.not_equal(sorted_keys[1:], sorted_keys[:-1],
-                         out=starts[1:])
-        self.starts = starts
-        self.seg_ids = (np.cumsum(starts, dtype=np.int64) - 1 if self.n
-                        else np.zeros(0, dtype=np.int64))
-
-
-def last_marked_index(groups, marked):
-    """Original index of the most recent *earlier* marked record in the
-    same group; -1 when no earlier record of the group is marked.
-    """
-    latest = sorted_last_marked(
-        groups.starts, np.asarray(marked, dtype=bool)[groups.order])
-    out = np.empty(groups.n, dtype=np.int64)
-    out[groups.order] = np.where(latest >= 0, groups.order[latest], -1)
-    return out
+        self.order, self.starts = sort_segments(keys)
+        self.n = int(self.order.shape[0])
+        self.seg_ids = np.cumsum(self.starts, dtype=np.int64) - 1
 
 
 def sorted_last_marked(starts, marked):
-    """:func:`last_marked_index` in the sorted domain of a grouping.
+    """The latest *earlier* marked row of each row's segment.
 
-    ``starts`` is :attr:`Groups.starts`; ``marked`` and the returned
-    int64 sorted rows are in the grouping's sorted order, -1 where no
-    earlier row of the group is marked.
+    ``starts`` is True at each segment's first row (as
+    :func:`sort_segments` returns it); ``marked`` and the returned
+    int64 rows are in that sorted order, -1 where no earlier row of
+    the segment is marked.
     """
     n = starts.shape[0]
     out = np.empty(n, dtype=np.int64)
@@ -266,8 +272,9 @@ def exclusive_states(groups, deltas, lows, highs, init_state):
 def sorted_exclusive_states(starts, delta, low, high, init_state):
     """:func:`exclusive_states` in the sorted domain of a grouping.
 
-    ``starts`` is :attr:`Groups.starts`; the int32 transitions and the
-    returned states are in the grouping's sorted order.
+    ``starts`` is True at each segment's first row (as
+    :func:`sort_segments` returns it); the int32 transitions and the
+    returned states are in that sorted order.
 
     The scan runs over *runs*, not rows: consecutive equal transitions
     of one group, as branch outcomes mostly come.  ``k`` applications

@@ -24,7 +24,7 @@ from repro.kernels import (
     simulate_vector,
     supports,
 )
-from repro.kernels import evict, scan
+from repro.kernels import encode, evict, scan
 from repro.kernels.encode import flush_epochs
 from repro.pipeline import CycleSimulator, PipelineConfig
 from repro.pipeline.cycle_sim import CycleStats
@@ -41,6 +41,7 @@ from repro.predictors import (
     Tournament,
     simulate,
     simulate_scalar,
+    site_statistics,
 )
 from repro.vm.tracing import BranchClass, BranchTrace
 
@@ -76,17 +77,24 @@ def test_view_previous_row_matches_reference():
                 == expected
 
 
-def test_last_marked_index_matches_reference():
+def test_sorted_last_marked_matches_reference():
+    """Random segmentations, empty and single-row ones included: each
+    row gets its segment's latest earlier marked row, or -1."""
     rng = np.random.default_rng(11)
-    for n, n_groups in ((0, 1), (1, 1), (2, 1), (80, 4), (300, 13)):
-        keys = _random_keys(rng, n, n_groups)
+    for n, start_rate in ((0, 0.5), (1, 0.5), (2, 0.0), (80, 0.1),
+                          (300, 0.02), (300, 0.9)):
+        starts = rng.random(n) < start_rate
+        starts[:1] = True
         marked = rng.random(n) < 0.4
-        got = scan.last_marked_index(scan.Groups(keys), marked)
-        last_mark = {}
-        for index, key in enumerate(keys.tolist()):
-            assert got[index] == last_mark.get(key, -1)
-            if marked[index]:
-                last_mark[key] = index
+        got = scan.sorted_last_marked(starts, marked)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        latest = -1
+        for row in range(n):
+            if starts[row]:
+                latest = -1
+            assert got[row] == latest, (n, row)
+            if marked[row]:
+                latest = row
 
 
 def test_running_total_matches_reference():
@@ -243,12 +251,18 @@ def test_groups_narrow_only_in_the_uint16_range(monkeypatch):
         seen.clear()
         scan.Groups(np.array(keys, dtype=np.int64))
         assert (seen[0] == np.uint16) is narrowed, keys
+    # A filter's past-the-end key must fit too.
+    for keys, narrowed in (([0, 65534, 3], True), ([0, 65535, 3], False)):
+        seen.clear()
+        order, _ = scan.sort_segments(np.array(keys, dtype=np.int64),
+                                      np.array([False, False, True]))
+        assert (seen[0] == np.uint16) is narrowed, keys
+        assert order.tolist() == [0, 1]
 
 
 def test_scan_primitives_empty():
     groups = scan.Groups(np.zeros(0, dtype=np.int64))
     empty = np.zeros(0, dtype=np.int64)
-    assert scan.last_marked_index(groups, empty).shape == (0,)
     assert scan.sorted_last_marked(groups.starts, empty.astype(bool)) \
         .shape == (0,)
     assert scan.running_total(groups, empty).shape == (0,)
@@ -285,26 +299,13 @@ def test_encoded_trace_roundtrip_from_arrays():
 
 def test_encoded_trace_memoizes_derived_structures():
     encoded = EncodedTrace.of(_small_trace())
-    assert encoded.site_groups() is encoded.site_groups()
     assert encoded.set_groups(4) is encoded.set_groups(4)
     assert encoded.set_groups(4) is not encoded.set_groups(8)
-    assert encoded.unique_sites() is encoded.unique_sites()
     assert encoded.site_view("all", None) \
         is encoded.site_view("all", None)
-    mask = encoded.classes == BranchClass.CONDITIONAL
-    assert encoded.subset("conditional", mask) \
-        is encoded.subset("conditional", mask)
-
-
-def test_subset_drops_gaps_and_refuses_flush_epochs():
-    """No kernel reads a subset's gaps, and epochs count every record,
-    so a subset carries none and cannot be flushed."""
-    encoded = EncodedTrace.of(_small_trace())
-    subset = encoded.subset("conditional",
-                            encoded.classes == BranchClass.CONDITIONAL)
-    assert subset.gaps is None
-    with pytest.raises(ValueError, match="before subset"):
-        subset.flushed(2)
+    assert encoded.flushed(3) is encoded.flushed(3)
+    view = encoded.site_view("all", None)
+    assert view.in_trace_order() is view.in_trace_order()
 
 
 def test_simulations_share_one_encoding_until_released():
@@ -338,23 +339,86 @@ def test_flush_epochs_match_the_reference_count():
 
 
 def test_flushed_encoding_keeps_plain_memo_apart():
-    """Epoch-qualified groupings live on their own encoding; the plain
-    encoding's memoized groupings stay unqualified."""
-    encoded = EncodedTrace.of(_small_trace())
-    plain_sites = encoded.site_groups()
+    """Epoch-qualified views and groupings live on their own encoding,
+    memoized per interval on the plain one and freed with it; the
+    plain encoding's views and groupings stay unqualified."""
+    trace = _small_trace()
+    encoded = EncodedTrace.of(trace)
+    plain_view = encoded.site_view("all", None)
     plain_sets = encoded.set_groups(2)
     flushed = encoded.flushed(2)
-    assert flushed is not encoded.flushed(2)
+    assert flushed is encoded.flushed(2)
+    assert flushed is not encoded.flushed(3)
     assert flushed.epochs.tolist() == list(range(1, 11))
-    assert flushed.site_groups() is not plain_sites
-    assert encoded.site_groups() is plain_sites
+    assert flushed.site_view("all", None) is not plain_view
+    assert encoded.site_view("all", None) is plain_view
     assert encoded.set_groups(2) is plain_sets
     assert encoded.epochs is None
     # Every record is its own epoch: no site or set group spans two.
-    assert flushed.site_groups().starts.all()
+    assert flushed.site_view("all", None).starts.all()
     assert flushed.set_groups(2).starts.all()
-    assert flushed.subset("conditional", flushed.classes
-                          == BranchClass.CONDITIONAL).epochs is not None
+    EncodedTrace.release(trace)
+    assert EncodedTrace.of(trace).flushed(2) is not flushed
+
+
+def _count_view_builds(monkeypatch):
+    """The encodings every ``SiteView`` built from now on sorted."""
+    built = []
+    real = encode.SiteView._build
+
+    def build(view, enc, drop):
+        built.append(enc)
+        real(view, enc, drop)
+
+    monkeypatch.setattr(encode.SiteView, "_build", build)
+    return built
+
+
+def test_runs_with_one_flush_interval_share_one_view(monkeypatch):
+    """The flushed encoding is memoized per interval, so three buffered
+    schemes flushed every 1000 instructions sort the trace once."""
+    trace = TraceFuzzer(3).trace()
+    built = _count_view_builds(monkeypatch)
+    for make in (lambda: SimpleBTB(256), lambda: CounterBTB(256),
+                 lambda: SimpleBTB(16)):
+        assert simulate_vector(make(), trace, flush_interval=1000) \
+            == simulate_scalar(make(), trace, flush_interval=1000)
+    assert len(built) == 1
+    assert built[0].epochs is not None
+
+
+def test_every_kernel_reads_the_one_view_per_rule(monkeypatch):
+    """The direction schemes read the same memoized site view as the
+    SBTB, per filter rule, and per-site scoring of a direction scheme
+    builds no second view."""
+    from repro.kernels import aggregate, direction, tables
+
+    trace = TraceFuzzer(5).trace()
+    assert (trace.classes == BranchClass.RETURN).any()
+    built = _count_view_builds(monkeypatch)
+    seen = []
+    for module, name in ((direction, "gshare_kernel"),
+                         (direction, "bimodal_kernel"),
+                         (direction, "tournament_kernel"),
+                         (tables, "sbtb_kernel")):
+        def spy(predictor, records, real=getattr(module, name)):
+            seen.append(records)
+            return real(predictor, records)
+        monkeypatch.setattr(module, name, spy)
+    encoded = EncodedTrace.of(trace)
+    for run, rule in (({}, "no-returns"),
+                      ({"conditional_only": True}, "conditional")):
+        seen.clear()
+        for make in (GShare, Bimodal, Tournament, SimpleBTB):
+            assert simulate_vector(make(), trace, **run) \
+                == simulate_scalar(make(), trace, **run)
+        view = encoded.site_view(rule, aggregate._DROPS[rule])
+        # The tournament's two components read its view too.
+        assert len(seen) == 6
+        assert all(records is view for records in seen), rule
+    assert len(built) == 2
+    site_statistics(GShare(), trace)
+    assert len(built) == 2
 
 
 # -- path resolution -----------------------------------------------------
@@ -640,7 +704,8 @@ def test_screen_boundary_per_set():
             trace = BranchTrace.from_records(
                 [(site, BranchClass.CONDITIONAL, True, 100 + site, 1)
                  for site in sites + [2, 3]] * 4)
-            distinct = EncodedTrace.of(trace).unique_sites()
+            distinct = EncodedTrace.of(trace).site_view(
+                "all", None).distinct_sites
             assert evict.cannot_overflow(distinct, 4, 2) \
                 is not overflows
             calls = _spy_calls(replay, lambda: simulate_vector(make(),
