@@ -74,6 +74,19 @@ echo "== characterize self-test =="
 # must be flagged — exits non-zero on either failure mode.
 PYTHONPATH=src python -m repro characterize --self-test
 
+echo "== characterize output identity =="
+# The characterize report prints no wall-clock field, so two runs of
+# one commit must print byte-identical reports.
+first=$(PYTHONPATH=src python -m repro characterize)
+first=$(printf '%s\n' "$first" | sha256sum | cut -d' ' -f1)
+second=$(PYTHONPATH=src python -m repro characterize)
+second=$(printf '%s\n' "$second" | sha256sum | cut -d' ' -f1)
+if [ "$first" != "$second" ]; then
+    echo "characterize output identity: sha256 $first, then $second" >&2
+    exit 1
+fi
+echo "   characterize: $first"
+
 echo "== conformance smoke =="
 # Small seed budget: differential replay of every predictor against
 # its reference oracle plus the golden-table regression.  The full

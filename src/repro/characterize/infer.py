@@ -45,7 +45,6 @@ conclusion, so a mis-recovery is debuggable from the report alone.
 """
 
 import math
-import time
 
 from repro.predictors.base import simulate
 from repro.telemetry.core import TELEMETRY
@@ -300,7 +299,6 @@ def characterize(factory, declared=None, label=None,
     Returns:
         :class:`~repro.characterize.report.CharacterizationReport`.
     """
-    started = time.perf_counter()
     probe = _Probe(factory)
     if declared is None:
         declared = factory().declared_parameters()
@@ -308,7 +306,7 @@ def characterize(factory, declared=None, label=None,
         label = getattr(factory(), "name", "predictor")
 
     recovered = {}
-    with TELEMETRY.span("characterize.predictor", label=label):
+    with TELEMETRY.span("characterize.predictor", label=label) as span:
         with TELEMETRY.span("characterize.probe", family="buffered"):
             recovered["buffered"] = _infer_buffered(probe)
 
@@ -346,12 +344,12 @@ def characterize(factory, declared=None, label=None,
 
         with TELEMETRY.span("characterize.probe", family="flush"):
             recovered["flush_sensitive"] = _infer_flush(probe)
+        span.annotate(simulations=probe.simulations, records=probe.records)
 
     report = CharacterizationReport(
         label=label, recovered=recovered, declared=dict(declared or {}),
         evidence=probe.evidence, simulations=probe.simulations,
-        records=probe.records,
-        elapsed=time.perf_counter() - started)
+        records=probe.records)
     if TELEMETRY.enabled:
         TELEMETRY.event("characterize.report", label=label,
                         simulations=probe.simulations,

@@ -35,14 +35,13 @@ class CharacterizationReport:
     """
 
     def __init__(self, label, recovered, declared, evidence,
-                 simulations=0, records=0, elapsed=0.0):
+                 simulations=0, records=0):
         self.label = label
         self.recovered = recovered
         self.declared = declared
         self.evidence = evidence
         self.simulations = simulations
         self.records = records
-        self.elapsed = elapsed
 
     @property
     def mismatches(self):
@@ -122,8 +121,8 @@ class CharacterizationReport:
         else:
             lines.append("  verdict: recovered parameters consistent "
                          "with declaration")
-        lines.append("  probes: %d simulations, %d records, %.2fs"
-                     % (self.simulations, self.records, self.elapsed))
+        lines.append("  probes: %d simulations, %d records"
+                     % (self.simulations, self.records))
         return "\n".join(lines)
 
     def __repr__(self):

@@ -46,7 +46,7 @@ def gshare_kernel(predictor, view):
     takens = enc.takens[conditional]
     epochs = None if enc.epochs is None else enc.epochs[conditional]
     history = _global_history(takens, predictor.history_bits, epochs)
-    index = (sites ^ history) & predictor.table_mask
+    index = _masked(sites ^ history, predictor.table_mask)
     counter = _counter_scan(enc.qualify(index, conditional),
                             np.where(takens, 1, -1))
     return _with_target_store(predictor._targets, view, conditional,
@@ -56,7 +56,7 @@ def gshare_kernel(predictor, view):
 def bimodal_kernel(predictor, view):
     enc = view.source
     conditional = enc.classes == BranchClass.CONDITIONAL
-    index = enc.sites[conditional] & predictor.table_mask
+    index = _masked(enc.sites[conditional], predictor.table_mask)
     counter = _counter_scan(enc.qualify(index, conditional),
                             np.where(enc.takens[conditional], 1, -1))
     return _with_target_store(predictor._targets, view, conditional,
@@ -84,12 +84,18 @@ def tournament_kernel(predictor, view):
     step = np.empty(len(enc), dtype=np.int32)
     step[view.order] = ((second[0] == view.takens).astype(np.int32)
                         - (first[0] == view.takens))
-    index = enc.sites[conditional] & predictor.chooser_mask
+    index = _masked(enc.sites[conditional], predictor.chooser_mask)
     chooser = _counter_scan(enc.qualify(index, conditional),
                             step[conditional])
     use_second = _to_view_order(view, conditional, chooser >= 2, False)
     return tuple(np.where(use_second, b, a)
                  for a, b in zip(first, second))
+
+
+def _masked(keys, mask):
+    """A table index, ``keys & mask`` in int64: the mask may not fit
+    the keys' narrow dtype."""
+    return np.bitwise_and(keys, mask, dtype=np.int64)
 
 
 def _to_view_order(view, conditional, bits, other):

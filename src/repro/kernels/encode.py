@@ -106,11 +106,15 @@ class EncodedTrace:
             return keys
         epochs = self.epochs if rows is None else self.epochs[rows]
         low = int(keys.min())
-        return epochs * (int(keys.max()) - low + 1) + (keys - low)
+        # Narrow keys would wrap in ``keys - low``: offset them in int64.
+        return (epochs * (int(keys.max()) - low + 1)
+                + np.subtract(keys, low, dtype=np.int64))
 
     def set_ids(self, n_sets):
-        """Each record's cache set out of ``n_sets``."""
-        return self.qualify(self.sites % n_sets)
+        """Each record's cache set out of ``n_sets`` (int64: a set
+        count may not fit the sites' dtype)."""
+        return self.qualify(np.remainder(self.sites, n_sets,
+                                         dtype=np.int64))
 
     # -- memoized derived structures --------------------------------------
 

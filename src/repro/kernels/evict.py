@@ -44,7 +44,8 @@ from repro.kernels import scan
 def cannot_overflow(sites, n_sets, ways):
     """True when no set of ``n_sets`` has more than ``ways`` of the
     distinct ``sites``, so no set can ever evict."""
-    per_set = np.bincount(sites % n_sets, minlength=1)
+    per_set = np.bincount(np.remainder(sites, n_sets, dtype=np.int64),
+                          minlength=1)
     return int(per_set.max()) <= ways
 
 
@@ -90,6 +91,9 @@ def replay_overflow(view, cache, delta, replay, *args, reads=(),
     if overflow is None:
         return
     rows, set_ids = overflow
+    from repro.telemetry.core import TELEMETRY
+
+    TELEMETRY.count("kernels.evict_replayed_rows", len(rows))
     # The replay writes the fixes of ``rows`` only, and reads none.
     fixed = [np.empty(len(enc), dtype=column.dtype) for column in fixes]
     replay(rows, set_ids, enc.sites, enc.takens, enc.targets, ways,

@@ -66,12 +66,18 @@ def sort_segments(keys, drop=None):
     previous row's.  Records where the bool mask ``drop`` is set get a
     key past every other, sort to the end and are cut off ``order``.
     Keys in ``[0, NARROW)``, the past-the-end key included, sort as
-    uint16; the permutation is that of the wide keys.
+    uint16; the permutation is that of the wide keys.  Any other keys
+    sort as int64, and the telemetry counter ``kernels.sort_wide``
+    counts each such sort.
     """
     keys = np.asarray(keys)
     n = keys.shape[0]
     top = int(keys.max()) + (drop is not None) if n else 0
     narrow = n and int(keys.min()) >= 0 and top < NARROW
+    if not narrow and n:
+        from repro.telemetry.core import TELEMETRY
+
+        TELEMETRY.count("kernels.sort_wide")
     keys = keys.astype(np.uint16 if narrow else np.int64,
                        copy=drop is not None)
     kept = n

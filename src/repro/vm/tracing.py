@@ -4,10 +4,10 @@ A *branch record* captures one dynamic execution of a branch
 instruction; the sequence of records plus the total dynamic instruction
 count is everything the predictors, the cost model, and Tables 1-3 need.
 
-Records are stored column-wise as NumPy arrays, the one form a trace
-takes from the VM's last instruction to the simulation kernels; the
-``.npz`` trace cache stores the same columns narrowed to the range they
-hold (:meth:`BranchTrace.to_arrays`).
+Records are stored column-wise as NumPy arrays, each in the narrowest
+dtype that holds its range, the one form a trace takes from the VM's
+last instruction through the ``.npz`` trace cache
+(:meth:`BranchTrace.to_arrays`) to the simulation kernels.
 """
 
 import numpy as np
@@ -83,14 +83,18 @@ class BranchTrace:
     """The dynamic branch stream of one (or several merged) program runs.
 
     Column-wise storage, one NumPy array per field:
-        sites: branch instruction address per record (int64),
+        sites: branch instruction address per record,
         classes: :class:`BranchClass` code per record (int8),
         takens: True when the branch transferred control (bool),
         targets: actual target address (meaningful when taken; for
-            not-taken conditionals it is the would-be taken target)
-            (int64),
+            not-taken conditionals it is the would-be taken target),
         gaps: non-branch instructions executed since the previous
-            branch (int64).
+            branch.
+
+    Sites, targets and gaps are each held in the narrowest signed
+    dtype that holds the column's range: int8, int16 or int32, and
+    int64 only beyond int32.  Arithmetic that can leave that range
+    (sums, offsets, masks wider than the dtype) widens first.
 
     ``total_instructions`` counts every executed instruction including
     the branches themselves; it defaults to ``sum(gaps) + len``, the
@@ -102,11 +106,11 @@ class BranchTrace:
 
     def __init__(self, sites=(), classes=(), takens=(), targets=(),
                  gaps=(), total_instructions=None):
-        self.sites = np.asarray(sites, dtype=np.int64)
+        self.sites = _narrowed(sites)
         self.classes = np.asarray(classes, dtype=np.int8)
         self.takens = np.asarray(takens, dtype=bool)
-        self.targets = np.asarray(targets, dtype=np.int64)
-        self.gaps = np.asarray(gaps, dtype=np.int64)
+        self.targets = _narrowed(targets)
+        self.gaps = _narrowed(gaps)
         shapes = {getattr(self, column).shape for column in _COLUMNS}
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ValueError(
@@ -114,7 +118,8 @@ class BranchTrace:
                 + ", ".join("%s %s" % (column, getattr(self, column).shape)
                             for column in _COLUMNS))
         if total_instructions is None:
-            total_instructions = int(self.gaps.sum()) + len(self.sites)
+            total_instructions = (int(self.gaps.sum(dtype=np.int64))
+                                  + len(self.sites))
         self.total_instructions = int(total_instructions)
 
     # -- construction -----------------------------------------------------
@@ -173,25 +178,24 @@ class BranchTrace:
     def to_arrays(self):
         """The arrays of the on-disk cache layout.
 
-        Sites, targets and gaps are each stored in the narrowest signed
-        dtype that holds the column's range (int64 beyond int32), and
-        class and taken share one int8 ``flags`` column
+        Sites, targets and gaps are stored as held, in their narrowest
+        dtypes, and class and taken share one int8 ``flags`` column
         (``class << 1 | taken``).
         """
         flags = self.classes << 1
         flags |= self.takens
         return {
-            "sites": _narrowed(self.sites),
-            "targets": _narrowed(self.targets),
-            "gaps": _narrowed(self.gaps),
+            "sites": self.sites,
+            "targets": self.targets,
+            "gaps": self.gaps,
             "flags": flags,
             "total_instructions": np.int64(self.total_instructions),
         }
 
     @classmethod
     def from_arrays(cls, arrays):
-        """Rebuild a trace saved by :meth:`to_arrays`, widened back to
-        the in-memory dtypes.
+        """Rebuild a trace saved by :meth:`to_arrays`, its columns in
+        their stored (narrowest) dtypes.
 
         Raises ``ValueError`` unless every column is a signed integer
         array, every flag lies in [0, 7], no gap is negative and the
@@ -220,14 +224,18 @@ class BranchTrace:
 
 
 def _narrowed(column):
-    """``column`` in the narrowest signed dtype holding its range."""
-    if not column.shape[0]:
-        return column.astype(np.int8)
+    """``column`` as an array in the narrowest signed dtype holding its
+    range (int64 beyond int32); no copy when it already is one."""
+    column = np.asarray(column)
+    if not np.issubdtype(column.dtype, np.signedinteger):
+        column = column.astype(np.int64)
+    if not column.size:
+        return column.astype(np.int8, copy=False)
     low, high = int(column.min()), int(column.max())
     for dtype in (np.int8, np.int16, np.int32):
         bounds = np.iinfo(dtype)
         if bounds.min <= low and high <= bounds.max:
-            return column.astype(dtype)
+            return column.astype(dtype, copy=False)
     return column
 
 

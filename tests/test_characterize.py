@@ -255,6 +255,18 @@ def test_report_render_and_dict():
     assert {"capacity", "alias", "history", "replacement"} <= families
 
 
+def test_report_render_is_byte_stable():
+    """Two characterizations of one predictor render identically: the
+    report holds no wall-clock field (the ``characterize.predictor``
+    span times the probes instead)."""
+    first, second = (characterize(lambda: CounterBTB(entries=16),
+                                  label="twice") for _ in range(2))
+    assert first.render() == second.render()
+    assert first.render().splitlines()[-1] == (
+        "  probes: %d simulations, %d records"
+        % (first.simulations, first.records))
+
+
 def test_report_render_marks_mismatches():
     lied = dict(SimpleBTB(entries=16).declared_parameters())
     lied["associativity"] = 2
@@ -292,6 +304,22 @@ def test_telemetry_counters_emitted():
                    for name in snapshot["histograms"])
     finally:
         TELEMETRY.disable().reset()
+
+
+def test_predictor_span_carries_the_probe_counts():
+    from repro.telemetry.core import TELEMETRY
+    from repro.telemetry.sinks import InMemoryAggregator
+
+    sink = InMemoryAggregator()
+    TELEMETRY.enable(sink)
+    try:
+        report = characterize(lambda: SimpleBTB(entries=16))
+    finally:
+        TELEMETRY.disable().reset()
+    [span] = [event for event in sink.named("characterize.predictor")
+              if event["type"] == "span"]
+    assert span["simulations"] == report.simulations > 0
+    assert span["records"] == report.records > 0
 
 
 # --- rosters and the self-test gate -----------------------------------------

@@ -405,6 +405,21 @@ def test_ledger_of_a_warm_table3_sorts_each_trace_once(tmp_path,
     assert layers["predictors.simulate"][0] == 3 * simulated
 
 
+def test_ledger_of_the_paper_takes_no_fallback(tmp_path):
+    """The paper's schemes at scale 0.02: every site sorts as uint16
+    and no 256-entry buffer overflows, so the ledger reads zero for
+    both fallback counters (a counter never bumped is absent)."""
+    from repro.cli import main
+
+    log = tmp_path / "all.jsonl"
+    assert main(["all", "--scale", "0.02", "--workers", "1", "--no-cache",
+                 "--telemetry", "--telemetry-log", str(log)]) == 0
+    counters = fold_ledger(merge_trace(log))["counters"]
+    assert counters["predictor.records"] > 0
+    assert counters.get("kernels.sort_wide", 0) == 0
+    assert counters.get("kernels.evict_replayed_rows", 0) == 0
+
+
 def test_ledger_of_a_two_worker_run_covers_every_child(tmp_path,
                                                        monkeypatch):
     """``all --workers 2 --telemetry`` from an empty cache: the ledger

@@ -96,10 +96,20 @@ def test_compiled_matches_reference_battery(name):
 
 
 def test_trace_arrays_keep_their_dtypes():
+    """Both paths hand over narrow traces: int8 classes, bool takens,
+    and sites, targets and gaps in the narrowest signed dtype of their
+    range."""
     suite, runs = _three_programs("wc")
-    trace = Machine(runs[1][0], inputs=suite[0], trace=True).run().trace
-    assert [getattr(trace, column).dtype for column in _COLUMNS] == [
-        np.int64, np.int8, bool, np.int64, np.int64]
+    machine = Machine(runs[1][0], inputs=suite[0], trace=True)
+    for trace in (machine.run().trace, machine._run().trace):
+        assert (trace.classes.dtype, trace.takens.dtype) == (np.int8, bool)
+        for column in ("sites", "targets", "gaps"):
+            values = getattr(trace, column)
+            narrowest = next(
+                dtype for dtype in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(dtype).min <= values.min()
+                and values.max() <= np.iinfo(dtype).max)
+            assert values.dtype == narrowest, column
 
 
 # -- generated programs ------------------------------------------------------

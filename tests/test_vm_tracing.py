@@ -11,9 +11,11 @@ from repro.lang import compile_source
 from repro.vm import run_program
 from repro.vm.tracing import BranchClass, BranchRecord, BranchTrace
 
-#: The one dtype convention of every trace, in record-tuple order.
-COLUMNS = (("sites", np.int64), ("classes", np.int8), ("takens", bool),
-           ("targets", np.int64), ("gaps", np.int64))
+#: The trace columns, in record-tuple order.
+COLUMNS = ("sites", "classes", "takens", "targets", "gaps")
+
+#: The columns held in the narrowest dtype of their range.
+NARROW = ("sites", "targets", "gaps")
 
 
 def _sample_trace():
@@ -50,12 +52,24 @@ def _npz_roundtrip(trace):
         return BranchTrace.from_arrays(arrays)
 
 
+def _assert_narrow(trace):
+    """Classes are int8, takens bool, and every other column is in the
+    narrowest signed dtype of its values."""
+    assert trace.classes.dtype == np.int8
+    assert trace.takens.dtype == bool
+    for column in NARROW:
+        values = getattr(trace, column)
+        assert values.dtype == np.dtype(
+            "int%d" % _narrowest_bits(values.tolist()))
+
+
 def _assert_same_trace(trace, other):
+    """Same length, instruction count, dtypes and values."""
     assert len(trace) == len(other)
     assert trace.total_instructions == other.total_instructions
-    for column, dtype in COLUMNS:
-        assert getattr(trace, column).dtype == dtype
-        assert getattr(other, column).dtype == dtype
+    _assert_narrow(trace)
+    for column in COLUMNS:
+        assert getattr(other, column).dtype == getattr(trace, column).dtype
         assert np.array_equal(getattr(trace, column),
                               getattr(other, column))
 
@@ -147,7 +161,8 @@ def test_roundtrip_arrays():
 ), max_size=50))
 def test_roundtrip_property(records):
     """A VM-built trace, a ``from_records`` trace and a trace back from
-    the ``.npz`` layout hold identical dtypes and equal columns."""
+    the ``.npz`` layout hold every column in the narrowest dtype of its
+    range, and the same dtype and values come out as went in."""
     trace = BranchTrace.from_records(records)
     assert list(trace.records()) == records
     assert trace.total_instructions == \
@@ -185,10 +200,10 @@ def _narrowest_bits(column):
 @example([], 0)
 @example([(-129, 0, True, 2 ** 31, 127), (-2 ** 40, 3, False, -1, 128)], 2)
 def test_narrow_layout_roundtrip(records, tail):
-    """The on-disk layout stores each column in the narrowest signed
-    dtype of its range (never truncating) and the records back from
-    it, through ``.npz`` too, equal the originals in the in-memory
-    dtypes."""
+    """The on-disk layout stores each column as the trace holds it, in
+    the narrowest signed dtype of its range (never truncating), and
+    the trace back from it, through ``.npz`` too, holds the stored
+    dtypes and the original records."""
     total = sum(gap for *_, gap in records) + len(records) + tail
     trace = BranchTrace.from_records(records, total)
     arrays = trace.to_arrays()
@@ -196,6 +211,7 @@ def test_narrow_layout_roundtrip(records, tail):
         values = [record[index] for record in records]
         assert arrays[column].dtype == np.dtype(
             "int%d" % _narrowest_bits(values))
+        assert arrays[column].dtype == getattr(trace, column).dtype
         assert arrays[column].tolist() == values
     assert arrays["flags"].dtype == np.int8
     assert arrays["flags"].tolist() == [
