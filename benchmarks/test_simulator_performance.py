@@ -419,6 +419,6 @@ def test_pipeline_stage_telemetry(runner):
     TELEMETRY.reset()
     assert (TELEMETRY.counter_value("runner.cache.hit") == 0)  # reset
     assert snapshot["counters"].get("predictor.records", 0) > 0
-    assert any(name.startswith("span.runner.")
-               for name in snapshot["histograms"])
+    assert any(event["name"].startswith("runner.")
+               for event in sink.of_type("span"))
     assert sink.named("predictors.simulate")

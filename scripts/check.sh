@@ -143,7 +143,9 @@ echo "== trace gate =="
 # crash-and-retry worker) must merge into a single complete trace
 # tree — every attempt under its shard span, killed attempts adopted —
 # the `metrics --replay` ledger over its shards must render
-# byte-identically twice and sum the workers' counters, and the
+# byte-identically twice and sum the workers' counters, a traced
+# conformance run must span each kind of check and leave at most 25%
+# of conformance.differential as self time, and the
 # disabled-telemetry hot path must stay allocation-free.
 PYTHONPATH=src python scripts/trace_gate.py
 

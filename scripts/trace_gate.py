@@ -2,7 +2,7 @@
 
 Run by scripts/check.sh (``PYTHONPATH=src python scripts/trace_gate.py``).
 
-Two properties this gate pins down:
+Three properties this gate pins down:
 
 1. **Trace completeness across the process boundary.**  A 2-worker
    supervised sweep runs with telemetry and tracing on — including a
@@ -14,11 +14,18 @@ Two properties this gate pins down:
    ``metrics --replay`` renders of the recorded shards must be
    byte-identical, and the ledger folded from them must sum the
    workers' counters.
-2. **The disabled path stays free.**  With telemetry off, ``span()``
-   must return the shared ``NULL_SPAN`` and hot counter/histogram
-   calls must allocate nothing (measured with tracemalloc filtered to
-   the registry module) — the experiment pipeline pays one attribute
-   check, not garbage.
+2. **Conformance explains its own time.**  The ledger of a traced
+   ``conformance --seeds 3 --skip-golden`` run shows the fuzzing, the
+   oracle replay, the engine cross-check and the cycle check as spans
+   of their own, and ``conformance.differential`` keeps at most a
+   quarter of its inclusive time as self time.  (The shrinking span,
+   ``conformance.shrink``, runs only after a divergence, so a passing
+   run has none; the unit tests inject one.)
+3. **The disabled path stays free.**  With telemetry off, ``span()``
+   must return the shared ``NULL_SPAN`` and hot counter, span and
+   event calls must allocate nothing (measured with tracemalloc
+   filtered to the registry module) — the experiment pipeline pays
+   one attribute check, not garbage.
 """
 
 import contextlib
@@ -109,6 +116,42 @@ def trace_gate(tmp):
           % (tree.span_count, len(shards), len(attempts)))
 
 
+#: Spans every passing conformance run records, one per kind of check.
+CONFORMANCE_SPANS = ("conformance.fuzz", "conformance.replay",
+                     "conformance.engine_check", "conformance.cycle_check")
+
+#: The share of ``conformance.differential``'s time it may keep as
+#: self time, time no check span claims.
+DIFFERENTIAL_SELF_SHARE = 0.25
+
+
+def conformance_gate(tmp):
+    log = tmp / "conformance.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        exit_code = cli_main(["conformance", "--seeds", "3",
+                              "--skip-golden", "--no-cache", "--telemetry",
+                              "--telemetry-log", str(log)])
+    assert exit_code == 0, "conformance failed:\n%s" % out.getvalue()
+    tree = merge_trace(log)
+    layers = fold_ledger(tree)["layers"]
+    for name in CONFORMANCE_SPANS:
+        calls, _ = layers.get(name, (0, 0.0))
+        assert calls > 0, "the conformance ledger has no %s span" % name
+    (differential,) = tree.named("conformance.differential")
+    _, self_s = layers["conformance.differential"]
+    share = self_s / differential.duration
+    assert share <= DIFFERENTIAL_SELF_SHARE, \
+        "conformance.differential keeps %.0f%% of its %.3fs as self " \
+        "time (limit %.0f%%)" % (100 * share, differential.duration,
+                                 100 * DIFFERENTIAL_SELF_SHARE)
+    print("conformance gate: %s; differential self time %.0f%% of %.3fs"
+          % (", ".join("%s %d" % (name, layers[name][0])
+                       for name in CONFORMANCE_SPANS),
+             100 * share, differential.duration))
+
+
 def overhead_gate(iterations=2000):
     TELEMETRY.disable().reset()
     assert TELEMETRY.span("gate.hot") is NULL_SPAN, \
@@ -119,7 +162,6 @@ def overhead_gate(iterations=2000):
     def hot_loop():
         for _ in range(iterations):
             TELEMETRY.count("gate.hot")
-            TELEMETRY.record("gate.hot", 1.0)
             with TELEMETRY.span("gate.hot"):
                 pass
             TELEMETRY.event("gate.hot")
@@ -144,6 +186,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="trace-gate-") as tmp:
         try:
             trace_gate(Path(tmp))
+            conformance_gate(Path(tmp))
         finally:
             TELEMETRY.disable().reset()
     overhead_gate()

@@ -6,7 +6,7 @@ Examples::
     repro-branches all --scale 0.2
     repro-branches stats wc --limit 10
     repro-branches stats grep --json
-    repro-branches profile wc --telemetry
+    repro-branches profile wc
     repro-branches cache
     repro-branches lint --benchmarks wc grep
     repro-branches lint --strict --json
@@ -65,8 +65,11 @@ def build_parser():
                              "renders everything as markdown; 'trace' "
                              "dumps a benchmark's branch trace; 'stats' "
                              "attributes mispredictions to static branch "
-                             "sites per scheme; 'profile' reports "
-                             "per-stage wall clock; 'cache' lists trace "
+                             "sites per scheme; 'profile' runs one "
+                             "benchmark through prediction and slot "
+                             "filling with telemetry on and prints the "
+                             "ledger of its own event log, as 'metrics "
+                             "--replay' would; 'cache' lists trace "
                              "cache artifacts and their manifests; 'lint' "
                              "runs the IR verifier over benchmark programs "
                              "(or an assembled --file) and exits non-zero "
@@ -336,18 +339,33 @@ def _lint(names, file_path, show_warnings=True, strict=False,
     return "\n".join(lines) + "\n", 1 if failures else 0
 
 
+def _ledger_text(files):
+    """The per-layer ledger of the latest trace in ``files``, rendered:
+    :func:`~repro.telemetry.tracing.merge_trace` stitches the trace and
+    :func:`~repro.telemetry.tracing.fold_ledger` folds it."""
+    from repro.telemetry.tracing import fold_ledger, merge_trace
+
+    ledger = fold_ledger(merge_trace(files))
+    lines = ["trace %s: wall_s %.6f, other_s %.6f"
+             % (ledger["trace_id"], ledger["wall_s"], ledger["other_s"]),
+             "%-40s %8s %12s" % ("span", "calls", "self_s")]
+    lines += ["%-40s %8d %12.6f" % (name, calls, self_s)
+              for name, (calls, self_s) in ledger["layers"].items()]
+    lines.append("%-40s %21s" % ("counter", "value"))
+    lines += ["%-40s %21s" % item for item in ledger["counters"].items()]
+    return "\n".join(lines) + "\n"
+
+
 def _metrics(args):
     """'metrics': the per-layer ledger of the latest recorded run.
 
     ``--replay`` names an event log or a directory (every ``*.jsonl``
     beneath it, so a cache directory covers the main log and its
-    worker shards); :func:`~repro.telemetry.tracing.merge_trace`
-    stitches the latest trace in them and
-    :func:`~repro.telemetry.tracing.fold_ledger` folds it.
+    worker shards).
     """
     from pathlib import Path
 
-    from repro.telemetry.tracing import fold_ledger, jsonl_files, merge_trace
+    from repro.telemetry.tracing import jsonl_files
 
     if not args.replay:
         return "", _usage_error("metrics needs --replay LOG (a recorded "
@@ -358,15 +376,20 @@ def _metrics(args):
     files = jsonl_files(source)
     if not files:
         return "", _usage_error("no *.jsonl event log in %s" % source)
-    ledger = fold_ledger(merge_trace(files))
-    lines = ["trace %s: wall_s %.6f, other_s %.6f"
-             % (ledger["trace_id"], ledger["wall_s"], ledger["other_s"]),
-             "%-40s %8s %12s" % ("span", "calls", "self_s")]
-    lines += ["%-40s %8d %12.6f" % (name, calls, self_s)
-              for name, (calls, self_s) in ledger["layers"].items()]
-    lines.append("%-40s %21s" % ("counter", "value"))
-    lines += ["%-40s %21s" % item for item in ledger["counters"].items()]
-    return "\n".join(lines) + "\n", 0
+    return _ledger_text(files), 0
+
+
+def _profile(runner, names):
+    """'profile': run each benchmark (default wc) through prediction
+    and slot filling; ``main`` appends the ledger of the run's log."""
+    lines = []
+    for name in names or ["wc"]:
+        run = runner.run(name)
+        run.predictions()
+        run.expansions()
+        lines.append("profile of %s (scale %s, %d runs)"
+                     % (name, run.scale, run.runs))
+    return "\n".join(lines) + "\n"
 
 
 def _bench_history(args):
@@ -568,8 +591,7 @@ def _run_experiment(args, event_log):
         text = render_stats(runner, names, limit=args.limit,
                             as_json=args.json)
     elif args.experiment == "profile":
-        from repro.experiments.stats import render_profile
-        text = render_profile(runner, names)
+        text = _profile(runner, names)
     else:
         text = _EXPERIMENTS[args.experiment](runner, names)
     return text, 0
@@ -603,7 +625,10 @@ def main(argv=None):
             _write_output(text, args.output)
         return exit_code
 
-    event_log = _enable_telemetry(args) if args.telemetry else None
+    # 'profile' reports its own event log, so it always records one.
+    profiling = args.experiment == "profile"
+    event_log = (_enable_telemetry(args) if args.telemetry or profiling
+                 else None)
     try:
         with TELEMETRY.span("cli." + args.experiment):
             text, exit_code = _run_experiment(args, event_log)
@@ -617,6 +642,9 @@ def main(argv=None):
                 TELEMETRY.sink.close()
             TELEMETRY.disable().reset()
             print("telemetry event log: %s" % event_log, file=sys.stderr)
+    if profiling:
+        # Folded after the root span closed: wall_s covers the run.
+        text += _ledger_text(event_log)
     if text is not None:
         _write_output(text, args.output)
     return exit_code

@@ -21,6 +21,12 @@ committed golden JSON.  Any replay or engine divergence is shrunk to a
 minimal reproducer and reported — and emitted as a structured
 ``conformance.divergence`` telemetry event so a CI run's JSONL log
 pinpoints the failure without rerunning anything.
+
+With telemetry on, each piece of work runs in its own span, so the
+ledger of a traced run accounts for the differential's time:
+``conformance.fuzz`` (building a seed's trace), ``conformance.replay``,
+``conformance.engine_check``, ``conformance.cycle_check`` and, after a
+divergence, ``conformance.shrink``.
 """
 
 from repro.conformance.differential import (
@@ -177,15 +183,19 @@ def _note_divergence(report, scheme, seed, divergence, reproducer):
                             if reproducer is not None else None))
 
 
-def _diverged(report, label, seed, trace, diverges):
+def _diverged(report, label, seed, trace, diverges, span):
     """Note the divergence ``diverges(trace)`` finds, shrunk to a minimal
-    reproducer; True when there was one.  Probe traces (seed -1) shrink
-    with seed 0."""
-    divergence = diverges(trace)
+    reproducer; True when there was one.  The check runs in a span
+    named ``span``, the shrinking in ``conformance.shrink``.  Probe
+    traces (seed -1) shrink with seed 0."""
+    with TELEMETRY.span(span):
+        divergence = diverges(trace)
     if divergence is None:
         return False
-    reproducer = shrink_trace(trace, lambda t: diverges(t) is not None,
-                              seed=max(seed, 0))
+    with TELEMETRY.span("conformance.shrink"):
+        reproducer = shrink_trace(trace,
+                                  lambda t: diverges(t) is not None,
+                                  seed=max(seed, 0))
     _note_divergence(report, label, seed, divergence, reproducer)
     return True
 
@@ -212,21 +222,24 @@ def _check_trace(report, trace, seed, schemes, probe):
                 report.probe_checks += 1
             if _diverged(report, scheme + replay_suffix, seed, trace,
                          lambda t: replay_divergence(
-                             make_production(), make_oracle(), t)):
+                             make_production(), make_oracle(), t),
+                         "conformance.replay"):
                 continue
         if fuzzed:
             report.engine_checks += 1
         else:
             report.probe_checks += 1
         if _diverged(report, scheme + engine_suffix, seed, trace,
-                     lambda t: engine_divergence(make_production, t)):
+                     lambda t: engine_divergence(make_production, t),
+                     "conformance.engine_check"):
             continue
         if not fuzzed:
             continue
         for config in _CYCLE_CONFIGS:
             report.cycle_checks += 1
-            divergence = cycle_divergence(config, make_production,
-                                          make_oracle, trace)
+            with TELEMETRY.span("conformance.cycle_check"):
+                divergence = cycle_divergence(config, make_production,
+                                              make_oracle, trace)
             if divergence is not None:
                 _note_divergence(report, "%s@%r" % (scheme, config),
                                  seed, divergence, None)
@@ -257,8 +270,10 @@ def run_conformance(seeds=200, golden=True, cache=True):
     with TELEMETRY.span("conformance.differential", seeds=seeds):
         for seed in range(seeds):
             TELEMETRY.count("conformance.seeds")
-            fuzzer = TraceFuzzer(seed)
-            _check_trace(report, fuzzer.trace(), seed,
+            with TELEMETRY.span("conformance.fuzz"):
+                fuzzer = TraceFuzzer(seed)
+                trace = fuzzer.trace()
+            _check_trace(report, trace, seed,
                          _schemes(fuzzer.likely_sites()), None)
     if golden:
         with TELEMETRY.span("conformance.golden"):

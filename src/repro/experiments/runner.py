@@ -34,12 +34,10 @@ retries with jittered backoff, and a typed
 failure killing the campaign.
 """
 
-import contextlib
 import hashlib
 import json
 import os
 import re
-import time
 import zipfile
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -127,22 +125,6 @@ class RunConfig(NamedTuple):
 
 _UNSET = object()
 
-
-@contextlib.contextmanager
-def _stage(stages, name, benchmark):
-    """Time a pipeline stage into ``stages`` and span it when enabled.
-
-    The wall clock always runs (the run manifest wants per-stage
-    seconds whether or not telemetry is on); the span — and thus the
-    event stream — engages only when telemetry is enabled.
-    """
-    with TELEMETRY.span("runner." + name, benchmark=benchmark):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            stages[name] = stages.get(name, 0.0) + (
-                time.perf_counter() - start)
 
 SLOT_COUNTS = (1, 2, 4, 8)  # the k + l values of Table 5
 
@@ -455,7 +437,7 @@ class SuiteRunner:
             quarantine(path, reason=str(error), benchmark=name)
 
     def _store_cache_entry(self, name, config, trace_path, profile_path,
-                           profile, trace, stages):
+                           profile, trace):
         """Atomically persist an entry; returns its manifest.
 
         All three files are written via the crash-safe store; the
@@ -466,7 +448,7 @@ class SuiteRunner:
         """
         manifest_path = manifest_path_for(trace_path)
         try:
-            with _stage(stages, "cache_store", name):
+            with TELEMETRY.span("runner.cache_store", benchmark=name):
                 checksums = {
                     "trace": atomic_write_npz(trace_path,
                                               trace.to_arrays()),
@@ -474,8 +456,7 @@ class SuiteRunner:
                         profile_path, json.dumps(profile.to_dict())),
                 }
             manifest = self._build_manifest(name, config, trace_path,
-                                            profile_path, stages,
-                                            checksums=checksums)
+                                            profile_path, checksums)
             manifest.write(manifest_path)
             return manifest
         except OSError as error:
@@ -488,7 +469,7 @@ class SuiteRunner:
             TELEMETRY.event("cache.store_failed", benchmark=name,
                             path=str(trace_path), error=str(error))
             return self._build_manifest(name, config, trace_path,
-                                        profile_path, stages)
+                                        profile_path)
 
     # -- execution ------------------------------------------------------------
 
@@ -497,10 +478,9 @@ class SuiteRunner:
         if name in self._memo:
             return self._memo[name]
 
-        stages = {}
         spec = get_benchmark(name)
         config = self.config.for_benchmark(spec)
-        with _stage(stages, "compile", name):
+        with TELEMETRY.span("runner.compile", benchmark=name):
             program = compile_source(spec.source, name=name)
 
         trace_path, profile_path = self._cache_paths(name, config,
@@ -511,7 +491,7 @@ class SuiteRunner:
         manifest = None
         layout = None
         if trace_path is not None:
-            with _stage(stages, "cache_load", name):
+            with TELEMETRY.span("runner.cache_load", benchmark=name):
                 profile, trace, manifest = self._load_cache_entry(
                     name, program, trace_path, profile_path)
 
@@ -523,21 +503,20 @@ class SuiteRunner:
                             path=str(trace_path))
         elif trace_path is None:
             TELEMETRY.event("cache.miss", benchmark=name, path=None)
-            profile, trace, layout = self._execute(spec, program, config,
-                                                   stages)
+            profile, trace, layout = self._execute(spec, program, config)
         else:
             TELEMETRY.event("cache.miss", benchmark=name,
                             path=str(trace_path))
             profile, trace, manifest, layout = self._compute_locked(
-                spec, program, config, trace_path, profile_path, stages)
+                spec, program, config, trace_path, profile_path)
 
         if layout is None:      # cache hit: the VM pass did not run
-            with _stage(stages, "layout", name):
+            with TELEMETRY.span("runner.layout", benchmark=name):
                 layout = build_fs_program(program, profile)
 
         if manifest is None:
             manifest = self._build_manifest(name, config, trace_path,
-                                            profile_path, stages)
+                                            profile_path)
 
         run = BenchmarkRun(name, spec, program, layout, profile, trace,
                            config.scale, config.runs, manifest=manifest)
@@ -545,7 +524,7 @@ class SuiteRunner:
         return run
 
     def _compute_locked(self, spec, program, config, trace_path,
-                        profile_path, stages):
+                        profile_path):
         """Compute + store one entry under its inter-process stem lock.
 
         The lock serialises concurrent warmers of the *same* benchmark
@@ -571,19 +550,16 @@ class SuiteRunner:
                                     path=str(trace_path),
                                     after_lock_wait=True)
                     return profile, trace, manifest, None
-                profile, trace, layout = self._execute(spec, program,
-                                                       config, stages)
+                profile, trace, layout = self._execute(spec, program, config)
                 manifest = self._store_cache_entry(
-                    name, config, trace_path, profile_path, profile,
-                    trace, stages)
+                    name, config, trace_path, profile_path, profile, trace)
                 return profile, trace, manifest, layout
         except LockTimeout:
-            profile, trace, layout = self._execute(spec, program, config,
-                                                   stages)
+            profile, trace, layout = self._execute(spec, program, config)
             return profile, trace, None, layout
 
     def _build_manifest(self, name, config, trace_path, profile_path,
-                        stages, checksums=None):
+                        checksums=None):
         """The provenance record written beside the cache artifacts."""
         cache_key = trace_path.stem if trace_path is not None else None
         artifacts = {}
@@ -596,13 +572,12 @@ class SuiteRunner:
             format_version=CACHE_FORMAT_VERSION,
             config=config._asdict(),
             git_sha=self._repo_git_sha(),
-            stages=stages,
             event_log=self.event_log,
             artifacts=artifacts,
             checksums=checksums,
         )
 
-    def _execute(self, spec, program, config, stages):
+    def _execute(self, spec, program, config):
         """One VM pass per input: run the base program, fold its
         profile from the runs' block paths, lay it out, and derive the
         laid-out program's trace from each run's block path.
@@ -619,22 +594,22 @@ class SuiteRunner:
         Returns ``(profile, trace, layout)``.
         """
         suite = spec.input_suite(scale=config.scale, runs=config.runs)
-        with _stage(stages, "vm", spec.name):
+        with TELEMETRY.span("runner.vm", benchmark=spec.name):
             paths = [run_program(program, inputs=streams,
                                  max_instructions=MAX_INSTRUCTIONS).block_path
                      for streams in suite]
         if config.profile_source == "static":
             from repro.analysis.staticpred import estimate_profile
 
-            with _stage(stages, "staticpred", spec.name):
+            with TELEMETRY.span("runner.staticpred", benchmark=spec.name):
                 profile = estimate_profile(program)
         else:
-            with _stage(stages, "profile", spec.name):
+            with TELEMETRY.span("runner.profile", benchmark=spec.name):
                 profile = Profile.from_paths(program, paths)
-        with _stage(stages, "layout", spec.name):
+        with TELEMETRY.span("runner.layout", benchmark=spec.name):
             layout = build_fs_program(program, profile)
 
-        with _stage(stages, "trace", spec.name):
+        with TELEMETRY.span("runner.trace", benchmark=spec.name):
             merged = BranchTrace.concatenate(
                 layout.derive_traces(paths, MAX_INSTRUCTIONS))
         return profile, merged, layout

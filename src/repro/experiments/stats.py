@@ -1,16 +1,17 @@
-"""Observability reports: ``stats``, ``profile``, and ``cache``.
+"""Observability reports: ``stats`` and ``cache``.
 
-Three CLI-facing renderers built on :mod:`repro.telemetry`:
+Two CLI-facing renderers built on :mod:`repro.telemetry`:
 
 * :func:`render_stats` — the mispredict attribution report: per-scheme,
   per-static-site prediction accuracy ranked worst-first with source
   lines (``repro-branches stats <benchmark>``; ``--json`` for the
   machine-readable payload);
-* :func:`render_profile` — per-stage wall-clock and throughput for a
-  benchmark run, read from the run manifest and the live telemetry
-  registry (``repro-branches profile <benchmark>``);
 * :func:`render_cache` — the trace-cache inventory with artifact sizes
   and manifest provenance (``repro-branches cache``).
+
+Where a run's time went is not a report here: ``repro-branches
+profile`` and ``metrics --replay`` print the span ledger
+(:func:`~repro.telemetry.tracing.fold_ledger`).
 """
 
 import json
@@ -31,8 +32,7 @@ def render_stats(runner, names=None, limit=25, as_json=False):
     """Mispredict attribution for one (or several) benchmarks.
 
     With ``--telemetry --json`` the payload is wrapped with the live
-    registry snapshot, whose histograms carry the reservoir
-    percentiles (p50/p95/p99) — plain ``--json`` keeps the bare
+    registry snapshot (its counters) — plain ``--json`` keeps the bare
     attribution shape.
     """
     payloads = [attribution_report(runner.run(name))
@@ -91,10 +91,9 @@ def render_cache(cache_dir=None, as_json=False):
         if manifest is not None:
             created = (manifest.created or "")[:10]
             sha = (manifest.git_sha or "")[:8] or "no-git"
-            run_summary = "scale %s, %s runs, %.2fs, %s" % (
+            run_summary = "scale %s, %s runs, %s" % (
                 manifest.config.get("scale", "?"),
-                manifest.config.get("runs", "?"),
-                manifest.total_stage_seconds, sha)
+                manifest.config.get("runs", "?"), sha)
             if entry["status"] != "ok":
                 run_summary = "(%s) %s" % (entry["status"], run_summary)
         version = ("v%d" % entry["format_version"]
@@ -111,53 +110,4 @@ def render_cache(cache_dir=None, as_json=False):
         footer += ", %d quarantined artifact%s" % (
             len(quarantined), "" if len(quarantined) == 1 else "s")
     lines.append(footer)
-    return "\n".join(lines) + "\n"
-
-
-def render_profile(runner, names=None):
-    """Per-stage wall-clock of benchmark runs, plus live counters.
-
-    Forces the run (cached stages are near-zero and say so), then
-    reports the manifest's stage seconds; when the telemetry registry
-    is enabled its span histograms and counters are appended, covering
-    prediction/expansion work the manifest does not time.
-    """
-    lines = []
-    for name in _target_names(names):
-        run = runner.run(name)
-        run.predictions()
-        run.expansions()
-        lines.append("profile of %s (scale %s, %d runs)"
-                     % (name, run.scale, run.runs))
-        manifest = run.manifest
-        if manifest is None or not manifest.stages:
-            lines.append("  (no stage timings: caching disabled)")
-        else:
-            total = manifest.total_stage_seconds
-            for stage, seconds in sorted(manifest.stages.items(),
-                                         key=lambda item: -item[1]):
-                share = 100.0 * seconds / total if total else 0.0
-                lines.append("  %-12s %9.4fs  %5.1f%%"
-                             % (stage, seconds, share))
-            lines.append("  %-12s %9.4fs" % ("total", total))
-            if manifest.event_log:
-                lines.append("  event log: %s" % manifest.event_log)
-        lines.append("")
-
-    if TELEMETRY.enabled:
-        snapshot = TELEMETRY.snapshot()
-        spans = {name[len("span."):]: data
-                 for name, data in snapshot["histograms"].items()
-                 if name.startswith("span.")}
-        if spans:
-            lines.append("telemetry spans (this process):")
-            for name, data in sorted(spans.items(),
-                                     key=lambda item: -item[1]["total"]):
-                lines.append("  %-20s n=%-4d total %8.4fs  mean %8.4fs"
-                             % (name, data["count"], data["total"],
-                                data["mean"]))
-        if snapshot["counters"]:
-            lines.append("telemetry counters:")
-            for name, value in sorted(snapshot["counters"].items()):
-                lines.append("  %-28s %d" % (name, value))
     return "\n".join(lines) + "\n"

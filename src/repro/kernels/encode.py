@@ -204,12 +204,17 @@ class SiteView:
 
     def in_trace_order(self):
         """The view's records as an :class:`EncodedTrace` in trace
-        order, and each of its records' view row (memoized)."""
+        order, and each of its records' view row (memoized).  The
+        telemetry counter ``kernels.view_trace_order`` counts the rows
+        of each encoding built."""
         if self._in_trace_order is None:
+            from repro.telemetry.core import TELEMETRY
+
             source = self.source
             position = np.full(len(source), -1, dtype=np.int64)
             position[self.order] = np.arange(len(self), dtype=np.int64)
             rows = np.flatnonzero(position >= 0)
+            TELEMETRY.count("kernels.view_trace_order", len(rows))
             encoded = EncodedTrace(
                 source.sites[rows], None, source.takens[rows],
                 source.targets[rows], None,

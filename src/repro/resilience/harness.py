@@ -128,20 +128,20 @@ class FaultMatrixReport:
 def _captured_events():
     """Route telemetry into a private aggregator; restore after.
 
-    The counters and histograms the matrix records go into private
-    tables too, and the trace context enabling installs is put back,
-    so the process registry comes back as it was.
+    The counters the matrix records go into a private table too, and
+    the trace context enabling installs is put back, so the process
+    registry comes back as it was.
     """
     sink = InMemoryAggregator()
     prior = (TELEMETRY.enabled, TELEMETRY.sink, TELEMETRY.trace,
-             TELEMETRY._counters, TELEMETRY._histograms)
-    TELEMETRY._counters, TELEMETRY._histograms = {}, {}
+             TELEMETRY._counters)
+    TELEMETRY._counters = {}
     TELEMETRY.enable(sink)
     try:
         yield sink
     finally:
         (TELEMETRY.enabled, TELEMETRY.sink, TELEMETRY._trace,
-         TELEMETRY._counters, TELEMETRY._histograms) = prior
+         TELEMETRY._counters) = prior
 
 
 def _event_names(sink):

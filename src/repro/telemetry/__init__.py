@@ -2,17 +2,19 @@
 
 The pieces (see docs/OBSERVABILITY.md for the full guide):
 
-* :mod:`repro.telemetry.core` — the span/counter/histogram registry and
-  its process-wide singleton :data:`TELEMETRY` (disabled by default;
+* :mod:`repro.telemetry.core` — the span/counter registry and its
+  process-wide singleton :data:`TELEMETRY` (disabled by default;
   instrumented hot paths pay one attribute check until enabled; an
-  enabled registry always traces);
+  enabled registry always traces, and its span events are the only
+  timing record);
 * :mod:`repro.telemetry.sinks` — event sinks: an in-memory aggregator
-  for tests/`profile`, a crash-safe line-buffered JSONL event log for
+  for tests, a crash-safe line-buffered JSONL event log for
   runs, plus a torn-line-tolerant reader;
 * :mod:`repro.telemetry.tracing` — cross-process trace propagation:
   trace contexts shipped into supervised workers, per-attempt JSONL
   shards, the merger that stitches them into one trace tree, and the
-  ledger folded from that tree (``repro-branches metrics --replay``);
+  ledger folded from that tree, the one account of a run's time
+  (``repro-branches metrics --replay`` and ``profile``);
 * :mod:`repro.telemetry.history` — the append-only BENCH_history.jsonl
   perf trajectory and its regression report
   (``repro-branches bench-history``);
@@ -29,7 +31,6 @@ here — import it as ``repro.telemetry.attribution``.
 from repro.telemetry.core import (
     NULL_SPAN,
     Counter,
-    Histogram,
     Span,
     TELEMETRY,
     Telemetry,
@@ -57,7 +58,6 @@ from repro.telemetry.tracing import (
 __all__ = [
     "NULL_SPAN",
     "Counter",
-    "Histogram",
     "Span",
     "TELEMETRY",
     "Telemetry",

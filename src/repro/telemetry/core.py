@@ -1,4 +1,4 @@
-"""Spans, counters, and histograms: the in-process telemetry registry.
+"""Spans and counters: the in-process telemetry registry.
 
 The registry is a process-wide singleton (:data:`TELEMETRY`) that is
 **disabled by default**.  Instrumented code pays one attribute check on
@@ -12,9 +12,11 @@ Design points:
 * spans nest: each thread keeps its own span stack (``threading.local``)
   so nested ``with telemetry.span(...)`` blocks report their depth and
   parent without cross-thread interference;
-* timing uses ``time.perf_counter`` (monotonic, highest resolution);
-* aggregation is in-registry: every finished span feeds a duration
-  histogram keyed by span name, so a sink is optional for profiling;
+* timing uses ``time.perf_counter`` (monotonic, highest resolution),
+  and the span is the only timing record: a finished span is one
+  ``span`` event to the sink, and
+  :func:`~repro.telemetry.tracing.fold_ledger` is what sums them;
+* counters aggregate in-registry, so a sink is optional for them;
 * all registry mutation happens under one lock — the experiment
   harness's parallel cache warmers run in separate *processes*, but the
   API stays safe for in-process threads too;
@@ -26,8 +28,6 @@ Design points:
   a run's time.
 """
 
-import math
-import random
 import threading
 import time
 
@@ -47,86 +47,12 @@ class Counter:
         return "Counter(%r, %d)" % (self.name, self.value)
 
 
-class Histogram:
-    """Streaming summary of observed values.
-
-    Alongside count/total/min/max it keeps a bounded reservoir sample
-    (Vitter's algorithm R with a fixed-seed generator, so the same
-    observation sequence always yields the same sample), from which
-    :meth:`percentile` answers p50/p95/p99 by nearest rank.  Up to
-    ``RESERVOIR_SIZE`` observations the percentiles are exact.
-    """
-
-    __slots__ = ("name", "count", "total", "minimum", "maximum",
-                 "_samples", "_rng")
-
-    RESERVOIR_SIZE = 1024
-
-    def __init__(self, name):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
-        self._samples = []
-        self._rng = random.Random(0)
-
-    def record(self, value):
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-        if len(self._samples) < self.RESERVOIR_SIZE:
-            self._samples.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self.RESERVOIR_SIZE:
-                self._samples[slot] = value
-
-    @property
-    def mean(self):
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
-
-    def percentile(self, q):
-        """The q-th percentile (0-100) by nearest rank, or None.
-
-        Nearest rank is ``ceil(q/100 * n)`` clamped to ``[1, n]`` — an
-        empty reservoir answers ``None``, a single-sample reservoir
-        answers its sample for every q (the short-run probe-latency
-        histograms hit both).  The previous round-half-up rank
-        under-reported high percentiles on small reservoirs (p95 of 11
-        samples returned the 10th sample instead of the maximum).
-        """
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        rank = math.ceil((q / 100.0) * len(ordered))
-        return ordered[min(max(rank, 1), len(ordered)) - 1]
-
-    def to_dict(self):
-        return {"count": self.count, "total": self.total,
-                "min": self.minimum, "max": self.maximum,
-                "mean": self.mean,
-                "p50": self.percentile(50),
-                "p95": self.percentile(95),
-                "p99": self.percentile(99)}
-
-    def __repr__(self):
-        return "Histogram(%r, n=%d, total=%.6f)" % (
-            self.name, self.count, self.total)
-
-
 class Span:
     """A timed region; use via ``with telemetry.span("name"):``.
 
-    On exit the duration is recorded into the registry's histogram for
-    the span name and a ``span`` event is emitted to the sink (if any).
-    Extra keyword attributes given at creation ride along on the event;
-    :meth:`annotate` adds more mid-flight.
+    On exit a ``span`` event carrying the duration is emitted to the
+    sink (if any).  Extra keyword attributes given at creation ride
+    along on the event; :meth:`annotate` adds more mid-flight.
 
     The span is assigned a process-unique ``span_id`` on entry and
     remembers its parent (the enclosing span on this thread, or the
@@ -189,7 +115,7 @@ class Telemetry:
 
     Args:
         sink: optional event sink (see :mod:`repro.telemetry.sinks`);
-            spans and counters aggregate in-registry even without one.
+            counters aggregate in-registry even without one.
         enabled: start enabled (tests); the process singleton starts
             disabled.
     """
@@ -200,7 +126,6 @@ class Telemetry:
         self.sink = sink
         self.enabled = enabled
         self._counters = {}
-        self._histograms = {}
         self._trace = TraceContext(new_trace_id()) if enabled else None
         self._span_seq = 0
 
@@ -232,7 +157,6 @@ class Telemetry:
         """
         with self._lock:
             self._counters.clear()
-            self._histograms.clear()
             self._span_seq = 0
         self._local = threading.local()
         self.sink = None
@@ -304,7 +228,6 @@ class Telemetry:
         return Span(self, name, attrs)
 
     def _finish_span(self, span, depth, failed=False):
-        self.record("span." + span.name, span.duration)
         if self.sink is not None:
             event = {"type": "span", "name": span.name,
                      "duration_s": span.duration, "depth": depth,
@@ -327,16 +250,6 @@ class Telemetry:
                 counter = self._counters[name] = Counter(name)
             counter.value += amount
 
-    def record(self, name, value):
-        """Record ``value`` into histogram ``name`` (no-op when disabled)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(name)
-            histogram.record(value)
-
     def event(self, name, **fields):
         """Emit a structured event to the sink (no-op when disabled)."""
         if not self.enabled or self.sink is None:
@@ -354,24 +267,16 @@ class Telemetry:
             counter = self._counters.get(name)
             return counter.value if counter is not None else 0
 
-    def histogram(self, name):
-        with self._lock:
-            return self._histograms.get(name)
-
     def snapshot(self):
-        """All aggregates as one JSON-serialisable dict."""
+        """The counters as one JSON-serialisable dict."""
         with self._lock:
-            return {
-                "counters": {name: counter.value
-                             for name, counter in self._counters.items()},
-                "histograms": {name: histogram.to_dict()
-                               for name, histogram
-                               in self._histograms.items()},
-            }
+            return {"counters": {name: counter.value
+                                 for name, counter
+                                 in self._counters.items()}}
 
     def __repr__(self):
-        return "Telemetry(enabled=%s, %d counters, %d histograms)" % (
-            self.enabled, len(self._counters), len(self._histograms))
+        return "Telemetry(enabled=%s, %d counters)" % (
+            self.enabled, len(self._counters))
 
 
 #: The process-wide registry.  Disabled by default: instrumentation in

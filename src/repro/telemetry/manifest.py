@@ -5,9 +5,11 @@ cache, it also writes ``<cache stem>.manifest.json`` describing *how*
 those artifacts were produced: the benchmark's run configuration
 (:class:`~repro.experiments.runner.RunConfig`), the cache key
 and format version, the git commit of the working tree (when
-available), per-stage wall-clock seconds, and the telemetry event-log
-path (when a run had one).  Any table or figure computed from the
-cache is thereby traceable to the run that produced it.
+available), and the telemetry event-log path (when a run had one).
+Any table or figure computed from the cache is thereby traceable to
+the run that produced it.  A manifest holds no timings: where a run's
+seconds went is the span ledger of its event log
+(:func:`~repro.telemetry.tracing.fold_ledger`).
 
 The schema (``MANIFEST_VERSION`` 2)::
 
@@ -18,7 +20,6 @@ The schema (``MANIFEST_VERSION`` 2)::
       "format_version": 4,
       "config": {"scale": 0.1, "runs": 2, "profile_source": "measured"},
       "git_sha": "..." | null,
-      "stages": {"compile": 0.012, "profile": 1.4, ...},
       "event_log": "path/to/telemetry.jsonl" | null,
       "artifacts": {"trace": "....npz", "profile": "....json"},
       "checksums": {"trace": "sha256:...", "profile": "sha256:..."},
@@ -28,7 +29,9 @@ The schema (``MANIFEST_VERSION`` 2)::
 Version 2 added ``checksums``: the sha256 of each artifact as written,
 verified on every cache load by the resilience layer (see
 docs/RESILIENCE.md) so torn writes and bit rot are caught and
-quarantined instead of silently poisoning later runs.
+quarantined instead of silently poisoning later runs.  Manifests
+written before the span ledger carry a ``stages`` dict of seconds;
+:meth:`RunManifest.from_dict` ignores it.
 """
 
 import datetime
@@ -70,18 +73,17 @@ class RunManifest:
     """Provenance for one benchmark execution (see module docstring)."""
 
     __slots__ = ("benchmark", "cache_key", "format_version", "config",
-                 "git_sha", "stages", "event_log", "artifacts",
-                 "checksums", "created")
+                 "git_sha", "event_log", "artifacts", "checksums",
+                 "created")
 
     def __init__(self, benchmark, cache_key, format_version, config,
-                 git_sha=None, stages=None, event_log=None,
-                 artifacts=None, checksums=None, created=None):
+                 git_sha=None, event_log=None, artifacts=None,
+                 checksums=None, created=None):
         self.benchmark = benchmark
         self.cache_key = cache_key
         self.format_version = format_version
         self.config = dict(config)
         self.git_sha = git_sha
-        self.stages = dict(stages or {})
         self.event_log = event_log
         self.artifacts = dict(artifacts or {})
         self.checksums = dict(checksums or {})
@@ -100,7 +102,6 @@ class RunManifest:
             "format_version": self.format_version,
             "config": self.config,
             "git_sha": self.git_sha,
-            "stages": self.stages,
             "event_log": self.event_log,
             "artifacts": self.artifacts,
             "checksums": self.checksums,
@@ -115,7 +116,6 @@ class RunManifest:
             format_version=data["format_version"],
             config=data.get("config", {}),
             git_sha=data.get("git_sha"),
-            stages=data.get("stages", {}),
             event_log=data.get("event_log"),
             artifacts=data.get("artifacts", {}),
             checksums=data.get("checksums", {}),
@@ -160,15 +160,11 @@ class RunManifest:
             raise ManifestError(str(path),
                                 "malformed: %s" % error) from error
 
-    @property
-    def total_stage_seconds(self):
-        return sum(self.stages.values())
-
     def __eq__(self, other):
         if not isinstance(other, RunManifest):
             return NotImplemented
         return self.to_dict() == other.to_dict()
 
     def __repr__(self):
-        return "RunManifest(%r, key=%r, %d stages)" % (
-            self.benchmark, self.cache_key, len(self.stages))
+        return "RunManifest(%r, key=%r)" % (self.benchmark,
+                                             self.cache_key)

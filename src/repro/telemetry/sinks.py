@@ -2,8 +2,8 @@
 
 Two implementations cover the two consumers:
 
-* :class:`InMemoryAggregator` keeps events in a list — tests and the
-  ``profile`` CLI subcommand inspect it directly;
+* :class:`InMemoryAggregator` keeps events in a list — tests inspect
+  it directly;
 * :class:`JsonlSink` appends one JSON object per line to an event log —
   the durable record a run manifest points at.
 
@@ -43,7 +43,7 @@ class Sink:
 
 
 class InMemoryAggregator(Sink):
-    """Collects events in memory; the test and `profile` sink."""
+    """Collects events in memory; the test sink."""
 
     def __init__(self):
         self._lock = threading.Lock()

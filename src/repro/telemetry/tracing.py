@@ -107,7 +107,6 @@ def emit_shard_span(registry, span_id, label, attempt, status,
     """
     if not registry.enabled or registry.sink is None:
         return
-    registry.record("span." + SHARD_SPAN, duration)
     registry.sink.emit({
         "type": "span", "name": SHARD_SPAN, "duration_s": duration,
         "depth": len(registry._stack()),

@@ -293,15 +293,16 @@ def test_telemetry_counters_emitted():
     from repro.telemetry.core import TELEMETRY
     from repro.telemetry.sinks import InMemoryAggregator
 
-    TELEMETRY.enable(InMemoryAggregator())
+    sink = InMemoryAggregator()
+    TELEMETRY.enable(sink)
     try:
         characterize(lambda: SimpleBTB(entries=16))
         snapshot = TELEMETRY.snapshot()
         assert snapshot["counters"]["characterize.simulations"] > 0
         assert snapshot["counters"]["characterize.records"] > 0
         assert snapshot["counters"]["characterize.probes"] > 0
-        assert any(name.startswith("span.characterize")
-                   for name in snapshot["histograms"])
+        assert any(event["name"].startswith("characterize")
+                   for event in sink.of_type("span"))
     finally:
         TELEMETRY.disable().reset()
 

@@ -98,13 +98,20 @@ def test_main_stats_json_with_telemetry(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     data = json.loads(captured.out)
     # With telemetry on the payload is wrapped: the report plus the
-    # registry snapshot, whose histograms carry reservoir percentiles.
+    # registry snapshot, its counters; the run's timings are the span
+    # events of its log.
     assert data["report"]["benchmark"] == "wc"
     snapshot = data["telemetry"]
     assert snapshot["counters"]
-    assert snapshot["histograms"]
-    for histogram in snapshot["histograms"].values():
-        assert {"p50", "p95", "p99"} <= set(histogram)
+    assert set(snapshot) == {"counters"}
+    from repro.telemetry.sinks import read_jsonl_tolerant
+
+    spans = [event for event in read_jsonl_tolerant(log)[0]
+             if event.get("type") == "span"]
+    assert {"cli.stats", "runner.compile", "runner.vm",
+            "runner.layout"} <= {event["name"] for event in spans}
+    for event in spans:
+        assert event["duration_s"] >= 0.0
 
 
 def test_main_profile_with_telemetry(capsys, tmp_path, monkeypatch):
@@ -115,12 +122,41 @@ def test_main_profile_with_telemetry(capsys, tmp_path, monkeypatch):
     assert exit_code == 0
     captured = capsys.readouterr()
     assert "profile of wc" in captured.out
-    assert "telemetry spans" in captured.out
+    assert "runner.vm" in captured.out
     assert str(log) in captured.err
     assert log.exists()
     from repro.telemetry.core import TELEMETRY
 
     assert TELEMETRY.enabled is False  # main() restores the default
+
+
+def test_main_profile_prints_the_ledger_of_its_log(capsys, tmp_path,
+                                                    monkeypatch):
+    """'profile' records a log without --telemetry, and its report is
+    the ledger 'metrics --replay' folds from that log, folded after the
+    root span closed so its wall covers the whole run."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    log = tmp_path / "profile.jsonl"
+    assert main(["profile", "wc", "--scale", "0.05", "--runs", "1",
+                 "--telemetry-log", str(log)]) == 0
+    profiled = capsys.readouterr().out
+    assert main(["metrics", "--replay", str(log)]) == 0
+    replayed = capsys.readouterr().out
+    assert profiled == "profile of wc (scale 0.05, 1 runs)\n" + replayed
+    lines = replayed.splitlines()
+    spans = {line.split()[0]
+             for line in lines[2:lines.index(next(
+                 line for line in lines if line.startswith("counter ")))]}
+    assert {"runner.compile", "runner.vm", "runner.profile",
+            "runner.layout", "runner.trace", "runner.cache_store",
+            "runner.predict", "runner.expansions",
+            "predictors.simulate"} <= spans
+    from repro.telemetry.tracing import merge_trace
+
+    (root,) = merge_trace(log).roots
+    assert root.name == "cli.profile"
+    wall = float(profiled.split("wall_s ")[1].split(",")[0])
+    assert wall == pytest.approx(root.duration, abs=1e-6)
 
 
 def test_main_cache_listing(capsys, tmp_path, monkeypatch):
@@ -133,7 +169,7 @@ def test_main_cache_listing(capsys, tmp_path, monkeypatch):
     assert main(["cache"]) == 0
     out = capsys.readouterr().out
     assert "wc-s0_05-r1" in out
-    assert "scale 0.05" in out
+    assert "scale 0.05, 1 runs," in out
 
 
 def test_main_rejects_target_for_tables():

@@ -311,6 +311,66 @@ def test_run_conformance_shrinks_and_labels_every_check_kind(monkeypatch):
     assert "RESULT: FAIL" in report.render()
 
 
+def _conformance_spans(seeds):
+    """name -> (calls, parent names) of the ``conformance.*`` spans a
+    differential-only run emits."""
+    from collections import defaultdict
+
+    from repro.telemetry.core import TELEMETRY
+    from repro.telemetry.sinks import InMemoryAggregator
+
+    sink = InMemoryAggregator()
+    TELEMETRY.enable(sink)
+    try:
+        report = run_conformance(seeds=seeds, golden=False)
+    finally:
+        TELEMETRY.disable().reset()
+    spans = sink.of_type("span")
+    names = {event["span_id"]: event["name"] for event in spans}
+    found = defaultdict(lambda: [0, set()])
+    for event in spans:
+        if event["name"].startswith("conformance."):
+            found[event["name"]][0] += 1
+            found[event["name"]][1].add(names.get(event["parent_span_id"]))
+    return report, found
+
+
+def test_run_conformance_spans_each_check():
+    """Every check of a passing run has a span under the probes or the
+    differential; a passing run shrinks nothing."""
+    report, spans = _conformance_spans(seeds=2)
+    assert spans["conformance.fuzz"][0] == 2
+    assert spans["conformance.cycle_check"][0] == report.cycle_checks
+    assert (spans["conformance.replay"][0]
+            + spans["conformance.engine_check"][0]
+            == report.replays + report.engine_checks + report.probe_checks)
+    for name in ("conformance.fuzz", "conformance.replay",
+                 "conformance.engine_check", "conformance.cycle_check"):
+        assert spans[name][1] <= {"conformance.probes",
+                                  "conformance.differential"}, name
+    assert "conformance.shrink" not in spans
+
+
+def test_run_conformance_spans_the_shrinking(monkeypatch):
+    """A divergence is shrunk inside a ``conformance.shrink`` span, one
+    per finding."""
+    from repro.kernels import tables
+
+    genuine_kernel = tables.sbtb_kernel
+
+    def broken_kernel(predictor, enc):
+        pred_taken, target_match, hit = genuine_kernel(predictor, enc)
+        hit = hit.copy()
+        if len(hit) > 3:
+            hit[3] = 1 - hit[3]
+        return pred_taken, target_match, hit
+
+    monkeypatch.setattr(tables, "sbtb_kernel", broken_kernel)
+    report, spans = _conformance_spans(seeds=1)
+    assert report.findings
+    assert spans["conformance.shrink"][0] == len(report.findings)
+
+
 def test_engine_finding_labels_the_kernel_as_production(monkeypatch):
     """An engine finding shows the vector kernel as the production side
     and the scalar reference loop as the oracle."""

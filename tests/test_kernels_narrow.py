@@ -9,8 +9,9 @@ the instruction total, :meth:`EncodedTrace.qualify`'s epoch keys,
 direction tables' masks.  Each case here runs columns at the edge of
 their dtype and compares the answer with the same trace widened to
 int64, and the simulations with the scalar reference loop too.  The
-two fallback counters (``kernels.sort_wide`` and
-``kernels.evict_replayed_rows``) are checked here as well.
+fallback counters (``kernels.sort_wide``,
+``kernels.evict_replayed_rows`` and ``kernels.view_trace_order``) are
+checked here as well.
 """
 
 import numpy as np
@@ -209,6 +210,8 @@ def test_forced_overflow_counts_replayed_rows(counters):
                         np.ones(100), sites + 1, np.zeros(100))
     simulate(SimpleBTB(entries=4), trace)
     assert counters("kernels.evict_replayed_rows") > 0
+    # The replay reads the whole view back in trace order, once.
+    assert counters("kernels.view_trace_order") == 100
     assert counters("kernels.sort_wide") == 0
 
 
@@ -216,3 +219,4 @@ def test_sites_past_the_uint16_sort_count_wide_sorts(counters):
     simulate(SimpleBTB(), _int32_trace())
     assert counters("kernels.sort_wide") > 0
     assert counters("kernels.evict_replayed_rows") == 0
+    assert counters("kernels.view_trace_order") == 0

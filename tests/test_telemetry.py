@@ -36,20 +36,20 @@ def global_telemetry():
     TELEMETRY.reset()
 
 
-# --- spans, counters, histograms ------------------------------------------
+# --- spans and counters -----------------------------------------------------
 
 
-def test_span_records_duration_histogram(telemetry):
+def test_span_emits_its_duration(telemetry):
     with telemetry.span("work") as span:
         pass
     assert span.duration >= 0.0
-    histogram = telemetry.histogram("span.work")
-    assert histogram.count == 1
-    assert histogram.total == pytest.approx(span.duration)
     events = telemetry.sink.of_type("span")
     assert len(events) == 1
     assert events[0]["name"] == "work"
     assert events[0]["depth"] == 0
+    assert events[0]["duration_s"] == span.duration
+    # The span event is the only record: the registry keeps no timing.
+    assert telemetry.snapshot() == {"counters": {}}
 
 
 def test_span_nesting_depth(telemetry):
@@ -91,19 +91,12 @@ def test_span_stacks_are_per_thread(telemetry):
     assert seen["inner"] == "thread-span"
 
 
-def test_counters_and_histograms(telemetry):
+def test_counters(telemetry):
     telemetry.count("hits")
     telemetry.count("hits", 4)
-    telemetry.record("latency", 2.0)
-    telemetry.record("latency", 4.0)
     assert telemetry.counter_value("hits") == 5
-    histogram = telemetry.histogram("latency")
-    assert histogram.count == 2
-    assert histogram.mean == 3.0
-    assert histogram.minimum == 2.0 and histogram.maximum == 4.0
-    snapshot = telemetry.snapshot()
-    assert snapshot["counters"] == {"hits": 5}
-    assert snapshot["histograms"]["latency"]["total"] == 6.0
+    assert telemetry.counter_value("misses") == 0
+    assert telemetry.snapshot() == {"counters": {"hits": 5}}
 
 
 def test_event_goes_to_sink(telemetry):
@@ -111,92 +104,6 @@ def test_event_goes_to_sink(telemetry):
     event = telemetry.sink.named("cache.hit")[0]
     assert event["type"] == "event"
     assert event["benchmark"] == "wc"
-
-
-def test_histogram_percentiles(telemetry):
-    for value in range(1, 101):        # 1..100, exact reservoir
-        telemetry.record("latency", float(value))
-    histogram = telemetry.histogram("latency")
-    assert histogram.percentile(50) == 50.0
-    assert histogram.percentile(95) == 95.0
-    assert histogram.percentile(99) == 99.0
-    data = histogram.to_dict()
-    assert (data["p50"], data["p95"], data["p99"]) == (50.0, 95.0, 99.0)
-
-
-def test_histogram_percentiles_empty_and_single():
-    from repro.telemetry.core import Histogram
-
-    histogram = Histogram("x")
-    assert histogram.percentile(50) is None
-    assert histogram.to_dict()["p99"] is None
-    histogram.record(7.0)
-    assert histogram.percentile(50) == 7.0
-    assert histogram.percentile(99) == 7.0
-
-
-def test_histogram_percentiles_nearest_rank_small_reservoirs():
-    """Regression: the rank must be ceil(q/100 * n), not round-half-up.
-
-    The rounding variant under-reported high percentiles on the small
-    reservoirs short probe runs produce: p95 of 11 samples has nearest
-    rank ceil(10.45) = 11 (the maximum), but round-half-up answered
-    rank 10 (the second-largest).
-    """
-    from repro.telemetry.core import Histogram
-
-    histogram = Histogram("x")
-    for value in range(1, 12):         # 11 samples: 1..11
-        histogram.record(float(value))
-    assert histogram.percentile(95) == 11.0
-    assert histogram.percentile(99) == 11.0
-    assert histogram.percentile(50) == 6.0   # ceil(5.5) = 6
-
-    decade = Histogram("y")
-    for value in range(1, 11):         # 10 samples: 1..10
-        decade.record(float(value))
-    assert decade.percentile(94) == 10.0     # ceil(9.4) = 10
-    assert decade.percentile(90) == 9.0      # exact boundary
-    assert decade.percentile(1) == 1.0       # clamps to the minimum
-    assert decade.percentile(0) == 1.0
-    assert decade.percentile(100) == 10.0
-
-    pair = Histogram("z")
-    pair.record(3.0)
-    pair.record(9.0)
-    assert pair.percentile(50) == 3.0
-    assert pair.percentile(51) == 9.0
-    assert pair.to_dict()["p95"] == 9.0
-
-
-def test_histogram_two_sample_exposition_quantiles():
-    """A short-run histogram must expose sane quantiles in the registry
-    snapshot (the probe-latency histograms routinely hold one or two
-    samples)."""
-    from repro.telemetry.core import Telemetry
-
-    registry = Telemetry(enabled=True)
-    registry.record("characterize_probe", 2.0)
-    registry.record("characterize_pair", 2.0)
-    registry.record("characterize_pair", 5.0)
-    histograms = registry.snapshot()["histograms"]
-    single = histograms["characterize_probe"]
-    assert single["p50"] == single["p95"] == single["p99"] == 2.0
-    pair = histograms["characterize_pair"]
-    assert (pair["p50"], pair["p95"], pair["p99"]) == (2.0, 5.0, 5.0)
-
-
-def test_histogram_reservoir_bounded_and_deterministic():
-    from repro.telemetry.core import Histogram
-
-    first, second = Histogram("a"), Histogram("b")
-    for value in range(10_000):
-        first.record(float(value))
-        second.record(float(value))
-    assert len(first._samples) == Histogram.RESERVOIR_SIZE
-    # Same observation sequence, same seeded reservoir, same answers.
-    assert first.percentile(95) == second.percentile(95)
-    assert 8_000 <= first.percentile(95) <= 10_000
 
 
 # --- the disabled path -----------------------------------------------------
@@ -213,15 +120,16 @@ def test_disabled_span_is_shared_null_span():
         assert entered.annotate(x=1) is NULL_SPAN
 
 
-def test_disabled_count_record_event_are_noops():
+def test_disabled_count_span_event_are_noops():
     sink = InMemoryAggregator()
     registry = Telemetry(sink=sink)
     for _ in range(10_000):
         registry.count("c")
-    registry.record("h", 1.0)
+    with registry.span("s"):
+        pass
     registry.event("e", field=1)
     assert registry.counter_value("c") == 0
-    assert registry.histogram("h") is None
+    assert registry.snapshot() == {"counters": {}}
     assert len(sink) == 0
 
 
@@ -317,16 +225,30 @@ def test_manifest_roundtrip(tmp_path):
     manifest = RunManifest(
         benchmark="wc", cache_key="wc-s0_1-r2-v2-abc", format_version=2,
         config={"scale": 0.1, "runs": 2}, git_sha="f" * 40,
-        stages={"compile": 0.01, "trace": 1.5},
         event_log="telemetry.jsonl",
         artifacts={"trace": "wc.npz", "profile": "wc.json"})
     path = manifest.write(tmp_path / "wc.manifest.json")
     loaded = RunManifest.load(path)
     assert loaded == manifest
-    assert loaded.total_stage_seconds == pytest.approx(1.51)
     from repro.telemetry.manifest import MANIFEST_VERSION
 
     assert loaded.to_dict()["manifest_version"] == MANIFEST_VERSION
+    assert "stages" not in loaded.to_dict()
+
+
+def test_manifest_with_stage_seconds_still_loads(tmp_path):
+    """A manifest written when manifests carried per-stage seconds
+    loads, and the seconds are dropped: the span ledger times runs."""
+    import json
+
+    manifest = RunManifest(benchmark="wc", cache_key="wc-v6-abc",
+                           format_version=6, config={"scale": 0.1})
+    data = dict(manifest.to_dict(), stages={"compile": 0.01, "vm": 1.5})
+    path = tmp_path / "wc.manifest.json"
+    path.write_text(json.dumps(data))
+    loaded = RunManifest.load(path)
+    assert loaded == manifest
+    assert "stages" not in loaded.to_dict()
 
 
 def test_manifest_path_for():
@@ -349,10 +271,39 @@ def test_runner_writes_manifest(tmp_path):
     assert manifest.format_version == CACHE_FORMAT_VERSION
     assert manifest.cache_key in manifests[0].name
     assert manifest.config["scale"] == 0.05
-    assert set(manifest.stages) >= {"compile", "profile", "trace"}
-    assert all(seconds >= 0.0 for seconds in manifest.stages.values())
     for artifact in manifest.artifacts.values():
         assert (tmp_path / artifact).exists()
+
+
+def _runner_spans(sink):
+    """name -> calls of the ``runner.*`` span events in ``sink``."""
+    from collections import Counter
+
+    return Counter(event["name"] for event in sink.of_type("span")
+                   if event["name"].startswith("runner."))
+
+
+def test_runner_stages_are_spans(tmp_path, global_telemetry):
+    """A cold run spans each pipeline stage once, and a warm run spans
+    the cache load and the layout; every span names the benchmark."""
+    from repro.experiments.runner import SuiteRunner
+
+    SuiteRunner(scale=0.05, runs=1, cache_dir=tmp_path).run("wc")
+    cold = _runner_spans(global_telemetry)
+    for stage in ("compile", "vm", "profile", "layout", "trace",
+                  "cache_store"):
+        assert cold["runner." + stage] == 1, (stage, cold)
+    assert all(event["benchmark"] == "wc"
+               for event in global_telemetry.of_type("span")
+               if event["name"].startswith("runner."))
+
+    global_telemetry.clear()
+    SuiteRunner(scale=0.05, runs=1, cache_dir=tmp_path).run("wc")
+    warm = _runner_spans(global_telemetry)
+    assert warm["runner.cache_load"] == warm["runner.layout"] == 1
+    for stage in ("vm", "profile", "trace", "cache_store"):
+        assert warm["runner." + stage] == 0, (stage, warm)
+    assert TELEMETRY.counter_value("runner.cache.hit") == 1
 
 
 def test_cache_hit_reloads_manifest(tmp_path):

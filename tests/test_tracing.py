@@ -408,7 +408,7 @@ def test_ledger_of_a_warm_table3_sorts_each_trace_once(tmp_path,
 def test_ledger_of_the_paper_takes_no_fallback(tmp_path):
     """The paper's schemes at scale 0.02: every site sorts as uint16
     and no 256-entry buffer overflows, so the ledger reads zero for
-    both fallback counters (a counter never bumped is absent)."""
+    the fallback counters (a counter never bumped is absent)."""
     from repro.cli import main
 
     log = tmp_path / "all.jsonl"
@@ -418,6 +418,7 @@ def test_ledger_of_the_paper_takes_no_fallback(tmp_path):
     assert counters["predictor.records"] > 0
     assert counters.get("kernels.sort_wide", 0) == 0
     assert counters.get("kernels.evict_replayed_rows", 0) == 0
+    assert counters.get("kernels.view_trace_order", 0) == 0
 
 
 def test_ledger_of_a_two_worker_run_covers_every_child(tmp_path,
