@@ -14,8 +14,8 @@ writes into the tree: on teardown the fresh scalar-vs-vector
 measurements go to ``bench/BENCH_kernels.json`` under the trace cache
 directory (``REPRO_CACHE_DIR``, default ``.repro_cache/``), and a
 deliberate baseline refresh copies that file over the committed one.
-  ``test_vm_compiled_speedup`` gates the compiled-block VM against
-  the reference interpreter the same way, and
+  ``test_vm_compiled_speedup`` gates the compiled VM against the
+  reference interpreter the same way, and
   ``test_flush_tournament_speedup`` the flush-epoch and tournament
   kernels against the scalar loop.  ``scripts/check.sh`` runs them
   with ``-k "kernel or compiled_speedup or flush_tournament_speedup"``;
@@ -30,7 +30,6 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarksuite import compile_benchmark, get_benchmark
-from repro.cfg import ControlFlowGraph
 from repro.kernels import simulate_vector
 from repro.predictors import (
     CounterBTB,
@@ -39,7 +38,7 @@ from repro.predictors import (
     Tournament,
     simulate_scalar,
 )
-from repro.experiments.runner import default_cache_dir
+from repro.experiments.runner import MAX_INSTRUCTIONS, default_cache_dir
 from repro.traceopt import build_fs_program, fill_forward_slots
 from repro.profiling import profile_program
 from repro.vm import Machine
@@ -93,25 +92,23 @@ def test_vm_throughput(benchmark):
     assert rate > 100_000  # the floor that keeps paper-scale runs sane
 
 
-#: Minimum speed of the compiled-block VM over the reference
-#: interpreter on traced runs of compress (scale 0.1).  Both paths
-#: are timed alternately in one process, so host load moves both.
+#: Minimum speed of the compiled VM over the reference interpreter
+#: on the runs a cold regeneration makes of compress (scale 0.1).
+#: Both paths are timed alternately in one process, so host load
+#: moves both.
 _VM_COMPILED_FLOOR = 1.8
 
 
 def test_vm_compiled_speedup():
-    """Paired gate: ``Machine.run`` (compiled blocks) against
-    ``Machine._run`` (the reference) on traced runs of compress: its
-    base program with leader probes and its FS layout."""
+    """Paired gate: ``Machine.run`` (compiled functions) against
+    ``Machine._run`` (the reference) on plain, untraced runs of
+    compress's base program, one per input of its suite, with the
+    runner's instruction budget: the VM work of a cold run."""
     program = compile_benchmark("compress")
     suite = get_benchmark("compress").input_suite(scale=0.1)
-    cfg = ControlFlowGraph.from_program(program)
-    profile, _ = profile_program(program, suite)
-    layout = build_fs_program(program, profile)
-    machines = [Machine(program, inputs=streams, trace=True,
-                        probe_addresses=cfg.leaders) for streams in suite]
-    machines += [Machine(layout.program, inputs=streams, trace=True)
-                 for streams in suite]
+    machines = [Machine(program, inputs=streams,
+                        max_instructions=MAX_INSTRUCTIONS)
+                for streams in suite]
 
     def timed(run):
         start = time.perf_counter()

@@ -2,7 +2,7 @@
 
 Run by scripts/check.sh (``PYTHONPATH=src python scripts/trace_gate.py``).
 
-Three properties this gate pins down:
+Four properties this gate pins down:
 
 1. **Trace completeness across the process boundary.**  A 2-worker
    supervised sweep runs with telemetry and tracing on — including a
@@ -21,7 +21,11 @@ Three properties this gate pins down:
    quarter of its inclusive time as self time.  (The shrinking span,
    ``conformance.shrink``, runs only after a divergence, so a passing
    run has none; the unit tests inject one.)
-3. **The disabled path stays free.**  With telemetry off, ``span()``
+3. **The paper never leaves the fast VM.**  The ledger of a traced
+   cold ``all --scale 0.02`` reads ``vm.fast_path_exits`` as zero: no
+   run of the paper suite re-runs on the reference interpreter or
+   recompiles (see :mod:`repro.vm.compiled`).
+4. **The disabled path stays free.**  With telemetry off, ``span()``
    must return the shared ``NULL_SPAN`` and hot counter, span and
    event calls must allocate nothing (measured with tracemalloc
    filtered to the registry module) — the experiment pipeline pays
@@ -152,6 +156,26 @@ def conformance_gate(tmp):
              100 * share, differential.duration))
 
 
+def fast_path_gate(tmp):
+    log = tmp / "all.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        exit_code = cli_main(["all", "--scale", "0.02", "--workers", "1",
+                              "--no-cache", "--telemetry",
+                              "--telemetry-log", str(log)])
+    assert exit_code == 0, "all failed:\n%s" % out.getvalue()
+    counters = fold_ledger(merge_trace(log))["counters"]
+    runs = counters.get("vm.compiled_runs", 0)
+    assert runs > 0, "the cold run made no compiled VM run"
+    exits = {name: value for name, value in counters.items()
+             if name.startswith("vm.fast_path_exits")}
+    assert exits.get("vm.fast_path_exits") == 0, \
+        "the paper suite left the fast VM, or the ledger does not " \
+        "say: %s" % exits
+    print("fast path gate: %d compiled runs, no exits" % runs)
+
+
 def overhead_gate(iterations=2000):
     TELEMETRY.disable().reset()
     assert TELEMETRY.span("gate.hot") is NULL_SPAN, \
@@ -187,6 +211,7 @@ def main():
         try:
             trace_gate(Path(tmp))
             conformance_gate(Path(tmp))
+            fast_path_gate(Path(tmp))
         finally:
             TELEMETRY.disable().reset()
     overhead_gate()

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.predictors import CounterBTB, ForwardSemanticPredictor, SimpleBTB
 from repro.predictors.base import site_statistics
+from repro.telemetry.core import TELEMETRY
 from repro.vm.tracing import BranchClass
 
 #: The scheme order used in every report row.
@@ -59,9 +60,19 @@ def attribute_trace(trace, fs_program, old_address_of=None,
         "CBTB": CounterBTB(),
         "FS": ForwardSemanticPredictor(program=fs_program),
     }
-    per_scheme = {name: site_statistics(predictor, trace)
-                  for name, predictor in predictors.items()}
+    per_scheme = {}
+    for name, predictor in predictors.items():
+        with TELEMETRY.span("attribution.site_statistics", scheme=name):
+            per_scheme[name] = site_statistics(predictor, trace)
+    with TELEMETRY.span("attribution.fold", records=len(trace)):
+        return _fold_sites(trace, per_scheme, fs_program, old_address_of,
+                           base_program)
 
+
+def _fold_sites(trace, per_scheme, fs_program, old_address_of,
+                base_program):
+    """The ranked site rows of :func:`attribute_trace` from each
+    scheme's per-site counts."""
     # Site metadata (class, taken mix) over the same non-return records.
     kept = trace.classes != BranchClass.RETURN
     sites, first, inverse = np.unique(trace.sites[kept], return_index=True,

@@ -1,9 +1,9 @@
 """The functional simulator.
 
 The program is pre-decoded into flat tuples with integer opcodes.
-:meth:`Machine.run` executes direct-mode runs as compiled basic blocks
-(:mod:`repro.vm.compiled`) and derives the trace from the executed
-block sequence.  :meth:`Machine._run`, one if/elif opcode chain, is the
+:meth:`Machine.run` executes direct-mode runs as one generated Python
+function per program function (:mod:`repro.vm.compiled`) and derives
+the trace from the executed block sequence.  :meth:`Machine._run`, one if/elif opcode chain, is the
 reference interpreter: it runs forward-slot execution and address
 traces, and every compiled run must match it exactly.
 
@@ -157,9 +157,10 @@ class Machine:
     def run(self):
         """Execute the program until HALT; returns :class:`MachineResult`.
 
-        Direct-mode runs without an address trace execute compiled
-        blocks (:mod:`repro.vm.compiled`); everything else runs the
-        reference interpreter :meth:`_run`.  Both give identical results.
+        Direct-mode runs without an address trace execute the
+        program's generated functions (:mod:`repro.vm.compiled`);
+        everything else runs the reference interpreter :meth:`_run`.
+        Both give identical results.
 
         Telemetry is deliberately run-level, never per-instruction: the
         disabled path costs one attribute check per *run* and the

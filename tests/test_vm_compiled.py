@@ -1,14 +1,15 @@
-"""Compiled-block dispatch against the reference interpreter.
+"""Compiled functions against the reference interpreter.
 
-``Machine.run`` executes direct-mode runs as compiled blocks
-(:mod:`repro.vm.compiled`); ``Machine._run`` is the reference.  Every
-test here runs both on the same machine and requires identical
-results: output, instruction count, exit value, probe counts and the
-five trace arrays with their dtypes, or the same exception type and
-message.
+``Machine.run`` executes direct-mode runs as one generated Python
+function per program function (:mod:`repro.vm.compiled`);
+``Machine._run`` is the reference.  Every test here runs both on the
+same machine and requires identical results: output, instruction
+count, exit value, probe counts and the five trace arrays with their
+dtypes, or the same exception type and message.
 """
 
 import gc
+import random
 import sys
 import threading
 import weakref
@@ -27,6 +28,7 @@ from repro.isa import assemble
 from repro.lang import compile_source
 from repro.opt import optimize
 from repro.profiling import profile_program
+from repro.telemetry.core import TELEMETRY
 from repro.traceopt import build_fs_program, fill_forward_slots
 from repro.vm import Machine, compiled
 from tests.test_fuzz_fs_pipeline import programs
@@ -199,6 +201,70 @@ def test_calls_args_results_and_tables():
     assert outcome[2] != 0
 
 
+def _random_assembly(rng):
+    """A random assembly program: branches, jumps, calls and indirect
+    jumps to any label, so control crosses functions, calls land
+    mid-function and jumps land mid-block; registers start set or
+    unset."""
+    names = ["main", "g1", "g2"]
+    labels = 6
+    operand = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr",
+               "div", "rem"]
+    lines = [".globals 8", ".table t L0 L1 L2"]
+    for name in names:
+        lines.append("func %s:" % name)
+        lines += ["    li r%d, %d" % (k, rng.randint(-1, 4))
+                  for k in range(5) if rng.random() < 0.7]
+        for _ in range(rng.randint(2, 12)):
+            if rng.random() < 0.3:
+                lines.append("L%d:" % rng.randrange(labels))
+            reg = ["r%d" % rng.randint(0, 4) for _ in range(3)]
+            label = "L%d" % rng.randrange(labels)
+            lines.append("    " + rng.choice([
+                "li %s, %d" % (reg[0], rng.randint(-3, 9)),
+                "%s %s, %s, %s" % (rng.choice(operand), *reg),
+                "%s %s, %s, %s" % (rng.choice(
+                    ["beq", "bne", "blt", "ble", "bgt", "bge"]),
+                    reg[0], reg[1], label),
+                "jump " + label,
+                "arg %d, %s" % (rng.randint(0, 2), reg[0]),
+                "call " + rng.choice(names + [label]),
+                "result " + reg[0],
+                "retv " + reg[0],
+                "ret",
+                "jind " + reg[0],
+                "table %s, t, %s" % (reg[0], reg[1]),
+                "load %s, %s, %d" % (reg[0], reg[1], rng.randint(-1, 3)),
+                "store %s, %s, %d" % (reg[0], reg[1], rng.randint(-1, 3)),
+                "getc %s, %d" % (reg[0], rng.randint(0, 1)),
+                "puti " + reg[0],
+                "halt"]))
+        lines.append("    halt" if name == "main" else "    ret")
+    # Every label is defined exactly once, the missing ones at the end.
+    defined = set()
+    for index, line in enumerate(lines):
+        if line.endswith(":") and line.startswith("L"):
+            if line in defined:
+                lines[index] = "    nop"
+            defined.add(line)
+    lines += ["L%d:" % k for k in range(labels)
+              if "L%d:" % k not in defined]
+    lines.append("    halt")
+    return assemble("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_compiled_matches_reference_on_random_assembly(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        program = _random_assembly(rng)
+        probes = range(len(program)) if rng.random() < 0.3 else None
+        for budget in (rng.randint(0, 60), 5000):
+            assert_same(program, inputs=[bytes([rng.randrange(256)] * 5)],
+                        trace=True, max_instructions=budget,
+                        probe_addresses=probes)
+
+
 # -- faults and budgets ----------------------------------------------------
 
 _FAULTS = {
@@ -265,6 +331,177 @@ def test_the_budget_point_inside_a_run_of_nops():
                        "    li r1, 1\n    halt\n")
     for budget in range(1, 7):
         assert_same(program, max_instructions=budget)
+
+
+@pytest.fixture
+def exits():
+    """The ``vm.fast_path_exits`` counters of the test's runs."""
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    yield lambda: {name: value for name, value
+                   in TELEMETRY.snapshot()["counters"].items()
+                   if name.startswith("vm.fast_path_exits")}
+    TELEMETRY.disable().reset()
+
+
+def _chain(depth):
+    """A recursive call chain ``depth`` frames deep that prints its
+    depth back."""
+    return assemble("""
+func main:
+    li r1, %d
+    arg 0, r1
+    call f
+    result r2
+    puti r2
+    halt
+func f:
+    li r1, 0
+    beq r0, r1, done
+    li r2, 1
+    sub r3, r0, r2
+    arg 0, r3
+    call f
+    result r4
+    add r4, r4, r2
+    retv r4
+    ret
+done:
+    retv r1
+    ret
+""" % depth)
+
+
+def test_a_call_chain_deeper_than_the_recursion_limit(exits):
+    depth = sys.getrecursionlimit() + 4000
+    program = _chain(depth)
+    machine = Machine(program, trace=True)
+    outcome = assert_same(program, trace=True)
+    assert outcome[0] == b"%d" % depth
+    # The path itself: one block per call, one per return, and
+    # main's three blocks.
+    assert len(machine.run().block_path.starts) == 3 + 3 * depth + 1
+    assert exits() == {"vm.fast_path_exits": 2,
+                       "vm.fast_path_exits.depth": 2}
+
+
+def test_a_call_chain_deeper_than_the_recursion_limit_overruns():
+    depth = sys.getrecursionlimit() + 4000
+    program = _chain(depth)
+    total = Machine(program).run().instructions
+    # Budget points while the chain grows, at its deepest frame, and
+    # while it unwinds.
+    for budget in (50, 10 * 900 + 3, 10 * depth + 1, total - 7, total - 1):
+        outcome = assert_same(program, trace=True, max_instructions=budget)
+        assert outcome[:2] == ("raised", compiled.ExecutionLimitExceeded)
+
+
+def test_a_fault_three_frames_deep_after_output(exits):
+    program = assemble("""
+func main:
+    li r1, 7
+    puti r1
+    call f
+    halt
+func f:
+    call g
+    ret
+func g:
+    li r1, 8
+    puti r1
+    call h
+    ret
+func h:
+    li r1, 9
+    puti r1
+    li r2, 0
+    div r3, r1, r2
+    ret
+""")
+    outcome = assert_same(program, trace=True)
+    assert outcome[1:] == (compiled.MachineError, "division by zero")
+    assert exits()["vm.fast_path_exits.fault"] == 1
+
+
+def test_an_unset_register_read_in_a_callee_given_too_few_arguments(exits):
+    program = assemble("""
+func main:
+    li r1, 3
+    arg 0, r1
+    call add2
+    result r2
+    puti r2
+    halt
+func add2:
+    add r2, r0, r1
+    retv r2
+    ret
+""")
+    outcome = assert_same(program, trace=True)
+    assert outcome[1:] == (KeyError, "1")
+    assert exits()["vm.fast_path_exits.fault"] == 1
+
+
+def test_an_indirect_jump_into_the_middle_of_another_functions_block(
+        exits):
+    source = """
+func main:
+    li r1, {target}
+    jind r1
+    halt
+func other:
+    li r2, 7
+    puti r2
+    li r2, 9
+    puti r2
+    halt
+"""
+    target = assemble(source.format(target=0)).labels["other"] + 2
+    program = assemble(source.format(target=target))
+    for probes in (None, range(len(program))):
+        outcome = assert_same(program, trace=True, probe_addresses=probes)
+        assert outcome[0] == b"9"
+    # One recompile per probe set; each then runs on the fast path.
+    assert exits() == {"vm.fast_path_exits": 2,
+                       "vm.fast_path_exits.jind": 2}
+    assert Machine(program).run().output == b"9"
+    assert exits()["vm.fast_path_exits"] == 2
+
+
+def test_an_endless_loop_stops_at_its_budget():
+    program = assemble("""
+func main:
+    li r1, 0
+    li r2, 1
+loop:
+    add r1, r1, r2
+    jump loop
+""")
+    for budget in (0, 1, 2, 3, 1000, 1001):
+        outcome = assert_same(program, trace=True, max_instructions=budget)
+        assert outcome[:2] == ("raised", compiled.ExecutionLimitExceeded)
+
+
+def test_the_budget_point_inside_an_inner_loop():
+    program = assemble("""
+func main:
+    li r1, 0
+    li r5, 1
+    li r6, 3
+outer:
+    li r2, 0
+inner:
+    add r2, r2, r5
+    puti r2
+    blt r2, r6, inner
+    add r1, r1, r5
+    blt r1, r6, outer
+    halt
+""")
+    total = Machine(program).run().instructions
+    for budget in range(total + 2):
+        outcome = assert_same(program, trace=True, max_instructions=budget)
+        assert (outcome[0] == "raised") == (budget < total)
 
 
 # -- the cache -------------------------------------------------------------
