@@ -22,9 +22,10 @@ Four properties this gate pins down:
    ``conformance.shrink``, runs only after a divergence, so a passing
    run has none; the unit tests inject one.)
 3. **The paper never leaves the fast VM.**  The ledger of a traced
-   cold ``all --scale 0.02`` reads ``vm.fast_path_exits`` as zero: no
-   run of the paper suite re-runs on the reference interpreter or
-   recompiles (see :mod:`repro.vm.compiled`).
+   cold ``all --scale 0.02`` reads ``vm.compiled_runs`` equal to
+   ``vm.runs`` and ``vm.fast_path_exits`` as zero: every run of the
+   paper suite goes to the compiled VM and none re-runs on the
+   reference interpreter (see :mod:`repro.vm.compiled`).
 4. **The disabled path stays free.**  With telemetry off, ``span()``
    must return the shared ``NULL_SPAN`` and hot counter, span and
    event calls must allocate nothing (measured with tracemalloc
@@ -168,6 +169,12 @@ def fast_path_gate(tmp):
     counters = fold_ledger(merge_trace(log))["counters"]
     runs = counters.get("vm.compiled_runs", 0)
     assert runs > 0, "the cold run made no compiled VM run"
+    # A run routed to the reference before the compiled VM is tried
+    # (a probe run, say) counts no exit, so the exit count alone does
+    # not show that every run was compiled.
+    assert runs == counters.get("vm.runs"), \
+        "%d of %s VM runs went to the compiled VM" % (
+            runs, counters.get("vm.runs"))
     exits = {name: value for name, value in counters.items()
              if name.startswith("vm.fast_path_exits")}
     assert exits.get("vm.fast_path_exits") == 0, \

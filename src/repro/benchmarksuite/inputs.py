@@ -57,11 +57,12 @@ def words(rng, count):
     return [rng.choice(_WORDS) for _ in range(count)]
 
 
-def text_lines(rng, n_lines, words_per_line=8):
-    """Prose-like text: ``n_lines`` lines of space-separated words."""
+def text_lines(rng, n_lines):
+    """Prose-like text: ``n_lines`` lines of one to eight
+    space-separated words."""
     lines = []
     for _ in range(n_lines):
-        line_length = 1 + rng.next_int(words_per_line)
+        line_length = 1 + rng.next_int(8)
         lines.append(" ".join(words(rng, line_length)))
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -116,11 +117,12 @@ def makefile(rng, n_targets):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def expression_stream(rng, n_expressions, max_depth=4):
-    """Arithmetic expressions (for yacc), one per line."""
+def expression_stream(rng, n_expressions):
+    """Arithmetic expressions (for yacc), one per line, nested at most
+    four deep."""
 
     def emit(depth):
-        if depth >= max_depth or rng.chance(2, 5):
+        if depth >= 4 or rng.chance(2, 5):
             return str(rng.next_int(100))
         if rng.chance(1, 5):
             return "(" + emit(depth + 1) + ")"

@@ -189,11 +189,12 @@ def _build_dfa():
     return delta, accept_table, n_states
 
 
-def _format_array(values, per_line=16):
+def _format_array(values):
+    """``values`` as a C initializer list, 16 to a line."""
     chunks = []
-    for index in range(0, len(values), per_line):
+    for index in range(0, len(values), 16):
         chunks.append(", ".join(str(value)
-                                for value in values[index:index + per_line]))
+                                for value in values[index:index + 16]))
     return ",\n    ".join(chunks)
 
 

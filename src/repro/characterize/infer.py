@@ -275,10 +275,12 @@ def _infer_flush(probe):
     return sensitive
 
 
-def characterize(factory, declared=None, label=None,
-                 max_entries=MAX_ENTRIES, max_history=MAX_HISTORY,
-                 max_counter_bits=MAX_COUNTER_BITS):
+def characterize(factory, declared=None, label=None):
     """Recover a predictor's configuration through ``simulate()`` only.
+
+    The searches stop at :data:`MAX_ENTRIES` entries,
+    :data:`MAX_HISTORY` history bits and :data:`MAX_COUNTER_BITS`
+    counter bits.
 
     Args:
         factory: zero-argument callable returning a *fresh* predictor
@@ -290,11 +292,6 @@ def characterize(factory, declared=None, label=None,
             for :meth:`~repro.predictors.base.Predictor.
             declared_parameters`).
         label: display name for the report.
-        max_entries: capacity-search ceiling; beyond it ``entries`` is
-            reported as ``None``.
-        max_history: tallest ladder rung probed.
-        max_counter_bits: widest saturating counter the step probe is
-            sized for.
 
     Returns:
         :class:`~repro.characterize.report.CharacterizationReport`.
@@ -313,14 +310,14 @@ def characterize(factory, declared=None, label=None,
         entries = ways = sets = None
         if recovered["buffered"]:
             with TELEMETRY.span("characterize.probe", family="capacity"):
-                entries, ways, sets = _infer_geometry(probe, max_entries)
+                entries, ways, sets = _infer_geometry(probe, MAX_ENTRIES)
         recovered["entries"] = entries
         recovered["associativity"] = ways
         recovered["n_sets"] = sets
 
         with TELEMETRY.span("characterize.probe", family="history"):
             recovered["history_depth"] = _infer_history(probe,
-                                                        max_history)
+                                                        MAX_HISTORY)
 
         bits = threshold = flips_down = flips_up = None
         if recovered["buffered"] and recovered["history_depth"] == 0:
@@ -329,7 +326,7 @@ def characterize(factory, declared=None, label=None,
             # counter's hysteresis when the scheme is history-free.
             with TELEMETRY.span("characterize.probe", family="counter"):
                 bits, threshold, flips_down, flips_up = _infer_counter(
-                    probe, max_counter_bits)
+                    probe, MAX_COUNTER_BITS)
         recovered["counter_bits"] = bits
         recovered["threshold"] = threshold
         recovered["flips_down"] = flips_down

@@ -141,8 +141,15 @@ def disagree_trace(periods, base=BASE_ADDRESS):
                                (site_b, period % 2 == 1)))
 
 
-def probe_battery(entries=16, associativity=None, max_counter=8,
-                  history_rungs=(1, 2, 4, 8)):
+#: The largest counter range the battery's step probe saturates: each
+#: of its segments is four records longer.
+_MAX_COUNTER = 8
+
+#: The history depths the battery's ladders climb to.
+_HISTORY_RUNGS = (1, 2, 4, 8)
+
+
+def probe_battery(entries=16, associativity=None):
     """Named probe traces sized for a buffer of ``entries`` entries.
 
     Returns a list of ``(family, name, trace)`` tuples covering every
@@ -166,10 +173,10 @@ def probe_battery(entries=16, associativity=None, max_counter=8,
     for m, label in ((ways, "full"), (ways + 1, "overflow")):
         battery.append(("alias", "aliased-chain-%s-m%d" % (label, m),
                         chain_trace(m, entries, 6)))
-    battery.append(("counter", "step-k%d" % max_counter,
-                    step_trace(max_counter + 4, max_counter + 4,
-                               max_counter + 4)))
-    for rung in history_rungs:
+    battery.append(("counter", "step-k%d" % _MAX_COUNTER,
+                    step_trace(_MAX_COUNTER + 4, _MAX_COUNTER + 4,
+                               _MAX_COUNTER + 4)))
+    for rung in _HISTORY_RUNGS:
         battery.append(("history", "ladder-k%d" % rung,
                         ladder_trace(rung, 10)))
     for probe in (False, True):

@@ -17,14 +17,14 @@ FIGURE_KS = (1, 2, 4, 8)
 LM_RANGE = tuple(range(0, 10))
 
 
-def compute(runner, names=None, ks=FIGURE_KS, lm_values=LM_RANGE):
+def compute(runner, names=None):
     """Series per k: {k: {scheme: [(l_bar+m_bar, cost), ...]}}."""
     accuracies = table3.average_accuracies(runner, names)
     figures = {}
-    for k in ks:
+    for k in FIGURE_KS:
         figures[k] = {
             scheme: [(lm, branch_cost(accuracy, k=k, l_bar=lm, m_bar=0.0))
-                     for lm in lm_values]
+                     for lm in LM_RANGE]
             for scheme, accuracy in accuracies.items()
         }
     return figures

@@ -47,6 +47,7 @@ import numpy as np
 from repro.benchmarksuite import get_benchmark
 from repro.lang import compile_source
 from repro.profiling import Profile
+from repro.profiling.profiler import checked_paths
 from repro.resilience.errors import (
     CacheCorruptError,
     LockTimeout,
@@ -586,7 +587,8 @@ class SuiteRunner:
         computes what the base program computes, and the derivation
         raises when a base run took an indirect jump layout cannot
         remap or when a laid-out run would exceed
-        :data:`MAX_INSTRUCTIONS`.
+        :data:`MAX_INSTRUCTIONS`.  A base run that left the compiled VM
+        has no block path and raises here.
 
         With ``profile_source="static"`` the profile is estimated from
         the IR instead of folded from the runs.
@@ -595,9 +597,10 @@ class SuiteRunner:
         """
         suite = spec.input_suite(scale=config.scale, runs=config.runs)
         with TELEMETRY.span("runner.vm", benchmark=spec.name):
-            paths = [run_program(program, inputs=streams,
-                                 max_instructions=MAX_INSTRUCTIONS).block_path
-                     for streams in suite]
+            paths = checked_paths(program, [
+                run_program(program, inputs=streams,
+                            max_instructions=MAX_INSTRUCTIONS).block_path
+                for streams in suite])
         if config.profile_source == "static":
             from repro.analysis.staticpred import estimate_profile
 

@@ -11,7 +11,7 @@ The records reach every kernel as a
 :class:`~repro.kernels.encode.SiteView` (sorted by site, the filter
 applied in the sort), memoized per filter rule on the (flushed)
 encoding, so every scheme run over a trace shares one sort per rule.
-:func:`assemble_stats`, :func:`site_counts` and
+:func:`assemble_stats`, :func:`site_fold` and
 :func:`repro.kernels.cycle.cycle_kernel` fold the scored rows in view
 order; each fold only counts, so the order does not change its
 result.  Stats keep the per-class key-presence semantics:
@@ -90,16 +90,20 @@ def assemble_stats(predictor, enc, conditional_only=False,
     return stats
 
 
-def site_counts(predictor, enc, ras_returns=True):
-    """``{site: [executions, correct]}`` in first-execution order."""
-    view, correct, _hit, _credited = outcomes(predictor, enc,
-                                              ras_returns=ras_returns)
-    if not len(view):
-        return {}
+def site_fold(view, correct):
+    """The scored rows of a view without flush epochs, folded per site.
+
+    ``correct`` maps each scheme to its rows' correctness, from
+    :func:`outcomes` over ``view``.  Returns ``(sites, classes,
+    executions, taken, rights)``: per site, ascending, its branch
+    class, executions and taken count, and ``rights[scheme]``, the
+    scheme's correct predictions there.
+    """
     first = np.flatnonzero(view.starts)
-    rights = np.add.reduceat(correct, first, dtype=np.int64)
-    sites = view.distinct_sites[view.segment_site]
-    order = np.argsort(view.order[first])
-    return {site: [execs, right] for site, execs, right in zip(
-        sites[order].tolist(), view.lengths[order].tolist(),
-        rights[order].tolist())}
+
+    def total(rows):
+        return np.add.reduceat(rows, first, dtype=np.int64)
+
+    return (view.distinct_sites[view.segment_site], view.classes[first],
+            view.lengths, total(view.takens),
+            {scheme: total(rows) for scheme, rows in correct.items()})

@@ -15,6 +15,10 @@ from repro.opt.inline import inline_functions
 from repro.opt.jump_threading import thread_jumps
 from repro.opt.peephole import peephole
 
+#: Most rounds of the passes before the optimizer stops short of a
+#: fixed point.
+MAX_ITERATIONS = 8
+
 
 class OptimizationReport:
     """What the optimizer did."""
@@ -51,8 +55,7 @@ class OptimizationReport:
                    self.iterations))
 
 
-def optimize(program, max_iterations=8, inline=False,
-             max_callee_size=24, verify=True):
+def optimize(program, inline=False, max_callee_size=24, verify=True):
     """Run jump threading, dead-code removal, peephole, local constant
     folding, and liveness-based dead-write elimination to a fixed
     point; optionally inline small leaf functions first (the IMPACT
@@ -80,7 +83,7 @@ def optimize(program, max_iterations=8, inline=False,
         if verify:
             assert_valid(current, context="inline")
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         report.iterations += 1
         changed = 0
 

@@ -67,8 +67,7 @@ def cbtb_storage(entries=256, k=1, counter_bits=2, address_bits=32,
                        instruction_bits=instruction_bits)
 
 
-def forward_semantic_storage(expansion_report, static_size=None,
-                             instruction_bits=32):
+def forward_semantic_storage(expansion_report, instruction_bits=32):
     """Storage of the Forward Semantic: zero on-chip; code expansion
     (slots) in instruction memory, plus the likely bit which fits in
     the branch instruction encoding (one bit per static branch, folded
@@ -77,11 +76,9 @@ def forward_semantic_storage(expansion_report, static_size=None,
     Args:
         expansion_report: :class:`~repro.traceopt.ExpansionReport` for
             the chosen k + l.
-        static_size: optional override of the original program size.
     """
-    original = (static_size if static_size is not None
-                else expansion_report.original_size)
-    extra_instructions = expansion_report.expanded_size - original
+    extra_instructions = (expansion_report.expanded_size
+                          - expansion_report.original_size)
     return StorageCost(0, extra_instructions * instruction_bits)
 
 

@@ -33,7 +33,6 @@ from repro.predictors.base import (
     simulate,
     simulate_scalar,
     site_report,
-    site_statistics,
 )
 from repro.predictors.assoc_cache import AssociativeCache
 from repro.predictors.sbtb import SimpleBTB
@@ -57,7 +56,6 @@ __all__ = [
     "simulate",
     "simulate_scalar",
     "site_report",
-    "site_statistics",
     "AssociativeCache",
     "SimpleBTB",
     "CounterBTB",

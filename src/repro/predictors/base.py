@@ -202,35 +202,28 @@ def is_correct(prediction, taken, target):
     return True
 
 
-def site_statistics(predictor, trace, ras_returns=True):
-    """Per-static-site accuracy counts for one scheme over a trace.
-
-    Scores ``predictor`` over ``trace`` on its batch kernel and returns
-    a dict mapping each branch site to ``[executions,
-    correct_predictions]``, in order of first execution.  With
-    ``ras_returns`` (the default) return records are skipped, matching
-    the shared return-address mechanism of :func:`simulate`.  Raises
-    ValueError for a predictor with no kernel.
-    """
-    from repro.kernels import EncodedTrace, supports
-    from repro.kernels.aggregate import site_counts
-
-    if not supports(predictor):
-        raise ValueError("no kernel for %s" % type(predictor).__name__)
-    return site_counts(predictor, EncodedTrace.of(trace),
-                       ras_returns=ras_returns)
-
-
 def site_report(predictor, trace, worst=10):
     """Per-site accuracy analysis: where does a scheme lose?
 
-    Returns a list of ``(site, executions, accuracy)`` for the
+    Scores ``predictor`` over ``trace`` on its batch kernel and returns
+    a list of ``(site, executions, accuracy)`` for the
     ``worst``-predicted sites (most mispredictions first).  Returns are
-    skipped (covered by the shared return mechanism).
+    skipped (covered by the shared return mechanism).  Raises
+    ValueError for a predictor with no kernel.
     """
-    rows = []
-    for site, (execs, right) in site_statistics(predictor, trace).items():
-        rows.append((site, execs, right / execs, execs - right))
+    from repro.kernels import EncodedTrace, supports
+    from repro.kernels.aggregate import outcomes, site_fold
+
+    if not supports(predictor):
+        raise ValueError("no kernel for %s" % type(predictor).__name__)
+    view, correct, _hit, _credited = outcomes(predictor,
+                                              EncodedTrace.of(trace))
+    sites, _classes, executions, _taken, rights = site_fold(
+        view, {"scheme": correct})
+    rows = [(site, execs, right / execs, execs - right)
+            for site, execs, right in zip(sites.tolist(),
+                                          executions.tolist(),
+                                          rights["scheme"].tolist())]
     rows.sort(key=lambda row: (-row[3], row[0]))
     return [(site, execs, accuracy)
             for site, execs, accuracy, _ in rows[:worst]]

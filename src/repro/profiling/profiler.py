@@ -123,6 +123,23 @@ class Profile:
             len(self.branch_execs))
 
 
+def checked_paths(program, paths):
+    """``paths``, the block paths of runs of ``program`` in input order.
+
+    Raises RuntimeError naming the program and the first input whose
+    run went to the reference interpreter, which records no path.
+    """
+    missing = [index for index, path in enumerate(paths) if path is None]
+    if missing:
+        raise RuntimeError(
+            "%s: input %d of %d ran on the reference interpreter, so it "
+            "has no block path to profile and lay out (an indirect jump "
+            "to a pc that starts no compiled block, or a call chain too "
+            "deep for the compiled VM)"
+            % (program.name, missing[0] + 1, len(paths)))
+    return paths
+
+
 def profile_program(program, input_suite, max_instructions=200_000_000):
     """Run ``program`` on each entry of ``input_suite`` (a list of
     input-stream sequences) within ``max_instructions`` per run.
@@ -133,6 +150,6 @@ def profile_program(program, input_suite, max_instructions=200_000_000):
     results = [run_program(program, inputs=streams,
                            max_instructions=max_instructions)
                for streams in input_suite]
-    return (Profile.from_paths(program,
-                               [result.block_path for result in results]),
+    paths = checked_paths(program, [result.block_path for result in results])
+    return (Profile.from_paths(program, paths),
             [result.output for result in results])

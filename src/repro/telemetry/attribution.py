@@ -2,11 +2,12 @@
 
 Table 3 reports one accuracy number per scheme per benchmark; this
 module breaks that number apart.  For every static branch site in the
-laid-out (Forward Semantic) program it simulates all three schemes over
-the evaluation trace (on their batch kernels) and reports per-site
-accuracy, ranked worst-first by total mispredictions — the view that
-explains *why* one scheme beats another on a benchmark (a handful of
-unstable conditionals usually carry the whole gap).
+laid-out (Forward Semantic) program it scores all three schemes over
+the evaluation trace on their batch kernels, which share one
+site-sorted view of it, folds their outcomes per site, and reports
+per-site accuracy, ranked worst-first by total mispredictions — the
+breakdown that explains *why* one scheme beats another on a benchmark
+(a handful of unstable conditionals usually carry the whole gap).
 
 Sites map back to Minic source lines through the line table the code
 generator records on the program and the layout pass carries through
@@ -17,10 +18,9 @@ Exposed on the CLI as ``repro-branches stats <benchmark>`` (text) and
 ``--json`` (machine-readable).
 """
 
-import numpy as np
-
+from repro.kernels import EncodedTrace
+from repro.kernels.aggregate import outcomes, site_fold
 from repro.predictors import CounterBTB, ForwardSemanticPredictor, SimpleBTB
-from repro.predictors.base import site_statistics
 from repro.telemetry.core import TELEMETRY
 from repro.vm.tracing import BranchClass
 
@@ -60,27 +60,23 @@ def attribute_trace(trace, fs_program, old_address_of=None,
         "CBTB": CounterBTB(),
         "FS": ForwardSemanticPredictor(program=fs_program),
     }
-    per_scheme = {}
+    # Every scheme scores the trace's non-return records on its kernel,
+    # over the one site-sorted view they share.
+    encoded = EncodedTrace.of(trace)
+    correct = {}
     for name, predictor in predictors.items():
-        with TELEMETRY.span("attribution.site_statistics", scheme=name):
-            per_scheme[name] = site_statistics(predictor, trace)
+        with TELEMETRY.span("attribution.outcomes", scheme=name):
+            view, correct[name], _hit, _credited = outcomes(predictor,
+                                                            encoded)
     with TELEMETRY.span("attribution.fold", records=len(trace)):
-        return _fold_sites(trace, per_scheme, fs_program, old_address_of,
-                           base_program)
+        return _rank_sites(site_fold(view, correct), fs_program,
+                           old_address_of, base_program)
 
 
-def _fold_sites(trace, per_scheme, fs_program, old_address_of,
-                base_program):
-    """The ranked site rows of :func:`attribute_trace` from each
-    scheme's per-site counts."""
-    # Site metadata (class, taken mix) over the same non-return records.
-    kept = trace.classes != BranchClass.RETURN
-    sites, first, inverse = np.unique(trace.sites[kept], return_index=True,
-                                      return_inverse=True)
-    executions = np.bincount(inverse, minlength=sites.shape[0])
-    taken_counts = np.bincount(inverse[trace.takens[kept]],
-                               minlength=sites.shape[0])
-    classes = trace.classes[kept][first]
+def _rank_sites(fold, fs_program, old_address_of, base_program):
+    """The ranked site rows of :func:`attribute_trace` from the per-site
+    fold of every scheme's outcomes."""
+    sites, classes, executions, taken_counts, rights = fold
 
     def function_of(site):
         if old_address_of is not None and base_program is not None:
@@ -92,12 +88,12 @@ def _fold_sites(trace, per_scheme, fs_program, old_address_of,
         return fs_program.function_of(site)
 
     lines = getattr(fs_program, "lines", {})
+    rights = {name: rights[name].tolist() for name in SCHEMES}
     rows = []
-    for site, execs, taken, branch_class in zip(
+    for index, (site, execs, taken, branch_class) in enumerate(zip(
             sites.tolist(), executions.tolist(), taken_counts.tolist(),
-            classes.tolist()):
-        # Every scheme saw the same records, so each has this site.
-        correct = {name: per_scheme[name][site][1] for name in SCHEMES}
+            classes.tolist())):
+        correct = {name: rights[name][index] for name in SCHEMES}
         accuracy = {name: correct[name] / execs for name in SCHEMES}
         mispredictions = {name: execs - correct[name] for name in SCHEMES}
         worst = max(mispredictions, key=lambda name: mispredictions[name])

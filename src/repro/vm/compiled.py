@@ -1,7 +1,8 @@
 """Compiled functions: the fast path of :meth:`Machine.run`.
 
-Every ``slot_mode="direct"`` run without an address trace executes
-here; :meth:`Machine._run` stays the reference interpreter and the
+The product's direct-mode runs (no address trace, no probes) execute
+here; every other run, and every run this module cannot finish, goes
+to :meth:`Machine._run`, the reference interpreter and the
 differential oracle for this module.
 
 Each function of the program becomes one generated Python function.
@@ -9,26 +10,23 @@ Its registers are Python locals (``r3 = r1 + r2``), and its body is a
 ``while True:`` loop over an ``if pc == <start>:`` chain of its
 *blocks* in address order.  A block runs straight-line code from its
 start.  It ends after a control transfer (conditional branch, JUMP,
-CALL, RET, JIND) or HALT, or just before a CFG leader or probe address,
-and it first appends its start to the run's path.  A forward successor
-falls down the chain; a backward one goes round the loop
-(``continue``).  CALL is a Python call of the callee's function with
-the pending-argument list, from which the callee binds
-``r0..r(n-1)``; RET is ``return``, so the caller resumes after the
-CALL with its own locals.  HALT raises out of every frame.  The source
-text is built from the decoded integer fields with ``%d`` only, so no
-program string ever reaches ``exec``.  Control flow that crosses a
-function's address range statically (a branch into another function,
-or a fall-through off its end) merges the ranges into one generated
-function.
+CALL, RET, JIND) or HALT, or just before a CFG leader, and it first
+appends its start to the run's path.  A forward successor falls down
+the chain; a backward one goes round the loop (``continue``).  CALL is
+a Python call of the callee's function with the pending-argument list,
+from which the callee binds ``r0..r(n-1)``; RET is ``return``, so the
+caller resumes after the CALL with its own locals.  HALT raises out of
+every frame.  The source text is built from the decoded integer fields
+with ``%d`` only, so no program string ever reaches ``exec``.  Control
+flow that crosses a function's address range statically (a branch into
+another function, or a fall-through off its end) merges the ranges
+into one generated function.
 
 The block starts are all that a run records.  Everything else is
 derived from them once the run ends, with NumPy
 (:meth:`BlockTables.trace`):
 
 * the instruction count is the sum of the block lengths;
-* probe counts are a ``bincount`` of the starts (exact, because blocks
-  split at every probe address);
 * each block that ends in a branch yields one trace record whose site,
   class and static target come from per-instruction tables;
 * a conditional is taken when the next block starts at its taken pc.
@@ -38,9 +36,9 @@ derived from them once the run ends, with NumPy
 * gaps are differences of the cumulative instruction count, minus one.
 
 The starts and the side list together are the run's :class:`BlockPath`,
-which every result carries.  The profile is folded from the paths,
-trace layout maps a base run's path onto the laid-out program, and
-:meth:`BlockTables.trace` turns the mapped path into the laid-out
+which every compiled result carries.  The profile is folded from the
+paths, trace layout maps a base run's path onto the laid-out program,
+and :meth:`BlockTables.trace` turns the mapped path into the laid-out
 program's trace without running it.
 
 A faulting or overrunning run returns no result, so exactness means
@@ -52,47 +50,46 @@ budget wins:
   the budget is an overrun).  An overrun, and a run that halts past
   its budget, raise the reference's :class:`ExecutionLimitExceeded`,
   computed from the blocks that completed;
-* a fault (any exception the generated code raises, an unset-register
-  read included) re-runs the program on the reference, which raises
-  it;
-* a JIND to a pc that is not a start of its function adds that pc as a
-  start, merging the target's function range into the jumping one,
-  recompiles, and re-runs;
 * a call chain deeper than Python's recursion limit re-runs with the
-  limit raised to :data:`_DEEP_FRAMES`.  A chain deeper still gets the
-  reference's result, the only result without a block path.
+  limit raised to :data:`_DEEP_FRAMES`;
+* a fault (any exception the generated code raises, an unset-register
+  read included), a JIND to a pc that starts no block of its function,
+  and a call chain deeper than :data:`_DEEP_FRAMES` re-run on the
+  reference, which raises the fault or returns the result.  Such a
+  result has no block path.
 
 Each re-run counts one ``vm.fast_path_exits`` and one
 ``vm.fast_path_exits.<reason>`` (``fault``, ``jind`` or ``depth``).
 
-The generated code is compiled once per decoded program content and
-cached; every run executes it in a fresh namespace that holds the
-run's memory, inputs, output and path, so concurrent runs of one
-program share nothing they write.  The cache keys are tuples of plain
-values; it never holds a :class:`Program`.
+The generated code is compiled once per decoded program and cached;
+every run executes it in a fresh namespace that holds the run's
+memory, inputs, output and path, so concurrent runs of one program
+share nothing they write.  The cache keys are tuples of plain values;
+it never holds a :class:`Program`.
 """
 
 import sys
 import threading
 from bisect import bisect_right
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 
+from repro.analysis.effects import OPCODE_EFFECTS
 from repro.cfg import compute_leaders
 from repro.telemetry.core import TELEMETRY
 from repro.vm.machine import (
     _ADD, _AND, _ARG, _BEQ, _BGE, _BGT, _BLE, _BLT, _BNE, _CALL,
     _CONDITIONAL_INTS, _DIV, _GETC, _HALT, _JIND, _JUMP, _LI, _LOAD,
-    _MOV, _MUL, _NEG, _NOP, _NOT, _OR, _PUTC, _PUTI, _REM, _RESULT,
-    _RET, _RETV, _SHL, _SHR, _STORE, _SUB, _TABLE, _XOR,
+    _MOV, _MUL, _NEG, _NOP, _NOT, _OP_INT, _OR, _PUTC, _PUTI, _REM,
+    _RESULT, _RET, _RETV, _SHL, _SHR, _STORE, _SUB, _TABLE, _XOR,
     ExecutionLimitExceeded, MachineError, MachineResult, _c_div, _c_rem,
     _decode,
 )
 from repro.vm.tracing import BranchClass, BranchTrace
 
-#: Most recently used programs kept between runs.  A cold ``all``
+#: Most recently compiled programs kept between runs.  A cold ``all``
 #: runs one program at a time, every input of a base program (the
 #: laid-out program's traces are derived from those runs' block paths,
 #: never run), so a few entries give every hit.
@@ -119,12 +116,11 @@ _CLASS.update(dict.fromkeys(_CONDITIONAL_INTS, BranchClass.CONDITIONAL))
 #: Opcodes after which a block ends.
 _ENDERS = frozenset(_CLASS) | {_HALT}
 
-#: The operand fields each opcode reads as registers.
-_READS = {_MOV: (2,), _NEG: (2,), _NOT: (2,), _LOAD: (2,),
-          _STORE: (2, 3), _DIV: (2, 3), _REM: (2, 3), _JIND: (2,),
-          _ARG: (2,), _RETV: (2,), _TABLE: (2,), _PUTC: (2,),
-          _PUTI: (2,)}
-_READS.update(dict.fromkeys([*_BINARY, *_SHIFT, *_COMPARE], (2, 3)))
+#: The decoded fields each opcode reads as registers, from the ISA's
+#: register-effect table.
+_READS = {_OP_INT[op]: tuple({"a": 2, "b": 3}[field]
+                             for field in effect.reads)
+          for op, effect in OPCODE_EFFECTS.items()}
 
 #: Source of the ARG cases the inline code leaves to a call: padding
 #: the pending arguments with zeros, or overwriting a staged one.
@@ -146,10 +142,9 @@ class _Missed(Exception):
     """Raised when control reaches a pc its function's chain does not
     start a block at: a JIND target, or a pc outside the code."""
 
-    def __init__(self, pc, source):
-        super().__init__(pc, source)
+    def __init__(self, pc):
+        super().__init__(pc)
         self.pc = pc
-        self.source = source
 
 
 class BlockPath:
@@ -279,59 +274,52 @@ def run_compiled(machine):
     identical to :meth:`Machine._run`'s for ``slot_mode="direct"``."""
     program = machine.program
     code = tuple(_decode(program))
-    probes = machine.probe_addresses
     entries = tuple(program.labels[label]
                     for label in program.functions.values())
-    key = (code, probes, program.globals_size, entries,
+    key = (code, program.globals_size, entries,
            tuple(tuple(table.entries) for table in program.jump_tables))
     # The function entries and jump tables are in the key because the
     # CFG leaders, and so the block boundaries and the functions'
     # ranges, depend on them.
     with _CACHE_LOCK:
         compiled = _CACHE.get(key)
+    if compiled is None:
+        compiled = _Compiled(code, frozenset(compute_leaders(program)),
+                             entries, program.globals_size)
+        with _CACHE_LOCK:
+            _CACHE[key] = compiled
+            while len(_CACHE) > _CACHE_SIZE:
+                del _CACHE[next(iter(_CACHE))]
     exits = []
-    deep = False
     try:
-        while True:
-            try:
-                if compiled is None:
-                    stops = set(compute_leaders(program))
-                    if probes is not None:
-                        stops.update(probes)
-                    compiled = _Compiled(code, frozenset(stops), entries,
-                                         program.globals_size)
-                    _store(key, compiled)
-                with _deep_stack() if deep else nullcontext():
-                    return compiled.run(machine)
-            except ExecutionLimitExceeded:
-                raise
-            except _Missed as miss:
-                exits.append("jind")
-                compiled = compiled.linked(miss.source, miss.pc)
-                _store(key, compiled)
-            except RecursionError:
-                exits.append("depth")
-                if deep:
-                    return machine._run()
-                deep = True
-            except Exception as fault:
-                exits.append("fault")
-                machine._run()
-                raise RuntimeError(
-                    "the compiled run raised %r, the reference "
-                    "interpreter did not" % (fault,)) from fault
+        try:
+            return compiled.run(machine)
+        except RecursionError:
+            exits.append("depth")
+            with _deep_stack():
+                return compiled.run(machine)
+    except ExecutionLimitExceeded:
+        raise
+    except Exception as error:
+        # Everything else re-runs on the reference: a chain deeper
+        # still, a JIND to a pc that starts no block, or a fault,
+        # which the reference must raise too.
+        if isinstance(error, RecursionError):
+            exits.append("depth")
+        elif isinstance(error, _Missed) and _within(error.pc, len(code)):
+            exits.append("jind")
+        else:
+            exits.append("fault")
+        result = machine._run()
+        if exits[-1] == "fault":
+            raise RuntimeError(
+                "the compiled run raised %r, the reference "
+                "interpreter did not" % (error,)) from error
+        return result
     finally:
         TELEMETRY.count("vm.fast_path_exits", len(exits))
         for reason in exits:
             TELEMETRY.count("vm.fast_path_exits." + reason)
-
-
-def _store(key, compiled):
-    with _CACHE_LOCK:
-        _CACHE.pop(key, None)
-        _CACHE[key] = compiled
-        while len(_CACHE) > _CACHE_SIZE:
-            del _CACHE[next(iter(_CACHE))]
 
 
 _DEEP_LOCK = threading.Lock()
@@ -358,34 +346,27 @@ def _deep_stack():
 
 
 class _Compiled:
-    """The generated code of one decoded program cut at ``stops``.
+    """The generated code of one decoded program cut at ``stops``, its
+    CFG leaders."""
 
-    ``links`` holds the ``(source, target)`` pairs of the JIND misses
-    learned so far: ``target`` is a block start, in the same generated
-    function as the range starting at ``source``.
-    """
-
-    def __init__(self, code, stops, entries, memory_size,
-                 links=frozenset()):
+    def __init__(self, code, stops, entries, memory_size):
         self.code = code
         self.stops = stops
-        self.entries = entries
         self.memory_size = memory_size
-        self.links = links
         self.tables = BlockTables(code, stops)
         size = len(code)
         ends = self.tables.ends.tolist()
 
         successors = {end: _successors(code[end], end) for end in set(ends)}
+        # The leaders hold the function entries and the CALL targets;
+        # a slotted branch's taken pc and fall-through may lie past
+        # them.
         starts = {pc for pc in stops if _within(pc, size)}
-        starts.update(pc for pc in entries if _within(pc, size))
         edges = [(end, target) for end, targets in successors.items()
                  for target in targets if _within(target, size)]
-        edges += links
         starts.update(target for _, target in edges)
         calls = [(end, code[end][5]) for end in successors
                  if code[end][0] == _CALL and _within(code[end][5], size)]
-        starts.update(target for _, target in calls)
 
         # One generated function per address range: a range starts at
         # a function entry no edge crosses.
@@ -416,16 +397,6 @@ class _Compiled:
         # that of the largest function, not of the whole program.
         self.functions = [compile(source, "<compiled program>", "exec")
                           for source in sources]
-
-    def linked(self, source, target):
-        """This program recompiled with ``target`` a block start in the
-        function of the range starting at ``source``."""
-        if (source, target) in self.links:
-            raise RuntimeError("the compiled program still misses pc %d"
-                               % target)
-        return _Compiled(self.code, self.stops, self.entries,
-                         self.memory_size,
-                         self.links | {(source, target)})
 
     def _low(self, pc):
         """The first pc of the range that holds ``pc``."""
@@ -481,7 +452,7 @@ class _Compiled:
             self._emit_exit(block, ends[start], code[ends[start]], start)
             body.append("if pc == %d:" % start)
             body += ["    " + line for line in block]
-        body.append("raise J(pc, %d)" % low)
+        body.append("raise J(pc)")
 
         lines = ["def f%d(a, pc):" % low]
         written = [name for name, op in (("A", _CALL), ("RV", _RETV))
@@ -611,7 +582,8 @@ class _Compiled:
     def run(self, machine):
         """One run of ``machine`` in a fresh namespace; raises
         :class:`_Missed`, :class:`RecursionError` or the fault of the
-        generated code when the run cannot finish here."""
+        generated code when the run cannot finish here, unless the
+        blocks that completed already overran the budget."""
         memory_size = self.memory_size
         memory = [0] * memory_size
         for address, value in machine.program.data_init.items():
@@ -643,9 +615,8 @@ class _Compiled:
         except _Stopped:
             pass
         except _Missed as miss:
+            # The block that jumped did finish.
             failure = miss
-            if not _within(miss.pc, len(self.code)):
-                failure = MachineError("pc %r outside the code" % miss.pc)
         except Exception as error:
             # The block that raised did not finish.
             complete, failure = False, error
@@ -662,26 +633,11 @@ class _Compiled:
             self.tables.check_budget(done, machine.max_instructions)
         if failure is not None:
             raise failure
-        return self._result(
-            machine, bytes(output), exit_value,
-            BlockPath(starts, np.array(directions, dtype=bool)),
-            instructions)
-
-    def _result(self, machine, output, exit_value, path, instructions):
-        """The :class:`MachineResult` derived from the block path."""
-        starts = path.starts
-        probe_counts = None
-        if machine.probe_addresses is not None:
-            size = len(self.code)
-            counts = np.bincount(starts, minlength=size).tolist()
-            probe_counts = {address: (counts[address]
-                                      if 0 <= address < size else 0)
-                            for address in machine.probe_addresses}
-
-        trace = (self.tables.trace(starts, path.directions)
+        directions = np.array(directions, dtype=bool)
+        trace = (self.tables.trace(starts, directions)
                  if machine.trace_enabled else None)
-        return MachineResult(output, instructions, trace,
-                             exit_value, probe_counts, block_path=path)
+        return MachineResult(bytes(output), instructions, trace, exit_value,
+                             block_path=BlockPath(starts, directions))
 
 
 #: The tail of a backward transfer: the budget check, then round the

@@ -3,9 +3,10 @@
 The program is pre-decoded into flat tuples with integer opcodes.
 :meth:`Machine.run` executes direct-mode runs as one generated Python
 function per program function (:mod:`repro.vm.compiled`) and derives
-the trace from the executed block sequence.  :meth:`Machine._run`, one if/elif opcode chain, is the
-reference interpreter: it runs forward-slot execution and address
-traces, and every compiled run must match it exactly.
+the trace from the executed block sequence.  :meth:`Machine._run`, one
+if/elif opcode chain, is the reference interpreter: it runs
+forward-slot execution, address traces, probes and every run the
+compiled code leaves, and every compiled run must match it exactly.
 
 Forward-slot ("execute") semantics follow the hardware description in
 the paper: when a likely-taken branch with ``n_slots`` forward slots is
@@ -93,7 +94,7 @@ class MachineResult:
     """Outcome of a program run.
 
     ``block_path`` is the :class:`~repro.vm.compiled.BlockPath` of a
-    compiled run, None for the reference interpreter.
+    compiled run, None for a run of the reference interpreter.
     """
 
     __slots__ = ("output", "instructions", "trace", "exit_value",
@@ -128,8 +129,9 @@ class Machine:
         max_instructions: dynamic instruction budget; exceeding it
             raises :class:`ExecutionLimitExceeded`.
         probe_addresses: optional iterable of instruction addresses
-            (basic-block leaders); the machine counts how many times each
-            is reached, reproducing the paper's profiling probes.
+            (basic-block leaders); the reference interpreter counts how
+            many times each is reached, reproducing the paper's
+            profiling probes.
         address_trace: when True, record the address of every executed
             instruction (the fetch stream).  Memory-hungry; used by the
             instruction-cache locality ablation on small inputs.
@@ -157,10 +159,11 @@ class Machine:
     def run(self):
         """Execute the program until HALT; returns :class:`MachineResult`.
 
-        Direct-mode runs without an address trace execute the
-        program's generated functions (:mod:`repro.vm.compiled`);
-        everything else runs the reference interpreter :meth:`_run`.
-        Both give identical results.
+        Direct-mode runs without an address trace or probes execute
+        the program's generated functions (:mod:`repro.vm.compiled`),
+        which hand a run they cannot finish to :meth:`_run`;
+        everything else runs the reference interpreter :meth:`_run`
+        directly.  Both give identical results.
 
         Telemetry is deliberately run-level, never per-instruction: the
         disabled path costs one attribute check per *run* and the
@@ -169,7 +172,8 @@ class Machine:
         from repro.vm.compiled import run_compiled  # imports this module
 
         compiled = (self.slot_mode == "direct"
-                    and not self.address_trace_enabled)
+                    and not self.address_trace_enabled
+                    and self.probe_addresses is None)
         if not TELEMETRY.enabled:
             return run_compiled(self) if compiled else self._run()
         with TELEMETRY.span("vm.run", program=self.program.name,

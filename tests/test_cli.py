@@ -112,10 +112,10 @@ def test_main_stats_json_with_telemetry(capsys, tmp_path, monkeypatch):
             "runner.layout"} <= {event["name"] for event in spans}
     for event in spans:
         assert event["duration_s"] >= 0.0
-    # The attribution itself: one simulation span per scheme, then
+    # The attribution itself: one scoring span per scheme, then
     # the per-site fold.
     assert sorted(event["scheme"] for event in spans
-                  if event["name"] == "attribution.site_statistics") \
+                  if event["name"] == "attribution.outcomes") \
         == ["CBTB", "FS", "SBTB"]
     assert [event["name"] for event in spans].count(
         "attribution.fold") == 1

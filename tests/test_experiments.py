@@ -89,6 +89,18 @@ def test_cache_disabled(tmp_path):
     assert run.stats.branches > 0
 
 
+def test_a_base_run_without_a_block_path_names_the_benchmark(
+        monkeypatch):
+    from repro.experiments import runner as runner_module
+    from repro.vm.machine import MachineResult
+
+    monkeypatch.setattr(runner_module, "run_program",
+                        lambda *args, **kwargs: MachineResult(b"", 1, None, 0))
+    with pytest.raises(RuntimeError, match="wc: input 1 of 1 ran on the "
+                       "reference interpreter"):
+        SuiteRunner(scale=TINY, runs=1, cache_dir=False).run("wc")
+
+
 def test_expansions_cover_slot_counts(runner):
     expansions = runner.run("wc").expansions()
     assert sorted(expansions) == [1, 2, 4, 8]

@@ -12,8 +12,8 @@ field, in all three scoring modes (plain, ``conditional_only``,
   against ``simulate_scalar`` at flush intervals down to 1 (every
   record its own epoch);
 * the tournament's cycle accounting against the oracle interpreter;
-* ``site_statistics`` against the record loop it replaced, dict order
-  included;
+* the per-site fold of the scored records (``site_fold``, which the
+  attribution report and ``site_report`` read) against a record loop;
 * two planted bugs (flushes one record late, a tournament that ignores
   its chooser), which must be detected and ddmin-shrunk;
 * the slow battery: the ten paper benchmarks at small scale, at the
@@ -29,7 +29,14 @@ from repro.conformance.differential import shrink_trace
 from repro.conformance.fuzz import TraceFuzzer
 from repro.conformance.oracles import OracleCycleInterpreter
 from repro.experiments import SuiteRunner, paper_values
-from repro.kernels import direction, encode, kernel_for, simulate_vector
+from repro.kernels import (
+    EncodedTrace,
+    direction,
+    encode,
+    kernel_for,
+    simulate_vector,
+)
+from repro.kernels.aggregate import outcomes, site_fold
 from repro.pipeline import CycleSimulator, PipelineConfig
 from repro.predictors import (
     Bimodal,
@@ -39,7 +46,7 @@ from repro.predictors import (
     SimpleBTB,
     Tournament,
     simulate_scalar,
-    site_statistics,
+    site_report,
 )
 from repro.predictors.base import is_correct
 from repro.vm.tracing import BranchClass
@@ -183,27 +190,34 @@ def test_hypothesis_tournament_cycle_sim(records):
 
 
 def _reference_site_statistics(predictor, trace, ras_returns=True):
-    """The record loop ``site_statistics`` ran before the kernels."""
+    """``{site: [class, executions, taken, correct]}`` of a record
+    loop, sites ascending."""
     counts = {}
     for site, branch_class, taken, target, _ in trace.records():
         if ras_returns and branch_class == BranchClass.RETURN:
             continue
         prediction = predictor.predict(site, branch_class)
-        entry = counts.get(site)
-        if entry is None:
-            entry = counts[site] = [0, 0]
-        entry[0] += 1
-        if is_correct(prediction, taken, target):
-            entry[1] += 1
+        entry = counts.setdefault(site, [branch_class, 0, 0, 0])
+        entry[1] += 1
+        entry[2] += bool(taken)
+        entry[3] += is_correct(prediction, taken, target)
         predictor.update(site, branch_class, taken, target)
-    return counts
+    return dict(sorted(counts.items()))
 
 
-def _assert_site_statistics_match(make_predictor, trace):
-    for ras_returns in (True, False):
+def _assert_site_statistics_match(make_predictor, trace,
+                                  ras_modes=(True, False)):
+    for ras_returns in ras_modes:
         expected = _reference_site_statistics(make_predictor(), trace,
                                               ras_returns)
-        got = site_statistics(make_predictor(), trace, ras_returns)
+        view, correct, _, _ = outcomes(make_predictor(),
+                                       EncodedTrace.of(trace),
+                                       ras_returns=ras_returns)
+        sites, classes, executions, taken, rights = site_fold(
+            view, {"scheme": correct})
+        got = {site: list(row) for site, *row in zip(
+            sites.tolist(), classes.tolist(), executions.tolist(),
+            taken.tolist(), rights["scheme"].tolist())}
         assert list(got.items()) == list(expected.items())
 
 
@@ -220,7 +234,7 @@ def test_site_statistics_rejects_kernel_less_predictor():
         pass
 
     with pytest.raises(ValueError):
-        site_statistics(KernelLess(16), TraceFuzzer(7).trace())
+        site_report(KernelLess(16), TraceFuzzer(7).trace())
 
 
 # -- the paper's benchmarks ----------------------------------------------
@@ -257,6 +271,5 @@ def test_flush_tournament_battery(runner, name):
             _assert_engines_agree("%s/%s" % (name, label),
                                   make_predictor, run.trace,
                                   flush_interval=interval, **mode)
-        expected = _reference_site_statistics(make_predictor(), run.trace)
-        got = site_statistics(make_predictor(), run.trace)
-        assert list(got.items()) == list(expected.items())
+        _assert_site_statistics_match(make_predictor, run.trace,
+                                      ras_modes=(True,))

@@ -41,7 +41,7 @@ from repro.predictors import (
     Tournament,
     simulate,
     simulate_scalar,
-    site_statistics,
+    site_report,
 )
 from repro.vm.tracing import BranchClass, BranchTrace
 
@@ -417,7 +417,7 @@ def test_every_kernel_reads_the_one_view_per_rule(monkeypatch):
         assert len(seen) == 6
         assert all(records is view for records in seen), rule
     assert len(built) == 2
-    site_statistics(GShare(), trace)
+    site_report(GShare(), trace)
     assert len(built) == 2
 
 

@@ -123,6 +123,29 @@ def test_block_counts_only_at_leaders():
     assert set(profile.block_counts) == set(cfg.leaders)
 
 
+def test_a_run_without_a_block_path_names_the_program():
+    # The JIND lands inside another function's block, so the run
+    # leaves the compiled VM and records no block path.
+    source = """
+func main:
+    li r1, {target}
+    jind r1
+    halt
+func other:
+    li r2, 7
+    puti r2
+    li r2, 9
+    puti r2
+    halt
+"""
+    target = assemble(source.format(target=0)).labels["other"] + 2
+    program = assemble(source.format(target=target), name="jumper")
+    assert run_program(program).block_path is None
+    with pytest.raises(RuntimeError, match="jumper: input 1 of 2 ran on "
+                       "the reference interpreter"):
+        profile_program(program, [[], []])
+
+
 # -- the fold against the probe profiler -------------------------------------
 
 

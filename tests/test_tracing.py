@@ -420,8 +420,9 @@ def test_ledger_of_the_paper_takes_no_fallback(tmp_path):
     assert counters.get("kernels.sort_wide", 0) == 0
     assert counters.get("kernels.evict_replayed_rows", 0) == 0
     assert counters.get("kernels.view_trace_order", 0) == 0
-    # Every VM run stays on the compiled fast path (the counter is
-    # recorded, at zero, by every compiled run).
+    # Every VM run goes to the compiled VM and stays on its fast path
+    # (the exit counter is recorded, at zero, by every compiled run).
+    assert counters["vm.compiled_runs"] == counters["vm.runs"] > 0
     assert counters["vm.fast_path_exits"] == 0
 
 

@@ -4,8 +4,9 @@
 function per program function (:mod:`repro.vm.compiled`);
 ``Machine._run`` is the reference.  Every test here runs both on the
 same machine and requires identical results: output, instruction
-count, exit value, probe counts and the five trace arrays with their
-dtypes, or the same exception type and message.
+count, exit value and the five trace arrays with their dtypes, or the
+same exception type and message.  Probe runs, and runs the compiled
+code cannot finish, run on the reference; the tests below count them.
 """
 
 import gc
@@ -48,8 +49,7 @@ def _outcome(run):
                   getattr(result.trace, column).tolist())
                  for column in _COLUMNS]
         trace.append(result.trace.total_instructions)
-    return (result.output, result.instructions, result.exit_value,
-            result.probe_counts, trace)
+    return (result.output, result.instructions, result.exit_value, trace)
 
 
 def assert_same(program, **kwargs):
@@ -62,24 +62,21 @@ def assert_same(program, **kwargs):
 
 
 def _three_programs(name, scale=0.02):
-    """The base program with leader probes, its FS layout, and the
-    layout with three forward slots, over ``name``'s input suite."""
+    """The base program, its FS layout, and the layout with three
+    forward slots, over ``name``'s input suite."""
     program = compile_benchmark(name)
     suite = get_benchmark(name).input_suite(scale=scale)
-    cfg = ControlFlowGraph.from_program(program)
     profile, _ = profile_program(program, suite)
     layout = build_fs_program(program, profile)
     slotted, _ = fill_forward_slots(layout.program, 3)
-    return suite, ((program, cfg.leaders), (layout.program, None),
-                   (slotted, None))
+    return suite, (program, layout.program, slotted)
 
 
 def _check_benchmark(name):
-    suite, runs = _three_programs(name)
+    suite, versions = _three_programs(name)
     for streams in suite:
-        for program, probes in runs:
-            outcome = assert_same(program, inputs=streams, trace=True,
-                                  probe_addresses=probes)
+        for program in versions:
+            outcome = assert_same(program, inputs=streams, trace=True)
             assert outcome[0] != "raised"
 
 
@@ -101,8 +98,8 @@ def test_trace_arrays_keep_their_dtypes():
     """Both paths hand over narrow traces: int8 classes, bool takens,
     and sites, targets and gaps in the narrowest signed dtype of their
     range."""
-    suite, runs = _three_programs("wc")
-    machine = Machine(runs[1][0], inputs=suite[0], trace=True)
+    suite, versions = _three_programs("wc")
+    machine = Machine(versions[1], inputs=suite[0], trace=True)
     for trace in (machine.run().trace, machine._run().trace):
         assert (trace.classes.dtype, trace.takens.dtype) == (np.int8, bool)
         for column in ("sites", "targets", "gaps"):
@@ -121,9 +118,7 @@ def test_trace_arrays_keep_their_dtypes():
 @given(programs())
 def test_compiled_matches_reference_on_generated_programs(source):
     program, _ = optimize(compile_source(source, "fuzz"))
-    cfg = ControlFlowGraph.from_program(program)
-    assert_same(program, trace=True, probe_addresses=cfg.leaders,
-                max_instructions=2_000_000)
+    assert_same(program, trace=True, max_instructions=2_000_000)
     profile, _ = profile_program(program, [[]],
                                  max_instructions=2_000_000)
     layout = build_fs_program(program, profile)
@@ -153,7 +148,7 @@ after:
     halt
 """)
     outcome = assert_same(program, trace=True)
-    sites, takens = outcome[4][0][1], outcome[4][2][1]
+    sites, takens = outcome[3][0][1], outcome[3][2][1]
     assert takens[:2] == [False, True]
     assert sites[:2] == [2, 3]
 
@@ -169,15 +164,14 @@ func main:
     puti r2
     halt
 """)
-    outcome = assert_same(program, trace=True,
-                          probe_addresses=range(len(program)))
+    outcome = assert_same(program, trace=True)
     assert outcome[0] == b"9"
 
 
 def test_probes_outside_the_code_count_zero():
     program = assemble("func main:\n    halt\n")
-    outcome = assert_same(program, probe_addresses=[0, 5, -1])
-    assert outcome[3] == {0: 1, 5: 0, -1: 0}
+    result = Machine(program, probe_addresses=[0, 5, -1]).run()
+    assert result.probe_counts == {0: 1, 5: 0, -1: 0}
 
 
 def test_calls_args_results_and_tables():
@@ -258,11 +252,9 @@ def test_compiled_matches_reference_on_random_assembly(seed):
     rng = random.Random(seed)
     for _ in range(5):
         program = _random_assembly(rng)
-        probes = range(len(program)) if rng.random() < 0.3 else None
         for budget in (rng.randint(0, 60), 5000):
             assert_same(program, inputs=[bytes([rng.randrange(256)] * 5)],
-                        trace=True, max_instructions=budget,
-                        probe_addresses=probes)
+                        trace=True, max_instructions=budget)
 
 
 # -- faults and budgets ----------------------------------------------------
@@ -334,14 +326,22 @@ def test_the_budget_point_inside_a_run_of_nops():
 
 
 @pytest.fixture
-def exits():
-    """The ``vm.fast_path_exits`` counters of the test's runs."""
+def counters():
+    """The counters of the test's runs whose names start with a
+    prefix (default ``vm.``)."""
     TELEMETRY.reset()
     TELEMETRY.enable()
-    yield lambda: {name: value for name, value
-                   in TELEMETRY.snapshot()["counters"].items()
-                   if name.startswith("vm.fast_path_exits")}
+    yield lambda prefix="vm.": {
+        name: value for name, value
+        in TELEMETRY.snapshot()["counters"].items()
+        if name.startswith(prefix)}
     TELEMETRY.disable().reset()
+
+
+@pytest.fixture
+def exits(counters):
+    """The ``vm.fast_path_exits`` counters of the test's runs."""
+    return lambda: counters("vm.fast_path_exits")
 
 
 def _chain(depth):
@@ -443,7 +443,7 @@ func add2:
 
 
 def test_an_indirect_jump_into_the_middle_of_another_functions_block(
-        exits):
+        counters):
     source = """
 func main:
     li r1, {target}
@@ -458,14 +458,49 @@ func other:
 """
     target = assemble(source.format(target=0)).labels["other"] + 2
     program = assemble(source.format(target=target))
-    for probes in (None, range(len(program))):
-        outcome = assert_same(program, trace=True, probe_addresses=probes)
-        assert outcome[0] == b"9"
-    # One recompile per probe set; each then runs on the fast path.
-    assert exits() == {"vm.fast_path_exits": 2,
-                       "vm.fast_path_exits.jind": 2}
-    assert Machine(program).run().output == b"9"
-    assert exits()["vm.fast_path_exits"] == 2
+    outcome = assert_same(program, trace=True)
+    assert outcome[0] == b"9"
+    # Every run of it re-runs on the reference: the compiled program
+    # is never rebuilt, and the result has no block path.
+    machine = Machine(program, trace=True)
+    assert machine.run().block_path is None
+    assert counters() == {"vm.runs": 2, "vm.compiled_runs": 2,
+                          "vm.instructions": 2 * outcome[1],
+                          "vm.fast_path_exits": 2,
+                          "vm.fast_path_exits.jind": 2}
+
+
+def test_a_probe_run_runs_on_the_reference(counters, monkeypatch):
+    monkeypatch.setattr(compiled, "_CACHE", {})
+    program = compile_benchmark("wc")
+    leaders = ControlFlowGraph.from_program(program).leaders
+    machine = Machine(program, inputs=[b"ab cd\nef\n"], trace=True,
+                      probe_addresses=leaders)
+    result = machine.run()
+    assert _outcome(lambda: result) == _outcome(machine._run)
+    assert result.probe_counts == machine._run().probe_counts
+    assert sum(result.probe_counts.values()) > 0
+    assert result.block_path is None
+    assert counters() == {"vm.runs": 1,
+                          "vm.instructions": result.instructions}
+    assert not compiled._CACHE
+
+
+def test_the_cache_holds_one_entry_per_program(monkeypatch):
+    monkeypatch.setattr(compiled, "_CACHE", {})
+    program = _chain(3)
+    for probes in (None, [0], range(len(program)), None):
+        assert_same(program, trace=True, probe_addresses=probes)
+    entry, = compiled._CACHE.values()
+    # A JIND miss leaves its program's entry as it was built.
+    jumper = assemble("func main:\n    li r1, 4\n    jind r1\n"
+                      "    li r2, 7\n    puti r2\n    li r2, 9\n"
+                      "    puti r2\n    halt\n")
+    assert_same(jumper, trace=True)
+    built = dict(compiled._CACHE)
+    assert_same(jumper, trace=True)
+    assert compiled._CACHE == built
+    assert len(built) == 2 and entry in built.values()
 
 
 def test_an_endless_loop_stops_at_its_budget():
