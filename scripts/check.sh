@@ -140,9 +140,10 @@ PYTHONPATH=src python -m repro faults --seeds 10
 
 echo "== trace gate =="
 # Cross-process tracing: a 2-worker supervised sweep (with one
-# crash-and-retry worker) must merge into a single complete trace
-# tree — every attempt under its shard span, killed attempts adopted —
-# the `metrics --replay` ledger over its shards must render
+# crash-and-retry worker) must fold into one event log that merges
+# into a single complete trace tree — every attempt under its shard
+# span, killed attempts adopted — the `metrics --replay` ledger of
+# that log must render
 # byte-identically twice and sum the workers' counters, a traced
 # conformance run must span each kind of check and leave at most 25%
 # of conformance.differential as self time, and the

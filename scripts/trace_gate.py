@@ -6,13 +6,13 @@ Four properties this gate pins down:
 
 1. **Trace completeness across the process boundary.**  A 2-worker
    supervised sweep runs with telemetry and tracing on — including a
-   worker that dies mid-attempt and is retried — then the supervisor
-   log and the per-attempt shards are merged.  The resulting tree must
-   be complete (no orphan spans): every worker attempt parents under
-   its ``supervisor.shard`` span, and spans from the killed attempt
-   are adopted by their shard instead of dangling.  Two
-   ``metrics --replay`` renders of the recorded shards must be
-   byte-identical, and the ledger folded from them must sum the
+   worker that dies mid-attempt and is retried — and the supervisor
+   folds each attempt's shard into its own event log.  The tree
+   merged from that log alone must be complete (no orphan spans):
+   every worker attempt parents under its ``supervisor.shard`` span,
+   and spans from the killed attempt are adopted by their shard
+   instead of dangling.  Two ``metrics --replay`` renders of the log
+   must be byte-identical, and the ledger folded from it must sum the
    workers' counters.
 2. **Conformance explains its own time.**  The ledger of a traced
    ``conformance --seeds 3 --skip-golden`` run shows the fuzzing, the
@@ -65,7 +65,6 @@ def _work(payload):
 
 def trace_gate(tmp):
     log = tmp / "telemetry.jsonl"
-    traces = tmp / "traces"
     marker = tmp / "crash-once.marker"
     tasks = [("t%d" % index, ("t%d" % index, None))
              for index in range(3)]
@@ -75,15 +74,14 @@ def trace_gate(tmp):
         TELEMETRY.enable(sink)
         with TELEMETRY.span("gate.sweep"):
             report = run_supervised(tasks, _work, workers=2,
-                                    retries=2, backoff=0.05,
-                                    trace_dir=traces)
+                                    retries=2, backoff=0.05)
     TELEMETRY.disable().reset()
 
     assert report.ok, "sweep failed: %s" % report.render()
     assert "flaky" in report.retried, \
         "crash-once worker was not retried: %s" % report.render()
 
-    tree = merge_trace([log, traces])
+    tree = merge_trace(log)
     assert tree.complete, "orphan spans in merged trace:\n%s" \
         % tree.render()
     shards = tree.shards()
@@ -100,18 +98,18 @@ def trace_gate(tmp):
                for node in root.walk()), \
         "killed attempt left no adopted spans (adoption path untested)"
 
-    # The ledger must fold the shards deterministically, summing one
+    # The ledger must fold the log deterministically, summing one
     # counter per successful attempt (the killed attempt never wrote
     # its snapshot).
     renders = set()
     for _ in range(2):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            exit_code = cli_main(["metrics", "--replay", str(traces)])
+            exit_code = cli_main(["metrics", "--replay", str(log)])
         assert exit_code == 0, "metrics --replay exited %d" % exit_code
         renders.add(out.getvalue())
     assert len(renders) == 1, "metrics --replay render is not deterministic"
-    computed = fold_ledger(merge_trace(traces))["counters"].get(
+    computed = fold_ledger(tree)["counters"].get(
         "gate.compute")
     assert computed == 4, \
         "ledger counts %r gate.compute, expected 4:\n%s" \

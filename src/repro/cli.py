@@ -14,7 +14,6 @@ Examples::
     repro-branches staticpred
     repro-branches table3 --profile-source static
     repro-branches all --scale 0.1 --workers 2 --telemetry
-    repro-branches metrics --replay .repro_cache
     repro-branches metrics --replay .repro_cache/telemetry.jsonl
     repro-branches bench-history --window 8 --threshold 0.2
     repro-branches characterize SBTB-paper
@@ -86,7 +85,7 @@ def build_parser():
                              "injected fault is silently swallowed; "
                              "'metrics' prints the per-layer ledger "
                              "of the latest run recorded in the event "
-                             "logs named by --replay: calls and self "
+                             "log named by --replay: calls and self "
                              "seconds per span name, the time no span "
                              "claims, and every process's counters; "
                              "'bench-history' reports the benchmark "
@@ -177,8 +176,8 @@ def build_parser():
                              "cache directory)")
     parser.add_argument("--replay", default=None, metavar="LOG",
                         help="for 'metrics' (required): the "
-                             "recorded event log to read, a JSONL file "
-                             "or a directory of shards; the render is "
+                             "recorded JSONL event log to read, worker "
+                             "shards folded in; the render is "
                              "deterministic")
     parser.add_argument("--window", type=int, default=None,
                         help="for 'bench-history': rolling-baseline "
@@ -339,13 +338,13 @@ def _lint(names, file_path, show_warnings=True, strict=False,
     return "\n".join(lines) + "\n", 1 if failures else 0
 
 
-def _ledger_text(files):
-    """The per-layer ledger of the latest trace in ``files``, rendered:
+def _ledger_text(log):
+    """The per-layer ledger of the latest trace in ``log``, rendered:
     :func:`~repro.telemetry.tracing.merge_trace` stitches the trace and
     :func:`~repro.telemetry.tracing.fold_ledger` folds it."""
     from repro.telemetry.tracing import fold_ledger, merge_trace
 
-    ledger = fold_ledger(merge_trace(files))
+    ledger = fold_ledger(merge_trace(log))
     lines = ["trace %s: wall_s %.6f, other_s %.6f"
              % (ledger["trace_id"], ledger["wall_s"], ledger["other_s"]),
              "%-40s %8s %12s" % ("span", "calls", "self_s")]
@@ -357,26 +356,14 @@ def _ledger_text(files):
 
 
 def _metrics(args):
-    """'metrics': the per-layer ledger of the latest recorded run.
-
-    ``--replay`` names an event log or a directory (every ``*.jsonl``
-    beneath it, so a cache directory covers the main log and its
-    worker shards).
-    """
-    from pathlib import Path
-
-    from repro.telemetry.tracing import jsonl_files
-
+    """'metrics': the per-layer ledger of the latest run recorded in
+    the event log ``--replay`` names."""
     if not args.replay:
         return "", _usage_error("metrics needs --replay LOG (a recorded "
-                                "event log or a directory of shards)")
-    source = Path(args.replay)
-    if not source.exists():
-        return "", _usage_error("no such event log: %s" % source)
-    files = jsonl_files(source)
-    if not files:
-        return "", _usage_error("no *.jsonl event log in %s" % source)
-    return _ledger_text(files), 0
+                                "event log)")
+    if not os.path.isfile(args.replay):
+        return "", _usage_error("no such event log: %s" % args.replay)
+    return _ledger_text(args.replay), 0
 
 
 def _profile(runner, names):

@@ -320,6 +320,7 @@ class SuiteRunner:
         self.event_log = str(event_log) if event_log else None
         self.last_warm_report = None
         self._memo = {}
+        self._programs = {}
         self._git_sha = _UNSET
 
     # -- cache plumbing ------------------------------------------------------
@@ -481,8 +482,7 @@ class SuiteRunner:
 
         spec = get_benchmark(name)
         config = self.config.for_benchmark(spec)
-        with TELEMETRY.span("runner.compile", benchmark=name):
-            program = compile_source(spec.source, name=name)
+        program = self._program(spec)
 
         trace_path, profile_path = self._cache_paths(name, config,
                                                      spec.source)
@@ -523,6 +523,15 @@ class SuiteRunner:
                            config.scale, config.runs, manifest=manifest)
         self._memo[name] = run
         return run
+
+    def _program(self, spec):
+        """``spec``'s compiled base program, compiled once per runner."""
+        program = self._programs.get(spec.name)
+        if program is None:
+            with TELEMETRY.span("runner.compile", benchmark=spec.name):
+                program = compile_source(spec.source, name=spec.name)
+            self._programs[spec.name] = program
+        return program
 
     def _compute_locked(self, spec, program, config, trace_path,
                         profile_path):
@@ -643,20 +652,18 @@ class SuiteRunner:
         pending = [name for name in names if name not in self._memo]
         if not pending:
             return None
-        tasks = [(name, (name, self.config, str(self.cache_dir)))
+        # Each program is compiled here, once, and shipped to its
+        # worker; this process lays it out again from the warmed cache.
+        tasks = [(name, (name, self._program(get_benchmark(name)),
+                         self.config, str(self.cache_dir)))
                  for name in pending]
-        # Telemetry-enabled warms are traced across the process
-        # boundary: each attempt writes a JSONL shard under
-        # <cache>/traces that the merger stitches under this
-        # runner.warm span.
-        trace_dir = self.cache_dir / "traces" if TELEMETRY.enabled else None
         with TELEMETRY.span("runner.warm", benchmarks=len(pending),
                             workers=workers):
             report = run_supervised(
                 tasks, _warm_cache_entry,
                 workers=min(workers, len(pending)),
                 timeout=WARM_TIMEOUT, retries=WARM_RETRIES,
-                backoff=0.25, trace_dir=trace_dir)
+                backoff=0.25)
         self.last_warm_report = report
         if not report.ok:
             TELEMETRY.count("runner.warm.partial_failures")
@@ -667,7 +674,10 @@ class SuiteRunner:
 
 
 def _warm_cache_entry(arguments):
-    """Worker: execute one benchmark so its trace cache exists."""
-    name, config, cache_dir = arguments
-    SuiteRunner(cache_dir=cache_dir, **config._asdict()).run(name)
+    """Worker: execute one benchmark's compiled program so its trace
+    cache exists."""
+    name, program, config, cache_dir = arguments
+    runner = SuiteRunner(cache_dir=cache_dir, **config._asdict())
+    runner._programs[name] = program
+    runner.run(name)
     return name

@@ -22,20 +22,21 @@ fault injector from the environment and announces the attempt number
 (``FAULTS.on_worker_start``), which is how the recovery matrix crashes
 or hangs a chosen attempt deterministically.
 
-When telemetry is enabled and a ``trace_dir`` is given, the run is
-**traced across the process boundary** (see
-:mod:`repro.telemetry.tracing`): each attempt receives a
-:class:`~repro.telemetry.tracing.TraceContext` in its spawn payload
-and writes its spans/events to a per-attempt JSONL shard under
-``trace_dir``; the supervisor emits one ``supervisor.shard`` span per
-attempt (retries and kills included) that the merger parents those
-shards under, plus ``supervisor.start``/``supervisor.done`` and
-``worker.spawn`` events that annotate the merged tree.
+When telemetry is enabled with a sink, the run is **traced across
+the process boundary** (see :mod:`repro.telemetry.tracing`): each
+attempt receives a :class:`~repro.telemetry.tracing.TraceContext` in
+its spawn payload and writes its spans/events to a JSONL shard in the
+run's private temporary directory; once the attempt ends (retries and
+kills included) the supervisor folds the shard into its own sink
+under one ``supervisor.shard`` span, next to ``supervisor.start``/
+``supervisor.done`` and ``worker.spawn`` events.
 """
 
 import multiprocessing
 import multiprocessing.connection
 import random
+import shutil
+import tempfile
 import time
 from pathlib import Path
 
@@ -256,7 +257,7 @@ def _wait_for_change(active, pending, workers):
 
 
 def run_supervised(tasks, worker, *, workers=2, timeout=None,
-                   retries=2, backoff=0.1, seed=0, trace_dir=None):
+                   retries=2, backoff=0.1, seed=0):
     """Run ``worker(payload)`` for every task under supervision.
 
     Args:
@@ -269,10 +270,6 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
         retries: extra attempts after the first failure.
         backoff: base of the jittered exponential backoff sleep.
         seed: seeds the backoff jitter (determinism for tests).
-        trace_dir: directory for per-attempt telemetry shards; when
-            given and telemetry is enabled, the run is traced across
-            the process boundary (see module docstring).  Ignored
-            while telemetry is off — tracing costs nothing then.
 
     Returns a :class:`RunReport`; never raises for task failures.
     """
@@ -284,38 +281,37 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
                for label, payload in normalized]
     active = []
     results = {}
+    degraded = False
 
-    trace_ctx = None
-    if trace_dir is not None and TELEMETRY.enabled:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        trace_ctx = TELEMETRY.trace
+    shard_dir = None
+    if TELEMETRY.enabled and TELEMETRY.sink is not None:
+        shard_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
         TELEMETRY.event("supervisor.start", tasks=len(normalized),
-                        workers=workers, trace_dir=str(trace_dir))
+                        workers=workers)
 
     def _spawn(label, payload, attempt):
         trace = None
-        if trace_ctx is not None:
-            from repro.telemetry.tracing import shard_path
+        if shard_dir is not None:
+            from repro.telemetry.tracing import shard_filename
 
-            shard = shard_path(trace_dir, trace_ctx.trace_id, label,
-                               attempt)
-            trace = {"trace_id": trace_ctx.trace_id,
+            trace_id = TELEMETRY.trace.trace_id
+            trace = {"trace_id": trace_id,
                      "span_id": TELEMETRY.allocate_span_id(),
-                     "shard": str(shard)}
+                     "shard": str(shard_dir / shard_filename(
+                         trace_id, label, attempt))}
             TELEMETRY.event("worker.spawn", task=str(label),
-                            attempt=attempt, shard=shard.name,
+                            attempt=attempt,
                             shard_span_id=trace["span_id"])
         return Attempt(context, worker, label, payload, attempt,
                        timeout, trace=trace)
 
-    def _finish_shard(item, status, elapsed):
+    def _fold(item, status, elapsed):
         if item.trace is not None:
-            from repro.telemetry.tracing import emit_shard_span
+            from repro.telemetry.tracing import fold_shard
 
-            emit_shard_span(TELEMETRY, item.trace["span_id"],
-                            item.label, item.attempt, status, elapsed,
-                            Path(item.trace["shard"]).name)
+            fold_shard(TELEMETRY, item.trace["span_id"], item.label,
+                       item.attempt, status, elapsed,
+                       item.trace["shard"])
 
     try:
         while pending or active:
@@ -339,7 +335,7 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
                 else:
                     status, detail = item.finish()
                 elapsed = time.monotonic() - item.started
-                _finish_shard(item, status, elapsed)
+                _fold(item, status, elapsed)
                 previous = results.get(item.label)
                 seconds = (previous.seconds if previous else 0.0) \
                     + elapsed
@@ -375,19 +371,17 @@ def run_supervised(tasks, worker, *, workers=2, timeout=None,
         for item in active:
             item.kill()
         TELEMETRY.event("worker.degraded", reason=str(error))
-        report = RunReport(
-            [results.get(label, TaskOutcome(label, "failed", 0, 0.0,
-                                            error=str(error)))
-             for label, _payload in normalized],
-            degraded=True)
-        TELEMETRY.event("supervisor.done",
-                        succeeded=len(report.succeeded),
-                        failed=len(report.failed), degraded=True)
-        return report
+        for label, _payload in normalized:
+            results.setdefault(label, TaskOutcome(
+                label, "failed", 0, 0.0, error=str(error)))
+        degraded = True
+    finally:
+        if shard_dir is not None:
+            shutil.rmtree(shard_dir, ignore_errors=True)
 
     report = RunReport([results[label]
                         for label, _payload in normalized
-                        if label in results], degraded=False)
+                        if label in results], degraded=degraded)
     TELEMETRY.event("supervisor.done", succeeded=len(report.succeeded),
-                    failed=len(report.failed), degraded=False)
+                    failed=len(report.failed), degraded=degraded)
     return report

@@ -11,9 +11,10 @@ The pieces (see docs/OBSERVABILITY.md for the full guide):
   for tests, a crash-safe line-buffered JSONL event log for
   runs, plus a torn-line-tolerant reader;
 * :mod:`repro.telemetry.tracing` — cross-process trace propagation:
-  trace contexts shipped into supervised workers, per-attempt JSONL
-  shards, the merger that stitches them into one trace tree, and the
-  ledger folded from that tree, the one account of a run's time
+  trace contexts shipped into supervised workers, the fold of each
+  attempt's JSONL shard into the run's own log, the merger that
+  stitches that log into one trace tree, and the ledger folded from
+  that tree, the one account of a run's time
   (``repro-branches metrics --replay`` and ``profile``);
 * :mod:`repro.telemetry.history` — the append-only BENCH_history.jsonl
   perf trajectory and its regression report

@@ -23,9 +23,10 @@ Design points:
 * an enabled registry always traces: it carries a
   :class:`~repro.telemetry.tracing.TraceContext`, so every span event
   has a ``trace_id``/``span_id``/``parent_span_id`` triple, which lets
-  the shard merger stitch events from many worker processes into one
-  tree and :func:`~repro.telemetry.tracing.fold_ledger` account for
-  a run's time.
+  the merger stitch the events of many worker processes, folded into
+  one log, into one tree and
+  :func:`~repro.telemetry.tracing.fold_ledger` account for a run's
+  time.
 """
 
 import threading

@@ -7,9 +7,10 @@ Two implementations cover the two consumers:
 * :class:`JsonlSink` appends one JSON object per line to an event log —
   the durable record a run manifest points at.
 
-Sinks receive plain dicts (already carrying ``type``/``name``) and
-stamp a wall-clock ``ts`` so logs from different stages interleave
-meaningfully.
+Sinks receive plain dicts (already carrying ``type``/``name``); the
+JSONL sink stamps a wall-clock ``ts`` on each event that has none, so
+logs from different stages interleave meaningfully and an event copied
+from a worker's shard keeps the time it was recorded.
 """
 
 import json
@@ -88,7 +89,7 @@ class JsonlSink(Sink):
     written, and span events additionally :meth:`flush` explicitly on
     emission.  A worker SIGKILLed mid-write therefore loses at most
     the one partial trailing line, which
-    :func:`read_jsonl_tolerant` (and the shard merger built on it)
+    :func:`read_jsonl_tolerant` (and the shard fold built on it)
     skips instead of crashing on.
     """
 
@@ -100,7 +101,7 @@ class JsonlSink(Sink):
         self._handle = None
 
     def emit(self, event):
-        line = json.dumps(dict(event, ts=time.time()), sort_keys=True)
+        line = json.dumps({"ts": time.time(), **event}, sort_keys=True)
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -129,8 +130,8 @@ def read_jsonl_tolerant(path):
 
     Returns ``(events, torn)``: the events that parsed, and the number
     of lines that did not — a killed writer leaves at most one partial
-    trailing line, but the reader tolerates damage anywhere so a
-    merged view over many shards never dies on one bad shard.
+    trailing line, but the reader tolerates damage anywhere so one
+    bad line never costs the rest of a log.
     A missing file reads as empty (a worker may have been killed
     before its lazily-opened shard ever existed).
     """

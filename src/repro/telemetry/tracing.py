@@ -1,25 +1,26 @@
-"""Cross-process trace propagation, the shard merger and the ledger.
+"""Cross-process trace propagation, the shard fold and the ledger.
 
 Every enabled telemetry registry traces: its spans carry trace and
 span ids.  This module carries a trace across the process boundary,
-stitches the pieces back together and accounts for the run's time:
+gathers the pieces into the run's one event log and accounts for the
+run's time:
 
 * a :class:`TraceContext` — a trace id plus the parent span id new
   top-level spans should attach under — travels *in the payload* the
   supervisor ships to each worker attempt (no ambient environment
   state, so two concurrent sweeps never cross wires);
-* every worker attempt writes its own JSONL **shard** next to the
-  trace cache (``<cache>/traces/shard-<trace>-<task>-aN.jsonl``),
-  line-buffered so a killed attempt loses at most one partial line;
-* the supervisor emits one synthetic ``supervisor.shard`` span per
-  attempt — retries and timeouts included — naming the shard file it
-  owns;
-* :func:`merge_trace` reads the supervisor's own event log plus all
-  shards (tolerating torn trailing lines) and builds a
-  :class:`TraceTree` in which every worker attempt parents under its
-  shard span.  Spans whose parent never made it to disk (the attempt
-  was killed mid-flight) are *adopted* by their shard span rather
-  than dropped, so a tree over a crashed sweep is still complete;
+* every worker attempt writes its own line-buffered JSONL **shard**
+  in a private temporary directory of the supervisor's, so a killed
+  attempt loses at most one partial line;
+* when an attempt ends — ok, crash, hang or error alike —
+  :func:`fold_shard` copies its shard into the supervisor's own sink,
+  closes it with one synthetic ``supervisor.shard`` span and deletes
+  it.  Spans whose parent never reached the shard (the attempt was
+  killed mid-flight) are *adopted* by that shard span there, where
+  their owner is known, so the log of a crashed sweep is complete;
+* :func:`merge_trace` reads that one log (tolerating torn lines) and
+  builds a :class:`TraceTree` in which every worker attempt parents
+  under its shard span;
 * :func:`fold_ledger` folds that tree into the run's per-layer ledger:
   calls and self seconds per span name, the time no span claims, and
   the counters of every process.  ``repro-branches metrics --replay``
@@ -32,6 +33,7 @@ shows a worked example.
 
 import os
 import re
+import time
 import uuid
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -91,42 +93,47 @@ def shard_filename(trace_id, label, attempt):
         trace_id, _UNSAFE.sub("_", str(label)), attempt)
 
 
-def shard_path(trace_dir, trace_id, label, attempt):
-    return Path(trace_dir) / shard_filename(trace_id, label, attempt)
+def fold_shard(registry, span_id, label, attempt, status, duration,
+               shard):
+    """Copy an ended attempt's ``shard`` into ``registry``'s sink,
+    close it with its ``supervisor.shard`` span, and delete it.
 
-
-def emit_shard_span(registry, span_id, label, attempt, status,
-                    duration, shard):
-    """Emit the synthetic span covering one worker attempt's shard.
-
-    Attempts overlap in time, so the supervisor cannot model them with
-    the thread-stack span API; instead it allocates the id up front
-    (the child parents under it) and emits the completed span event
-    directly once the attempt resolves — ok, crash, hang, or error
-    alike, so a trace accounts for every attempt that ever started.
+    Attempts overlap in time, so the supervisor allocates the shard
+    span id up front (the child parents under it) and emits the span
+    here, whatever the ``status``.  A span whose parent is not in the
+    shard (the attempt was killed inside it) is re-parented on the
+    shard span and marked ``adopted``; the torn lines skipped ride on
+    the shard span as ``torn_lines``.
     """
-    if not registry.enabled or registry.sink is None:
-        return
-    registry.sink.emit({
-        "type": "span", "name": SHARD_SPAN, "duration_s": duration,
-        "depth": len(registry._stack()),
-        "trace_id": registry.trace.trace_id,
-        "span_id": span_id,
-        "parent_span_id": registry.current_span_id(),
-        "task": str(label), "attempt": attempt, "status": status,
-        "shard": shard,
-    })
+    ended = time.time()
+    events, torn = read_jsonl_tolerant(shard)
+    known = {span_id}
+    known.update(event.get("span_id") for event in events
+                 if event.get("type") == "span")
+    for event in events:
+        if (event.get("type") == "span"
+                and event.get("parent_span_id") not in known):
+            event = dict(event, parent_span_id=span_id, adopted=True)
+        registry.sink.emit(event)
+    span = {"type": "span", "name": SHARD_SPAN, "duration_s": duration,
+            "ts": ended, "depth": len(registry._stack()),
+            "trace_id": registry.trace.trace_id, "span_id": span_id,
+            "parent_span_id": registry.current_span_id(),
+            "task": str(label), "attempt": attempt, "status": status}
+    if torn:
+        span["torn_lines"] = torn
+    registry.sink.emit(span)
+    Path(shard).unlink(missing_ok=True)
 
 
 class TraceNode:
     """One span in a merged trace tree."""
 
     __slots__ = ("span_id", "name", "parent_span_id", "duration",
-                 "ts", "attrs", "children", "events", "adopted",
-                 "source")
+                 "ts", "attrs", "children", "events", "adopted")
 
     def __init__(self, span_id, name, parent_span_id, duration, ts,
-                 attrs, source):
+                 attrs, adopted=False):
         self.span_id = span_id
         self.name = name
         self.parent_span_id = parent_span_id
@@ -135,8 +142,7 @@ class TraceNode:
         self.attrs = attrs
         self.children = []
         self.events = []
-        self.adopted = False
-        self.source = source
+        self.adopted = adopted
 
     def walk(self):
         yield self
@@ -150,7 +156,7 @@ class TraceNode:
 
 _SPAN_EVENT_META = frozenset((
     "type", "name", "duration_s", "depth", "ts", "trace_id",
-    "span_id", "parent_span_id"))
+    "span_id", "parent_span_id", "adopted"))
 
 
 class TraceTree:
@@ -160,8 +166,8 @@ class TraceTree:
                  events):
         self.trace_id = trace_id
         self.roots = roots
-        #: Spans whose parent id is unknown *and* that could not be
-        #: adopted by a shard span — a complete trace has none.
+        #: Spans whose parent id is absent from the log — a complete
+        #: trace has none.
         self.orphans = orphans
         self.torn_lines = torn_lines
         self._nodes = nodes
@@ -230,57 +236,33 @@ class TraceTree:
             len(self.orphans))
 
 
-def jsonl_files(paths):
-    """The event-log files ``paths`` names, in read order.
-
-    ``paths`` is one path or a list/tuple of them; a directory expands
-    to every ``*.jsonl`` file beneath it sorted by path (a cache
-    directory's log and ``traces/`` shards), a file stands for itself.
-    """
-    files = []
-    for path in (paths if isinstance(paths, (list, tuple)) else [paths]):
-        path = Path(path)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.jsonl")))
-        else:
-            files.append(path)
-    return files
-
-
-def merge_trace(paths, trace_id=None):
-    """Stitch span shards into one :class:`TraceTree`.
+def merge_trace(path, trace_id=None):
+    """Stitch the spans of one event log into a :class:`TraceTree`.
 
     Args:
-        paths: JSONL files to merge — the supervisor's own event log
-            plus the attempt shards (or a directory, which merges
-            every ``*.jsonl`` beneath it).
+        path: the JSONL event log of a run, worker shards folded in.
         trace_id: restrict to this trace; default is the latest in
-            the files, the one with the last ``ts`` (several runs may
+            the log, the one with the last ``ts`` (several runs may
             append to one log).
 
     Structured events attach to their parent node as annotations.  A
-    span whose parent id is absent from the merged set is adopted by
-    the shard span owning its file when that is known (the attempt was
-    killed before its root span closed), and is an orphan otherwise.
+    span whose parent id is absent from the log is an orphan.  The
+    tree's ``torn_lines`` counts the log's torn lines and those its
+    shard spans report.
     """
-    torn_total = 0
-    read = []
-    for path in jsonl_files(paths):
-        events, torn = read_jsonl_tolerant(path)
-        torn_total += torn
-        read += [(event, path.name) for event in events
-                 if event.get("trace_id")]
+    read, torn = read_jsonl_tolerant(path)
+    read = [event for event in read if event.get("trace_id")]
     if trace_id is None and read:
         _, _, trace_id = max((event.get("ts", 0.0), order,
                               event["trace_id"])
-                             for order, (event, _) in enumerate(read))
-    read = [item for item in read if item[0]["trace_id"] == trace_id]
-    spans = [item for item in read if item[0].get("type") == "span"]
-    events = [event for event, _ in read if event.get("type") == "event"]
+                             for order, event in enumerate(read))
+    read = [event for event in read if event["trace_id"] == trace_id]
+    events = [event for event in read if event.get("type") == "event"]
 
     nodes = {}
-    shard_owner = {}            # shard file name -> shard span id
-    for event, source in spans:
+    for event in read:
+        if event.get("type") != "span":
+            continue
         node = TraceNode(
             span_id=event["span_id"], name=event.get("name", "?"),
             parent_span_id=event.get("parent_span_id"),
@@ -288,27 +270,19 @@ def merge_trace(paths, trace_id=None):
             ts=event.get("ts", 0.0),
             attrs={key: value for key, value in event.items()
                    if key not in _SPAN_EVENT_META},
-            source=source)
+            adopted=event.get("adopted", False))
         nodes[node.span_id] = node
-        if node.name == SHARD_SPAN and "shard" in node.attrs:
-            shard_owner[node.attrs["shard"]] = node.span_id
+        torn += node.attrs.get("torn_lines", 0)
 
     roots = []
     orphans = []
     for node in nodes.values():
         if node.parent_span_id is None:
             roots.append(node)
-            continue
-        parent = nodes.get(node.parent_span_id)
-        if parent is None:
-            adopter = shard_owner.get(node.source)
-            if adopter is not None and adopter != node.span_id:
-                node.adopted = True
-                nodes[adopter].children.append(node)
-            else:
-                orphans.append(node)
-            continue
-        parent.children.append(node)
+        elif node.parent_span_id in nodes:
+            nodes[node.parent_span_id].children.append(node)
+        else:
+            orphans.append(node)
 
     events.sort(key=lambda item: item.get("ts", 0.0))
     for event in events:
@@ -320,7 +294,7 @@ def merge_trace(paths, trace_id=None):
         node.children.sort(key=lambda child: (child.ts, child.span_id))
     roots.sort(key=lambda node: (node.ts, node.span_id))
     orphans.sort(key=lambda node: (node.ts, node.span_id))
-    return TraceTree(trace_id, roots, orphans, torn_total, nodes, events)
+    return TraceTree(trace_id, roots, orphans, torn, nodes, events)
 
 
 def _self_time(node):

@@ -167,7 +167,10 @@ class Machine:
 
         Telemetry is deliberately run-level, never per-instruction: the
         disabled path costs one attribute check per *run* and the
-        enabled path spans the whole execution as ``vm.run``.
+        enabled path spans the whole execution as ``vm.run``.  A run
+        counts in ``vm.runs`` (and ``vm.compiled_runs``) before it
+        starts, then in ``vm.faults`` if it raises or adds its
+        ``vm.instructions`` if it completes.
         """
         from repro.vm.compiled import run_compiled  # imports this module
 
@@ -176,14 +179,18 @@ class Machine:
                     and self.probe_addresses is None)
         if not TELEMETRY.enabled:
             return run_compiled(self) if compiled else self._run()
-        with TELEMETRY.span("vm.run", program=self.program.name,
-                            path="compiled" if compiled else "reference",
-                            traced=self.trace_enabled) as span:
-            result = run_compiled(self) if compiled else self._run()
-            span.annotate(instructions=result.instructions)
         TELEMETRY.count("vm.runs")
         if compiled:
             TELEMETRY.count("vm.compiled_runs")
+        with TELEMETRY.span("vm.run", program=self.program.name,
+                            path="compiled" if compiled else "reference",
+                            traced=self.trace_enabled) as span:
+            try:
+                result = run_compiled(self) if compiled else self._run()
+            except Exception:
+                TELEMETRY.count("vm.faults")
+                raise
+            span.annotate(instructions=result.instructions)
         TELEMETRY.count("vm.instructions", result.instructions)
         return result
 

@@ -463,13 +463,3 @@ def test_main_metrics_needs_replay(capsys):
     assert captured.err.count("\n") == 1
     assert "metrics needs --replay" in captured.err
 
-
-def test_main_metrics_replay_of_a_directory_without_logs(tmp_path, capsys):
-    """A shard directory with no ``*.jsonl`` file is a usage error, not
-    an empty exposition."""
-    (tmp_path / "notes.txt").write_text("not an event log\n")
-    assert main(["metrics", "--replay", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "no *.jsonl event log in" in captured.err

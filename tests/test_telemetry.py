@@ -172,6 +172,18 @@ def test_jsonl_sink_roundtrip(tmp_path):
     assert all("ts" in event for event in events)
 
 
+def test_jsonl_sink_keeps_an_events_own_ts(tmp_path):
+    """An event folded in from a worker's shard keeps the time it was
+    recorded; only an event without one is stamped."""
+    path = tmp_path / "events.jsonl"
+    with JsonlSink(path) as sink:
+        sink.emit({"type": "span", "name": "folded", "ts": 12.5})
+        sink.emit({"type": "span", "name": "fresh"})
+    folded, fresh = read_jsonl_tolerant(path)[0]
+    assert folded["ts"] == 12.5
+    assert fresh["ts"] > 12.5
+
+
 def test_jsonl_sink_append_after_close(tmp_path):
     path = tmp_path / "events.jsonl"
     sink = JsonlSink(path)

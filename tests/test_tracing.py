@@ -1,8 +1,9 @@
-"""Tests for cross-process tracing: contexts, shards, the merger,
-and the per-layer ledger of recorded runs."""
+"""Tests for cross-process tracing: contexts, the shard fold, the
+merger, and the per-layer ledger of recorded runs."""
 
 import json
 import os
+import tempfile
 import time
 
 import pytest
@@ -147,15 +148,22 @@ def _crash_once_worker(payload):
         os._exit(13)
 
 
-def test_supervised_sweep_yields_complete_tree(tmp_path, traced):
+def test_supervised_sweep_yields_complete_tree(tmp_path, traced,
+                                               monkeypatch):
+    """The sweep's own log holds every attempt's spans under its shard
+    span, and the shards' temporary directory is gone after it."""
     log, context = traced
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     report = run_supervised([("a", "a"), ("b", "b"), ("c", "c")],
                             _trace_worker, workers=2, timeout=30.0,
-                            retries=0, trace_dir=tmp_path / "traces")
+                            retries=0)
     assert report.ok
+    assert not any(scratch.iterdir())
     TELEMETRY.sink.close()
 
-    tree = merge_trace([log, tmp_path / "traces"])
+    tree = merge_trace(log)
     assert tree.trace_id == context.trace_id
     assert tree.complete
     shards = tree.shards()
@@ -175,12 +183,11 @@ def test_retried_attempt_gets_own_shard_span(tmp_path, traced):
     marker = tmp_path / "crash-once.marker"
     report = run_supervised([("flaky", ("flaky", str(marker)))],
                             _crash_once_worker, workers=1,
-                            timeout=30.0, retries=2, backoff=0.01,
-                            trace_dir=tmp_path / "traces")
+                            timeout=30.0, retries=2, backoff=0.01)
     assert report.ok and report.outcome("flaky").attempts == 2
     TELEMETRY.sink.close()
 
-    tree = merge_trace([log, tmp_path / "traces"])
+    tree = merge_trace(log)
     assert tree.complete
     shards = tree.shards()
     assert [node.attrs["attempt"] for node in shards] == [1, 2]
@@ -202,14 +209,13 @@ def test_injected_hang_keeps_tree_complete(tmp_path, traced):
     try:
         report = run_supervised([("hungry", "hungry")], _trace_worker,
                                 workers=1, timeout=0.5, retries=1,
-                                backoff=0.01,
-                                trace_dir=tmp_path / "traces")
+                                backoff=0.01)
     finally:
         os.environ.pop(PLAN_ENV_VAR, None)
     assert report.ok and report.outcome("hungry").attempts == 2
     TELEMETRY.sink.close()
 
-    tree = merge_trace([log, tmp_path / "traces"])
+    tree = merge_trace(log)
     assert tree.complete, tree.render()
     shards = tree.shards()
     assert [node.attrs["status"] for node in shards] == ["hang", "ok"]
@@ -220,20 +226,31 @@ def test_injected_hang_keeps_tree_complete(tmp_path, traced):
     assert attempts[0].parent_span_id == shards[1].span_id
 
 
-def test_merge_skips_torn_trailing_line(tmp_path, traced):
-    log, _context = traced
-    report = run_supervised([("a", "a")], _trace_worker, workers=1,
-                            timeout=30.0, retries=0,
-                            trace_dir=tmp_path / "traces")
-    assert report.ok
-    TELEMETRY.sink.close()
-    shard = next((tmp_path / "traces").glob("shard-*.jsonl"))
-    with open(shard, "a") as handle:
+def _torn_worker(payload):
+    """One span, then die in the middle of writing the next line."""
+    with TELEMETRY.span("work.step", task=str(payload)):
+        pass
+    with open(TELEMETRY.sink.path, "a") as handle:
         handle.write('{"type": "span", "name": "torn", "span')
-    tree = merge_trace([log, tmp_path / "traces"])
+    os._exit(13)
+
+
+def test_merge_skips_torn_trailing_line(tmp_path, traced):
+    """The fold skips the killed attempt's torn trailing line and
+    counts it on the attempt's shard span."""
+    log, _context = traced
+    report = run_supervised([("a", "a")], _torn_worker, workers=1,
+                            timeout=30.0, retries=0)
+    assert not report.ok
+    TELEMETRY.sink.close()
+    tree = merge_trace(log)
     assert tree.complete
-    assert tree.torn_lines == 1
+    (shard,) = tree.shards()
+    assert shard.attrs["status"] == "crash"
+    assert shard.attrs["torn_lines"] == tree.torn_lines == 1
     assert not tree.named("torn")
+    assert [node.name for node in shard.children] == ["work.step"]
+    assert shard.children[0].adopted
 
 
 def test_merge_trace_respects_trace_id_filter(tmp_path):
@@ -245,7 +262,7 @@ def test_merge_trace_respects_trace_id_filter(tmp_path):
                 "trace_id": trace, "span_id": trace + "-1",
                 "parent_span_id": None, "duration_s": 0.1,
                 "ts": 1.0}) + "\n")
-    tree = merge_trace([path], trace_id="bbbb")
+    tree = merge_trace(path, trace_id="bbbb")
     assert tree.trace_id == "bbbb"
     assert [node.name for node in tree.roots] == ["root-bbbb"]
 
@@ -259,7 +276,7 @@ def test_merge_defaults_to_the_latest_trace(tmp_path):
                 "trace_id": trace, "span_id": "%s-%s" % (trace, ts),
                 "parent_span_id": None, "duration_s": 0.1,
                 "ts": ts}) + "\n")
-    assert merge_trace([path]).trace_id == "bbbb"
+    assert merge_trace(path).trace_id == "bbbb"
 
 
 # --- the ledger -------------------------------------------------------------
@@ -302,55 +319,48 @@ def test_ledger_self_time_subtracts_the_union_of_children(tmp_path):
     assert layers["left"] == layers["right"] == (1, 4.0)
 
 
-def test_ledger_folds_the_orphans_of_a_shards_only_replay(tmp_path,
-                                                          traced):
-    report = run_supervised([("a", "a"), ("b", "b")], _trace_worker,
-                            workers=2, timeout=30.0, retries=0,
-                            trace_dir=tmp_path / "traces")
-    assert report.ok
-    TELEMETRY.sink.close()
-
-    tree = merge_trace(tmp_path / "traces")
-    assert not tree.roots and len(tree.orphans) == 2
+def test_ledger_folds_the_orphans_of_a_log_cut_short(tmp_path):
+    """A run killed before its root span closed leaves its children
+    orphaned; the ledger still counts them, with no wall time."""
+    log = tmp_path / "run.jsonl"
+    _write_events(log, [_span("runner.vm", "p-2", "p-1", 0.0, 2.0),
+                        _span("vm.run", "p-3", "p-2", 0.5, 1.5)])
+    tree = merge_trace(log)
+    assert not tree.roots and [node.name for node in tree.orphans] == [
+        "runner.vm"]
     ledger = fold_ledger(tree)
     assert ledger["wall_s"] == ledger["other_s"] == 0.0
-    assert ledger["layers"][ATTEMPT_SPAN][0] == 2
-    calls, self_s = ledger["layers"]["work.step"]
-    assert calls == 2 and self_s >= 0.02
+    assert ledger["layers"] == {"runner.vm": (1, 1.0),
+                                "vm.run": (1, 1.0)}
 
 
 def test_ledger_sums_the_counters_of_every_process(tmp_path):
-    traces = tmp_path / "traces"
-    traces.mkdir()
-    _write_events(tmp_path / "telemetry.jsonl", [
+    log = tmp_path / "telemetry.jsonl"
+    _write_events(log, [
         _span("root", "p1-1", None, 0.0, 1.0),
-        _snapshot({"vm.runs": 1, "predictor.records": 10})])
-    _write_events(traces / "shard-a.jsonl",
-                  [_snapshot({"vm.runs": 2}, parent="p1-2")])
-    _write_events(traces / "shard-b.jsonl",
-                  [_snapshot({"vm.runs": 4}, parent="p1-3")])
-    _write_events(traces / "shard-old.jsonl",   # an earlier run's
-                  [_snapshot({"vm.runs": 100}, ts=50.0)], trace_id="o" * 16)
-    ledger = fold_ledger(merge_trace(tmp_path))
+        _snapshot({"vm.runs": 1, "predictor.records": 10}),
+        _snapshot({"vm.runs": 2}, parent="p1-2"),
+        _snapshot({"vm.runs": 4}, parent="p1-3")])
+    with open(log, "a") as handle:      # an earlier run's snapshot
+        handle.write(json.dumps(dict(_snapshot({"vm.runs": 100}, ts=50.0),
+                                     trace_id="o" * 16)) + "\n")
+    ledger = fold_ledger(merge_trace(log))
     assert ledger["counters"] == {"predictor.records": 10, "vm.runs": 7}
 
 
 def test_metrics_cli_replay(tmp_path, capsys):
     from repro.cli import main
 
-    traces = tmp_path / "traces"
-    traces.mkdir()
-    _write_events(tmp_path / "telemetry.jsonl", [
+    log = tmp_path / "telemetry.jsonl"
+    _write_events(log, [
         _span("runner.vm", "p1-2", "p1-1", 0.5, 2.0),
         _span("cli.table3", "p1-1", None, 0.0, 2.5),
-        _snapshot({"predictor.records": 1234})])
-    _write_events(traces / "shard-t-a-a1.jsonl",
-                  [_snapshot({"predictor.records": 1000})])
-    (traces / "notes.txt").write_text("not an event log\n")
+        _snapshot({"predictor.records": 1234}),
+        _snapshot({"predictor.records": 1000}, parent="p1-2")])
 
     renders = []
     for _ in range(2):
-        assert main(["metrics", "--replay", str(tmp_path)]) == 0
+        assert main(["metrics", "--replay", str(log)]) == 0
         renders.append(capsys.readouterr().out)
     assert renders[0] == renders[1]
     lines = renders[0].splitlines()
@@ -428,26 +438,30 @@ def test_ledger_of_the_paper_takes_no_fallback(tmp_path):
 
 def test_ledger_of_a_two_worker_run_covers_every_child(tmp_path,
                                                        monkeypatch):
-    """``all --workers 2 --telemetry`` from an empty cache: the ledger
-    of the cache directory holds every worker attempt's spans and
-    counters under the CLI's one root."""
+    """``all --workers 2 --telemetry`` from an empty cache: the run's
+    own event log holds every worker attempt's spans and counters
+    under the CLI's one root, each benchmark compiles once, and no
+    shard file is left behind."""
     from repro.benchmarksuite import ALL_BENCHMARK_NAMES
     from repro.cli import main
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["all", "--scale", "0.1", "--workers", "2",
                  "--telemetry"]) == 0
-    tree = merge_trace(tmp_path)
+    assert not list(tmp_path.rglob("shard-*.jsonl"))
+    tree = merge_trace(tmp_path / "telemetry.jsonl")
     assert tree.complete
     assert [root.name for root in tree.roots] == ["cli.all"]
     ledger = fold_ledger(tree)
     layers = ledger["layers"]
     count = len(ALL_BENCHMARK_NAMES)
-    for name in (SHARD_SPAN, ATTEMPT_SPAN, "runner.vm", "runner.trace"):
+    for name in (SHARD_SPAN, ATTEMPT_SPAN, "runner.compile", "runner.vm",
+                 "runner.trace"):
         assert layers[name][0] == count, name
+    in_workers = {node.span_id for attempt in tree.attempts()
+                  for node in attempt.walk()}
     vm_runs = tree.named("vm.run")
-    assert vm_runs and all(run.source.startswith("shard-")
-                           for run in vm_runs)
+    assert vm_runs and all(run.span_id in in_workers for run in vm_runs)
     assert ledger["counters"]["vm.instructions"] == sum(
         run.attrs["instructions"] for run in vm_runs)
     assert ledger["counters"]["runner.cache.hit"] == count
@@ -455,13 +469,15 @@ def test_ledger_of_a_two_worker_run_covers_every_child(tmp_path,
 
 
 def test_metrics_replay_missing_log_is_bad_argument(tmp_path, capsys):
+    """A path that names no file, a directory included, is a usage
+    error, not an empty ledger."""
     from repro.cli import EXIT_BAD_ARGUMENT, main
 
-    assert main(["metrics", "--replay",
-                 str(tmp_path / "nope.jsonl")]) == EXIT_BAD_ARGUMENT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "no such event log" in captured.err
+    for path in (tmp_path / "nope.jsonl", tmp_path):
+        assert main(["metrics", "--replay", str(path)]) == EXIT_BAD_ARGUMENT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no such event log" in captured.err
 
 
 def test_attempt_span_name_constant():

@@ -247,14 +247,21 @@ def _random_assembly(rng):
     return assemble("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_compiled_matches_reference_on_random_assembly(seed):
+def _random_machines(seed):
+    """The runs of ``seed``: five random programs, each under a small
+    random budget and under 5000 instructions."""
     rng = random.Random(seed)
     for _ in range(5):
         program = _random_assembly(rng)
         for budget in (rng.randint(0, 60), 5000):
-            assert_same(program, inputs=[bytes([rng.randrange(256)] * 5)],
-                        trace=True, max_instructions=budget)
+            yield Machine(program, inputs=[bytes([rng.randrange(256)] * 5)],
+                          trace=True, max_instructions=budget)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_compiled_matches_reference_on_random_assembly(seed):
+    for machine in _random_machines(seed):
+        assert _outcome(machine.run) == _outcome(machine._run)
 
 
 # -- faults and budgets ----------------------------------------------------
@@ -336,6 +343,21 @@ def counters():
         in TELEMETRY.snapshot()["counters"].items()
         if name.startswith(prefix)}
     TELEMETRY.disable().reset()
+
+
+def test_the_random_assembly_ledger_counts_every_run(counters):
+    """Over the runs of the 40 random-assembly seeds, each run counts
+    once in ``vm.runs``: the completed ones, and the ones that raised,
+    which count in ``vm.faults`` too; no more runs leave the fast path
+    than ran."""
+    completed = 0
+    for seed in range(40):
+        for machine in _random_machines(seed):
+            completed += _outcome(machine.run)[0] != "raised"
+    ledger = counters()
+    assert completed and ledger["vm.faults"]
+    assert ledger["vm.runs"] == completed + ledger["vm.faults"]
+    assert ledger["vm.fast_path_exits"] <= ledger["vm.runs"]
 
 
 @pytest.fixture
