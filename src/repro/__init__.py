@@ -21,20 +21,25 @@ Package map:
 * :mod:`repro.pipeline` — the cost model and a cycle simulator.
 * :mod:`repro.benchmarksuite` — the ten Unix benchmarks in Minic.
 * :mod:`repro.experiments` — Tables 1-5 and Figures 3-4.
+
+``import repro`` loads none of them: each name in ``__all__`` is
+imported from its home module the first time it is read
+(:mod:`repro._lazy`), so a ``repro-branches`` subcommand loads only
+the modules it runs.
 """
 
-from repro.experiments.runner import SuiteRunner
-from repro.lang import compile_source
-from repro.pipeline import PipelineConfig, branch_cost
-from repro.predictors import (
-    CounterBTB,
-    ForwardSemanticPredictor,
-    SimpleBTB,
-    simulate,
-)
-from repro.vm import run_program
+from repro._lazy import lazy_names
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_names(globals(), {
+    "repro.experiments.runner": ("SuiteRunner",),
+    "repro.lang": ("compile_source",),
+    "repro.vm": ("run_program",),
+    "repro.pipeline": ("PipelineConfig", "branch_cost"),
+    "repro.predictors": ("SimpleBTB", "CounterBTB",
+                         "ForwardSemanticPredictor", "simulate"),
+})
 
 __all__ = [
     "SuiteRunner",

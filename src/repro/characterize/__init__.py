@@ -23,23 +23,22 @@ maximal aliasing, and pathological periodic patterns the program
 fuzzer essentially never produces.
 """
 
-from repro.characterize.infer import (
-    MAX_COUNTER_BITS,
-    MAX_ENTRIES,
-    MAX_HISTORY,
-    characterize,
-)
-from repro.characterize.probes import (
-    PROBE_FAMILIES,
-    chain_trace,
-    disagree_trace,
-    ladder_trace,
-    probe_battery,
-    step_trace,
-    victim_trace,
-)
-from repro.characterize.report import CharacterizationReport, ProbeEvidence
-from repro.characterize.roster import roster_names, run_roster, run_self_test
+from repro._lazy import lazy_names
+
+# Imported on first use (:mod:`repro._lazy`): the conformance harness
+# needs only the probe traces, not the inference or the roster.
+__getattr__, __dir__ = lazy_names(globals(), {
+    "repro.characterize.infer": ("MAX_COUNTER_BITS", "MAX_ENTRIES",
+                                 "MAX_HISTORY", "characterize"),
+    "repro.characterize.probes": ("PROBE_FAMILIES", "chain_trace",
+                                  "disagree_trace", "ladder_trace",
+                                  "probe_battery", "step_trace",
+                                  "victim_trace"),
+    "repro.characterize.report": ("CharacterizationReport",
+                                  "ProbeEvidence"),
+    "repro.characterize.roster": ("roster_names", "run_roster",
+                                  "run_self_test"),
+})
 
 __all__ = [
     "MAX_COUNTER_BITS",

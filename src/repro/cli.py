@@ -22,16 +22,20 @@ Examples::
 """
 
 import argparse
+import importlib
 import os
 import sys
 
-from repro.experiments import staticpred, summary, sweeps
-from repro.experiments.runner import SuiteRunner
 from repro.telemetry.core import TELEMETRY
 
-_EXPERIMENTS = {key: module.render for key, _, module in summary.SECTIONS}
-_EXPERIMENTS.update(staticpred=staticpred.render, sweeps=sweeps.render,
-                    report=summary.render)
+#: Rendered experiment -> the module of ``repro.experiments`` whose
+#: ``render(runner, names)`` draws it.  Each subcommand imports only
+#: what it runs, so the module is imported, and its ``render`` read,
+#: when that experiment runs (:func:`_render`).
+_EXPERIMENTS = {name: name for name in (
+    "table1", "table2", "table3", "table4", "table5", "figures",
+    "headline", "storage", "staticpred", "sweeps")}
+_EXPERIMENTS["report"] = "summary"
 
 #: Subcommands that accept an optional target name positionally (a
 #: benchmark, or for 'characterize' a roster predictor).
@@ -45,6 +49,14 @@ _CACHELESS = ("lint", "cache", "faults", "metrics", "bench-history",
 #: reported failures, e.g. lint errors or conformance divergence).
 EXIT_BAD_ARGUMENT = 2
 EXIT_CACHE_UNWRITABLE = 3
+
+
+def _render(experiment):
+    """The render function of ``experiment``, read from its module now,
+    so a rebound module attribute is the one that runs."""
+    module = importlib.import_module("repro.experiments."
+                                     + _EXPERIMENTS[experiment])
+    return module.render
 
 
 def build_parser():
@@ -446,7 +458,7 @@ def _validate_args(args):
             except KeyError as error:
                 return _usage_error(error.args[0])
     if not args.no_cache and args.experiment not in _CACHELESS:
-        from repro.experiments.runner import default_cache_dir
+        from repro.experiments.cache import default_cache_dir
 
         directory = default_cache_dir()
         try:
@@ -493,7 +505,7 @@ def _enable_telemetry(args):
     """Turn the registry on with a JSONL sink; returns the log path."""
     from pathlib import Path
 
-    from repro.experiments.runner import default_cache_dir
+    from repro.experiments.cache import default_cache_dir
     from repro.telemetry.sinks import JsonlSink
 
     if args.telemetry_log:
@@ -549,6 +561,8 @@ def _run_experiment(args, event_log):
                                   sort_keys=True) + "\n"
                 if args.json else report.render())
         return text, 0 if report.ok else 1
+    from repro.experiments.runner import SuiteRunner
+
     runner = SuiteRunner(scale=args.scale, runs=args.runs,
                          cache_dir=False if args.no_cache else None,
                          event_log=event_log,
@@ -563,6 +577,8 @@ def _run_experiment(args, event_log):
             print("warm workers: %s" % report.render(),
                   file=sys.stderr)
     if args.experiment in ("all", "report"):
+        from repro.experiments import summary
+
         checkpoint = _sweep_checkpoint(
             runner, names, [key for key, _, _ in summary.SECTIONS],
             args.experiment, args.resume)
@@ -580,7 +596,7 @@ def _run_experiment(args, event_log):
     elif args.experiment == "profile":
         text = _profile(runner, names)
     else:
-        text = _EXPERIMENTS[args.experiment](runner, names)
+        text = _render(args.experiment)(runner, names)
     return text, 0
 
 
@@ -600,7 +616,7 @@ def main(argv=None):
         _write_output(text, args.output)
         return exit_code
     if args.experiment == "cache":
-        from repro.experiments.stats import render_cache
+        from repro.experiments.cache import render_cache
 
         _write_output(render_cache(as_json=args.json), args.output)
         return 0

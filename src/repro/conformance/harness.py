@@ -29,6 +29,7 @@ ledger of a traced run accounts for the differential's time:
 divergence, ``conformance.shrink``.
 """
 
+from repro.characterize.probes import probe_battery
 from repro.conformance.differential import (
     cycle_divergence,
     engine_divergence,
@@ -259,8 +260,6 @@ def run_conformance(seeds=200, golden=True, cache=True):
     oversubscribes sets and maximises aliasing, regimes the
     program-skeleton fuzzer essentially never reaches.
     """
-    from repro.characterize.probes import probe_battery
-
     report = ConformanceReport(seeds)
     with TELEMETRY.span("conformance.probes"):
         schemes = _schemes(None)

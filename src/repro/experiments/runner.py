@@ -37,7 +37,6 @@ failure killing the campaign.
 import hashlib
 import json
 import os
-import re
 import zipfile
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -45,6 +44,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from repro.benchmarksuite import get_benchmark
+from repro.experiments.cache import (
+    _VERSION_IN_STEM,
+    CACHE_FORMAT_VERSION,
+    default_cache_dir,
+)
 from repro.lang import compile_source
 from repro.profiling import Profile
 from repro.profiling.profiler import checked_paths
@@ -75,13 +79,6 @@ from repro.predictors import (
 )
 from repro.vm import BranchTrace, run_program
 
-# Version 6: the cached trace stores sites, targets and gaps in the
-# narrowest dtype that holds them and class and taken as one ``flags``
-# column (BranchTrace.to_arrays).  Older entries are regenerated, each
-# one found emitting a cache.invalidated event; without the bump an
-# older checkout would quarantine the new entries as corrupt.
-CACHE_FORMAT_VERSION = 6
-
 #: Per-run VM instruction budget.
 MAX_INSTRUCTIONS = 500_000_000
 
@@ -101,8 +98,6 @@ LOCK_TIMEOUT = 600.0
 #: (:func:`repro.analysis.staticpred.estimate_profile`) and never
 #: invokes the profiler.
 PROFILE_SOURCES = ("measured", "static")
-
-_VERSION_IN_STEM = re.compile(r"-v(\d+)-")
 
 
 class RunConfig(NamedTuple):
@@ -199,85 +194,6 @@ class BenchmarkRun:
         return self._expansions
 
 
-def default_cache_dir():
-    """The trace cache location (REPRO_CACHE_DIR overrides)."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".repro_cache"
-
-
-def _parses_as_json_object(path):
-    """True when ``path`` holds a JSON object (however unfamiliar).
-
-    Distinguishes a manifest from a *newer schema* — valid JSON whose
-    structure this version cannot interpret, which is staleness — from
-    a torn or bit-rotted file, which is corruption.
-    """
-    try:
-        return isinstance(json.loads(Path(path).read_text()), dict)
-    except (OSError, ValueError):
-        return False
-
-
-def list_cache_entries(cache_dir=None):
-    """Inventory of the trace cache for ``repro-branches cache``.
-
-    Groups the ``.npz`` trace, ``.json`` profile, and
-    ``.manifest.json`` of each cache stem; returns a list of dicts
-    (sorted by stem) with sizes, the current-version flag, a
-    ``status`` field, and the parsed manifest when one parses.
-
-    Damage never raises, and damage is distinguished from mere age: a
-    torn or non-JSON manifest reports ``status: "corrupt"`` (manifest
-    ``None``); a manifest that is valid JSON but from another era — a
-    future schema this code cannot parse, or a ``format_version``
-    other than the current one — reports ``status: "stale"`` (the
-    entry is intact, just unusable by this version); a missing
-    manifest reports ``status: "no-manifest"`` — so the listing works
-    on a damaged cache directory instead of crashing on it.
-    """
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    entries = []
-    if not cache_dir.is_dir():
-        return entries
-    for trace_path in sorted(cache_dir.glob("*.npz")):
-        stem = trace_path.stem
-        profile_path = trace_path.with_suffix(".json")
-        manifest_path = manifest_path_for(trace_path)
-        size = 0
-        for path in (trace_path, profile_path, manifest_path):
-            try:
-                size += path.stat().st_size
-            except OSError:
-                pass
-        manifest = None
-        status = "ok"
-        if manifest_path.exists():
-            try:
-                manifest = RunManifest.load(manifest_path)
-            except ManifestError:
-                status = ("stale" if _parses_as_json_object(manifest_path)
-                          else "corrupt")
-            else:
-                if manifest.format_version != CACHE_FORMAT_VERSION:
-                    status = "stale"
-        else:
-            status = "no-manifest"
-        match = _VERSION_IN_STEM.search(trace_path.name)
-        version = int(match.group(1)) if match else None
-        entries.append({
-            "stem": stem,
-            "path": str(trace_path),
-            "size_bytes": size,
-            "format_version": version,
-            "current": version == CACHE_FORMAT_VERSION,
-            "status": status,
-            "manifest": manifest,
-        })
-    return entries
-
-
 class SuiteRunner:
     """Runs benchmarks and caches their traces and profiles.
 
@@ -356,15 +272,22 @@ class SuiteRunner:
         """
         if trace_path is None or not self.cache_dir.is_dir():
             return []
-        pattern = _VERSION_IN_STEM.sub("-v*-", trace_path.name)
+        # Names equal to this entry's but for the version.  Matched
+        # around the version, not by a glob, which would compile a new
+        # pattern for every benchmark.
+        own = _VERSION_IN_STEM.search(trace_path.name)
+        head = trace_path.name[:own.start()]
+        tail = trace_path.name[own.end():]
         stale = []
-        for path in sorted(self.cache_dir.glob(pattern)):
-            match = _VERSION_IN_STEM.search(path.name)
-            if match is None:
+        for entry in sorted(os.listdir(self.cache_dir)):
+            match = _VERSION_IN_STEM.search(entry)
+            if (match is None or entry[:match.start()] != head
+                    or entry[match.end():] != tail):
                 continue
             found = int(match.group(1))
             if found == CACHE_FORMAT_VERSION:
                 continue
+            path = self.cache_dir / entry
             stale.append(path)
             TELEMETRY.count("runner.cache.invalidated")
             TELEMETRY.event(

@@ -89,8 +89,12 @@ def cbtb_kernel(predictor, view):
     low[allocations] = allocated
     high[allocations] = allocated
     counter = scan.sorted_exclusive_states(first, delta, low, high, 0)
+    # Per-record transients go as soon as they are consumed, so they
+    # are not alive through the target pass and the eviction replay.
+    del delta, low, high
     present = ~first
     pred_taken = (counter >= threshold) & present
+    del counter
 
     # Stored target: written at allocation and on every taken update.
     # A segment starts with a write, so the latest write at or before

@@ -23,41 +23,25 @@ docs/RESILIENCE.md for the full guide):
   ``repro-branches faults``.
 """
 
-from repro.resilience.checkpoint import (
-    SweepCheckpoint,
-    sweep_fingerprint,
-)
-from repro.resilience.errors import (
-    CacheCorruptError,
-    LockTimeout,
-    ManifestError,
-    ResilienceError,
-)
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FAULTS,
-    Fault,
-    FaultInjector,
-    FaultPlan,
-)
-from repro.resilience.store import (
-    QUARANTINE_SUFFIX,
-    StemLock,
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_npz,
-    atomic_write_text,
-    data_checksum,
-    file_checksum,
-    list_quarantined,
-    quarantine,
-    verify_checksum,
-)
-from repro.resilience.supervisor import (
-    RunReport,
-    TaskOutcome,
-    run_supervised,
-)
+from repro._lazy import lazy_names
+
+# Imported on first use (:mod:`repro._lazy`): the supervisor alone
+# pulls in ``multiprocessing``, which a cache read never needs.
+__getattr__, __dir__ = lazy_names(globals(), {
+    "repro.resilience.checkpoint": ("SweepCheckpoint", "sweep_fingerprint"),
+    "repro.resilience.errors": ("CacheCorruptError", "LockTimeout",
+                                "ManifestError", "ResilienceError"),
+    "repro.resilience.faults": ("FAULT_KINDS", "FAULTS", "Fault",
+                                "FaultInjector", "FaultPlan"),
+    "repro.resilience.store": ("QUARANTINE_SUFFIX", "StemLock",
+                               "atomic_write_bytes", "atomic_write_json",
+                               "atomic_write_npz", "atomic_write_text",
+                               "data_checksum", "file_checksum",
+                               "list_quarantined", "quarantine",
+                               "verify_checksum"),
+    "repro.resilience.supervisor": ("RunReport", "TaskOutcome",
+                                    "run_supervised"),
+})
 
 __all__ = [
     "SweepCheckpoint",

@@ -29,32 +29,21 @@ instrumented with this package), so it is deliberately *not* imported
 here — import it as ``repro.telemetry.attribution``.
 """
 
-from repro.telemetry.core import (
-    NULL_SPAN,
-    Counter,
-    Span,
-    TELEMETRY,
-    Telemetry,
-)
-from repro.telemetry.manifest import (
-    MANIFEST_VERSION,
-    RunManifest,
-    git_sha,
-    manifest_path_for,
-)
-from repro.telemetry.sinks import (
-    InMemoryAggregator,
-    JsonlSink,
-    Sink,
-    read_jsonl_tolerant,
-)
-from repro.telemetry.tracing import (
-    TraceContext,
-    TraceTree,
-    fold_ledger,
-    merge_trace,
-    new_trace_id,
-)
+from repro._lazy import lazy_names
+
+# Imported on first use (:mod:`repro._lazy`): ``metrics`` and
+# ``bench-history`` read an event log without the manifest's
+# ``subprocess``.
+__getattr__, __dir__ = lazy_names(globals(), {
+    "repro.telemetry.core": ("NULL_SPAN", "Counter", "Span", "TELEMETRY",
+                             "Telemetry"),
+    "repro.telemetry.manifest": ("MANIFEST_VERSION", "RunManifest",
+                                 "git_sha", "manifest_path_for"),
+    "repro.telemetry.sinks": ("InMemoryAggregator", "JsonlSink", "Sink",
+                              "read_jsonl_tolerant"),
+    "repro.telemetry.tracing": ("TraceContext", "TraceTree", "fold_ledger",
+                                "merge_trace", "new_trace_id"),
+})
 
 __all__ = [
     "NULL_SPAN",

@@ -34,7 +34,6 @@ shows a worked example.
 import os
 import re
 import time
-import uuid
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -83,8 +82,8 @@ class TraceContext:
 
 
 def new_trace_id():
-    """A fresh 16-hex-digit trace id."""
-    return uuid.uuid4().hex[:16]
+    """A fresh 16-hex-digit trace id (64 random bits)."""
+    return os.urandom(8).hex()
 
 
 def shard_filename(trace_id, label, attempt):

@@ -362,11 +362,11 @@ def test_v5_entry_lists_stale_and_is_recomputed(tmp_path,
 
     import numpy as np
 
-    from repro.experiments.runner import (
+    from repro.experiments.cache import (
         CACHE_FORMAT_VERSION,
-        SuiteRunner,
         list_cache_entries,
     )
+    from repro.experiments.runner import SuiteRunner
     from repro.resilience.store import file_checksum, list_quarantined
     from repro.telemetry.manifest import manifest_path_for
 
@@ -412,11 +412,11 @@ def test_v5_entry_lists_stale_and_is_recomputed(tmp_path,
 
 
 def test_cache_listing(tmp_path):
-    from repro.experiments.runner import (
+    from repro.experiments.cache import (
         CACHE_FORMAT_VERSION,
-        SuiteRunner,
         list_cache_entries,
     )
+    from repro.experiments.runner import SuiteRunner
 
     assert list_cache_entries(tmp_path) == []
     SuiteRunner(scale=0.05, runs=1, cache_dir=tmp_path).run("wc")
