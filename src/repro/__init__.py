@@ -32,7 +32,7 @@ from repro._lazy import lazy_names
 
 __version__ = "1.0.0"
 
-__getattr__, __dir__ = lazy_names(globals(), {
+__getattr__, __dir__, __all__ = lazy_names(globals(), {
     "repro.experiments.runner": ("SuiteRunner",),
     "repro.lang": ("compile_source",),
     "repro.vm": ("run_program",),
@@ -40,16 +40,4 @@ __getattr__, __dir__ = lazy_names(globals(), {
     "repro.predictors": ("SimpleBTB", "CounterBTB",
                          "ForwardSemanticPredictor", "simulate"),
 })
-
-__all__ = [
-    "SuiteRunner",
-    "compile_source",
-    "run_program",
-    "PipelineConfig",
-    "branch_cost",
-    "SimpleBTB",
-    "CounterBTB",
-    "ForwardSemanticPredictor",
-    "simulate",
-    "__version__",
-]
+__all__.append("__version__")

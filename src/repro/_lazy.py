@@ -5,7 +5,7 @@ every importer pay for every submodule.  :func:`lazy_names` builds the
 module ``__getattr__`` and ``__dir__`` that import each public name
 from its home module the first time it is read instead::
 
-    __getattr__, __dir__ = lazy_names(globals(), {
+    __getattr__, __dir__, __all__ = lazy_names(globals(), {
         "repro.pipeline": ("PipelineConfig", "branch_cost"),
     })
 
@@ -17,7 +17,8 @@ from importlib import import_module
 
 
 def lazy_names(namespace, homes):
-    """The ``(__getattr__, __dir__)`` pair for a package namespace.
+    """The ``(__getattr__, __dir__, __all__)`` of a package namespace;
+    ``__all__`` lists the public names in the order ``homes`` gives.
 
     Args:
         namespace: the package's ``globals()``.
@@ -38,4 +39,4 @@ def lazy_names(namespace, homes):
     def __dir__():
         return sorted(set(namespace) | set(home_of))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(home_of)

@@ -27,7 +27,7 @@ from repro._lazy import lazy_names
 
 # Imported on first use (:mod:`repro._lazy`): the conformance harness
 # needs only the probe traces, not the inference or the roster.
-__getattr__, __dir__ = lazy_names(globals(), {
+__getattr__, __dir__, __all__ = lazy_names(globals(), {
     "repro.characterize.infer": ("MAX_COUNTER_BITS", "MAX_ENTRIES",
                                  "MAX_HISTORY", "characterize"),
     "repro.characterize.probes": ("PROBE_FAMILIES", "chain_trace",
@@ -39,22 +39,3 @@ __getattr__, __dir__ = lazy_names(globals(), {
     "repro.characterize.roster": ("roster_names", "run_roster",
                                   "run_self_test"),
 })
-
-__all__ = [
-    "MAX_COUNTER_BITS",
-    "MAX_ENTRIES",
-    "MAX_HISTORY",
-    "PROBE_FAMILIES",
-    "CharacterizationReport",
-    "ProbeEvidence",
-    "chain_trace",
-    "characterize",
-    "disagree_trace",
-    "ladder_trace",
-    "probe_battery",
-    "roster_names",
-    "run_roster",
-    "run_self_test",
-    "step_trace",
-    "victim_trace",
-]

@@ -39,6 +39,8 @@ which is what lets the conformance engine replay every family
 differentially.
 """
 
+import numpy as np
+
 from repro.vm.tracing import BranchClass, BranchTrace
 
 #: Base address for probe sites — arbitrary, nonzero so site 0 never
@@ -50,15 +52,15 @@ BASE_ADDRESS = 3
 TARGET_OFFSET = 1 << 20
 
 
-def _target(site):
-    return site + TARGET_OFFSET
-
-
-def _trace(outcomes):
-    """A gap-free conditional trace from ``(site, taken)`` pairs."""
-    return BranchTrace.from_records(
-        (site, BranchClass.CONDITIONAL, taken, _target(site), 0)
-        for site, taken in outcomes)
+def _trace(sites, takens):
+    """A gap-free conditional trace: record ``i`` is site ``sites[i]``,
+    taken when ``takens[i]`` is true."""
+    sites = np.asarray(sites, dtype=np.int64)
+    count = len(sites)
+    return BranchTrace(
+        sites, np.full(count, BranchClass.CONDITIONAL, dtype=np.int8),
+        np.asarray(takens, dtype=bool), sites + TARGET_OFFSET,
+        np.zeros(count, dtype=np.int8))
 
 
 def probe_sites(m, stride, base=BASE_ADDRESS):
@@ -74,8 +76,8 @@ def chain_trace(m, stride, laps, base=BASE_ADDRESS):
     is cyclic and LRU replacement makes residency an all-or-nothing
     step at the set's way count.
     """
-    sites = probe_sites(m, stride, base)
-    return _trace((site, True) for _ in range(laps) for site in sites)
+    sites = probe_sites(m, stride, base) * laps
+    return _trace(sites, [True] * len(sites))
 
 
 def step_trace(takens, not_takens, takens_again, site=BASE_ADDRESS):
@@ -87,7 +89,7 @@ def step_trace(takens, not_takens, takens_again, site=BASE_ADDRESS):
     wrong-prediction counts are then exactly the two flip latencies.
     """
     outcomes = [True] * takens + [False] * not_takens + [True] * takens_again
-    return _trace((site, taken) for taken in outcomes)
+    return _trace([site] * len(outcomes), outcomes)
 
 
 def ladder_trace(k, periods, site=BASE_ADDRESS):
@@ -102,7 +104,7 @@ def ladder_trace(k, periods, site=BASE_ADDRESS):
     at least one misprediction per period survives warm-up.
     """
     outcomes = ([True] * k + [False]) * periods
-    return _trace((site, taken) for taken in outcomes)
+    return _trace([site] * len(outcomes), outcomes)
 
 
 def victim_trace(ways, stride, probe=False, base=BASE_ADDRESS):
@@ -122,7 +124,7 @@ def victim_trace(ways, stride, probe=False, base=BASE_ADDRESS):
     first = sites[0]
     intruder = base + ways * stride
     visits = sites * 3 + [first, intruder] + ([first] if probe else [])
-    return _trace((site, True) for site in visits)
+    return _trace(visits, [True] * len(visits))
 
 
 def disagree_trace(periods, base=BASE_ADDRESS):
@@ -135,10 +137,9 @@ def disagree_trace(periods, base=BASE_ADDRESS):
     pollution, and counter hysteresis at once.
     """
     site_a, site_b = base, base + 1
-    return _trace(pair
-                  for period in range(periods)
-                  for pair in ((site_a, period % 2 == 0),
-                               (site_b, period % 2 == 1)))
+    return _trace([site_a, site_b] * periods,
+                  [period % 2 == index for period in range(periods)
+                   for index in (0, 1)])
 
 
 #: The largest counter range the battery's step probe saturates: each

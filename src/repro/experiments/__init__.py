@@ -13,9 +13,7 @@ The names below are imported on first use (:mod:`repro._lazy`).
 
 from repro._lazy import lazy_names
 
-__getattr__, __dir__ = lazy_names(globals(), {
+__getattr__, __dir__, __all__ = lazy_names(globals(), {
     "repro.experiments.runner": ("BenchmarkRun", "SuiteRunner"),
     "repro.experiments.report": ("TableData", "render_table"),
 })
-
-__all__ = ["BenchmarkRun", "SuiteRunner", "TableData", "render_table"]

@@ -272,19 +272,16 @@ class SuiteRunner:
         """
         if trace_path is None or not self.cache_dir.is_dir():
             return []
-        # Names equal to this entry's but for the version.  Matched
-        # around the version, not by a glob, which would compile a new
-        # pattern for every benchmark.
-        own = _VERSION_IN_STEM.search(trace_path.name)
-        head = trace_path.name[:own.start()]
-        tail = trace_path.name[own.end():]
+        # Names that split around a version into this name's head and
+        # tail (``_cache_paths`` always writes a version).  A glob
+        # would compile a fresh pattern per benchmark.
+        head, _, tail = _VERSION_IN_STEM.split(trace_path.name, maxsplit=1)
         stale = []
         for entry in sorted(os.listdir(self.cache_dir)):
-            match = _VERSION_IN_STEM.search(entry)
-            if (match is None or entry[:match.start()] != head
-                    or entry[match.end():] != tail):
+            parts = _VERSION_IN_STEM.split(entry, maxsplit=1)
+            if len(parts) != 3 or (parts[0], parts[2]) != (head, tail):
                 continue
-            found = int(match.group(1))
+            found = int(parts[1])
             if found == CACHE_FORMAT_VERSION:
                 continue
             path = self.cache_dir / entry
@@ -316,14 +313,14 @@ class SuiteRunner:
         """
         manifest_path = manifest_path_for(trace_path)
         paths = (trace_path, profile_path, manifest_path)
-        if not any(path.exists() for path in paths):
+        missing = [path for path in paths if not path.exists()]
+        if len(missing) == len(paths):
             return None, None, None
         try:
-            for path in paths:
-                if not path.exists():
-                    raise CacheCorruptError(
-                        str(trace_path),
-                        "incomplete entry: %s missing" % path.name)
+            if missing:
+                raise CacheCorruptError(
+                    str(trace_path),
+                    "incomplete entry: %s missing" % missing[0].name)
             manifest = RunManifest.load(manifest_path)
             for key, path in (("trace", trace_path),
                               ("profile", profile_path)):

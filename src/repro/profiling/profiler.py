@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.cfg import ControlFlowGraph, compute_leaders
+from repro.cfg import compute_leaders
 from repro.vm.machine import run_program
 from repro.vm.tracing import BranchClass
 
@@ -86,10 +86,12 @@ class Profile:
         every counted site ends a CFG block with a conditional, whose
         executions equal its block's count, and ``0 <= taken <= execs``.
         Measured and estimated profiles both hold these."""
+        leaders = compute_leaders(program)
+        ends = leaders[1:] + [len(program.instructions)]
         blocks = {}     # conditional site -> its block's count
-        for block in ControlFlowGraph.from_program(program).blocks:
-            if program.instructions[block.end - 1].is_conditional:
-                blocks[block.end - 1] = self.block_counts.get(block.start, 0)
+        for start, end in zip(leaders, ends):
+            if program.instructions[end - 1].is_conditional:
+                blocks[end - 1] = self.block_counts.get(start, 0)
         for site in blocks.keys() | self.branch_execs.keys() \
                 | self.branch_taken.keys():
             execs = self.branch_execs.get(site, 0)

@@ -27,7 +27,7 @@ from repro._lazy import lazy_names
 
 # Imported on first use (:mod:`repro._lazy`): the supervisor alone
 # pulls in ``multiprocessing``, which a cache read never needs.
-__getattr__, __dir__ = lazy_names(globals(), {
+__getattr__, __dir__, __all__ = lazy_names(globals(), {
     "repro.resilience.checkpoint": ("SweepCheckpoint", "sweep_fingerprint"),
     "repro.resilience.errors": ("CacheCorruptError", "LockTimeout",
                                 "ManifestError", "ResilienceError"),
@@ -42,31 +42,3 @@ __getattr__, __dir__ = lazy_names(globals(), {
     "repro.resilience.supervisor": ("RunReport", "TaskOutcome",
                                     "run_supervised"),
 })
-
-__all__ = [
-    "SweepCheckpoint",
-    "sweep_fingerprint",
-    "CacheCorruptError",
-    "LockTimeout",
-    "ManifestError",
-    "ResilienceError",
-    "FAULT_KINDS",
-    "FAULTS",
-    "Fault",
-    "FaultInjector",
-    "FaultPlan",
-    "QUARANTINE_SUFFIX",
-    "StemLock",
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "atomic_write_npz",
-    "atomic_write_text",
-    "data_checksum",
-    "file_checksum",
-    "list_quarantined",
-    "quarantine",
-    "verify_checksum",
-    "RunReport",
-    "TaskOutcome",
-    "run_supervised",
-]

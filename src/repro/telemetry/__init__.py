@@ -34,7 +34,7 @@ from repro._lazy import lazy_names
 # Imported on first use (:mod:`repro._lazy`): ``metrics`` and
 # ``bench-history`` read an event log without the manifest's
 # ``subprocess``.
-__getattr__, __dir__ = lazy_names(globals(), {
+__getattr__, __dir__, __all__ = lazy_names(globals(), {
     "repro.telemetry.core": ("NULL_SPAN", "Counter", "Span", "TELEMETRY",
                              "Telemetry"),
     "repro.telemetry.manifest": ("MANIFEST_VERSION", "RunManifest",
@@ -44,24 +44,3 @@ __getattr__, __dir__ = lazy_names(globals(), {
     "repro.telemetry.tracing": ("TraceContext", "TraceTree", "fold_ledger",
                                 "merge_trace", "new_trace_id"),
 })
-
-__all__ = [
-    "NULL_SPAN",
-    "Counter",
-    "Span",
-    "TELEMETRY",
-    "Telemetry",
-    "MANIFEST_VERSION",
-    "RunManifest",
-    "git_sha",
-    "manifest_path_for",
-    "InMemoryAggregator",
-    "JsonlSink",
-    "Sink",
-    "read_jsonl_tolerant",
-    "TraceContext",
-    "TraceTree",
-    "fold_ledger",
-    "merge_trace",
-    "new_trace_id",
-]

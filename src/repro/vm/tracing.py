@@ -223,18 +223,23 @@ class BranchTrace:
                    columns["targets"], gaps, total_instructions=total)
 
 
+#: (dtype, lowest, highest) of the narrow signed dtypes, narrowest
+#: first; read once, since ``np.iinfo`` costs a microsecond a call.
+_NARROW = tuple((dtype, int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+                for dtype in (np.int8, np.int16, np.int32))
+
+
 def _narrowed(column):
     """``column`` as an array in the narrowest signed dtype holding its
     range (int64 beyond int32); no copy when it already is one."""
     column = np.asarray(column)
-    if not np.issubdtype(column.dtype, np.signedinteger):
+    if column.dtype.kind != "i":
         column = column.astype(np.int64)
     if not column.size:
         return column.astype(np.int8, copy=False)
     low, high = int(column.min()), int(column.max())
-    for dtype in (np.int8, np.int16, np.int32):
-        bounds = np.iinfo(dtype)
-        if bounds.min <= low and high <= bounds.max:
+    for dtype, lowest, highest in _NARROW:
+        if lowest <= low and high <= highest:
             return column.astype(dtype, copy=False)
     return column
 

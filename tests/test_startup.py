@@ -1,14 +1,16 @@
 """Start-up: each subcommand imports only what it runs.
 
 Every check runs in a fresh interpreter, since this test process has
-long since imported the whole package.  None of them times anything:
-the module sets they assert are what keeps ``cache --json`` (the
-benchmark's set-up step), ``metrics`` and ``bench-history`` near bare
-interpreter start-up.
+long since imported the whole package.  The module sets they assert
+are what keeps ``cache --json`` (the benchmark's set-up step),
+``metrics`` and ``bench-history`` near bare interpreter start-up.  One
+test reads a timing: the traced benchmark run must leave no more of
+its wall time unclaimed than ``bench/run.py`` allows.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,12 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
+
+#: ``bench/run.py``'s bound on the share of a traced run's wall time
+#: that no layer claims, read from its source so the two cannot drift.
+MAX_OTHER_SHARE = float(re.search(
+    r"^MAX_OTHER_SHARE = ([0-9.]+)$",
+    (REPO / "bench" / "run.py").read_text(), re.MULTILINE).group(1))
 
 #: Runs ``python -m repro ARGS`` and, at exit, writes the names of the
 #: loaded modules to the file named by the first argument.
@@ -98,7 +106,9 @@ def test_lint_loads_no_kernels(tmp_path):
     assert _loaded(modules, "repro.kernels") == []
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.experiments"])
+@pytest.mark.parametrize("package", [
+    "repro", "repro.experiments", "repro.resilience", "repro.telemetry",
+    "repro.characterize"])
 def test_lazy_names_resolve_and_are_listed(tmp_path, package):
     child = _python(tmp_path, "-c",
                     "import importlib, json, sys\n"
@@ -135,6 +145,6 @@ def test_traced_bench_run_reaches_the_lazily_imported_handlers(tmp_path):
     assert metrics["lang.compile_s"] > 0
     assert metrics["experiments.render_s.table1"] > 0
     assert metrics["vm.instructions"] > 0
-    assert metrics["other_s"] <= 0.05 * ledger["wall_s"]
+    assert metrics["other_s"] <= MAX_OTHER_SHARE * ledger["wall_s"]
     assert sorted(path.name for path in tmp_path.iterdir()) \
         == ["ledger.json"]
